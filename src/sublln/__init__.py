@@ -30,6 +30,7 @@ from .engine import (
     expectation_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
+    iid_sum_expectations,
     joint_expectation_bruteforce,
     lower_iid_sum_expectation,
     value_table,

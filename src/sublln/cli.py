@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -27,8 +28,9 @@ from .engine import (
     SupportOverflow,
     expectation_under_policy,
     extract_argmax_policy,
-    iid_sum_expectation,
-    lower_iid_sum_expectation,
+    iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
+    iid_sum_expectations,
+    lower_iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
 )
 from .lln_rates import (
     BOUND_TOL,
@@ -90,17 +92,27 @@ def _enum_ns(config: ExperimentConfig) -> list[int]:
     return ns or [config.enum_horizon]
 
 
-def _pstar_for(config: ExperimentConfig, n: int) -> PathMeasure:
-    lo, hi = mean_bounds(config.family)
-    mu_star = interval_max(config.phi, lo, hi).argmax_r
-    return construct_pstar(config.family, mu_star, n)
+class _Pstar:
+    """Pinned product measures of one run; the limit maximizer is found once, on first use."""
+
+    def __init__(self, config: ExperimentConfig):
+        self._config = config
+
+    @functools.cached_property
+    def mu_star(self) -> float:
+        lo, hi = mean_bounds(self._config.family)
+        return interval_max(self._config.phi, lo, hi).argmax_r
+
+    def __call__(self, n: int) -> PathMeasure:
+        return construct_pstar(self._config.family, self.mu_star, n)
 
 
-def _check_eval(config: ExperimentConfig):
+def _check_eval(config: ExperimentConfig, pstar: _Pstar):
+    phi, ns = config.phi, config.n_schedule
+    uppers = iid_sum_expectations(config.family, phi, ns, config.state_cap)
+    lowers = [-v for v in iid_sum_expectations(config.family, lambda x: -phi(x), ns, config.state_cap)]
     rows = []
-    for n in config.n_schedule:
-        upper = iid_sum_expectation(config.family, n, config.phi, config.state_cap)
-        lower = lower_iid_sum_expectation(config.family, n, config.phi, config.state_cap)
+    for n, upper, lower in zip(ns, uppers, lowers):
         rows.append(
             {
                 "n": n,
@@ -113,7 +125,7 @@ def _check_eval(config: ExperimentConfig):
     return columns, rows, all(r["holds_order"] for r in rows)
 
 
-def _check_sweep(config: ExperimentConfig):
+def _check_sweep(config: ExperimentConfig, pstar: _Pstar):
     reports = rate_sweep(
         config.family, config.phi, config.n_schedule, config.alphas, config.state_cap
     )
@@ -133,12 +145,12 @@ def _check_sweep(config: ExperimentConfig):
     return columns, rows, all(rep.all_hold for rep in reports)
 
 
-def _check_variance(config: ExperimentConfig):
+def _check_variance(config: ExperimentConfig, pstar: _Pstar):
     summary = moment_summary(config.family, config.alphas)
     dist_phi = interval_distance_phi(config.family)
+    dists = iid_sum_expectations(config.family, dist_phi, config.n_schedule, config.state_cap)
     rows = []
-    for n in config.n_schedule:
-        dist = iid_sum_expectation(config.family, n, dist_phi, config.state_cap)
+    for n, dist in zip(config.n_schedule, dists):
         improved = improved_distance_bound(summary.sigma_bar_sq, n)
         fang = fang_bound(summary.sigma_bar_sq, summary.mu_spread, n)
         rows.append(
@@ -175,9 +187,11 @@ def _check_variance(config: ExperimentConfig):
     return columns, rows, passed
 
 
-def _diagnostic_measures(config: ExperimentConfig, n: int, with_argmax: bool) -> list[PathMeasure]:
+def _diagnostic_measures(
+    config: ExperimentConfig, pstar: _Pstar, n: int, with_argmax: bool
+) -> list[PathMeasure]:
     measures = [
-        _pstar_for(config, n),
+        pstar(n),
         history_parity_measure(config.family, n),
         uniform_mixture(config.family, n),
     ]
@@ -189,10 +203,10 @@ def _diagnostic_measures(config: ExperimentConfig, n: int, with_argmax: bool) ->
     return measures
 
 
-def _check_chatterji(config: ExperimentConfig):
+def _check_chatterji(config: ExperimentConfig, pstar: _Pstar):
     rows = []
     for n in _enum_ns(config):
-        for measure in _diagnostic_measures(config, n, with_argmax=False):
+        for measure in _diagnostic_measures(config, pstar, n, with_argmax=False):
             dec = conditional_means(config.family, measure, n, config.state_cap)
             for p in _CHATTERJI_PS:
                 rep = chatterji_check(
@@ -214,10 +228,10 @@ def _check_chatterji(config: ExperimentConfig):
     return columns, rows, all(r["holds"] and r["holds_chain"] for r in rows)
 
 
-def _check_prop2(config: ExperimentConfig):
+def _check_prop2(config: ExperimentConfig, pstar: _Pstar):
     rows = []
     for n in _enum_ns(config):
-        for measure in _diagnostic_measures(config, n, with_argmax=True):
+        for measure in _diagnostic_measures(config, pstar, n, with_argmax=True):
             rep = prop2_check(config.family, measure, n, config.state_cap)
             rows.append(
                 {
@@ -233,7 +247,7 @@ def _check_prop2(config: ExperimentConfig):
     return columns, rows, all(r["ok"] for r in rows)
 
 
-def _check_pstar(config: ExperimentConfig):
+def _check_pstar(config: ExperimentConfig, pstar: _Pstar):
     columns = [
         "n",
         "mu_star",
@@ -276,10 +290,10 @@ def _check_pstar(config: ExperimentConfig):
     return columns, rows, passed
 
 
-def _check_mc(config: ExperimentConfig):
+def _check_mc(config: ExperimentConfig, pstar: _Pstar):
     n = config.mc_horizon
     count = config.mc_samples
-    measure = _pstar_for(config, n)
+    measure = pstar(n)
     exact = expectation_under_policy(config.family, n, config.phi, measure, config.state_cap)
     paths = sample_paths(config.family, measure, n, count, config.seed)
     values = np.asarray(config.phi(paths.sum(axis=1) / n), dtype=float)
@@ -331,9 +345,10 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "checks": {},
     }
     overall = True
+    pstar = _Pstar(config)
     for name in (c for c in CHECKS if c in requested):
         try:
-            columns, rows, passed = _CHECK_FUNCS[name](config)
+            columns, rows, passed = _CHECK_FUNCS[name](config, pstar)
         except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError) as exc:
             print(f"error: check '{name}': {exc}", file=sys.stderr)
             return 1

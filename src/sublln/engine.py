@@ -11,13 +11,51 @@ with ``v_0(0)`` the final value.  The module also evaluates constructed
 selection policies and mixture measures forward, extracts the maximizing
 policy, and evaluates small-n joint functionals over the full history
 tree (the brute-force cross-check for the sum-state reduction).
+
+The backward kernel
+-------------------
+:func:`iid_sum_expectations` computes the values at many horizons with one
+sweep.  The map from step k+1 to step k does not depend on the horizon, so
+the sweep runs from ``N = max(ns)`` down to 0 over a 2-D ``(rows, states)``
+array: the row of horizon n joins at step n, holding phi at the reachable
+sums of step n and zeros elsewhere, and from then on every step's arithmetic
+is shared by all joined rows.  Horizon groups whose rows would exceed
+``_ROW_BUDGET`` states are swept separately; rows never interact, so the
+grouping does not change a value.
+
+* **Summation order.**  A member's value is the left-to-right sum
+  ``w_0 * v[s_0:] + w_1 * v[s_1:] + ...`` over its atoms in increasing value
+  order, and the step value is the running ``np.maximum`` over members in
+  index order (the argmax policy breaks ties to the lower index).  Results
+  are therefore deterministic and do not depend on which horizons share a
+  sweep.
+* **gcd reduction.**  Coordinates are taken relative to the smallest atom
+  coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
+  all atoms coincide).  Index i at step k stands for the sum
+  ``k * origin + (k * k_min + i * g) * step``; sums off this sublattice are
+  never reachable.
+* **Unreachable entries.**  The window at step k is dense, so some entries
+  are not reachable sums.  Every union shift maps a reachable sum of step k
+  to a reachable sum of step k+1, so a reachable entry only ever reads
+  reachable entries and the zeros or stale values elsewhere never reach the
+  result.  Reachability comes from one forward OR pass; only the masks of
+  requested horizons are kept, and phi is called only at reachable sums.
+* **State cap.**  The cap counts the dense states of the unreduced lattice,
+  ``(n + 1) + span * n * (n + 1) / 2`` for the largest horizon, and is
+  checked by arithmetic before anything is allocated, so
+  :class:`SupportOverflow` is raised for the same inputs as by a
+  single-horizon pass; its message names the smallest horizon past the cap.
+
+:func:`value_table` and :func:`extract_argmax_policy` keep the unreduced
+:class:`SumSupport` layout, whose indices are public, and run the same step
+code with ``g = 1`` and one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +70,7 @@ __all__ = [
     "SelectionPolicy",
     "build_support",
     "value_table",
+    "iid_sum_expectations",
     "iid_sum_expectation",
     "lower_iid_sum_expectation",
     "extract_argmax_policy",
@@ -43,6 +82,9 @@ DEFAULT_STATE_CAP = 10_000_000
 
 _SUM_TOL = 1e-9
 
+# Largest rows x states array of one sweep; four such arrays are live at once.
+_ROW_BUDGET = 1 << 20
+
 
 class SupportOverflow(RuntimeError):
     """The requested computation would exceed the configured state cap."""
@@ -50,17 +92,6 @@ class SupportOverflow(RuntimeError):
 
 class PolicyIncomplete(ValueError):
     """A reachable state has no (or an invalid) selection."""
-
-
-def _pairwise_fold(terms: list[np.ndarray]) -> np.ndarray:
-    """Sum a list of equal-length arrays by a fixed binary tree (leftmost-first)."""
-    items = list(terms)
-    while len(items) > 1:
-        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
 
 
 def pairwise_total(values: np.ndarray) -> float:
@@ -90,26 +121,157 @@ def _eval_phi(phi: Callable, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Grid:
+    """The family's atoms as ``(weight, shift)`` terms on a lattice of ``gcd`` coordinates.
+
+    A shift is ``(coord - k_min) // gcd``; index i at step k stands for the
+    coordinate ``k * k_min + i * gcd``.
+    """
+
     origin: float
     step: float
     k_min: int
     k_max: int
-    coords: tuple[np.ndarray, ...]
-    shifts: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    gcd: int
+    span: int
+    terms: tuple[tuple[tuple[float, int], ...], ...]
 
-    @property
-    def span(self) -> int:
-        return self.k_max - self.k_min
+    def size(self, k: int) -> int:
+        return k * self.span + 1
 
 
-def _grid(family: AmbiguityFamily) -> _Grid:
-    coords = tuple(family.member_coords(i) for i in range(len(family.members)))
+def _grid(family: AmbiguityFamily, reduce: bool = False) -> _Grid:
+    coords = [family.member_coords(i) for i in range(len(family.members))]
     k_min = min(int(c.min()) for c in coords)
     k_max = max(int(c.max()) for c in coords)
-    shifts = tuple(c - k_min for c in coords)
-    weights = tuple(np.asarray(m.weights) for m in family.members)
-    return _Grid(family.lattice.origin, family.lattice.step, k_min, k_max, coords, shifts, weights)
+    shifts = [[int(c) - k_min for c in member] for member in coords]
+    g = (math.gcd(*(s for member in shifts for s in member)) or 1) if reduce else 1
+    terms = tuple(
+        tuple((float(w), s // g) for w, s in zip(m.weights, member))
+        for m, member in zip(family.members, shifts)
+    )
+    lat = family.lattice
+    return _Grid(lat.origin, lat.step, k_min, k_max, g, (k_max - k_min) // g, terms)
+
+
+def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
+    """Raise SupportOverflow when n steps exceed the cap in unreduced dense states."""
+    total = (n + 1) + (grid.k_max - grid.k_min) * n * (n + 1) // 2
+    if total > state_cap:
+        raise SupportOverflow(
+            f"{total} sum states for n={n} exceed the cap of {state_cap}; "
+            "the lattice is too fine for this horizon"
+        )
+
+
+def _reachable_masks(grid: _Grid, n: int, keep: Iterable[int]) -> dict[int, np.ndarray]:
+    """Reachable-sum masks of the steps in ``keep`` (all at most n), by one forward OR pass."""
+    keep = set(keep)
+    shifts = sorted({s for member in grid.terms for _, s in member})
+    mask = np.ones(1, dtype=bool)
+    masks = {0: mask} if 0 in keep else {}
+    for k in range(1, n + 1):
+        if k > 1 and mask.all():
+            # A full window stays full: consecutive union shifts are at most span apart.
+            masks.update((j, np.ones(grid.size(j), dtype=bool)) for j in keep if j >= k)
+            break
+        nxt = np.zeros(grid.size(k), dtype=bool)
+        for s in shifts:
+            nxt[s : s + mask.size] |= mask
+        mask = nxt
+        if k in keep:
+            masks[k] = mask
+    return masks
+
+
+def _terminal(grid: _Grid, n: int, mask: np.ndarray, phi: Callable, out: np.ndarray) -> None:
+    """Write phi(sum / n) at the reachable sums of step n into ``out``, zeros elsewhere."""
+    coords = n * grid.k_min + grid.gcd * np.arange(mask.size)
+    xs = (n * grid.origin + coords * grid.step)[mask] / n
+    out[:] = 0.0
+    out[mask] = _eval_phi(phi, xs)
+
+
+def _step(
+    v_next: np.ndarray,
+    grid: _Grid,
+    out: np.ndarray,
+    acc: np.ndarray,
+    tmp: np.ndarray,
+    sel: np.ndarray | None = None,
+) -> None:
+    """One backward step on ``(..., states)`` arrays: ``out`` gets the max over members.
+
+    ``out``, ``acc`` and ``tmp`` have the step's window as last axis; each
+    member's value is the left-to-right sum of its weighted shifted windows
+    of ``v_next``.  ``sel``, when given, receives the lowest maximizing
+    member index.
+    """
+    size = out.shape[-1]
+    for m, terms in enumerate(grid.terms):
+        dst = out if m == 0 else acc
+        (w, s), *rest = terms
+        np.multiply(v_next[..., s : s + size], w, out=dst)
+        for w, s in rest:
+            np.multiply(v_next[..., s : s + size], w, out=tmp)
+            dst += tmp
+        if m:
+            if sel is not None:
+                sel[acc > out] = m
+            np.maximum(out, acc, out=out)
+
+
+def _row_groups(horizons: list[int], span: int) -> list[list[int]]:
+    """Split descending horizons into sweeps of at most ``_ROW_BUDGET`` row states (one row at least)."""
+    groups: list[list[int]] = []
+    for n in horizons:
+        if not groups or (len(groups[-1]) + 1) * (groups[-1][0] * span + 1) > _ROW_BUDGET:
+            groups.append([])
+        groups[-1].append(n)
+    return groups
+
+
+def _sweep(grid: _Grid, phi: Callable, horizons: list[int], masks: dict[int, np.ndarray]) -> np.ndarray:
+    """Root values for distinct descending horizons by one backward sweep from ``horizons[0]``."""
+    rows, span = len(horizons), grid.span
+    cur, nxt, acc, tmp = (np.zeros((rows, grid.size(horizons[0]))) for _ in range(4))
+    joined = 0
+    for k in range(horizons[0], 0, -1):
+        if joined < rows and horizons[joined] == k:
+            _terminal(grid, k, masks[k], phi, cur[joined, : k * span + 1])
+            joined += 1
+        size = (k - 1) * span + 1
+        _step(cur[:joined], grid, nxt[:joined, :size], acc[:joined, :size], tmp[:joined, :size])
+        cur, nxt = nxt, cur
+    return cur[:, 0]
+
+
+def iid_sum_expectations(
+    family: AmbiguityFamily,
+    phi: Callable,
+    ns: Iterable[int],
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[float, ...]:
+    """Worst-case expectations of ``phi(S_n / n)`` for every n in ``ns``, in that order.
+
+    One backward sweep from the largest horizon serves them all (see the
+    module docstring); ``ns`` may be unsorted and repeat horizons.
+    """
+    _require_valid(family)
+    horizons = list(ns)
+    for n in horizons:
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+    if not horizons:
+        return ()
+    grid = _grid(family, reduce=True)
+    distinct = sorted(set(horizons), reverse=True)
+    for n in reversed(distinct):  # ascending: an overflow names the smallest horizon past the cap
+        _check_cap(grid, n, state_cap)
+    masks = _reachable_masks(grid, distinct[0], distinct)
+    roots: dict[int, float] = {}
+    for group in _row_groups(distinct, grid.span):
+        roots.update(zip(group, _sweep(grid, phi, group, masks).tolist()))
+    return tuple(roots[n] for n in horizons)
 
 
 @dataclass(frozen=True)
@@ -162,21 +324,9 @@ def build_support(family: AmbiguityFamily, n: int, state_cap: int = DEFAULT_STAT
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     g = _grid(family)
-    total = (n + 1) + g.span * n * (n + 1) // 2
-    if total > state_cap:
-        raise SupportOverflow(
-            f"{total} sum states for n={n} exceed the cap of {state_cap}; "
-            "the lattice is too fine for this horizon"
-        )
-    union_shifts = sorted({int(s) for c in g.shifts for s in c})
-    masks = [np.ones(1, dtype=bool)]
-    for k in range(n):
-        cur = masks[k]
-        nxt = np.zeros(cur.size + g.span, dtype=bool)
-        for s in union_shifts:
-            nxt[s : s + cur.size] |= cur
-        masks.append(nxt)
-    return SumSupport(g.origin, g.step, g.k_min, g.k_max, n, tuple(masks))
+    _check_cap(g, n, state_cap)
+    masks = _reachable_masks(g, n, range(n + 1))
+    return SumSupport(g.origin, g.step, g.k_min, g.k_max, n, tuple(masks[k] for k in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -236,39 +386,28 @@ class SelectionPolicy:
         return cls(support, tuple(sels))
 
 
-def _backward(
-    family: AmbiguityFamily,
-    n: int,
-    phi: Callable,
-    state_cap: int,
-    want_table: bool = False,
-    want_policy: bool = False,
-):
+def _backward_tables(family: AmbiguityFamily, n: int, phi: Callable, state_cap: int, want_policy: bool):
+    """Single-horizon sweep on the unreduced support, keeping every step's values or selections."""
     support = build_support(family, n, state_cap)
-    g = _grid(family)
-    vals = np.zeros(support.size(n))
-    mask = support.masks[n]
-    vals[mask] = _eval_phi(phi, support.values(n)[mask] / n)
-    tables: list[np.ndarray] = [vals]
+    grid = _grid(family)
+    v_next = np.empty(support.size(n))
+    _terminal(grid, n, support.masks[n], phi, v_next)
+    tables = [v_next]
     policies: list[np.ndarray] = []
-    v_next = vals
     for k in range(n - 1, -1, -1):
-        size_k = support.size(k)
-        member_vals = np.empty((len(family.members), size_k))
-        for m in range(len(family.members)):
-            terms = [w * v_next[s : s + size_k] for w, s in zip(g.weights[m], g.shifts[m])]
-            member_vals[m] = _pairwise_fold(terms)
+        size = support.size(k)
+        out, acc, tmp = np.empty(size), np.empty(size), np.empty(size)
+        sel = np.zeros(size, dtype=np.int32) if want_policy else None
+        _step(v_next, grid, out, acc, tmp, sel)
         if want_policy:
-            sel = np.argmax(member_vals, axis=0).astype(np.int32)
             sel[~support.masks[k]] = -1
             policies.append(sel)
-        v_next = member_vals.max(axis=0)
-        if want_table:
-            tables.append(v_next)
-    value = float(v_next[0])
-    table = ValueTable(support, tuple(reversed(tables))) if want_table else None
-    policy = SelectionPolicy(support, tuple(reversed(policies))) if want_policy else None
-    return value, support, table, policy
+        else:
+            tables.append(out)
+        v_next = out
+    if want_policy:
+        return SelectionPolicy(support, tuple(reversed(policies)))
+    return ValueTable(support, tuple(reversed(tables)))
 
 
 def iid_sum_expectation(
@@ -278,11 +417,7 @@ def iid_sum_expectation(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Worst-case expectation of ``phi(S_n / n)`` by exact backward recursion."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    value, _, _, _ = _backward(family, n, phi, state_cap)
-    return value
+    return iid_sum_expectations(family, phi, [n], state_cap)[0]
 
 
 def lower_iid_sum_expectation(
@@ -292,7 +427,7 @@ def lower_iid_sum_expectation(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Best-case (lower) expectation of ``phi(S_n / n)``: -upper of -phi."""
-    return -iid_sum_expectation(family, n, lambda x: -phi(x), state_cap)
+    return -iid_sum_expectations(family, lambda x: -phi(x), [n], state_cap)[0]
 
 
 def value_table(
@@ -302,11 +437,7 @@ def value_table(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ValueTable:
     """Full backward-recursion table for ``phi(S_n / n)``."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    _, _, table, _ = _backward(family, n, phi, state_cap, want_table=True)
-    return table
+    return _backward_tables(family, n, phi, state_cap, want_policy=False)
 
 
 def extract_argmax_policy(
@@ -316,11 +447,7 @@ def extract_argmax_policy(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SelectionPolicy:
     """Lowest-index maximizing member at every reachable (step, sum) state."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    _, _, _, policy = _backward(family, n, phi, state_cap, want_policy=True)
-    return policy
+    return _backward_tables(family, n, phi, state_cap, want_policy=True)
 
 
 def _check_weights(w, member_count: int) -> np.ndarray:
@@ -357,7 +484,7 @@ def _forward_policy(family, n, support, g, policy: SelectionPolicy) -> np.ndarra
             picked = np.where(sel[: mass.size] == m, mass, 0.0)
             if not picked.any():
                 continue
-            for w, s in zip(g.weights[m], g.shifts[m]):
+            for w, s in g.terms[m]:
                 nxt[s : s + mass.size] += w * picked
         mass = nxt
     return mass
@@ -371,7 +498,7 @@ def _forward_stepwise(family, n, support, g, measure) -> np.ndarray:
         for m, wm in enumerate(w_members):
             if wm == 0.0:
                 continue
-            for w, s in zip(g.weights[m], g.shifts[m]):
+            for w, s in g.terms[m]:
                 nxt[s : s + mass.size] += (wm * w) * mass
         mass = nxt
     return mass
@@ -391,7 +518,7 @@ def _forward_sum_rule(family, n, support, g, measure) -> np.ndarray:
             for m, wm in enumerate(w_members):
                 if wm == 0.0:
                     continue
-                for w, s in zip(g.weights[m], g.shifts[m]):
+                for w, s in g.terms[m]:
                     nxt[i + s] += (wm * w) * mass[i]
         mass = nxt
     return mass

@@ -27,7 +27,7 @@ from .ambiguity import (
     moment_c_alpha,
     upper_variance,
 )
-from .engine import DEFAULT_STATE_CAP, _eval_phi, iid_sum_expectation
+from .engine import DEFAULT_STATE_CAP, _eval_phi, iid_sum_expectation, iid_sum_expectations
 from .rng import unit_array
 
 __all__ = [
@@ -296,8 +296,7 @@ def rate_sweep(
     im = interval_max(phi, lo, hi)
     use_corollary = phi.lipschitz_constant <= 1.0
     reports = []
-    for n in schedule:
-        e = iid_sum_expectation(family, n, phi, state_cap)
+    for n, e in zip(schedule, iid_sum_expectations(family, phi, schedule, state_cap)):
         gap = abs(e - im.max_value)
         b3 = {a: theorem3_bound(phi.lipschitz_constant, c[a], a, n) for a in c}
         h3 = {a: bool(gap <= b3[a] + BOUND_TOL) for a in c}

@@ -155,3 +155,63 @@ def dense_interval_max(phi, lo, hi, points=10_000_001, chunk=1_000_000):
     for start in range(0, points, chunk):
         best = max(best, float(np.max(phi(grid[start : start + chunk]))))
     return best
+
+
+def per_horizon_backward(family, n, phi, state_cap=10_000_000):
+    """One horizon's backward pass on the full dense lattice, as the engine first did it.
+
+    Every step's reachable mask is built (no gcd reduction), each member's
+    value is a list of per-atom terms summed by a fixed binary tree
+    (leftmost pair first), and the step value is the maximum over members.
+    Returns ``(root value, selections)`` with ``selections[k]`` the lowest
+    maximizing member per dense index of step k and -1 at unreachable sums.
+    Raises ``SupportOverflow`` by the engine's dense-state count.
+    """
+    from sublln.engine import SupportOverflow
+
+    lat = family.lattice
+    coords = [[lat.coord(v) for v, _ in m.atoms] for m in family.members]
+    k_min = min(min(c) for c in coords)
+    span = max(max(c) for c in coords) - k_min
+    total = (n + 1) + span * n * (n + 1) // 2
+    if total > state_cap:
+        raise SupportOverflow(
+            f"{total} sum states for n={n} exceed the cap of {state_cap}; "
+            "the lattice is too fine for this horizon"
+        )
+    shifts = [[c - k_min for c in member] for member in coords]
+    weights = [np.asarray(m.weights) for m in family.members]
+    union = sorted({s for member in shifts for s in member})
+    masks = [np.ones(1, dtype=bool)]
+    for k in range(n):
+        nxt = np.zeros(masks[k].size + span, dtype=bool)
+        for s in union:
+            nxt[s : s + masks[k].size] |= masks[k]
+        masks.append(nxt)
+
+    def tree_sum(terms):
+        while len(terms) > 1:
+            pairs = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+            terms = pairs + ([terms[-1]] if len(terms) % 2 else [])
+        return terms[0]
+
+    xs = (n * lat.origin + (n * k_min + np.arange(masks[n].size)) * lat.step)[masks[n]] / n
+    try:
+        phi_vals = np.asarray(phi(xs), dtype=float)
+        if phi_vals.shape != xs.shape:
+            raise ValueError
+    except Exception:
+        phi_vals = np.array([float(phi(float(x))) for x in xs])
+    v = np.zeros(masks[n].size)
+    v[masks[n]] = phi_vals
+    selections = []
+    for k in range(n - 1, -1, -1):
+        size = masks[k].size
+        member_vals = np.array(
+            [tree_sum([w * v[s : s + size] for w, s in zip(ws, ss)]) for ws, ss in zip(weights, shifts)]
+        )
+        sel = np.argmax(member_vals, axis=0).astype(np.int32)
+        sel[~masks[k]] = -1
+        selections.append(sel)
+        v = member_vals.max(axis=0)
+    return float(v[0]), selections[::-1]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sublln import engine
 from sublln.ambiguity import AmbiguityFamily, FamilyInvalid, one_step_expectation
+from sublln.corpus import catalog_for
 from sublln.engine import (
     PolicyIncomplete,
     SelectionPolicy,
@@ -14,6 +16,7 @@ from sublln.engine import (
     expectation_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
+    iid_sum_expectations,
     joint_expectation_bruteforce,
     lower_iid_sum_expectation,
     pairwise_total,
@@ -21,11 +24,31 @@ from sublln.engine import (
 )
 from sublln.measures import PathMeasure, uniform_mixture
 
-from _oracles import history_tree_max, reachable_coords
+from _oracles import history_tree_max, per_horizon_backward, reachable_coords, sum_value
 
 DELTA_PAIR = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
 TWO_POINT = AmbiguityFamily.build(0, 1, [[(-1, 1.0)], [(1, 1.0)]])
 FAIR_COIN = AmbiguityFamily.build(0, 1, [[(-1, 0.5), (1, 0.5)]])
+# Step 0.01 with every atom on a multiple of 0.25: the gcd reduction shrinks the lattice 25x.
+FINE_LATTICE = AmbiguityFamily.build(
+    0.0,
+    0.01,
+    [
+        [(-0.75, 0.3), (0.25, 0.4), (1.0, 0.3)],
+        [(-0.5, 0.5), (0.5, 0.5)],
+        [(-1.0, 0.2), (0.0, 0.3), (0.75, 0.5)],
+    ],
+    name="fine_lattice",
+)
+
+
+def bits(values):
+    """Bit patterns of floats, so that exact comparisons also see the sign of zero."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def oracle_values(family, phi, ns):
+    return [per_horizon_backward(family, n, phi)[0] for n in ns]
 
 
 class TestIidSumExpectation:
@@ -71,6 +94,128 @@ class TestIidSumExpectation:
                 value = iid_sum_expectation(family, n, phi)
                 vals = phi(xs)
                 assert vals.min() - 1e-12 <= value <= vals.max() + 1e-12
+
+
+class TestBatchedKernel:
+    """iid_sum_expectations against the per-horizon oracle, bit for bit."""
+
+    def test_corpus_every_n_to_64(self, families):
+        ns = range(1, 65)
+        for family in families.values():
+            for i, phi in enumerate(catalog_for(family)):
+                got = iid_sum_expectations(family, phi, ns)
+                assert bits(got) == bits(oracle_values(family, phi, ns)), (family.name, i)
+
+    def test_fine_lattice_to_32(self):
+        ns = range(1, 33)
+        for i, phi in enumerate(catalog_for(FINE_LATTICE)):
+            got = iid_sum_expectations(FINE_LATTICE, phi, ns)
+            assert bits(got) == bits(oracle_values(FINE_LATTICE, phi, ns)), i
+
+    def test_single_horizon_wrappers(self, families):
+        for family in list(families.values()) + [FINE_LATTICE]:
+            phi = catalog_for(family)[3]
+            for n in (1, 5, 16):
+                want = per_horizon_backward(family, n, phi)[0]
+                assert bits([iid_sum_expectation(family, n, phi)]) == bits([want])
+                lower = -per_horizon_backward(family, n, lambda x: -phi(x))[0]
+                assert bits([lower_iid_sum_expectation(family, n, phi)]) == bits([lower])
+                assert bits([value_table(family, n, phi).root]) == bits([want])
+
+    def test_argmax_policy_matches_oracle(self, families):
+        for family in list(families.values()) + [FINE_LATTICE]:
+            for phi in catalog_for(family):
+                policy = extract_argmax_policy(family, 9, phi)
+                _, selections = per_horizon_backward(family, 9, phi)
+                for k in range(9):
+                    assert np.array_equal(policy.selections[k], selections[k]), (family.name, k)
+
+    def test_signed_zero_ties_follow_oracle(self):
+        # Members tie at +0.0 and -0.0; the sign of the result depends on the max order.
+        for low in (-0.0, 0.0):
+            phi = lambda x, low=low: np.where(x == 0.0, low, -low)
+            for n in (1, 2, 3):
+                want = per_horizon_backward(DELTA_PAIR, n, phi)[0]
+                assert bits(iid_sum_expectations(DELTA_PAIR, phi, [n, 1])[:1]) == bits([want])
+
+    def test_unsorted_and_duplicate_ns(self, families):
+        family = families["three_atom"]
+        phi = catalog_for(family)[2]
+        ns = [8, 3, 8, 1, 17, 3]
+        got = iid_sum_expectations(family, phi, ns)
+        assert len(got) == len(ns)
+        assert bits(got) == bits(oracle_values(family, phi, ns))
+        assert iid_sum_expectations(family, phi, []) == ()
+
+    def test_row_groups_do_not_change_values(self, families, monkeypatch):
+        family = families["skewed_pair"]
+        phi = catalog_for(family)[4]
+        ns = list(range(1, 41))
+        whole = iid_sum_expectations(family, phi, ns)
+        monkeypatch.setattr(engine, "_ROW_BUDGET", 200)
+        assert len(engine._row_groups(ns[::-1], 3)) > 1
+        assert bits(iid_sum_expectations(family, phi, ns)) == bits(whole)
+
+    def test_four_atom_member_close_to_pairwise_fold(self):
+        # Left-to-right and pairwise sums differ in rounding from four atoms on.
+        family = AmbiguityFamily.build(
+            0, 1, [[(-2, 0.1), (-1, 0.2), (1, 0.3), (3, 0.4)], [(-1, 0.7), (2, 0.3)]]
+        )
+        phi = lambda x: np.sin(x) + 0.3 * x
+        ns = range(1, 40)
+        got = iid_sum_expectations(family, phi, ns)
+        for g, want in zip(got, oracle_values(family, phi, ns)):
+            assert g == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("name", ["fair_coin", "bernoulli_pair", "three_atom", "skewed_pair"])
+    def test_overflow_same_as_oracle(self, families, name):
+        family = families[name]
+        phi = lambda x: x
+        for n in (1, 2, 7, 30):
+            for cap in (1, 2, 3, 10, 50, 100, 465, 466, 1000, 2000):
+                try:
+                    per_horizon_backward(family, n, phi, state_cap=cap)
+                    want = None
+                except SupportOverflow as exc:
+                    want = str(exc)
+                for ns in ([n], [n, 1], [1, n, n]):
+                    try:
+                        iid_sum_expectations(family, phi, ns, state_cap=cap)
+                        got = None
+                    except SupportOverflow as exc:
+                        got = str(exc)
+                    # smaller horizons overflow only when n does; the message names the smallest
+                    assert (got is None) == (want is None), (n, cap, ns)
+                    if ns == [n]:
+                        assert got == want, (n, cap)
+
+    def test_overflow_names_smallest_horizon(self):
+        # 3 states at n=1 and 6 at n=2 on the +-1 lattice
+        with pytest.raises(SupportOverflow, match="n=2 exceed the cap of 5"):
+            iid_sum_expectations(TWO_POINT, lambda x: x, [3, 1, 2], state_cap=5)
+
+    def test_invalid_horizon(self):
+        with pytest.raises(ValueError):
+            iid_sum_expectations(TWO_POINT, lambda x: x, [3, 0])
+
+    @pytest.mark.parametrize("name", ["bernoulli_pair", "skewed_pair", "three_atom", "fine_lattice"])
+    def test_phi_called_only_at_reachable_sums(self, families, name):
+        family = FINE_LATTICE if name == "fine_lattice" else families[name]
+        ns = [12, 1, 5, 12, 2]
+        levels = reachable_coords(family, max(ns))
+        calls = []
+
+        def phi(xs):
+            calls.append(sorted(np.asarray(xs).tolist()))
+            return np.cos(xs)
+
+        iid_sum_expectations(family, phi, ns)
+        want = [sorted(sum_value(family, n, c) / n for c in levels[n]) for n in sorted(set(ns))]
+        assert sorted(calls) == sorted(want)
+        for single in (value_table, extract_argmax_policy):
+            calls.clear()
+            single(family, 5, phi)
+            assert calls == [want[2]]
 
 
 class TestLowerExpectation:
