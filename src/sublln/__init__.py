@@ -70,7 +70,9 @@ from .measures import (
     construct_pstar,
     history_parity_measure,
     lower_bound_check,
+    lower_bound_checks,
     prop2_check,
+    sample_path_sums,
     sample_paths,
     uniform_mixture,
 )

@@ -31,7 +31,8 @@ from .engine import (
     SupportOverflow,
     _check_weights,
     expectation_under_policy,
-    iid_sum_expectation,
+    iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
+    iid_sum_expectations,
 )
 from .lln_rates import LipschitzFunction, interval_max, theorem3_bound
 from .rng import unit_array, unit_at
@@ -51,10 +52,13 @@ __all__ = [
     "prop2_check",
     "chatterji_check",
     "sample_paths",
+    "sample_path_sums",
     "lower_bound_check",
+    "lower_bound_checks",
 ]
 
 DEFAULT_ENUM_STEPS = 8
+_BLOCK_UNIFORMS = 1 << 15  # uniforms per sampling block (256 KiB of float64)
 
 
 class MuStarOutOfRange(ValueError):
@@ -320,6 +324,42 @@ def chatterji_check(
     )
 
 
+def _check_sampling(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int) -> None:
+    _require_valid(family)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    if measure.horizon < n:
+        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
+
+
+def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int):
+    """Yield ``(first_path, atom_values)`` for consecutive blocks of whole paths.
+
+    The inverse-CDF kernel for ``depends_on == "none"`` measures: the per-step
+    CDF table is built once, and each block of about ``_BLOCK_UNIFORMS``
+    uniforms draws its slice ``[first_path*n, (first_path+rows)*n)`` of the
+    stream.  The atom index at step k is a comparison count,
+    ``sum_{j<last} (u >= cum_k[j])``, which equals
+    ``min(searchsorted(cum_k, u, side="right"), last)`` because every CDF
+    ``cum_k`` is nondecreasing.  The table is stored atom-major, so each
+    comparison broadcasts one contiguous row over the block.
+    """
+    _, atoms, w_matrix = family.union_atoms()
+    cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
+    rows = max(1, _BLOCK_UNIFORMS // n)
+    for p0 in range(0, count, rows):
+        r = min(rows, count - p0)
+        u = unit_array(seed, p0 * n, r * n).reshape(r, n)
+        idx = np.zeros((r, n), dtype=np.intp)
+        for j in range(len(atoms) - 1):
+            idx += u >= cum[j]
+        yield p0, atoms[idx]
+
+
 def sample_paths(
     family: AmbiguityFamily,
     measure: PathMeasure,
@@ -333,29 +373,23 @@ def sample_paths(
     index ``p*n + k`` (see :mod:`sublln.rng`); the realized atom is the
     first one, in increasing value order, whose cumulative mixture
     probability exceeds the uniform.  Identical (seed, inputs) give
-    bit-identical samples.
+    bit-identical samples.  Measures that read neither the running sum nor
+    the history are sampled in blocks of whole paths, each drawing its own
+    slice of the same stream, so the block size never changes a sample.
+    :func:`sample_path_sums` returns the row sums of this array bit for bit
+    without holding it: its memory is one block plus the ``count`` sums,
+    independent of n.
     """
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if measure.horizon < n:
-        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
-    _, atoms, w_matrix = family.union_atoms()
-    last = len(atoms) - 1
+    _check_sampling(family, measure, n, count, seed)
     out = np.empty((count, n))
     if count == 0:
         return out
     if measure.depends_on == "none":
-        u = unit_array(seed, 0, count * n).reshape(count, n)
-        for k in range(n):
-            cum = np.cumsum(w_matrix @ measure.mixture_weights(k))
-            idx = np.minimum(np.searchsorted(cum, u[:, k], side="right"), last)
-            out[:, k] = atoms[idx]
+        for p0, block in _stepwise_blocks(family, measure, n, count, seed):
+            out[p0 : p0 + len(block)] = block
         return out
+    _, atoms, w_matrix = family.union_atoms()
+    last = len(atoms) - 1
     for pth in range(count):
         hist: tuple[float, ...] = ()
         total = 0.0
@@ -367,6 +401,29 @@ def sample_paths(
             out[pth, k] = atoms[a]
             hist = hist + (float(atoms[a]),)
             total += float(atoms[a])
+    return out
+
+
+def sample_path_sums(
+    family: AmbiguityFamily,
+    measure: PathMeasure,
+    n: int,
+    count: int,
+    seed: int,
+) -> np.ndarray:
+    """Per-path sums of :func:`sample_paths`, bit for bit ``sample_paths(...).sum(axis=1)``.
+
+    For ``depends_on == "none"`` measures the paths are never held all at
+    once: each block is summed row by row as it is drawn (numpy's row
+    reduction depends only on the row), so memory is one block plus the
+    ``count`` sums, whatever n is.
+    """
+    if measure.depends_on != "none":
+        return sample_paths(family, measure, n, count, seed).sum(axis=1)
+    _check_sampling(family, measure, n, count, seed)
+    out = np.empty(count)
+    for p0, block in _stepwise_blocks(family, measure, n, count, seed):
+        out[p0 : p0 + len(block)] = block.sum(axis=1)
     return out
 
 
@@ -391,6 +448,52 @@ class LowerBoundReport:
         return self.upper_dominates and all(self.lower_holds.values())
 
 
+def lower_bound_checks(
+    family: AmbiguityFamily,
+    phi: LipschitzFunction,
+    ns: Sequence[int],
+    alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> list[LowerBoundReport]:
+    """Build the pinned product measure at the limit maximizer and verify its chain, per n in ``ns``.
+
+    Checks that the measure's expectation is dominated by the worst case and
+    that ``phi(mu_star) - E[phi(S_n/n)]`` stays within the rate bound for
+    each requested alpha; per-step means under the measure must equal
+    ``mu_star``.  The limit maximizer is found once and the worst cases of
+    all horizons come from one batched backward sweep.
+    """
+    _require_valid(family)
+    lo, hi = mean_bounds(family)
+    im = interval_max(phi, lo, hi)
+    mu_star = im.argmax_r
+    measure = construct_pstar(family, mu_star, max(ns, default=1))
+    e_pstars = [expectation_under_policy(family, n, phi, measure, state_cap) for n in ns]
+    e_uppers = iid_sum_expectations(family, phi, ns, state_cap)
+    step_mean = float(measure.mixture_weights(0) @ family.member_means())
+    c_alphas = {float(a): moment_c_alpha(family, a) for a in alphas}
+    reports = []
+    for n, e_pstar, e_upper in zip(ns, e_pstars, e_uppers):
+        lower_gap = im.max_value - e_pstar
+        bounds = {a: theorem3_bound(phi.lipschitz_constant, c, a, n) for a, c in c_alphas.items()}
+        reports.append(
+            LowerBoundReport(
+                n=n,
+                mu_star=mu_star,
+                phi_mu_star=im.max_value,
+                e_pstar=e_pstar,
+                e_upper=e_upper,
+                lower_gap=lower_gap,
+                upper_dominates=bool(e_pstar <= e_upper + 1e-12),
+                step_mean=step_mean,
+                step_mean_error=abs(step_mean - mu_star),
+                bound_theorem3=bounds,
+                lower_holds={a: bool(lower_gap <= b + 1e-12) for a, b in bounds.items()},
+            )
+        )
+    return reports
+
+
 def lower_bound_check(
     family: AmbiguityFamily,
     phi: LipschitzFunction,
@@ -398,35 +501,5 @@ def lower_bound_check(
     alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> LowerBoundReport:
-    """Build the pinned product measure at the limit maximizer and verify its chain.
-
-    Checks that the measure's expectation is dominated by the worst case and
-    that ``phi(mu_star) - E[phi(S_n/n)]`` stays within the rate bound for
-    each requested alpha; per-step means under the measure must equal
-    ``mu_star``.
-    """
-    _require_valid(family)
-    lo, hi = mean_bounds(family)
-    im = interval_max(phi, lo, hi)
-    mu_star = im.argmax_r
-    measure = construct_pstar(family, mu_star, n)
-    e_pstar = expectation_under_policy(family, n, phi, measure, state_cap)
-    e_upper = iid_sum_expectation(family, n, phi, state_cap)
-    lower_gap = im.max_value - e_pstar
-    means = family.member_means()
-    step_mean = float(measure.mixture_weights(0) @ means)
-    bounds = {float(a): theorem3_bound(phi.lipschitz_constant, moment_c_alpha(family, a), a, n) for a in alphas}
-    holds = {a: bool(lower_gap <= b + 1e-12) for a, b in bounds.items()}
-    return LowerBoundReport(
-        n=n,
-        mu_star=mu_star,
-        phi_mu_star=im.max_value,
-        e_pstar=e_pstar,
-        e_upper=e_upper,
-        lower_gap=lower_gap,
-        upper_dominates=bool(e_pstar <= e_upper + 1e-12),
-        step_mean=step_mean,
-        step_mean_error=abs(step_mean - mu_star),
-        bound_theorem3=bounds,
-        lower_holds=holds,
-    )
+    """:func:`lower_bound_checks` for a single horizon."""
+    return lower_bound_checks(family, phi, [n], alphas, state_cap)[0]

@@ -44,10 +44,24 @@ def unit_at(seed: int, index: int) -> float:
 
 
 def unit_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized ``[unit_at(seed, start + i) for i in range(count)]``."""
-    idx = np.arange(count, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + (np.uint64(start & MASK64) + np.uint64(1) + idx) * np.uint64(_GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """Vectorized ``[unit_at(seed, start + i) for i in range(count)]``.
+
+    Works in place on one uint64 buffer plus one scratch buffer; uint64
+    array arithmetic wraps mod 2^64 as the definition requires.
+    """
+    z = np.arange(count, dtype=np.uint64)
+    z += np.uint64((start + 1) & MASK64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & MASK64)
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MULT1), (27, _MULT2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    out = t.view(np.float64)
+    np.copyto(out, z, casting="unsafe")
+    out *= 2.0**-53
+    return out

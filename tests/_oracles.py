@@ -11,6 +11,8 @@ from math import comb
 
 import numpy as np
 
+from sublln.rng import _GAMMA, _MULT1, _MULT2, MASK64, unit_array, unit_at
+
 
 def reachable_coords(family, n):
     """Per-step sets of pooled integer sum coordinates."""
@@ -215,3 +217,62 @@ def per_horizon_backward(family, n, phi, state_cap=10_000_000):
         selections.append(sel)
         v = member_vals.max(axis=0)
     return float(v[0]), selections[::-1]
+
+
+def per_step_sampler(family, measure, n, count, seed):
+    """Monte Carlo paths by one ``searchsorted`` per step over the whole stream at once.
+
+    The sampler as it stood before paths were drawn in blocks: all
+    ``count * n`` uniforms in one array, and the atom of (path p, step k)
+    is ``min(searchsorted(cum_k, u[p, k], side="right"), last)``.
+    """
+    _, atoms, w_matrix = family.union_atoms()
+    last = len(atoms) - 1
+    out = np.empty((count, n))
+    if count == 0:
+        return out
+    if measure.depends_on == "none":
+        u = unit_array(seed, 0, count * n).reshape(count, n)
+        for k in range(n):
+            cum = np.cumsum(w_matrix @ measure.mixture_weights(k))
+            idx = np.minimum(np.searchsorted(cum, u[:, k], side="right"), last)
+            out[:, k] = atoms[idx]
+        return out
+    for pth in range(count):
+        hist = ()
+        total = 0.0
+        for k in range(n):
+            w = measure.mixture_weights(k, total=total, history=hist)
+            cum = np.cumsum(w_matrix @ w)
+            u = unit_at(seed, pth * n + k)
+            a = min(int(np.searchsorted(cum, u, side="right")), last)
+            out[pth, k] = atoms[a]
+            hist = hist + (float(atoms[a]),)
+            total += float(atoms[a])
+    return out
+
+
+def _unxorshift(y, shift):
+    """Invert ``x -> x ^ (x >> shift)`` on 64-bit words."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_with_unit_at(index, u):
+    """A seed whose SplitMix64 stream has the uniform ``u`` at ``index``.
+
+    ``u`` must be a multiple of 2^-53 in [0, 1).  Every step of the output
+    mix is a bijection on 64-bit words, so the state that yields
+    ``u``'s top 53 bits (low 11 bits zero) is found by undoing the mix, and
+    the seed by subtracting the counter's contribution.
+    """
+    m = int(u * 2**53)
+    assert m * 2.0**-53 == u and 0 <= m < 2**53
+    z = _unxorshift(m << 11, 31)
+    z = (z * pow(_MULT2, -1, 2**64)) & MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(_MULT1, -1, 2**64)) & MASK64
+    z = _unxorshift(z, 30)
+    return (z - (index + 1) * _GAMMA) & MASK64

@@ -94,6 +94,38 @@ class TestSubcommands:
         assert a["sample_mean"] != b["sample_mean"]
         assert a["exact"] == b["exact"]
 
+    # The sampled columns of two shipped configs at their own seeds, pinned to
+    # the bit: any change to the stream, the inverse-CDF lookup or the path
+    # sums shows up here.
+    @pytest.mark.parametrize(
+        "stem, pinned",
+        [
+            (
+                "three_atom",
+                {
+                    "sample_mean": "0.25118060000000003",
+                    "sample_std": "0.10217774995842228",
+                    "abs_error": "0.0005449591515939156",
+                    "tolerance": "0.0012924576642391573",
+                },
+            ),
+            (
+                "bernoulli_pair",
+                {
+                    "sample_mean": "0.2552142",
+                    "sample_std": "0.13337739693688783",
+                    "abs_error": "0.0009168756829456837",
+                    "tolerance": "0.001687105450819723",
+                },
+            ),
+        ],
+    )
+    def test_mc_sampled_columns_pinned(self, tmp_path, stem, pinned):
+        out = tmp_path / "reports"
+        assert main(["mc", "--config", str(CONFIGS / f"{stem}.json"), "--out", str(out)]) == 0
+        row = read_csv(out / "report_mc.csv")[0]
+        assert {k: row[k] for k in pinned} == pinned
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):

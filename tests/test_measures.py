@@ -4,6 +4,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from sublln import measures
 from sublln.ambiguity import AmbiguityFamily, mean_bounds, upper_variance
 from sublln.engine import (
     PolicyIncomplete,
@@ -12,7 +13,7 @@ from sublln.engine import (
     extract_argmax_policy,
     iid_sum_expectation,
 )
-from sublln.lln_rates import abs_dev, linear, neg_abs_dev
+from sublln.lln_rates import abs_dev, interval_max, linear, neg_abs_dev
 from sublln.measures import (
     MuStarOutOfRange,
     PathMeasure,
@@ -22,6 +23,7 @@ from sublln.measures import (
     construct_pstar,
     history_parity_measure,
     lower_bound_check,
+    lower_bound_checks,
     prop2_check,
     sample_paths,
     uniform_mixture,
@@ -264,6 +266,23 @@ class TestLowerBoundCheck:
             report = lower_bound_check(family, abs_dev(0.5 * (lo + hi)), 8)
             assert report.all_hold, (family.name, report)
             assert report.step_mean_error <= 1e-12
+
+    def test_batched_horizons_match_single_horizons(self, families, monkeypatch):
+        calls = []
+        monkeypatch.setattr(measures, "interval_max", lambda *a: calls.append(a) or interval_max(*a))
+        ns = [8, 1, 4, 4, 2]
+        for family in families.values():
+            lo, hi = mean_bounds(family)
+            phi = abs_dev(0.25 * lo + 0.75 * hi)
+            calls.clear()
+            reports = lower_bound_checks(family, phi, ns, alphas=(0.5, 1.0))
+            assert len(calls) == 1
+            assert [r.n for r in reports] == ns
+            for n, rep in zip(ns, reports):
+                assert rep == lower_bound_check(family, phi, n, alphas=(0.5, 1.0))
+                assert rep.e_upper == iid_sum_expectation(family, n, phi)
+                pstar = construct_pstar(family, rep.mu_star, n)
+                assert rep.e_pstar == expectation_under_policy(family, n, phi, pstar)
 
 
 def test_measures_dominated_by_upper_expectation(families):

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,3 +47,14 @@ def test_distinct_seeds_distinct_streams():
 def test_mean_roughly_half():
     u = unit_array(7, 0, 200_000)
     assert abs(float(u.mean()) - 0.5) < 0.005
+
+
+@pytest.mark.parametrize("seed", [0, MASK64])
+@pytest.mark.parametrize("start", [2**64 - 40, 2**64 - 2, MASK64])
+def test_vector_matches_scalar_across_the_counter_wrap(seed, start):
+    # the counter wraps mod 2^64 without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = unit_array(seed, start, 64)
+    ref = np.array([unit_at(seed, start + i) for i in range(64)])
+    assert np.array_equal(vec, ref)
