@@ -31,7 +31,6 @@ from .engine import (
     extract_argmax_policy,
     iid_sum_expectation,
     iid_sum_expectations,
-    joint_expectation_bruteforce,
     lower_iid_sum_expectation,
     value_table,
 )

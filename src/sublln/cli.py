@@ -3,7 +3,8 @@
 Exit codes: 0 all requested checks passed, 1 usage or input error,
 2 at least one verification failed.  Report rows are written as
 ``report_<check>.csv`` (or ``.json``) plus a ``summary.json``; CSV floats
-use the shortest round-trip decimal representation.
+use the shortest round-trip decimal representation.  A check passes iff
+every boolean cell of its report is true; an empty cell is no verdict.
 """
 
 from __future__ import annotations
@@ -72,20 +73,26 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _write_report(path: Path, columns: Sequence[str], rows: list[dict], fmt: str) -> Path:
+def _write_report(path: Path, rows: list[dict], fmt: str) -> Path:
+    """Write rows under the columns of the first row, in its key order."""
     if fmt == "json":
         out = path.with_suffix(".json")
         with out.open("w") as fh:
-            json.dump([{c: r.get(c) for c in columns} for r in rows], fh, indent=2)
+            json.dump(rows, fh, indent=2)
             fh.write("\n")
         return out
     out = path.with_suffix(".csv")
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+            writer.writerow([_cell(v) for v in row.values()])
     return out
+
+
+def _passed(rows: list[dict]) -> bool:
+    """A check passes iff every ``bool`` cell is true; empty (``None``) cells are no verdicts."""
+    return all(v for row in rows for v in row.values() if isinstance(v, bool))
 
 
 def _enum_ns(config: ExperimentConfig) -> list[int]:
@@ -122,18 +129,13 @@ def _check_eval(config: ExperimentConfig, pstar: _Pstar):
                 "holds_order": bool(lower <= upper + 1e-12),
             }
         )
-    columns = ["n", "expectation", "lower_expectation", "holds_order"]
-    return columns, rows, all(r["holds_order"] for r in rows)
+    return rows
 
 
 def _check_sweep(config: ExperimentConfig, pstar: _Pstar):
     reports = rate_sweep(
         config.family, config.phi, config.n_schedule, config.alphas, config.state_cap
     )
-    columns = ["n", "expectation", "limit", "gap"]
-    for a in config.alphas:
-        columns += [f"bound_theorem3_{_alpha_tag(a)}", f"holds_theorem3_{_alpha_tag(a)}"]
-    columns += ["bound_corollary", "holds_corollary"]
     rows = []
     for rep in reports:
         row = {"n": rep.n, "expectation": rep.expectation, "limit": rep.limit, "gap": rep.gap}
@@ -143,7 +145,7 @@ def _check_sweep(config: ExperimentConfig, pstar: _Pstar):
         row["bound_corollary"] = rep.bound_corollary
         row["holds_corollary"] = rep.corollary_holds
         rows.append(row)
-    return columns, rows, all(rep.all_hold for rep in reports)
+    return rows
 
 
 def _check_variance(config: ExperimentConfig, pstar: _Pstar):
@@ -170,22 +172,7 @@ def _check_variance(config: ExperimentConfig, pstar: _Pstar):
                 "holds_ordering": bool(improved <= fang + BOUND_TOL),
             }
         )
-    columns = [
-        "n",
-        "mu_lower",
-        "mu_upper",
-        "sigma_bar_sq",
-        "sigma_bar_argmin",
-        "dist_sq_moment",
-        "dist_lipschitz",
-        "improved_bound",
-        "fang_bound",
-        "holds_improved",
-        "holds_fang",
-        "holds_ordering",
-    ]
-    passed = all(r["holds_improved"] and r["holds_fang"] and r["holds_ordering"] for r in rows)
-    return columns, rows, passed
+    return rows
 
 
 def _diagnostic_measures(
@@ -225,8 +212,7 @@ def _check_chatterji(config: ExperimentConfig, pstar: _Pstar):
                         "holds_chain": rep.chain_holds,
                     }
                 )
-    columns = ["measure", "n", "p", "lhs", "rhs", "holds", "chain_bound", "holds_chain"]
-    return columns, rows, all(r["holds"] and r["holds_chain"] for r in rows)
+    return rows
 
 
 def _check_prop2(config: ExperimentConfig, pstar: _Pstar):
@@ -244,24 +230,10 @@ def _check_prop2(config: ExperimentConfig, pstar: _Pstar):
                     "mu_upper": rep.mu_upper,
                 }
             )
-    columns = ["measure", "n", "ok", "worst_excess", "mu_lower", "mu_upper"]
-    return columns, rows, all(r["ok"] for r in rows)
+    return rows
 
 
 def _check_pstar(config: ExperimentConfig, pstar: _Pstar):
-    columns = [
-        "n",
-        "mu_star",
-        "phi_mu_star",
-        "e_pstar",
-        "e_upper",
-        "lower_gap",
-        "step_mean_error",
-        "holds_dominance",
-    ]
-    for a in config.alphas:
-        columns += [f"bound_theorem3_{_alpha_tag(a)}", f"holds_lower_{_alpha_tag(a)}"]
-    columns.append("holds_pinning")
     rows = []
     reports = lower_bound_checks(
         config.family, config.phi, config.n_schedule, alphas=config.alphas, state_cap=config.state_cap
@@ -276,19 +248,13 @@ def _check_pstar(config: ExperimentConfig, pstar: _Pstar):
             "lower_gap": rep.lower_gap,
             "step_mean_error": rep.step_mean_error,
             "holds_dominance": rep.upper_dominates,
-            "holds_pinning": bool(rep.step_mean_error <= 1e-12),
         }
         for a in config.alphas:
             row[f"bound_theorem3_{_alpha_tag(a)}"] = rep.bound_theorem3[a]
             row[f"holds_lower_{_alpha_tag(a)}"] = rep.lower_holds[a]
+        row["holds_pinning"] = bool(rep.step_mean_error <= 1e-12)
         rows.append(row)
-    passed = all(
-        r["holds_dominance"]
-        and r["holds_pinning"]
-        and all(r[f"holds_lower_{_alpha_tag(a)}"] for a in config.alphas)
-        for r in rows
-    )
-    return columns, rows, passed
+    return rows
 
 
 def _check_mc(config: ExperimentConfig, pstar: _Pstar):
@@ -313,18 +279,19 @@ def _check_mc(config: ExperimentConfig, pstar: _Pstar):
         "tolerance": tolerance,
         "holds": bool(abs_error <= tolerance),
     }
-    columns = ["n", "samples", "seed", "exact", "sample_mean", "sample_std", "abs_error", "tolerance", "holds"]
-    return columns, [row], row["holds"]
+    return [row]
 
 
-_CHECK_FUNCS = {
-    "eval": _check_eval,
-    "sweep": _check_sweep,
-    "variance": _check_variance,
-    "chatterji": _check_chatterji,
-    "prop2": _check_prop2,
-    "pstar": _check_pstar,
-    "mc": _check_mc,
+# Check name -> (row builder, subcommand help).  A builder returns its report
+# rows as dicts in column order; the report's columns are the first row's keys.
+_CHECK_TABLE = {
+    "eval": (_check_eval, "upper and lower expectations per n"),
+    "sweep": (_check_sweep, "gap-versus-n sweep against every rate bound"),
+    "variance": (_check_variance, "upper variance and distance-moment bounds"),
+    "chatterji": (_check_chatterji, "martingale-difference moment inequality"),
+    "prop2": (_check_prop2, "conditional-mean containment"),
+    "pstar": (_check_pstar, "pinned product measure and the lower bound chain"),
+    "mc": (_check_mc, "seeded Monte Carlo consistency"),
 }
 
 
@@ -349,11 +316,12 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
     pstar = _Pstar(config)
     for name in (c for c in CHECKS if c in requested):
         try:
-            columns, rows, passed = _CHECK_FUNCS[name](config, pstar)
+            rows = _CHECK_TABLE[name][0](config, pstar)
         except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError) as exc:
             print(f"error: check '{name}': {exc}", file=sys.stderr)
             return 1
-        report = _write_report(out_dir / f"report_{name}", columns, rows, config.format)
+        report = _write_report(out_dir / f"report_{name}", rows, config.format)
+        passed = _passed(rows)
         overall = overall and passed
         summary["checks"][name] = {"passed": passed, "rows": len(rows), "report": report.name}
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({report.name})")
@@ -384,18 +352,10 @@ def _build_parser() -> _ArgumentParser:
         description="Worst-case expectation engine and rate-bound verification harness",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    descriptions = {
-        "eval": "upper and lower expectations per n",
-        "sweep": "gap-versus-n sweep against every rate bound",
-        "variance": "upper variance and distance-moment bounds",
-        "chatterji": "martingale-difference moment inequality",
-        "prop2": "conditional-mean containment",
-        "pstar": "pinned product measure and the lower bound chain",
-        "mc": "seeded Monte Carlo consistency",
-        "verify-all": "every check configured in the config file",
-    }
-    for name in CHECKS + ("verify-all",):
-        p = sub.add_parser(name, help=descriptions[name])
+    helps = {name: _CHECK_TABLE[name][1] for name in CHECKS}
+    helps["verify-all"] = "every check configured in the config file"
+    for name, help_text in helps.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="path to a JSON config")
         p.add_argument("--out", type=Path, default=Path("reports"), help="report directory")
         p.add_argument("--format", choices=("csv", "json"), default=None, help="override report format")

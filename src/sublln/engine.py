@@ -7,10 +7,9 @@ recursion over reachable sums:
     v_n(s) = phi(s / n)
     v_k(s) = max over members P of  sum_j P(a_j) * v_{k+1}(s + a_j)
 
-with ``v_0(0)`` the final value.  The module also evaluates constructed
-selection policies and mixture measures forward, extracts the maximizing
-policy, and evaluates small-n joint functionals over the full history
-tree (the brute-force cross-check for the sum-state reduction).
+with ``v_0(0)`` the final value.  The module also extracts the maximizing
+policy and evaluates constructed selection policies and mixture measures
+forward.
 
 The backward kernel
 -------------------
@@ -49,6 +48,34 @@ grouping does not change a value.
 :func:`value_table` and :func:`extract_argmax_policy` keep the unreduced
 :class:`SumSupport` layout, whose indices are public, and run the same step
 code with ``g = 1`` and one row.
+
+The forward kernel
+------------------
+:func:`expectation_under_policy` propagates probability mass forward over
+the unreduced dense window, one step at a time, for a
+:class:`SelectionPolicy` and for measures whose rule reads nothing or the
+running sum (``depends_on`` "none" or "sum").  All three run one loop.
+
+* **Weight layout.**  Each step first gets its member weights: a
+  ``(members,)`` vector for a "none" measure (one rule call), or a
+  ``(members, states)`` array otherwise.  A policy is the one-hot case
+  ``arange(members)[:, None] == selection``, as floats; a sum rule is
+  called once per reachable state and leaves unreachable states at weight
+  zero.  Members lead so that each member's row is contiguous.
+* **Product and accumulation order.**  For each member in index order,
+  skipping a member whose weights are all zero, and each of its atoms in
+  increasing value order, the kernel adds ``(weight_m * w) * mass`` into
+  the next window at the atom's shift.  Every value is therefore fixed by
+  the inputs alone.  The products go through one scratch buffer; with the
+  float one-hot rows this keeps the policy pass as fast as masking the
+  mass member by member.
+* **Histories stay separate.**  A rule that reads the realized history has
+  no sum-state weights to tabulate, so ``_forward_history_rule`` walks the
+  history tree instead.  It prunes zero-probability branches and caps the
+  nodes it visits, unlike ``measures.conditional_means``, which keeps
+  zero-probability paths, holds every path and by default stops at 8
+  steps; merging the two walkers would need a flag or shrink the horizons
+  the walk accepts.
 """
 
 from __future__ import annotations
@@ -75,7 +102,6 @@ __all__ = [
     "lower_iid_sum_expectation",
     "extract_argmax_policy",
     "expectation_under_policy",
-    "joint_expectation_bruteforce",
 ]
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -461,65 +487,40 @@ def _check_weights(w, member_count: int) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
-def _forward_policy(family, n, support, g, policy: SelectionPolicy) -> np.ndarray:
-    if policy.horizon < n:
-        raise PolicyIncomplete(f"policy horizon {policy.horizon} is shorter than n={n}")
-    same_grid = (
-        policy.support.k_min == support.k_min
-        and policy.support.k_max == support.k_max
-        and policy.support.origin == support.origin
-        and policy.support.step == support.step
-    )
-    if not same_grid:
-        raise PolicyIncomplete("policy was extracted for a different lattice grid")
-    mass = np.array([1.0])
-    for k in range(n):
-        sel = policy.selections[k]
-        bad = support.masks[k] & (sel[: support.size(k)] < 0)
+def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndarray:
+    """Member weights of step k: ``(members,)`` for a ``"none"`` measure, else ``(members, states)``."""
+    if isinstance(measure, SelectionPolicy):
+        sel = measure.selections[k][: support.size(k)]
+        bad = support.masks[k] & (sel < 0)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             raise PolicyIncomplete(f"no selection at step {k}, sum {support.values(k)[i]!r}")
-        nxt = np.zeros(mass.size + support.span)
-        for m in range(len(family.members)):
-            picked = np.where(sel[: mass.size] == m, mass, 0.0)
-            if not picked.any():
-                continue
-            for w, s in g.terms[m]:
-                nxt[s : s + mass.size] += w * picked
-        mass = nxt
-    return mass
+        return (np.arange(members, dtype=sel.dtype)[:, None] == sel).astype(float)
+    if measure.depends_on == "none":
+        return _check_weights(measure.mixture_weights(k), members)
+    weights = np.zeros((members, support.size(k)))
+    totals = support.values(k)
+    for i in np.nonzero(support.masks[k])[0]:
+        weights[:, i] = _check_weights(measure.mixture_weights(k, total=float(totals[i])), members)
+    return weights
 
 
-def _forward_stepwise(family, n, support, g, measure) -> np.ndarray:
+def _forward(n: int, support: SumSupport, grid: _Grid, measure) -> np.ndarray:
+    """Mass over step n's dense window under a policy or non-history measure (see the module docstring)."""
+    members = len(grid.terms)
     mass = np.array([1.0])
+    scratch = np.empty(support.size(n - 1))
     for k in range(n):
-        w_members = _check_weights(measure.mixture_weights(k), len(family.members))
-        nxt = np.zeros(mass.size + support.span)
-        for m, wm in enumerate(w_members):
-            if wm == 0.0:
+        weights = _step_weights(measure, k, support, members)
+        live = weights.reshape(members, -1).any(axis=1)
+        nxt = np.zeros(mass.size + grid.span)
+        product = scratch[: mass.size]
+        for weight, is_live, terms in zip(weights, live, grid.terms):
+            if not is_live:
                 continue
-            for w, s in g.terms[m]:
-                nxt[s : s + mass.size] += (wm * w) * mass
-        mass = nxt
-    return mass
-
-
-def _forward_sum_rule(family, n, support, g, measure) -> np.ndarray:
-    mass = np.array([1.0])
-    for k in range(n):
-        nxt = np.zeros(mass.size + support.span)
-        vals_k = support.values(k)
-        for i in np.nonzero(support.masks[k])[0]:
-            w_members = _check_weights(
-                measure.mixture_weights(k, total=float(vals_k[i])), len(family.members)
-            )
-            if mass[i] == 0.0:
-                continue
-            for m, wm in enumerate(w_members):
-                if wm == 0.0:
-                    continue
-                for w, s in g.terms[m]:
-                    nxt[i + s] += (wm * w) * mass[i]
+            for w, s in terms:
+                np.multiply(weight * w, mass, out=product)
+                nxt[s : s + mass.size] += product
         mass = nxt
     return mass
 
@@ -572,57 +573,28 @@ def expectation_under_policy(
     support = build_support(family, n, state_cap)
     g = _grid(family)
     if isinstance(policy, SelectionPolicy):
-        mass = _forward_policy(family, n, support, g, policy)
+        if policy.horizon < n:
+            raise PolicyIncomplete(f"policy horizon {policy.horizon} is shorter than n={n}")
+        same_grid = (
+            policy.support.k_min == support.k_min
+            and policy.support.k_max == support.k_max
+            and policy.support.origin == support.origin
+            and policy.support.step == support.step
+        )
+        if not same_grid:
+            raise PolicyIncomplete("policy was extracted for a different lattice grid")
     elif hasattr(policy, "mixture_weights") and hasattr(policy, "depends_on"):
         if getattr(policy, "horizon", n) < n:
             raise PolicyIncomplete(f"measure horizon {policy.horizon} is shorter than n={n}")
-        if policy.depends_on == "none":
-            mass = _forward_stepwise(family, n, support, g, policy)
-        elif policy.depends_on == "sum":
-            mass = _forward_sum_rule(family, n, support, g, policy)
-        elif policy.depends_on == "history":
-            mass = _forward_history_rule(family, n, support, g, policy, state_cap)
-        else:
+        if policy.depends_on not in ("none", "sum", "history"):
             raise PolicyIncomplete(f"unknown dependence tag {policy.depends_on!r}")
     else:
         raise TypeError(f"unsupported policy object: {policy!r}")
+    if getattr(policy, "depends_on", None) == "history":
+        mass = _forward_history_rule(family, n, support, g, policy, state_cap)
+    else:
+        mass = _forward(n, support, g, policy)
     mask = support.masks[n]
     phi_vals = _eval_phi(phi, support.values(n)[mask] / n)
     return pairwise_total(mass[mask] * phi_vals)
 
-
-def joint_expectation_bruteforce(
-    family: AmbiguityFamily,
-    n: int,
-    phi_n: Callable,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> float:
-    """Nested worst-case evaluation of ``phi_n(X_1, ..., X_n)`` over the history tree.
-
-    Evaluates the inner-to-outer recursion directly: at every realized
-    history the next draw's expectation is maximized over the members.
-    Exponential in n; intended for small-n cross checks of the sum-state
-    reduction (for phi_n depending only on the sum, this must agree with
-    :func:`iid_sum_expectation`).
-    """
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    branching = len(family.members) * max(len(m.atoms) for m in family.members)
-    if branching**n > state_cap:
-        raise SupportOverflow(
-            f"history tree with branching {branching}^{n} exceeds the cap of {state_cap}"
-        )
-    members = [list(m.atoms) for m in family.members]
-
-    def value(xs: tuple[float, ...]) -> float:
-        if len(xs) == n:
-            return float(phi_n(*xs))
-        best = None
-        for atoms in members:
-            e = math.fsum(w * value(xs + (v,)) for v, w in atoms)
-            if best is None or e > best:
-                best = e
-        return best
-
-    return value(())

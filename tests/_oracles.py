@@ -219,6 +219,62 @@ def per_horizon_backward(family, n, phi, state_cap=10_000_000):
     return float(v[0]), selections[::-1]
 
 
+def per_state_forward(family, n, measure):
+    """Mass over step n's dense window, by the three propagators the engine first had.
+
+    A ``SelectionPolicy`` masks the mass member by member, a ``"none"``
+    measure scales it by one weight per member, and a ``"sum"`` rule is
+    called at every reachable state and spreads that state's mass atom by
+    atom (state-major accumulation).  Weights are clipped at zero as the
+    engine's validation does.
+    """
+    from sublln.engine import SelectionPolicy, build_support
+
+    support = build_support(family, n)
+    lat = family.lattice
+    coords = [[lat.coord(v) for v, _ in m.atoms] for m in family.members]
+    k_min = min(min(c) for c in coords)
+    terms = [
+        [(float(w), c - k_min) for (_, w), c in zip(m.atoms, member)]
+        for m, member in zip(family.members, coords)
+    ]
+    members = len(terms)
+
+    def weights(w):
+        return np.maximum(np.asarray(w, dtype=float), 0.0)
+
+    mass = np.array([1.0])
+    for k in range(n):
+        nxt = np.zeros(mass.size + support.span)
+        if isinstance(measure, SelectionPolicy):
+            sel = measure.selections[k]
+            for m in range(members):
+                picked = np.where(sel[: mass.size] == m, mass, 0.0)
+                if not picked.any():
+                    continue
+                for w, s in terms[m]:
+                    nxt[s : s + mass.size] += w * picked
+        elif measure.depends_on == "none":
+            for m, wm in enumerate(weights(measure.mixture_weights(k))):
+                if wm == 0.0:
+                    continue
+                for w, s in terms[m]:
+                    nxt[s : s + mass.size] += (wm * w) * mass
+        else:
+            vals_k = support.values(k)
+            for i in np.nonzero(support.masks[k])[0]:
+                w_members = weights(measure.mixture_weights(k, total=float(vals_k[i])))
+                if mass[i] == 0.0:
+                    continue
+                for m, wm in enumerate(w_members):
+                    if wm == 0.0:
+                        continue
+                    for w, s in terms[m]:
+                        nxt[i + s] += (wm * w) * mass[i]
+        mass = nxt
+    return mass
+
+
 def per_step_sampler(family, measure, n, count, seed):
     """Monte Carlo paths by one ``searchsorted`` per step over the whole stream at once.
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sublln import cli
 from sublln.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -145,6 +146,33 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["sweep"])  # --config is required
         assert exc.value.code == 1
+
+    def test_false_verdict_exits_2(self, tmp_path, monkeypatch):
+        build_rows, help_text = cli._CHECK_TABLE["eval"]
+
+        def failing_eval(config, pstar):
+            rows = build_rows(config, pstar)
+            rows[-1]["holds_order"] = False
+            return rows
+
+        monkeypatch.setitem(cli._CHECK_TABLE, "eval", (failing_eval, help_text))
+        cfg = write_config(tmp_path, checks=["eval", "variance"])
+        out = tmp_path / "r"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"]["eval"]["passed"] is False
+        assert summary["checks"]["variance"]["passed"] is True
+        assert summary["overall_passed"] is False
+        assert [r["holds_order"] for r in read_csv(out / "report_eval.csv")] == ["true"] * 3 + ["false"]
+
+    def test_empty_cell_is_no_verdict(self, tmp_path):
+        # Lipschitz constant 2 > 1: the corollary does not apply and its cells stay empty
+        cfg = write_config(tmp_path, phi={"catalog": "linear", "params": {"a": 2.0, "b": 0.0}})
+        out = tmp_path / "r"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "report_sweep.csv")
+        assert [(r["bound_corollary"], r["holds_corollary"]) for r in rows] == [("", "")] * 4
+        assert json.loads((out / "summary.json").read_text())["checks"]["sweep"]["passed"] is True
 
     def test_state_cap_too_small_is_input_error(self, tmp_path):
         cfg = write_config(tmp_path, checks=["eval"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublln import engine
-from sublln.ambiguity import AmbiguityFamily, FamilyInvalid, one_step_expectation
-from sublln.corpus import catalog_for
+from sublln.ambiguity import AmbiguityFamily, FamilyInvalid, mean_bounds, one_step_expectation
+from sublln.corpus import catalog_for, corpus_families
 from sublln.engine import (
     PolicyIncomplete,
     SelectionPolicy,
@@ -17,14 +17,19 @@ from sublln.engine import (
     extract_argmax_policy,
     iid_sum_expectation,
     iid_sum_expectations,
-    joint_expectation_bruteforce,
     lower_iid_sum_expectation,
     pairwise_total,
     value_table,
 )
-from sublln.measures import PathMeasure, uniform_mixture
+from sublln.measures import PathMeasure, construct_pstar, uniform_mixture
 
-from _oracles import history_tree_max, per_horizon_backward, reachable_coords, sum_value
+from _oracles import (
+    history_tree_max,
+    per_horizon_backward,
+    per_state_forward,
+    reachable_coords,
+    sum_value,
+)
 
 DELTA_PAIR = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
 TWO_POINT = AmbiguityFamily.build(0, 1, [[(-1, 1.0)], [(1, 1.0)]])
@@ -328,6 +333,29 @@ class TestExpectationUnderPolicy:
         with pytest.raises(PolicyIncomplete):
             expectation_under_policy(DELTA_PAIR, 3, lambda x: x, policy)
 
+    def test_validation_messages(self):
+        phi = lambda x: x
+        policy = extract_argmax_policy(DELTA_PAIR, 3, phi)
+        holed = SelectionPolicy(
+            policy.support,
+            (policy.selections[0], np.full_like(policy.selections[1], -1), policy.selections[2]),
+        )
+        with pytest.raises(PolicyIncomplete, match="^no selection at step 1, sum "):
+            expectation_under_policy(DELTA_PAIR, 3, phi, holed)
+        with pytest.raises(PolicyIncomplete, match="^policy was extracted for a different lattice grid$"):
+            expectation_under_policy(TWO_POINT, 3, phi, policy)
+
+        class UnknownTag:
+            depends_on, horizon = "path", 3
+
+            def mixture_weights(self, step, total=None, history=None):
+                return [1.0, 0.0]
+
+        with pytest.raises(PolicyIncomplete, match="^unknown dependence tag 'path'$"):
+            expectation_under_policy(DELTA_PAIR, 3, phi, UnknownTag())
+        with pytest.raises(TypeError, match="^unsupported policy object"):
+            expectation_under_policy(DELTA_PAIR, 3, phi, object())
+
     def test_invalid_weights_rejected(self):
         bad = PathMeasure.constant([0.7, 0.7], 2)
         with pytest.raises(PolicyIncomplete):
@@ -371,33 +399,68 @@ class TestExpectationUnderPolicy:
                     assert value <= upper + 1e-12
 
 
-class TestJointBruteforce:
-    def test_product_of_signs(self):
-        value = joint_expectation_bruteforce(TWO_POINT, 2, lambda a, b: a * b)
-        assert value == 1.0
+FORWARD_NS = (1, 3, 7, 16, 40)
 
-    def test_classical_independence(self):
-        value = joint_expectation_bruteforce(FAIR_COIN, 2, lambda a, b: a * b)
-        assert value == 0.0
 
-    def test_sum_functional_matches_engine(self):
-        value = joint_expectation_bruteforce(DELTA_PAIR, 2, lambda a, b: a + b)
-        assert value == 2.0
-        assert value == iid_sum_expectation(DELTA_PAIR, 2, lambda x: 2.0 * x)
+def engine_mass(family, n, measure):
+    return engine._forward(n, build_support(family, n), engine._grid(family), measure)
 
-    def test_matches_history_tree_oracle(self, families):
-        for family in families.values():
-            lo, hi = family.support_bounds()
-            phi = lambda x: -abs(x - 0.45 * hi - 0.55 * lo)
-            for n in (1, 2, 3):
-                lhs = joint_expectation_bruteforce(
-                    family, n, lambda *xs: phi(sum(xs) / len(xs))
-                )
-                assert abs(lhs - history_tree_max(family, n, phi)) <= 1e-12
 
-    def test_overflow_guard(self):
-        with pytest.raises(SupportOverflow):
-            joint_expectation_bruteforce(TWO_POINT, 12, lambda *xs: 0.0, state_cap=1000)
+def oracle_expectation(family, n, phi, mass):
+    support = build_support(family, n)
+    mask = support.masks[n]
+    return pairwise_total(mass[mask] * np.asarray(phi(support.values(n)[mask] / n), dtype=float))
+
+
+def cosine_sum_rule(family, n):
+    members = np.arange(1, len(family.members) + 1)
+
+    def rule(step, total):
+        w = 1.0 + np.cos(total * members + step)
+        return w / w.sum()
+
+    return PathMeasure.from_sum_rule(rule, n, len(members), name="cosine-sum-rule")
+
+
+@pytest.mark.parametrize("name", list(corpus_families()))
+class TestForwardKernel:
+    """The one forward kernel against the three per-state propagators it replaced."""
+
+    def test_product_measures_bit_for_bit(self, families, name):
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        for n in FORWARD_NS:
+            pstars = [construct_pstar(family, mu, n) for mu in (lo, 0.5 * (lo + hi), hi)]
+            for measure in pstars + [uniform_mixture(family, n)]:
+                want = per_state_forward(family, n, measure)
+                assert bits(engine_mass(family, n, measure)) == bits(want), (n, measure.name)
+                for i, phi in enumerate(catalog_for(family)):
+                    got = expectation_under_policy(family, n, phi, measure)
+                    assert bits([got]) == bits([oracle_expectation(family, n, phi, want)]), (n, i)
+
+    def test_argmax_policy_bit_for_bit(self, families, name):
+        family = families[name]
+        for n in FORWARD_NS:
+            for i, phi in enumerate(catalog_for(family)):
+                policy = extract_argmax_policy(family, n, phi)
+                as_rule = PathMeasure.from_policy(policy, len(family.members))
+                want = per_state_forward(family, n, policy)
+                assert bits(engine_mass(family, n, policy)) == bits(want), (n, i)
+                assert bits(engine_mass(family, n, as_rule)) == bits(want), (n, i)
+                value = expectation_under_policy(family, n, phi, policy)
+                assert bits([value]) == bits([oracle_expectation(family, n, phi, want)]), (n, i)
+                assert bits([expectation_under_policy(family, n, phi, as_rule)]) == bits([value]), (n, i)
+
+    def test_sum_rule_within_rounding(self, families, name):
+        # member-major accumulation reorders the additions into each state
+        family = families[name]
+        for n in FORWARD_NS:
+            measure = cosine_sum_rule(family, n)
+            want = per_state_forward(family, n, measure)
+            assert np.max(np.abs(engine_mass(family, n, measure) - want)) <= 1e-15, n
+            for i, phi in enumerate(catalog_for(family)):
+                got = expectation_under_policy(family, n, phi, measure)
+                assert abs(got - oracle_expectation(family, n, phi, want)) <= 1e-15, (n, i)
 
 
 @settings(max_examples=40, deadline=None)
