@@ -22,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .ambiguity import FamilyInvalid, mean_bounds, moment_summary
+from .ambiguity import FamilyInvalid, MomentSummary, mean_bounds, moment_summary
 from .config import CHECKS, ConfigError, ExperimentConfig, parse_config
 from .engine import (
     PolicyIncomplete,
@@ -35,11 +35,12 @@ from .engine import (
 )
 from .lln_rates import (
     BOUND_TOL,
+    IntervalMaxResult,
     fang_bound,
     improved_distance_bound,
     interval_distance_phi,
     interval_max,
-    rate_sweep,
+    rate_reports,
 )
 from .measures import (
     PathMeasure,
@@ -47,7 +48,7 @@ from .measures import (
     conditional_means,
     construct_pstar,
     history_parity_measure,
-    lower_bound_checks,
+    lower_bound_reports,
     prop2_check,
     sample_path_sums,
     sample_paths,  # unused here; kept bound for perfbench's span tracer
@@ -100,27 +101,35 @@ def _enum_ns(config: ExperimentConfig) -> list[int]:
     return ns or [config.enum_horizon]
 
 
-class _Pstar:
-    """Pinned product measures of one run; the limit maximizer is found once, on first use."""
+class _RunPlan:
+    """Values the checks of one run share, each computed once, on first use.
+
+    ``limit`` is the search for ``max phi`` (its maximizer pins every P* measure),
+    ``expectations`` are ``E_up[phi(S_n/n)]`` over the schedule, ``moments`` the moment summary.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self._config = config
 
     @functools.cached_property
-    def mu_star(self) -> float:
-        lo, hi = mean_bounds(self._config.family)
-        return interval_max(self._config.phi, lo, hi).argmax_r
+    def limit(self) -> IntervalMaxResult:
+        return interval_max(self._config.phi, *mean_bounds(self._config.family))
 
-    def __call__(self, n: int) -> PathMeasure:
-        return construct_pstar(self._config.family, self.mu_star, n)
+    @functools.cached_property
+    def expectations(self) -> tuple[float, ...]:
+        c = self._config
+        return iid_sum_expectations(c.family, c.phi, c.n_schedule, c.state_cap)
+
+    @functools.cached_property
+    def moments(self) -> MomentSummary:
+        return moment_summary(self._config.family, self._config.alphas)
 
 
-def _check_eval(config: ExperimentConfig, pstar: _Pstar):
+def _check_eval(config: ExperimentConfig, plan: _RunPlan):
     phi, ns = config.phi, config.n_schedule
-    uppers = iid_sum_expectations(config.family, phi, ns, config.state_cap)
     lowers = [-v for v in iid_sum_expectations(config.family, lambda x: -phi(x), ns, config.state_cap)]
     rows = []
-    for n, upper, lower in zip(ns, uppers, lowers):
+    for n, upper, lower in zip(ns, plan.expectations, lowers):
         rows.append(
             {
                 "n": n,
@@ -132,10 +141,8 @@ def _check_eval(config: ExperimentConfig, pstar: _Pstar):
     return rows
 
 
-def _check_sweep(config: ExperimentConfig, pstar: _Pstar):
-    reports = rate_sweep(
-        config.family, config.phi, config.n_schedule, config.alphas, config.state_cap
-    )
+def _check_sweep(config: ExperimentConfig, plan: _RunPlan):
+    reports = rate_reports(config.phi, config.n_schedule, plan.expectations, plan.limit.max_value, plan.moments)
     rows = []
     for rep in reports:
         row = {"n": rep.n, "expectation": rep.expectation, "limit": rep.limit, "gap": rep.gap}
@@ -148,8 +155,8 @@ def _check_sweep(config: ExperimentConfig, pstar: _Pstar):
     return rows
 
 
-def _check_variance(config: ExperimentConfig, pstar: _Pstar):
-    summary = moment_summary(config.family, config.alphas)
+def _check_variance(config: ExperimentConfig, plan: _RunPlan):
+    summary = plan.moments
     dist_phi = interval_distance_phi(config.family)
     dists = iid_sum_expectations(config.family, dist_phi, config.n_schedule, config.state_cap)
     rows = []
@@ -176,10 +183,10 @@ def _check_variance(config: ExperimentConfig, pstar: _Pstar):
 
 
 def _diagnostic_measures(
-    config: ExperimentConfig, pstar: _Pstar, n: int, with_argmax: bool
+    config: ExperimentConfig, plan: _RunPlan, n: int, with_argmax: bool
 ) -> list[PathMeasure]:
     measures = [
-        pstar(n),
+        construct_pstar(config.family, plan.limit.argmax_r, n),
         history_parity_measure(config.family, n),
         uniform_mixture(config.family, n),
     ]
@@ -191,10 +198,10 @@ def _diagnostic_measures(
     return measures
 
 
-def _check_chatterji(config: ExperimentConfig, pstar: _Pstar):
+def _check_chatterji(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     for n in _enum_ns(config):
-        for measure in _diagnostic_measures(config, pstar, n, with_argmax=False):
+        for measure in _diagnostic_measures(config, plan, n, with_argmax=False):
             dec = conditional_means(config.family, measure, n, config.state_cap)
             for p in _CHATTERJI_PS:
                 rep = chatterji_check(
@@ -215,10 +222,10 @@ def _check_chatterji(config: ExperimentConfig, pstar: _Pstar):
     return rows
 
 
-def _check_prop2(config: ExperimentConfig, pstar: _Pstar):
+def _check_prop2(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     for n in _enum_ns(config):
-        for measure in _diagnostic_measures(config, pstar, n, with_argmax=True):
+        for measure in _diagnostic_measures(config, plan, n, with_argmax=True):
             rep = prop2_check(config.family, measure, n, config.state_cap)
             rows.append(
                 {
@@ -233,10 +240,11 @@ def _check_prop2(config: ExperimentConfig, pstar: _Pstar):
     return rows
 
 
-def _check_pstar(config: ExperimentConfig, pstar: _Pstar):
+def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
     rows = []
-    reports = lower_bound_checks(
-        config.family, config.phi, config.n_schedule, alphas=config.alphas, state_cap=config.state_cap
+    reports = lower_bound_reports(
+        config.family, config.phi, config.n_schedule, plan.limit, plan.expectations, plan.moments.c_alpha,
+        config.state_cap,
     )
     for rep in reports:
         row = {
@@ -257,10 +265,10 @@ def _check_pstar(config: ExperimentConfig, pstar: _Pstar):
     return rows
 
 
-def _check_mc(config: ExperimentConfig, pstar: _Pstar):
+def _check_mc(config: ExperimentConfig, plan: _RunPlan):
     n = config.mc_horizon
     count = config.mc_samples
-    measure = pstar(n)
+    measure = construct_pstar(config.family, plan.limit.argmax_r, n)
     exact = expectation_under_policy(config.family, n, config.phi, measure, config.state_cap)
     sums = sample_path_sums(config.family, measure, n, count, config.seed)
     values = np.asarray(config.phi(sums / n), dtype=float)
@@ -313,10 +321,10 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "checks": {},
     }
     overall = True
-    pstar = _Pstar(config)
+    plan = _RunPlan(config)
     for name in (c for c in CHECKS if c in requested):
         try:
-            rows = _CHECK_TABLE[name][0](config, pstar)
+            rows = _CHECK_TABLE[name][0](config, plan)
         except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError) as exc:
             print(f"error: check '{name}': {exc}", file=sys.stderr)
             return 1

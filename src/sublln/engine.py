@@ -40,19 +40,21 @@ grouping does not change a value.
   result.  Reachability comes from one forward OR pass; only the masks of
   requested horizons are kept, and phi is called only at reachable sums.
 * **State cap.**  The cap counts the dense states of the unreduced lattice,
-  ``(n + 1) + span * n * (n + 1) / 2`` for the largest horizon, and is
+  ``(n + 1) + (k_max - k_min) * n * (n + 1) / 2`` for the largest horizon, and is
   checked by arithmetic before anything is allocated, so
   :class:`SupportOverflow` is raised for the same inputs as by a
   single-horizon pass; its message names the smallest horizon past the cap.
 
-:func:`value_table` and :func:`extract_argmax_policy` keep the unreduced
-:class:`SumSupport` layout, whose indices are public, and run the same step
-code with ``g = 1`` and one row.
+:func:`value_table` and :func:`extract_argmax_policy` run the same step code
+with one row on :class:`SumSupport`, which is this reduced lattice plus the
+reachable mask of every step: the raw indices of ``SumSupport.masks``,
+``ValueTable.values`` and ``SelectionPolicy.selections`` are reduced, index
+i at step k standing for the coordinate ``k * k_min + i * gcd``.
 
 The forward kernel
 ------------------
 :func:`expectation_under_policy` propagates probability mass forward over
-the unreduced dense window, one step at a time, for a
+the same reduced dense window, one step at a time, for a
 :class:`SelectionPolicy` and for measures whose rule reads nothing or the
 running sum (``depends_on`` "none" or "sum").  All three run one loop.
 
@@ -81,6 +83,7 @@ running sum (``depends_on`` "none" or "sum").  All three run one loop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -164,13 +167,18 @@ class _Grid:
     def size(self, k: int) -> int:
         return k * self.span + 1
 
+    def values(self, k: int) -> np.ndarray:
+        """Dense window of sum values at step k (reachable and not)."""
+        coords = k * self.k_min + self.gcd * np.arange(self.size(k))
+        return k * self.origin + coords * self.step
 
-def _grid(family: AmbiguityFamily, reduce: bool = False) -> _Grid:
+
+def _grid(family: AmbiguityFamily) -> _Grid:
     coords = [family.member_coords(i) for i in range(len(family.members))]
     k_min = min(int(c.min()) for c in coords)
     k_max = max(int(c.max()) for c in coords)
     shifts = [[int(c) - k_min for c in member] for member in coords]
-    g = (math.gcd(*(s for member in shifts for s in member)) or 1) if reduce else 1
+    g = math.gcd(*(s for member in shifts for s in member)) or 1
     terms = tuple(
         tuple((float(w), s // g) for w, s in zip(m.weights, member))
         for m, member in zip(family.members, shifts)
@@ -211,8 +219,7 @@ def _reachable_masks(grid: _Grid, n: int, keep: Iterable[int]) -> dict[int, np.n
 
 def _terminal(grid: _Grid, n: int, mask: np.ndarray, phi: Callable, out: np.ndarray) -> None:
     """Write phi(sum / n) at the reachable sums of step n into ``out``, zeros elsewhere."""
-    coords = n * grid.k_min + grid.gcd * np.arange(mask.size)
-    xs = (n * grid.origin + coords * grid.step)[mask] / n
+    xs = grid.values(n)[mask] / n
     out[:] = 0.0
     out[mask] = _eval_phi(phi, xs)
 
@@ -289,7 +296,7 @@ def iid_sum_expectations(
             raise ValueError(f"n must be a positive integer, got {n}")
     if not horizons:
         return ()
-    grid = _grid(family, reduce=True)
+    grid = _grid(family)
     distinct = sorted(set(horizons), reverse=True)
     for n in reversed(distinct):  # ascending: an overflow names the smallest horizon past the cap
         _check_cap(grid, n, state_cap)
@@ -301,32 +308,16 @@ def iid_sum_expectations(
 
 
 @dataclass(frozen=True)
-class SumSupport:
-    """Reachable partial-sum lattice, one boolean mask per step.
+class SumSupport(_Grid):
+    """Reachable partial-sum lattice of n steps, one boolean mask per step.
 
-    At step k the dense coordinate window is ``[k*k_min, k*k_max]``; entry i
-    of ``masks[k]`` marks whether ``k*origin + (k*k_min + i)*step`` is a sum
-    of k atoms (members' atom sets pooled).
+    Entry i of ``masks[k]`` marks whether ``k*origin + (k*k_min + i*gcd)*step``
+    is a sum of k atoms (members' atom sets pooled); sums off this gcd-reduced
+    lattice are never reachable and have no entry.
     """
 
-    origin: float
-    step: float
-    k_min: int
-    k_max: int
     n: int
     masks: tuple[np.ndarray, ...]
-
-    @property
-    def span(self) -> int:
-        return self.k_max - self.k_min
-
-    def size(self, k: int) -> int:
-        return k * self.span + 1
-
-    def values(self, k: int) -> np.ndarray:
-        """Dense window of sum values at step k (reachable and not)."""
-        coords = k * self.k_min + np.arange(self.size(k))
-        return k * self.origin + coords * self.step
 
     def reachable_values(self, k: int) -> np.ndarray:
         return self.values(k)[self.masks[k]]
@@ -338,8 +329,8 @@ class SumSupport:
         coord = round((sum_value - k * self.origin) / self.step)
         if abs(k * self.origin + coord * self.step - sum_value) > _SUM_TOL:
             raise KeyError(f"{sum_value!r} is not a lattice sum at step {k}")
-        i = int(coord) - k * self.k_min
-        if not 0 <= i < self.size(k) or not self.masks[k][i]:
+        i, off = divmod(int(coord) - k * self.k_min, self.gcd)
+        if off or not 0 <= i < self.size(k) or not self.masks[k][i]:
             raise KeyError(f"{sum_value!r} is not reachable at step {k}")
         return i
 
@@ -349,10 +340,10 @@ def build_support(family: AmbiguityFamily, n: int, state_cap: int = DEFAULT_STAT
     _require_valid(family)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    g = _grid(family)
-    _check_cap(g, n, state_cap)
-    masks = _reachable_masks(g, n, range(n + 1))
-    return SumSupport(g.origin, g.step, g.k_min, g.k_max, n, tuple(masks[k] for k in range(n + 1)))
+    grid = _grid(family)
+    _check_cap(grid, n, state_cap)
+    masks = _reachable_masks(grid, n, range(n + 1))
+    return SumSupport(**vars(grid), n=n, masks=tuple(masks[k] for k in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -404,27 +395,22 @@ class SelectionPolicy:
         if not 0 <= member_index < len(family.members):
             raise PolicyIncomplete(f"member index {member_index} out of range")
         support = build_support(family, n, state_cap)
-        sels = []
-        for k in range(n):
-            sel = np.full(support.size(k), -1, dtype=np.int32)
-            sel[support.masks[k]] = member_index
-            sels.append(sel)
+        sels = (np.where(support.masks[k], np.int32(member_index), np.int32(-1)) for k in range(n))
         return cls(support, tuple(sels))
 
 
 def _backward_tables(family: AmbiguityFamily, n: int, phi: Callable, state_cap: int, want_policy: bool):
-    """Single-horizon sweep on the unreduced support, keeping every step's values or selections."""
+    """Single-horizon sweep on the support, keeping every step's values or selections."""
     support = build_support(family, n, state_cap)
-    grid = _grid(family)
     v_next = np.empty(support.size(n))
-    _terminal(grid, n, support.masks[n], phi, v_next)
+    _terminal(support, n, support.masks[n], phi, v_next)
     tables = [v_next]
     policies: list[np.ndarray] = []
     for k in range(n - 1, -1, -1):
         size = support.size(k)
         out, acc, tmp = np.empty(size), np.empty(size), np.empty(size)
         sel = np.zeros(size, dtype=np.int32) if want_policy else None
-        _step(v_next, grid, out, acc, tmp, sel)
+        _step(v_next, support, out, acc, tmp, sel)
         if want_policy:
             sel[~support.masks[k]] = -1
             policies.append(sel)
@@ -494,7 +480,7 @@ def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndar
         bad = support.masks[k] & (sel < 0)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
-            raise PolicyIncomplete(f"no selection at step {k}, sum {support.values(k)[i]!r}")
+            raise PolicyIncomplete(f"no selection at step {k}, sum {float(support.values(k)[i])!r}")
         return (np.arange(members, dtype=sel.dtype)[:, None] == sel).astype(float)
     if measure.depends_on == "none":
         return _check_weights(measure.mixture_weights(k), members)
@@ -505,17 +491,17 @@ def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndar
     return weights
 
 
-def _forward(n: int, support: SumSupport, grid: _Grid, measure) -> np.ndarray:
+def _forward(n: int, support: SumSupport, measure) -> np.ndarray:
     """Mass over step n's dense window under a policy or non-history measure (see the module docstring)."""
-    members = len(grid.terms)
+    members = len(support.terms)
     mass = np.array([1.0])
     scratch = np.empty(support.size(n - 1))
     for k in range(n):
         weights = _step_weights(measure, k, support, members)
         live = weights.reshape(members, -1).any(axis=1)
-        nxt = np.zeros(mass.size + grid.span)
+        nxt = np.zeros(mass.size + support.span)
         product = scratch[: mass.size]
-        for weight, is_live, terms in zip(weights, live, grid.terms):
+        for weight, is_live, terms in zip(weights, live, support.terms):
             if not is_live:
                 continue
             for w, s in terms:
@@ -525,7 +511,7 @@ def _forward(n: int, support: SumSupport, grid: _Grid, measure) -> np.ndarray:
     return mass
 
 
-def _forward_history_rule(family, n, support, g, measure, state_cap: int) -> np.ndarray:
+def _forward_history_rule(family, n, support, measure, state_cap: int) -> np.ndarray:
     coords, values, w_matrix = family.union_atoms()
     mass = np.zeros(support.size(n))
     visited = 0
@@ -533,7 +519,7 @@ def _forward_history_rule(family, n, support, g, measure, state_cap: int) -> np.
     while stack:
         k, coord, prob, hist = stack.pop()
         if k == n:
-            mass[coord - n * support.k_min] += prob
+            mass[(coord - n * support.k_min) // support.gcd] += prob
             continue
         w_members = _check_weights(
             measure.mixture_weights(k, history=hist), len(family.members)
@@ -571,17 +557,11 @@ def expectation_under_policy(
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     support = build_support(family, n, state_cap)
-    g = _grid(family)
     if isinstance(policy, SelectionPolicy):
         if policy.horizon < n:
             raise PolicyIncomplete(f"policy horizon {policy.horizon} is shorter than n={n}")
-        same_grid = (
-            policy.support.k_min == support.k_min
-            and policy.support.k_max == support.k_max
-            and policy.support.origin == support.origin
-            and policy.support.step == support.step
-        )
-        if not same_grid:
+        lattice = operator.attrgetter("origin", "step", "k_min", "k_max", "gcd")
+        if lattice(policy.support) != lattice(support):
             raise PolicyIncomplete("policy was extracted for a different lattice grid")
     elif hasattr(policy, "mixture_weights") and hasattr(policy, "depends_on"):
         if getattr(policy, "horizon", n) < n:
@@ -591,10 +571,8 @@ def expectation_under_policy(
     else:
         raise TypeError(f"unsupported policy object: {policy!r}")
     if getattr(policy, "depends_on", None) == "history":
-        mass = _forward_history_rule(family, n, support, g, policy, state_cap)
+        mass = _forward_history_rule(family, n, support, policy, state_cap)
     else:
-        mass = _forward(n, support, g, policy)
-    mask = support.masks[n]
-    phi_vals = _eval_phi(phi, support.values(n)[mask] / n)
-    return pairwise_total(mass[mask] * phi_vals)
+        mass = _forward(n, support, policy)
+    return pairwise_total(mass[support.masks[n]] * _eval_phi(phi, support.reachable_values(n) / n))
 

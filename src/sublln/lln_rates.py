@@ -23,9 +23,11 @@ import numpy as np
 from .ambiguity import (
     AlphaOutOfRange,
     AmbiguityFamily,
+    MomentSummary,
     mean_bounds,
-    moment_c_alpha,
-    upper_variance,
+    moment_c_alpha,  # unused here; kept bound for perfbench's span tracer
+    moment_summary,
+    upper_variance,  # unused here; kept bound for perfbench's span tracer
 )
 from .engine import DEFAULT_STATE_CAP, _eval_phi, iid_sum_expectation, iid_sum_expectations
 from .rng import unit_array
@@ -51,6 +53,7 @@ __all__ = [
     "fang_bound",
     "improved_distance_bound",
     "distance_sq_moment",
+    "rate_reports",
     "rate_sweep",
 ]
 
@@ -271,6 +274,31 @@ class RateReport:
         return ok
 
 
+def rate_reports(
+    phi: LipschitzFunction,
+    ns: Sequence[int],
+    expectations: Sequence[float],
+    limit: float,
+    moments: MomentSummary,
+) -> tuple[RateReport, ...]:
+    """Per-n rate reports from the worst cases ``expectations`` of ``ns``, the limit and the moments.
+
+    The corollary bound applies to 1-Lipschitz shape functions and is
+    reported only when ``phi.lipschitz_constant <= 1``.
+    """
+    L = phi.lipschitz_constant
+    use_corollary = L <= 1.0
+    reports = []
+    for n, e in zip(ns, expectations):
+        gap = abs(e - limit)
+        b3 = {a: theorem3_bound(L, c, a, n) for a, c in moments.c_alpha.items()}
+        h3 = {a: bool(gap <= b + BOUND_TOL) for a, b in b3.items()}
+        bc = corollary_bound(moments.sigma_bar, n) if use_corollary else None
+        hc = bool(gap <= bc + BOUND_TOL) if use_corollary else None
+        reports.append(RateReport(n, e, limit, gap, b3, h3, bc, hc))
+    return tuple(reports)
+
+
 def rate_sweep(
     family: AmbiguityFamily,
     phi: LipschitzFunction,
@@ -278,40 +306,13 @@ def rate_sweep(
     alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[RateReport, ...]:
-    """Gap-versus-n sweep with every requested bound evaluated per n.
-
-    The corollary bound applies to 1-Lipschitz shape functions and is
-    reported only when ``phi.lipschitz_constant <= 1``.
-    """
+    """Gap-versus-n sweep with every requested bound evaluated per n (see :func:`rate_reports`)."""
     schedule = [int(n) for n in n_schedule]
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"n_schedule must be strictly ascending, got {schedule}")
     _check_n(schedule[0])
-    lo, hi = mean_bounds(family)
-    c = {float(a): moment_c_alpha(family, a) for a in alphas}
-    var, _ = upper_variance(family)
-    sigma = math.sqrt(var)
-    im = interval_max(phi, lo, hi)
-    use_corollary = phi.lipschitz_constant <= 1.0
-    reports = []
-    for n, e in zip(schedule, iid_sum_expectations(family, phi, schedule, state_cap)):
-        gap = abs(e - im.max_value)
-        b3 = {a: theorem3_bound(phi.lipschitz_constant, c[a], a, n) for a in c}
-        h3 = {a: bool(gap <= b3[a] + BOUND_TOL) for a in c}
-        bc = corollary_bound(sigma, n) if use_corollary else None
-        hc = bool(gap <= bc + BOUND_TOL) if use_corollary else None
-        reports.append(
-            RateReport(
-                n=n,
-                expectation=e,
-                limit=im.max_value,
-                gap=gap,
-                bound_theorem3=b3,
-                theorem3_holds=h3,
-                bound_corollary=bc,
-                corollary_holds=hc,
-            )
-        )
-    return tuple(reports)
+    moments = moment_summary(family, alphas)
+    limit = interval_max(phi, moments.mu_lower, moments.mu_upper).max_value
+    return rate_reports(phi, schedule, iid_sum_expectations(family, phi, schedule, state_cap), limit, moments)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .engine import (
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     iid_sum_expectations,
 )
-from .lln_rates import LipschitzFunction, interval_max, theorem3_bound
+from .lln_rates import IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound
 from .rng import unit_array, unit_at
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "sample_path_sums",
     "lower_bound_check",
     "lower_bound_checks",
+    "lower_bound_reports",
 ]
 
 DEFAULT_ENUM_STEPS = 8
@@ -448,39 +449,34 @@ class LowerBoundReport:
         return self.upper_dominates and all(self.lower_holds.values())
 
 
-def lower_bound_checks(
+def lower_bound_reports(
     family: AmbiguityFamily,
     phi: LipschitzFunction,
     ns: Sequence[int],
-    alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    limit: IntervalMaxResult,
+    e_uppers: Sequence[float],
+    c_alpha: Mapping[float, float],
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
-    """Build the pinned product measure at the limit maximizer and verify its chain, per n in ``ns``.
+    """Per-n lower-chain reports from the limit search, the worst cases ``e_uppers`` of ``ns`` and ``c_alpha``.
 
-    Checks that the measure's expectation is dominated by the worst case and
-    that ``phi(mu_star) - E[phi(S_n/n)]`` stays within the rate bound for
-    each requested alpha; per-step means under the measure must equal
-    ``mu_star``.  The limit maximizer is found once and the worst cases of
-    all horizons come from one batched backward sweep.
+    The measure pinning every step's mean at ``mu_star = limit.argmax_r`` must be
+    dominated by the worst case, its per-step mean must equal ``mu_star``, and
+    ``phi(mu_star) - E[phi(S_n/n)]`` must stay within the rate bound for each alpha.
     """
-    _require_valid(family)
-    lo, hi = mean_bounds(family)
-    im = interval_max(phi, lo, hi)
-    mu_star = im.argmax_r
+    mu_star = limit.argmax_r
     measure = construct_pstar(family, mu_star, max(ns, default=1))
-    e_pstars = [expectation_under_policy(family, n, phi, measure, state_cap) for n in ns]
-    e_uppers = iid_sum_expectations(family, phi, ns, state_cap)
     step_mean = float(measure.mixture_weights(0) @ family.member_means())
-    c_alphas = {float(a): moment_c_alpha(family, a) for a in alphas}
     reports = []
-    for n, e_pstar, e_upper in zip(ns, e_pstars, e_uppers):
-        lower_gap = im.max_value - e_pstar
-        bounds = {a: theorem3_bound(phi.lipschitz_constant, c, a, n) for a, c in c_alphas.items()}
+    for n, e_upper in zip(ns, e_uppers):
+        e_pstar = expectation_under_policy(family, n, phi, measure, state_cap)
+        lower_gap = limit.max_value - e_pstar
+        bounds = {a: theorem3_bound(phi.lipschitz_constant, c, a, n) for a, c in c_alpha.items()}
         reports.append(
             LowerBoundReport(
                 n=n,
                 mu_star=mu_star,
-                phi_mu_star=im.max_value,
+                phi_mu_star=limit.max_value,
                 e_pstar=e_pstar,
                 e_upper=e_upper,
                 lower_gap=lower_gap,
@@ -492,6 +488,20 @@ def lower_bound_checks(
             )
         )
     return reports
+
+
+def lower_bound_checks(
+    family: AmbiguityFamily,
+    phi: LipschitzFunction,
+    ns: Sequence[int],
+    alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> list[LowerBoundReport]:
+    """:func:`lower_bound_reports` with the limit found once and every worst case from one batched sweep."""
+    limit = interval_max(phi, *mean_bounds(family))
+    e_uppers = iid_sum_expectations(family, phi, ns, state_cap)
+    c_alpha = {float(a): moment_c_alpha(family, a) for a in alphas}
+    return lower_bound_reports(family, phi, ns, limit, e_uppers, c_alpha, state_cap)
 
 
 def lower_bound_check(

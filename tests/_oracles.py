@@ -159,6 +159,31 @@ def dense_interval_max(phi, lo, hi, points=10_000_001, chunk=1_000_000):
     return best
 
 
+def _pooled_coords(family):
+    lat = family.lattice
+    return sorted({lat.coord(v) for m in family.members for v, _ in m.atoms})
+
+
+def unreduced_window(family, n):
+    """The full dense lattice of n steps: ``(k_min, span, gcd, masks)``.
+
+    At step k the window covers the coordinates ``k*k_min .. k*k_min + k*span``
+    one by one; ``masks[k]`` marks the sums of k pooled atoms.  ``gcd`` is the
+    gcd of the atom coordinates relative to ``k_min`` (1 when all coincide):
+    a reachable sum's window index is always a multiple of it.
+    """
+    coords = _pooled_coords(family)
+    k_min, span = coords[0], coords[-1] - coords[0]
+    union = [c - k_min for c in coords]
+    masks = [np.ones(1, dtype=bool)]
+    for _ in range(n):
+        nxt = np.zeros(masks[-1].size + span, dtype=bool)
+        for s in union:
+            nxt[s : s + masks[-1].size] |= masks[-1]
+        masks.append(nxt)
+    return k_min, span, math.gcd(*union) or 1, masks
+
+
 def per_horizon_backward(family, n, phi, state_cap=10_000_000):
     """One horizon's backward pass on the full dense lattice, as the engine first did it.
 
@@ -183,13 +208,7 @@ def per_horizon_backward(family, n, phi, state_cap=10_000_000):
         )
     shifts = [[c - k_min for c in member] for member in coords]
     weights = [np.asarray(m.weights) for m in family.members]
-    union = sorted({s for member in shifts for s in member})
-    masks = [np.ones(1, dtype=bool)]
-    for k in range(n):
-        nxt = np.zeros(masks[k].size + span, dtype=bool)
-        for s in union:
-            nxt[s : s + masks[k].size] |= masks[k]
-        masks.append(nxt)
+    masks = unreduced_window(family, n)[3]
 
     def tree_sum(terms):
         while len(terms) > 1:
@@ -219,21 +238,37 @@ def per_horizon_backward(family, n, phi, state_cap=10_000_000):
     return float(v[0]), selections[::-1]
 
 
+def window_values(family, k, size):
+    """Sum values of the unreduced dense window of step k."""
+    lat = family.lattice
+    k_min = _pooled_coords(family)[0]
+    return k * lat.origin + (k * k_min + np.arange(size)) * lat.step
+
+
+def window_expectation(family, n, phi, mass):
+    """``E[phi(S_n/n)]`` of an unreduced step-n mass, summed over the reachable sums in window order."""
+    from sublln.engine import pairwise_total
+
+    mask = unreduced_window(family, n)[3][n]
+    xs = window_values(family, n, mask.size)[mask] / n
+    return pairwise_total(mass[mask] * np.asarray(phi(xs), dtype=float))
+
+
 def per_state_forward(family, n, measure):
-    """Mass over step n's dense window, by the three propagators the engine first had.
+    """Mass over step n's unreduced dense window, by the three propagators the engine first had.
 
-    A ``SelectionPolicy`` masks the mass member by member, a ``"none"``
-    measure scales it by one weight per member, and a ``"sum"`` rule is
-    called at every reachable state and spreads that state's mass atom by
-    atom (state-major accumulation).  Weights are clipped at zero as the
-    engine's validation does.
+    A ``SelectionPolicy`` masks the mass member by member (its member at each
+    reachable sum is read through ``member_at``), a ``"none"`` measure scales
+    it by one weight per member, and a ``"sum"`` rule is called at every
+    reachable state and spreads that state's mass atom by atom (state-major
+    accumulation).  Weights are clipped at zero as the engine's validation
+    does.
     """
-    from sublln.engine import SelectionPolicy, build_support
+    from sublln.engine import SelectionPolicy
 
-    support = build_support(family, n)
+    k_min, span, _, masks = unreduced_window(family, n)
     lat = family.lattice
     coords = [[lat.coord(v) for v, _ in m.atoms] for m in family.members]
-    k_min = min(min(c) for c in coords)
     terms = [
         [(float(w), c - k_min) for (_, w), c in zip(m.atoms, member)]
         for m, member in zip(family.members, coords)
@@ -245,11 +280,15 @@ def per_state_forward(family, n, measure):
 
     mass = np.array([1.0])
     for k in range(n):
-        nxt = np.zeros(mass.size + support.span)
+        nxt = np.zeros(mass.size + span)
+        vals_k = window_values(family, k, mass.size)
+        reachable = np.nonzero(masks[k])[0]
         if isinstance(measure, SelectionPolicy):
-            sel = measure.selections[k]
+            sel = np.full(mass.size, -1)
+            for i in reachable:
+                sel[i] = measure.member_at(k, float(vals_k[i]))
             for m in range(members):
-                picked = np.where(sel[: mass.size] == m, mass, 0.0)
+                picked = np.where(sel == m, mass, 0.0)
                 if not picked.any():
                     continue
                 for w, s in terms[m]:
@@ -261,8 +300,7 @@ def per_state_forward(family, n, measure):
                 for w, s in terms[m]:
                     nxt[s : s + mass.size] += (wm * w) * mass
         else:
-            vals_k = support.values(k)
-            for i in np.nonzero(support.masks[k])[0]:
+            for i in reachable:
                 w_members = weights(measure.mixture_weights(k, total=float(vals_k[i])))
                 if mass[i] == 0.0:
                     continue

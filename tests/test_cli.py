@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from sublln import cli
 from sublln.cli import main
+from sublln.config import parse_config
+from sublln.engine import iid_sum_expectations
+from sublln.lln_rates import interval_max
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -198,3 +203,211 @@ class TestVerifyAll:
         assert (out / "report_eval.csv").exists()
         assert (out / "report_variance.csv").exists()
         assert not (out / "report_sweep.csv").exists()
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` through every sublln module attribute bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sublln" or name.startswith("sublln."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestRunPlan:
+    def test_shared_values_computed_once_per_run(self, tmp_path, monkeypatch):
+        config = parse_config((CONFIGS / "three_atom.json").read_bytes())
+        maxima = count_calls(monkeypatch, interval_max)
+        sweeps = count_calls(monkeypatch, iid_sum_expectations)
+        assert cli.run(config, tmp_path / "r") == 0
+        # one limit search; backward sweeps of phi, -phi (eval) and the distance moment (variance)
+        assert len(maxima) == 1
+        assert len(sweeps) == 3
+        assert cli.run(config, tmp_path / "r2") == 0
+        assert (len(maxima), len(sweeps)) == (2, 6)  # nothing carries over to the next run
+
+
+# SHA-256 of every file ``verify-all --seed 7`` writes for each shipped
+# config, in each report format.  Reports are a byte-level contract: a
+# refactor that changes any digit of any report fails here and names the file.
+GOLDEN_SHA256 = {
+    ('bernoulli_pair', 'csv'): {
+        'report_chatterji.csv': 'e4a74374f144d836a149c2a0283c31355a5109692e0c3b80dd6c038564c213dc',
+        'report_eval.csv': 'd97f24a6860896649ae34ad83e0424eeaf2ee629cbd68d0895f1061bf2858093',
+        'report_mc.csv': 'eb5563078f6ff4c22824f4093150a1bfd8be14cc39bbdf903f56c7eab29d5ddc',
+        'report_prop2.csv': 'dd582aef46c40aa8b91dcb859aa54bef45c047c19805538db6fcb995c41ccd24',
+        'report_pstar.csv': '2e2fb46b29da536136f300249bff71fbf192848deb098b24fd18ed3c9a5816eb',
+        'report_sweep.csv': '734d541d9a199e9a96634edf9eef12808cb42eb18c17ad801407798f657f45c3',
+        'report_variance.csv': '09131ecab0351cda819799cfe63108d43de7b43e3deede746893b6ccdefe70ab',
+        'summary.json': 'f555dfa191c7c0a2ad82c91509042033f077876814be32c99c768a54f94cf044',
+    },
+    ('bernoulli_pair', 'json'): {
+        'report_chatterji.json': '1e82e02c56e1de6e73331cded733676579e5482563dcf607e394bc6b0dd144df',
+        'report_eval.json': '67469890dfb65ca7fbaa2bad1ccd59560889c8343be3df7414dfc9ad6bb313bc',
+        'report_mc.json': 'b9303576dca749156e26d27868903ff79939994560cc13980c25cbd84887da24',
+        'report_prop2.json': '9781868e54cc8aa0630c78ae0bc28cb9cd5d4eb506c24fa6249ca450dc356bc7',
+        'report_pstar.json': 'a237f2441c9038292ccc05541a0817cf1506801f1a742bdc2821f327477457d6',
+        'report_sweep.json': 'c0870e1836341817d3eee583c2f0ab93e8aa29071ae17fda171d015be246aaf2',
+        'report_variance.json': 'e038975c41aed25664984ef63dbeaee523a07626cf5d79f303fd829a4e2899bb',
+        'summary.json': '4fbd11fc8393efdec1d3bd96ddd4d54bcfc94f86e5787d317e25789f30e93a92',
+    },
+    ('corpus', 'csv'): {
+        'report_chatterji.csv': 'bbea6d76a49493d9dfbaf18b727cd24890aa94b5adcaebaee46e665d68ff152b',
+        'report_eval.csv': '69742583b5ffa5f49e52383838415bc1fac1671b6c9f1fd1e195eaf3d43ce5d2',
+        'report_mc.csv': 'd7425de49cbb13c833f49d5652df18966ab015039fbcd769010deab1a28fda7a',
+        'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
+        'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
+        'report_sweep.csv': '721032f550a163e8149b7d12fdb22e9ac1e8543ce95c193e678d5a03c13ce094',
+        'report_variance.csv': '94cf6f0484868d570793b2ed7c449053d1a54c1250b00703eccb35e6daebafce',
+        'summary.json': '9bd87d640cf30eca2be2ee9b36ce745dc2233ba49b81368697c75c758b14603e',
+    },
+    ('corpus', 'json'): {
+        'report_chatterji.json': '4374dd1ca450fe8a182da746756708751d39681b4b7f973f9dc9f201046c9a6b',
+        'report_eval.json': 'd76d06b6291447bff94cd5bad1b2f146a4425c62285201a95460ceaa10ee9d4a',
+        'report_mc.json': '451fc76b055952c3ea2cbbd17dfb1497e78b0ad7c349551c899cd9ac1a09ef66',
+        'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
+        'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
+        'report_sweep.json': 'fc744ad7340b8f2a50ea04ba8a1cc4d87b72dedaa78bf7243aa9ed0716427c8b',
+        'report_variance.json': '3b5e99dca6eb4dfb838db0e1d448b9d7beb2567e2753d871c9ace1d7bdea8ce2',
+        'summary.json': 'c2fc50f35e9341ecc89de92302bd7e2c107b0deb157f5add9f1d7c63ced6343c',
+    },
+    ('delta_pair', 'csv'): {
+        'report_chatterji.csv': '82ae7f88e77da5155b3b2883223b356e470fd2fb547793f989c2971415501f01',
+        'report_eval.csv': '8d31d1cea0ec763ee03926945a0b77e7164fc4b19fc07ef29c04cf2621ad6ca3',
+        'report_mc.csv': '0e3b91f14155d8b99337d5e7a2ea5b6c72b66a1fc65c808ca856fe4541726fd5',
+        'report_prop2.csv': 'da1b7134b2ade9020902c0b6963997f39f61414e85c2d080d7d5a198fa714fe9',
+        'report_pstar.csv': '150ed7dac4fdcb86e1cdd0e00954f068d31096bec7a300324b55f6a33f74e111',
+        'report_sweep.csv': '645d0bf6523493ae83bab2e87dec5ec354265e7a535ee7c62d03f61877504e3e',
+        'report_variance.csv': 'e4c35d9753b9ad427e00d2727733407ed3ef3cf87843eb050246896607e6dc69',
+        'summary.json': '224136cbfa1cabb43f11018cb1da72d5e197716ac29174953bddb313d80b9c10',
+    },
+    ('delta_pair', 'json'): {
+        'report_chatterji.json': '24e19cf76fe7a24be4a513cf79826e89b89b40b9035db0991d04b972b609aec6',
+        'report_eval.json': 'ccf393bf83322d55dda3abd0655b326683e10fdf683fc6dfe419f12a1e07f45c',
+        'report_mc.json': '3407e8dbd3c37d34ea85bc8d9cc6f481c3480cef0e25aa6b5153a0b8f28e1eef',
+        'report_prop2.json': '04e77bf4d14d53b50b8f5babfa51a12a0a74e8629a55d6af75e712ef48b54cd0',
+        'report_pstar.json': '46c0af2bce4b0bdfba3c0b3373aa2c938a97ef4ffa32caf86bd0e7ea5c483899',
+        'report_sweep.json': 'a4ad45b76684a85bdca92f44710abd05d1e41730ade0e2568d4a6fb8e1c36f28',
+        'report_variance.json': '3ffa28435588c5d39e83125e7c1a797b30d0edf68b86377282bfdb3e9cb35bff',
+        'summary.json': 'ab88412a14681367398c69bfe0ad3330ad6fcd885692b7719f3106370dddd201',
+    },
+    ('fair_coin', 'csv'): {
+        'report_chatterji.csv': 'cb12f1c04d3ede4ee023f4fea5959b7ea956dd429827a0bb85775401b020002e',
+        'report_eval.csv': '6f03f10050a5bf7eaf04d92272ec4d9c917328530581d92b4e829416af5ce502',
+        'report_mc.csv': 'afcdef7d428821cc8b4e174397419bbefbaa583888bcc15d3b4a3314f716470c',
+        'report_prop2.csv': 'de3a74eab93a156ad35c1917203bccf3dcd543929515e4ca36c31186e8d3c878',
+        'report_pstar.csv': '89d9fa8737d7206c2985520ab8432cce01ff362210e4bc69845427f1e43a1d6c',
+        'report_sweep.csv': 'a72cb4584047f70b4c6c665686d354ea97252053d9a33f1cc0669f70fe4801f3',
+        'report_variance.csv': '500e9edb9d03387035ab8f4a0d702c7943406dfbbab289988afd904528998ab8',
+        'summary.json': '7b42cb6388b89cc666056d2f098dc231311372cbe283b49cfe741ea2f4b808c2',
+    },
+    ('fair_coin', 'json'): {
+        'report_chatterji.json': '8a0f23acda538da55b13ffbd17496fc6498fd174d7474a57fbab907f44ec258d',
+        'report_eval.json': '84a8463d476c25ab1aedfd8ae14c22701cb2a4425632d83110a9cf19684f8d9a',
+        'report_mc.json': '73d55214e2a54e32f05769d178619cdaa25d259d6c15476ddb8a1aeb8de74423',
+        'report_prop2.json': 'c5f70953042e49bf19fe7be98efa30a73aeeb27635183ebfe95d0def18c9106b',
+        'report_pstar.json': 'b7fe9385bae6afff8fd6deddd7a6ee15da506e2fc73ad3a23673ec655825662f',
+        'report_sweep.json': '2518ebf343ef422eaaea59d3d0df740628605d6fa468e25f420fca9544d423ca',
+        'report_variance.json': 'a34f995e641f0ab1c5ee08c1b79170f33b15d867ab12a58c749df52749130b50',
+        'summary.json': 'a96bb230990e932f8b77bbf5ae0b9b22f47b5de04e5981a963f002f665d34c07',
+    },
+    ('point_mass', 'csv'): {
+        'report_chatterji.csv': '9337f25d56c7de51a373aaf4d791989b834b2098ac7807121716f15af9b15abf',
+        'report_eval.csv': 'ee0301ed37689d18bd62f1b505a521c176c9436a4ce909d393f80071dcfb32af',
+        'report_mc.csv': 'f02cebd3ecc7e6eef0937149a60454cd95f8b763a12c71705687818e2d09817d',
+        'report_prop2.csv': 'fd1e3bec88f1905d5c2780da0a929c7d6c0093bf69dbb91c5cf39da893bcbb3a',
+        'report_pstar.csv': 'e662785325547135a952afd06b2962b629bc42038ea051d63ccac3fbd6060700',
+        'report_sweep.csv': '28cb555f4d5a0ab1452ceff7d52afd82df3c674c5a3c2b7217d1e89a926a8e46',
+        'report_variance.csv': '646fe726b28604b1e1af73127e4929a2f8e13d1da491f997f882c6510cf07774',
+        'summary.json': 'a194037b36b3fa6745ee82d9bd2446cd1a61877f76343ac55ddcb3581137b72c',
+    },
+    ('point_mass', 'json'): {
+        'report_chatterji.json': 'ea3ad43d6c8b105ff74aed28bbda7433332e69e5b29b932f31d8a8fb8be845d6',
+        'report_eval.json': 'd999940e3478a7e83472c15ff37536b2368a8fd0efdaa382ed83e8181b7cad56',
+        'report_mc.json': '5ac21e5110de50aa5ce8697fae81e73e57641a3f0bac79d19307aaba848deb7f',
+        'report_prop2.json': '8ed3db139da7c58d8106f15f2a1017611f5f41568f0fd198d500532b26c8d3b5',
+        'report_pstar.json': '6bc216555fac2d5177c16e684dd55f2cfd5a9a1560727aee005b1c365ba855f2',
+        'report_sweep.json': '1b36cd0f8b4d6c98d69af889413b3f911d1cf36dfb27ccd248fa89556686d6a0',
+        'report_variance.json': '1f0f68aaa1caf1d90d7cda56e971f3c5e70327569e0e737076be074f2704855a',
+        'summary.json': 'e9f3e75bcf9706bcd7bf8b978e79b731daac68ab1d98d43002736c0a4d863ea3',
+    },
+    ('skewed_pair', 'csv'): {
+        'report_chatterji.csv': '951185fa8ce45c26c1a850dc105ea7fbc8a94ac9bef38e469d8cdba2fdc2c595',
+        'report_eval.csv': '7d67ef9c6f7591c742db511946da1ef699c3d0ee71fdf987bfe8b0f8250d2c4a',
+        'report_mc.csv': '02948364709c84dd74fe5cb06bbff555a4a40524f3dd369f720b58c672b40ce8',
+        'report_prop2.csv': 'aeb7eb3900b29856180ba1e91a69e561e03b4eb9a2e1255bfe0e079590d5c830',
+        'report_pstar.csv': '1562e15a5c7c4e928eb0b11a5156b29f845b7de49af25e85a48a065b2630b9c0',
+        'report_sweep.csv': 'e723129073ccb54f8012d8b18aa6a0ebb0dad9ab07aeb0bda45a2a19db181f98',
+        'report_variance.csv': 'ffbb2eba20b5df9d1ded01507f632b9ff444dae82baa33faf19d8b33ceec42a4',
+        'summary.json': 'bd33140cd8db5db641a167b9f724fbadbd5016694faaec76f90bff4528cc9e00',
+    },
+    ('skewed_pair', 'json'): {
+        'report_chatterji.json': 'd19cbf5aa30d68efb35bfe8f9d66c569098cf2c742c6e9b566dd3aadd4b6be6c',
+        'report_eval.json': '9e9af2b354ee421aa5cd9b9e894b26688fc377705422a20e933ab0049b419995',
+        'report_mc.json': '9747cf0bc2751eaa19d585a2438f2c23f6677d15ec3eda541195375b783135b8',
+        'report_prop2.json': '69f4a059de22cc652ec2338c42bfc7658afbaa020720598cd196db498fc577fe',
+        'report_pstar.json': '92d1e522ca5e92fee00ef68cccc4277b51d158726484c501686008f405123833',
+        'report_sweep.json': '731119177c2ac6a2e478438c91e8c0a0ead0117e9f84c59f14711e4254e7c05f',
+        'report_variance.json': 'a1c9c4f929b2dd58fb24ea6603336b1979dbbb72908e039c259e3c7e367d8b3b',
+        'summary.json': 'bb7faaa8610677fd0c939235f2e8f2fd4b7c5d1e08710440282a07865ade7820',
+    },
+    ('three_atom', 'csv'): {
+        'report_chatterji.csv': 'bbea6d76a49493d9dfbaf18b727cd24890aa94b5adcaebaee46e665d68ff152b',
+        'report_eval.csv': '69742583b5ffa5f49e52383838415bc1fac1671b6c9f1fd1e195eaf3d43ce5d2',
+        'report_mc.csv': 'd7425de49cbb13c833f49d5652df18966ab015039fbcd769010deab1a28fda7a',
+        'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
+        'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
+        'report_sweep.csv': '721032f550a163e8149b7d12fdb22e9ac1e8543ce95c193e678d5a03c13ce094',
+        'report_variance.csv': '94cf6f0484868d570793b2ed7c449053d1a54c1250b00703eccb35e6daebafce',
+        'summary.json': '9bd87d640cf30eca2be2ee9b36ce745dc2233ba49b81368697c75c758b14603e',
+    },
+    ('three_atom', 'json'): {
+        'report_chatterji.json': '4374dd1ca450fe8a182da746756708751d39681b4b7f973f9dc9f201046c9a6b',
+        'report_eval.json': 'd76d06b6291447bff94cd5bad1b2f146a4425c62285201a95460ceaa10ee9d4a',
+        'report_mc.json': '451fc76b055952c3ea2cbbd17dfb1497e78b0ad7c349551c899cd9ac1a09ef66',
+        'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
+        'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
+        'report_sweep.json': 'fc744ad7340b8f2a50ea04ba8a1cc4d87b72dedaa78bf7243aa9ed0716427c8b',
+        'report_variance.json': '3b5e99dca6eb4dfb838db0e1d448b9d7beb2567e2753d871c9ace1d7bdea8ce2',
+        'summary.json': 'c2fc50f35e9341ecc89de92302bd7e2c107b0deb157f5add9f1d7c63ced6343c',
+    },
+    ('two_point_masses', 'csv'): {
+        'report_chatterji.csv': '77cda4332b103156d05872a4c7f193eed9480630d625e1dec8e1777d35031b8b',
+        'report_eval.csv': '1d7c4b7ed9e39f2b039f499b1c63884f8f7c59558cebf93ebc444b96a7aa0e31',
+        'report_mc.csv': '4ac354492e85879531ff3f644c35c893326a509404736b28f6a35c91e898a81c',
+        'report_prop2.csv': '8f1423eb9dd482fdf31959ecc11058956fc776fbd2af0e53693c9c393ee32d04',
+        'report_pstar.csv': 'ebb3fc9a5448748241e51b8a993d797e42d50e6c4b92e7ca623eee349f4eca43',
+        'report_sweep.csv': '145e61df2e23fa48847bff68e302f2a9a68752b49aadb61c1655774dd2c39bad',
+        'report_variance.csv': 'bf9d425fc92052b3e18fa32ea49149192dd0bf387ec0e939e7bfe8d245cd1278',
+        'summary.json': '5855e65748953e1909d50edf0c4110ef88d88f473b033bf48850eb5c6596abc8',
+    },
+    ('two_point_masses', 'json'): {
+        'report_chatterji.json': 'addc4a217e03de25c4ffbd9ca805831f0075bf155d928996519be660b96ec46c',
+        'report_eval.json': '71db7c90162c541e07e946e3c1e8e82a7363443f7d341aed56297e5b6fe2891f',
+        'report_mc.json': 'd428d2b7d365897784431482cc7a4ae78eeb358a831fb855287da4523d22c4ab',
+        'report_prop2.json': '41c60dc2d3f795cdc739070f7317cde208cd81cda71783de1fcf34a03a9b5bec',
+        'report_pstar.json': 'a9b4446d7ed8178a8ac4c58de3949a8099b6c797641f7b3b4bdff4e453d437d8',
+        'report_sweep.json': '5bdd3b521b35dc7e13fd16948e5d1e6ad90d0c1c895ebbf800b494e701380877',
+        'report_variance.json': '20db8d9ae669f3b9ccdac62be4bfa87e431ae2326388d7cadf8b51885cab1a0a',
+        'summary.json': 'dcb3411779d958fa55d9ba7b3cfbf6c426c97cd378d5886a3a36ef8053ec9e99',
+    },
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("stem, fmt", sorted(GOLDEN_SHA256))
+    def test_reports_byte_identical(self, tmp_path, stem, fmt):
+        out = tmp_path / "reports"
+        args = ["verify-all", "--config", str(CONFIGS / f"{stem}.json"), "--out", str(out)]
+        assert main(args + ["--format", fmt, "--seed", "7"]) == 0
+        actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        pinned = GOLDEN_SHA256[stem, fmt]
+        changed = sorted(name for name in pinned.keys() | actual.keys() if pinned.get(name) != actual.get(name))
+        assert not changed, f"{stem} ({fmt}): these files differ from their pinned bytes: {changed}"

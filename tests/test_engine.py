@@ -29,6 +29,8 @@ from _oracles import (
     per_state_forward,
     reachable_coords,
     sum_value,
+    unreduced_window,
+    window_expectation,
 )
 
 DELTA_PAIR = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
@@ -50,6 +52,15 @@ FINE_LATTICE = AmbiguityFamily.build(
 def bits(values):
     """Bit patterns of floats, so that exact comparisons also see the sign of zero."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_on_sublattice(got, want, g, off_value):
+    """Engine index i holds the unreduced oracle's entry i*g; every other oracle entry is ``off_value``."""
+    want = np.asarray(want)
+    assert bits(np.asarray(got, dtype=float)) == bits(want[::g].astype(float))
+    off = np.ones(want.size, dtype=bool)
+    off[::g] = False
+    assert np.all(want[off] == off_value)
 
 
 def oracle_values(family, phi, ns):
@@ -129,11 +140,12 @@ class TestBatchedKernel:
 
     def test_argmax_policy_matches_oracle(self, families):
         for family in list(families.values()) + [FINE_LATTICE]:
+            g = unreduced_window(family, 0)[2]
             for phi in catalog_for(family):
                 policy = extract_argmax_policy(family, 9, phi)
                 _, selections = per_horizon_backward(family, 9, phi)
                 for k in range(9):
-                    assert np.array_equal(policy.selections[k], selections[k]), (family.name, k)
+                    assert_on_sublattice(policy.selections[k], selections[k], g, -1)
 
     def test_signed_zero_ties_follow_oracle(self):
         # Members tie at +0.0 and -0.0; the sign of the result depends on the max order.
@@ -246,14 +258,15 @@ class TestLowerExpectation:
 
 class TestSumSupport:
     def test_recursive_definition(self, families):
-        for family in families.values():
+        for family in list(families.values()) + [FINE_LATTICE]:
             n = 4
             support = build_support(family, n)
             levels = reachable_coords(family, n)
+            k_min, span, g, _ = unreduced_window(family, 0)
             for k in range(n + 1):
-                dense = k * support.k_min + np.arange(support.size(k))
+                dense = k * k_min + np.arange(k * span + 1)
                 expected = np.isin(dense, sorted(levels[k]))
-                assert np.array_equal(support.masks[k], expected), (family.name, k)
+                assert_on_sublattice(support.masks[k], expected, g, False)
 
     def test_size_bound(self, families):
         for family in families.values():
@@ -340,7 +353,7 @@ class TestExpectationUnderPolicy:
             policy.support,
             (policy.selections[0], np.full_like(policy.selections[1], -1), policy.selections[2]),
         )
-        with pytest.raises(PolicyIncomplete, match="^no selection at step 1, sum "):
+        with pytest.raises(PolicyIncomplete, match=r"^no selection at step 1, sum 0\.0$"):
             expectation_under_policy(DELTA_PAIR, 3, phi, holed)
         with pytest.raises(PolicyIncomplete, match="^policy was extracted for a different lattice grid$"):
             expectation_under_policy(TWO_POINT, 3, phi, policy)
@@ -355,6 +368,21 @@ class TestExpectationUnderPolicy:
             expectation_under_policy(DELTA_PAIR, 3, phi, UnknownTag())
         with pytest.raises(TypeError, match="^unsupported policy object"):
             expectation_under_policy(DELTA_PAIR, 3, phi, object())
+
+    def test_weights_checked_against_family_member_count(self, families):
+        # a 2-member measure passes its own check; only the engine compares it with the family
+        measure = PathMeasure.constant([0.5, 0.5], 3)
+        message = r"^mixture weights have shape \(2,\), expected \(3,\)$"
+        with pytest.raises(PolicyIncomplete, match=message):
+            expectation_under_policy(families["three_atom"], 3, lambda x: x, measure)
+
+    def test_policy_from_coarser_lattice_rejected(self):
+        # same origin, step, k_min and k_max; only the gcd of the atom shifts differs
+        even = AmbiguityFamily.build(0, 1, [[(0, 0.5), (2, 0.5)]])
+        dense = AmbiguityFamily.build(0, 1, [[(0, 0.25), (1, 0.5), (2, 0.25)]])
+        policy = extract_argmax_policy(even, 3, lambda x: x)
+        with pytest.raises(PolicyIncomplete, match="^policy was extracted for a different lattice grid$"):
+            expectation_under_policy(dense, 3, lambda x: x, policy)
 
     def test_invalid_weights_rejected(self):
         bad = PathMeasure.constant([0.7, 0.7], 2)
@@ -384,6 +412,23 @@ class TestExpectationUnderPolicy:
         b = expectation_under_policy(DELTA_PAIR, 4, phi, m_hist)
         assert a == pytest.approx(b, abs=1e-14)
 
+    @pytest.mark.parametrize("family", [TWO_POINT, FINE_LATTICE], ids=lambda f: f.name)
+    def test_history_rule_on_reduced_lattice(self, family):
+        # gcd 2 and 25: the history walker must place each path's mass at its reduced index
+        m = len(family.members)
+
+        def sum_rule(step, total):
+            w = np.zeros(m)
+            w[int(round(total / family.lattice.step)) % m] = 1.0
+            return w
+
+        m_sum = PathMeasure.from_sum_rule(sum_rule, 4, m)
+        m_hist = PathMeasure.from_history_rule(lambda step, history: sum_rule(step, math.fsum(history)), 4, m)
+        phi = lambda x: (x - 0.3) ** 2
+        a = expectation_under_policy(family, 4, phi, m_sum)
+        b = expectation_under_policy(family, 4, phi, m_hist)
+        assert a == pytest.approx(b, abs=1e-14)
+
     def test_dominance(self, families):
         rng = np.random.default_rng(7)
         for family in families.values():
@@ -403,13 +448,7 @@ FORWARD_NS = (1, 3, 7, 16, 40)
 
 
 def engine_mass(family, n, measure):
-    return engine._forward(n, build_support(family, n), engine._grid(family), measure)
-
-
-def oracle_expectation(family, n, phi, mass):
-    support = build_support(family, n)
-    mask = support.masks[n]
-    return pairwise_total(mass[mask] * np.asarray(phi(support.values(n)[mask] / n), dtype=float))
+    return engine._forward(n, build_support(family, n), measure)
 
 
 def cosine_sum_rule(family, n):
@@ -428,39 +467,43 @@ class TestForwardKernel:
 
     def test_product_measures_bit_for_bit(self, families, name):
         family = families[name]
+        g = unreduced_window(family, 0)[2]
         lo, hi = mean_bounds(family)
         for n in FORWARD_NS:
             pstars = [construct_pstar(family, mu, n) for mu in (lo, 0.5 * (lo + hi), hi)]
             for measure in pstars + [uniform_mixture(family, n)]:
                 want = per_state_forward(family, n, measure)
-                assert bits(engine_mass(family, n, measure)) == bits(want), (n, measure.name)
+                assert_on_sublattice(engine_mass(family, n, measure), want, g, 0.0)
                 for i, phi in enumerate(catalog_for(family)):
                     got = expectation_under_policy(family, n, phi, measure)
-                    assert bits([got]) == bits([oracle_expectation(family, n, phi, want)]), (n, i)
+                    assert bits([got]) == bits([window_expectation(family, n, phi, want)]), (n, i)
 
     def test_argmax_policy_bit_for_bit(self, families, name):
         family = families[name]
+        g = unreduced_window(family, 0)[2]
         for n in FORWARD_NS:
             for i, phi in enumerate(catalog_for(family)):
                 policy = extract_argmax_policy(family, n, phi)
                 as_rule = PathMeasure.from_policy(policy, len(family.members))
                 want = per_state_forward(family, n, policy)
-                assert bits(engine_mass(family, n, policy)) == bits(want), (n, i)
-                assert bits(engine_mass(family, n, as_rule)) == bits(want), (n, i)
+                assert_on_sublattice(engine_mass(family, n, policy), want, g, 0.0)
+                assert_on_sublattice(engine_mass(family, n, as_rule), want, g, 0.0)
                 value = expectation_under_policy(family, n, phi, policy)
-                assert bits([value]) == bits([oracle_expectation(family, n, phi, want)]), (n, i)
+                assert bits([value]) == bits([window_expectation(family, n, phi, want)]), (n, i)
                 assert bits([expectation_under_policy(family, n, phi, as_rule)]) == bits([value]), (n, i)
 
     def test_sum_rule_within_rounding(self, families, name):
         # member-major accumulation reorders the additions into each state
         family = families[name]
+        g = unreduced_window(family, 0)[2]
         for n in FORWARD_NS:
             measure = cosine_sum_rule(family, n)
             want = per_state_forward(family, n, measure)
-            assert np.max(np.abs(engine_mass(family, n, measure) - want)) <= 1e-15, n
+            assert np.max(np.abs(engine_mass(family, n, measure) - want[::g])) <= 1e-15, n
+            assert np.all(np.delete(want, np.s_[::g]) == 0.0), n
             for i, phi in enumerate(catalog_for(family)):
                 got = expectation_under_policy(family, n, phi, measure)
-                assert abs(got - oracle_expectation(family, n, phi, want)) <= 1e-15, (n, i)
+                assert abs(got - window_expectation(family, n, phi, want)) <= 1e-15, (n, i)
 
 
 @settings(max_examples=40, deadline=None)
