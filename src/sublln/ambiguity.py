@@ -10,6 +10,7 @@ convergence-rate bounds consume.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -141,6 +142,11 @@ class AmbiguityFamily:
             name,
         )
 
+    @functools.cached_property
+    def _validation(self) -> "ValidationResult":
+        # frozen and built from tuples, so validation is a pure function of the instance
+        return _validate(self)
+
     def member_means(self) -> np.ndarray:
         return np.array([m.mean for m in self.members], dtype=float)
 
@@ -217,8 +223,13 @@ def validate_family(family: AmbiguityFamily) -> ValidationResult:
     Order: positive lattice step, nonempty family, then per member (in index
     order): nonempty atoms, strictly increasing atom values, nonnegative
     weights, weights summing to one, atoms on the lattice.  Duplicate members
-    are legal but reported back as warnings.
+    are legal but reported back as warnings.  The result is computed once per
+    family instance and kept on it.
     """
+    return family._validation
+
+
+def _validate(family: AmbiguityFamily) -> ValidationResult:
     lat = family.lattice
     if not (math.isfinite(lat.step) and lat.step > 0.0):
         return _fail("NonPositiveStep", f"lattice step must be > 0, got {lat.step}")

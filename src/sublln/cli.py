@@ -43,6 +43,7 @@ from .lln_rates import (
     rate_reports,
 )
 from .measures import (
+    MartingaleDecomposition,
     PathMeasure,
     chatterji_check,
     conditional_means,
@@ -105,11 +106,14 @@ class _RunPlan:
     """Values the checks of one run share, each computed once, on first use.
 
     ``limit`` is the search for ``max phi`` (its maximizer pins every P* measure),
-    ``expectations`` are ``E_up[phi(S_n/n)]`` over the schedule, ``moments`` the moment summary.
+    ``expectations`` are ``E_up[phi(S_n/n)]`` over the schedule, ``moments`` the moment
+    summary, and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and
+    ``prop2`` both read.
     """
 
     def __init__(self, config: ExperimentConfig):
         self._config = config
+        self._diagnostics: dict[int, list[tuple[PathMeasure, MartingaleDecomposition]]] = {}
 
     @functools.cached_property
     def limit(self) -> IntervalMaxResult:
@@ -123,6 +127,18 @@ class _RunPlan:
     @functools.cached_property
     def moments(self) -> MomentSummary:
         return moment_summary(self._config.family, self._config.alphas)
+
+    def diagnostics(self, n: int) -> list[tuple[PathMeasure, MartingaleDecomposition]]:
+        """P*, the parity rule and the uniform mixture at horizon n, each with its exact decomposition."""
+        if n not in self._diagnostics:
+            c = self._config
+            measures = [
+                construct_pstar(c.family, self.limit.argmax_r, n),
+                history_parity_measure(c.family, n),
+                uniform_mixture(c.family, n),
+            ]
+            self._diagnostics[n] = [(m, conditional_means(c.family, m, n, c.state_cap)) for m in measures]
+        return self._diagnostics[n]
 
 
 def _check_eval(config: ExperimentConfig, plan: _RunPlan):
@@ -182,27 +198,15 @@ def _check_variance(config: ExperimentConfig, plan: _RunPlan):
     return rows
 
 
-def _diagnostic_measures(
-    config: ExperimentConfig, plan: _RunPlan, n: int, with_argmax: bool
-) -> list[PathMeasure]:
-    measures = [
-        construct_pstar(config.family, plan.limit.argmax_r, n),
-        history_parity_measure(config.family, n),
-        uniform_mixture(config.family, n),
-    ]
-    if with_argmax:
-        policy = extract_argmax_policy(config.family, n, config.phi, config.state_cap)
-        measures.append(
-            PathMeasure.from_policy(policy, len(config.family.members), name="argmax-policy")
-        )
-    return measures
+def _argmax_measure(config: ExperimentConfig, n: int) -> PathMeasure:
+    policy = extract_argmax_policy(config.family, n, config.phi, config.state_cap)
+    return PathMeasure.from_policy(policy, len(config.family.members), name="argmax-policy")
 
 
 def _check_chatterji(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     for n in _enum_ns(config):
-        for measure in _diagnostic_measures(config, plan, n, with_argmax=False):
-            dec = conditional_means(config.family, measure, n, config.state_cap)
+        for measure, dec in plan.diagnostics(n):
             for p in _CHATTERJI_PS:
                 rep = chatterji_check(
                     config.family, measure, n, p, config.state_cap, decomposition=dec
@@ -225,8 +229,11 @@ def _check_chatterji(config: ExperimentConfig, plan: _RunPlan):
 def _check_prop2(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     for n in _enum_ns(config):
-        for measure in _diagnostic_measures(config, plan, n, with_argmax=True):
-            rep = prop2_check(config.family, measure, n, config.state_cap)
+        # the argmax measure is enumerated here only (chatterji does not read it), but
+        # built first, so a state-cap failure names the backward pass as it always has
+        argmax = _argmax_measure(config, n)
+        for measure, dec in [*plan.diagnostics(n), (argmax, None)]:
+            rep = prop2_check(config.family, measure, n, config.state_cap, decomposition=dec)
             rows.append(
                 {
                     "measure": rep.measure_name,

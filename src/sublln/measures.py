@@ -35,7 +35,8 @@ from .engine import (
     iid_sum_expectations,
 )
 from .lln_rates import IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound
-from .rng import unit_array, unit_at
+from .rng import counter_offsets, mantissas, unit_at
+from .rng import unit_array  # unused here; kept bound for perfbench's span tracer
 
 __all__ = [
     "MuStarOutOfRange",
@@ -340,25 +341,43 @@ def _check_sampling(family: AmbiguityFamily, measure: PathMeasure, n: int, count
 def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int):
     """Yield ``(first_path, atom_values)`` for consecutive blocks of whole paths.
 
-    The inverse-CDF kernel for ``depends_on == "none"`` measures: the per-step
-    CDF table is built once, and each block of about ``_BLOCK_UNIFORMS``
-    uniforms draws its slice ``[first_path*n, (first_path+rows)*n)`` of the
-    stream.  The atom index at step k is a comparison count,
-    ``sum_{j<last} (u >= cum_k[j])``, which equals
+    The inverse-CDF kernel for ``depends_on == "none"`` measures.  Each block
+    of about ``_BLOCK_UNIFORMS`` uniforms draws its slice
+    ``[first_path*n, (first_path+rows)*n)`` of the stream, as 53-bit
+    mantissas m (the uniform is ``u = m * 2^-53``).  The atom index at step k
+    is the comparison count ``sum_{j<last} (u >= cum_k[j])``, which equals
     ``min(searchsorted(cum_k, u, side="right"), last)`` because every CDF
-    ``cum_k`` is nondecreasing.  The table is stored atom-major, so each
-    comparison broadcasts one contiguous row over the block.
+    ``cum_k`` is nondecreasing.  Built once per call, not per block:
+
+    - the integer thresholds ``ceil(cum * 2^53)``: ``m * 2^-53 >= c`` holds
+      exactly when ``m >= ceil(c * 2^53)``, and scaling by 2^53 is exact, so
+      the int64 comparisons have the float test's outcome;
+    - that table stored atom-major, so each comparison broadcasts one
+      contiguous row over the block;
+    - the stream's counter offsets, shared by every block (see
+      :mod:`sublln.rng`).
+
+    The count is kept in the smallest unsigned dtype that holds ``last``
+    (one byte up to 256 atoms), adding each bool mask viewed as uint8, and
+    cast to ``intp`` once for ``atoms.take``.
     """
     _, atoms, w_matrix = family.union_atoms()
+    last = len(atoms) - 1
     cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
+    thresholds = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
+    count_dtype = np.min_scalar_type(last)
     rows = max(1, _BLOCK_UNIFORMS // n)
+    offsets = counter_offsets(rows * n)
+    buffer = np.empty(rows * n, dtype=np.uint64)
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
-        u = unit_array(seed, p0 * n, r * n).reshape(r, n)
-        idx = np.zeros((r, n), dtype=np.intp)
-        for j in range(len(atoms) - 1):
-            idx += u >= cum[j]
-        yield p0, atoms[idx]
+        m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
+        idx = np.zeros((r, n), dtype=count_dtype)
+        mask = np.empty((r, n), dtype=bool)
+        for row in thresholds:
+            np.greater_equal(m, row, out=mask)
+            idx += mask.view(np.uint8)
+        yield p0, atoms.take(idx.astype(np.intp))
 
 
 def sample_paths(

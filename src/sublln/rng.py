@@ -12,13 +12,20 @@ bit-for-bit by any implementation:
 and the i-th uniform in [0, 1) is ``(out_i >> 11) * 2^-53``.  Outputs are
 pure functions of (seed, index), so any subsequence can be generated
 independently and in parallel.
+
+There is one vector implementation, :func:`mantissas`.  Since
+``state_{start+i} = ((start + 1) * GAMMA + seed) + i * GAMMA``, a caller
+that draws many slices of one length builds the counter offsets
+``i * GAMMA mod 2^64`` once (:func:`counter_offsets`), and each slice then
+costs one scalar add before the mix.  :func:`unit_array` is that core plus
+the conversion to floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MASK64", "mix64", "u64_at", "unit_at", "unit_array"]
+__all__ = ["MASK64", "mix64", "u64_at", "unit_at", "counter_offsets", "mantissas", "unit_array"]
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -43,25 +50,35 @@ def unit_at(seed: int, index: int) -> float:
     return (u64_at(seed, index) >> 11) * 2.0**-53
 
 
-def unit_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized ``[unit_at(seed, start + i) for i in range(count)]``.
-
-    Works in place on one uint64 buffer plus one scratch buffer; uint64
-    array arithmetic wraps mod 2^64 as the definition requires.
-    """
+def counter_offsets(count: int) -> np.ndarray:
+    """The counter offsets ``i * GAMMA mod 2^64`` for i < count, as uint64."""
     z = np.arange(count, dtype=np.uint64)
-    z += np.uint64((start + 1) & MASK64)
     z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & MASK64)
-    t = np.empty_like(z)
+    return z
+
+
+def mantissas(seed: int, start: int, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the uint64 array ``out`` with ``u64_at(seed, start + i) >> 11`` and return it.
+
+    ``offsets`` holds :func:`counter_offsets` of at least ``len(out)``.  The
+    mantissas are below 2^53, so ``out.view(np.int64)`` holds the same
+    integers.  Works in place on ``out`` plus one scratch buffer; uint64
+    array arithmetic wraps mod 2^64 as the definition requires, and the
+    scalar start is reduced as a Python int, so no counter overflows.
+    """
+    np.add(offsets[: out.size], np.uint64(((start + 1) * _GAMMA + seed) & MASK64), out=out)
+    t = np.empty_like(out)
     for shift, mult in ((30, _MULT1), (27, _MULT2)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        z ^= t
-        z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    z >>= np.uint64(11)
-    out = t.view(np.float64)
-    np.copyto(out, z, casting="unsafe")
-    out *= 2.0**-53
+        np.right_shift(out, np.uint64(shift), out=t)
+        out ^= t
+        out *= np.uint64(mult)
+    np.right_shift(out, np.uint64(31), out=t)
+    out ^= t
+    out >>= np.uint64(11)
     return out
+
+
+def unit_array(seed: int, start: int, count: int) -> np.ndarray:
+    """Vectorized ``[unit_at(seed, start + i) for i in range(count)]``."""
+    z = counter_offsets(count)
+    return mantissas(seed, start, z, z).view(np.int64) * 2.0**-53

@@ -93,6 +93,19 @@ class TestValidation:
             mean_bounds(bad)
         assert exc.value.result.code == "OffLattice"
 
+    def test_validated_once_per_instance(self):
+        fam = AmbiguityFamily.build(0, 1, [[(0, 0.5), (1, 0.5)]])
+        assert validate_family(fam) is validate_family(fam)
+        # an equal family built separately carries its own result
+        assert validate_family(AmbiguityFamily.build(0, 1, [[(0, 0.5), (1, 0.5)]])) is not validate_family(fam)
+
+    def test_invalid_family_raises_on_every_call(self):
+        bad = AmbiguityFamily.build(0, 1, [[(0, 0.6), (1, 0.5)]])
+        for _ in range(3):
+            with pytest.raises(FamilyInvalid, match="^member 0: weights sum to 1.1, expected 1$"):
+                mean_bounds(bad)
+            assert validate_family(bad).code == "WeightsNotNormalized"
+
 
 class TestMeanBounds:
     def test_point_masses(self):

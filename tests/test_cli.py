@@ -11,6 +11,7 @@ from sublln.cli import main
 from sublln.config import parse_config
 from sublln.engine import iid_sum_expectations
 from sublln.lln_rates import interval_max
+from sublln.measures import conditional_means
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -226,12 +227,17 @@ class TestRunPlan:
         config = parse_config((CONFIGS / "three_atom.json").read_bytes())
         maxima = count_calls(monkeypatch, interval_max)
         sweeps = count_calls(monkeypatch, iid_sum_expectations)
+        enumerations = count_calls(monkeypatch, conditional_means)
         assert cli.run(config, tmp_path / "r") == 0
         # one limit search; backward sweeps of phi, -phi (eval) and the distance moment (variance)
         assert len(maxima) == 1
         assert len(sweeps) == 3
+        # P*, parity and uniform once per enumerated n for chatterji and prop2, plus prop2's argmax
+        assert cli._enum_ns(config) == [1, 2, 4]
+        assert len(enumerations) == 3 * 3 + 3
         assert cli.run(config, tmp_path / "r2") == 0
-        assert (len(maxima), len(sweeps)) == (2, 6)  # nothing carries over to the next run
+        # nothing carries over to the next run
+        assert (len(maxima), len(sweeps), len(enumerations)) == (2, 6, 24)
 
 
 # SHA-256 of every file ``verify-all --seed 7`` writes for each shipped

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -388,6 +389,31 @@ class TestExpectationUnderPolicy:
         bad = PathMeasure.constant([0.7, 0.7], 2)
         with pytest.raises(PolicyIncomplete):
             expectation_under_policy(DELTA_PAIR, 2, lambda x: x, bad)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([math.nan, 0.5, 0.5], r"mixture weights array([nan, 0.5, 0.5]) are not nonnegative"),
+            ([math.inf, 0.0, 0.0], r"mixture weights array([inf,  0.,  0.]) are not nonnegative"),
+            (
+                [-1e-11, 0.5, 0.5],
+                r"mixture weights array([-1.e-11,  5.e-01,  5.e-01]) are not nonnegative",
+            ),
+            ([0.5, 0.5 + 2e-12, 0.0], r"mixture weights array([0.5, 0.5, 0. ]) do not sum to one"),
+        ],
+    )
+    def test_weight_check_messages(self, weights, message):
+        # raised by the measure's own check and by the engine's check against the family
+        with pytest.raises(PolicyIncomplete, match=f"^{re.escape(message)}$"):
+            PathMeasure.constant(weights, 2).mixture_weights(0)
+        with pytest.raises(PolicyIncomplete, match=f"^{re.escape(message)}$"):
+            engine._check_weights(weights, 3)
+
+    def test_weight_check_tolerances(self):
+        # -1e-12 and a sum 1e-12 away from one are accepted; negatives, -0.0 too, clamp to +0.0
+        assert engine._check_weights([-1e-12, 0.5, 0.5], 3).tolist() == [0.0, 0.5, 0.5]
+        assert engine._check_weights([0.25, 0.75 + 5e-13], 2).tolist() == [0.25, 0.75 + 5e-13]
+        assert math.copysign(1.0, engine._check_weights([-0.0, 1.0], 2)[0]) == 1.0
 
     def test_sum_rule_measure(self):
         # pick the high member only while the running sum is zero

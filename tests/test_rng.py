@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sublln.rng import MASK64, u64_at, unit_array, unit_at
+from sublln.rng import MASK64, counter_offsets, mantissas, u64_at, unit_array, unit_at
 
 
 def test_reference_vector_seed_zero():
@@ -58,3 +58,14 @@ def test_vector_matches_scalar_across_the_counter_wrap(seed, start):
         vec = unit_array(seed, start, 64)
     ref = np.array([unit_at(seed, start + i) for i in range(64)])
     assert np.array_equal(vec, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, MASK64])
+def test_mantissas_reuse_one_offset_array(seed):
+    # one offset array serves slices of any length at any start, across the counter wrap too
+    offsets = counter_offsets(64)
+    before = offsets.copy()
+    for start, count in ((0, 64), (1000, 17), (2**64 - 5, 64), (MASK64, 1), (7, 0)):
+        got = mantissas(seed, start, offsets, np.empty(count, dtype=np.uint64))
+        assert got.tolist() == [u64_at(seed, start + i) >> 11 for i in range(count)]
+    assert np.array_equal(offsets, before)
