@@ -5,11 +5,11 @@ import argparse
 import json
 from pathlib import Path
 
-from sublln.ambiguity import mean_bounds
+from sublln.ambiguity import DEFAULT_ALPHAS, mean_bounds
 from sublln.corpus import corpus_families
+from sublln.engine import DEFAULT_STATE_CAP
 
 N_SCHEDULE = [1, 2, 4, 8, 16, 32, 64]
-ALPHAS = [0.25, 0.5, 0.75, 1.0]
 SEED = 20240810
 
 
@@ -23,21 +23,21 @@ def config_for(name, family) -> dict:
         },
         "phi": {"catalog": "abs_dev", "params": {"c": 0.5 * (lo + hi)}},
         "n_schedule": N_SCHEDULE,
-        "alphas": ALPHAS,
+        "alphas": list(DEFAULT_ALPHAS),
         "checks": ["eval", "sweep", "variance", "chatterji", "prop2", "pstar", "mc"],
         "format": "csv",
         "seed": SEED,
-        "state_cap": 10_000_000,
+        "state_cap": DEFAULT_STATE_CAP,
         "mc_samples": 100_000,
         "mc_horizon": 50,
         "enum_horizon": 6,
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parent.parent / "configs")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     families = corpus_families()
     for name, family in families.items():

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "DEFAULT_ALPHAS",
     "LATTICE_TOL",
     "WEIGHT_TOL",
     "AlphaOutOfRange",
@@ -35,6 +36,7 @@ __all__ = [
     "moment_summary",
 ]
 
+DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 LATTICE_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
@@ -319,8 +321,6 @@ def upper_variance(family: AmbiguityFamily) -> tuple[float, float]:
     def g(mu: float) -> float:
         return float(np.max(m2 - 2.0 * mu * m1) + mu * mu)
 
-    if hi == lo:
-        return g(lo), lo
     a, b = lo, hi
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
@@ -346,7 +346,7 @@ def one_step_expectation(family: AmbiguityFamily, psi: Callable[[float], float])
     return max(m.expectation(psi) for m in family.members)
 
 
-def moment_summary(family: AmbiguityFamily, alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0)) -> MomentSummary:
+def moment_summary(family: AmbiguityFamily, alphas: Sequence[float] = DEFAULT_ALPHAS) -> MomentSummary:
     """All moment quantities of the family in one record."""
     lo, hi = mean_bounds(family)
     c = {float(a): moment_c_alpha(family, a) for a in alphas}

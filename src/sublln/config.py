@@ -12,16 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .ambiguity import AmbiguityFamily, mean_bounds, validate_family
-from .lln_rates import (
-    LipschitzFunction,
-    abs_dev,
-    clip_to,
-    interval_dist_sq,
-    linear,
-    neg_abs_dev,
-    spot_check_lipschitz,
-)
+from .ambiguity import DEFAULT_ALPHAS, AmbiguityFamily, mean_bounds, validate_family
+from .engine import DEFAULT_STATE_CAP
+from .lln_rates import CATALOG, InvalidInterval, LipschitzFunction, spot_check_lipschitz
+from .measures import DEFAULT_ENUM_STEPS
 from .phi_expr import PhiSyntaxError, parse_phi
 
 __all__ = [
@@ -49,14 +43,6 @@ _TOP_KEYS = {
     "mc_samples",
     "mc_horizon",
     "enum_horizon",
-}
-
-_CATALOG_PARAMS = {
-    "linear": ("a", "b"),
-    "abs_dev": ("c",),
-    "neg_abs_dev": ("c",),
-    "clip": ("lo", "hi"),
-    "interval_dist_sq": ("lo", "hi"),
 }
 
 
@@ -139,43 +125,25 @@ def _parse_family(obj: Any) -> tuple[AmbiguityFamily, str]:
     return family, name
 
 
-def _build_catalog_phi(name: str, params: Mapping[str, float], family: AmbiguityFamily) -> LipschitzFunction:
-    if name == "linear":
-        return linear(params["a"], params["b"])
-    if name == "abs_dev":
-        return abs_dev(params["c"])
-    if name == "neg_abs_dev":
-        return neg_abs_dev(params["c"])
-    if name == "clip":
-        if not params["lo"] <= params["hi"]:
-            raise SemanticError("phi.params: clip needs lo <= hi")
-        return clip_to(params["lo"], params["hi"])
-    if name == "interval_dist_sq":
-        if not params["lo"] <= params["hi"]:
-            raise SemanticError("phi.params: interval_dist_sq needs lo <= hi")
-        dlo, dhi = family.support_bounds()
-        return interval_dist_sq(params["lo"], params["hi"], dlo, dhi)
-    raise SemanticError(f"phi.catalog: unknown catalog entry {name!r}")
-
-
 def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunction, dict]:
     if not isinstance(obj, dict):
         raise SchemaError("phi: expected an object")
     if "catalog" in obj:
         _require_keys(obj, "phi", {"catalog", "params"}, {"catalog"})
         name = _string(obj["catalog"], "phi.catalog")
-        if name not in _CATALOG_PARAMS:
+        if name not in CATALOG:
             raise SemanticError(f"phi.catalog: unknown catalog entry {name!r}")
+        entry = CATALOG[name]
         raw = obj.get("params", {})
-        allowed = set(_CATALOG_PARAMS[name])
-        required = allowed if name != "interval_dist_sq" else set()
-        _require_keys(raw, "phi.params", allowed, required)
+        optional = name == "interval_dist_sq"  # its bounds default to the mean interval
+        _require_keys(raw, "phi.params", set(entry.params), set() if optional else set(entry.params))
         params = {k: _number(v, f"phi.params.{k}") for k, v in raw.items()}
-        if name == "interval_dist_sq" and ("lo" not in params or "hi" not in params):
-            lo, hi = mean_bounds(family)
-            params.setdefault("lo", lo)
-            params.setdefault("hi", hi)
-        phi = _build_catalog_phi(name, params, family)
+        if optional:
+            params = {**dict(zip(entry.params, mean_bounds(family))), **params}
+        try:
+            phi = entry.build(family, **params)
+        except InvalidInterval as exc:
+            raise SemanticError(f"phi.params: {exc}") from exc
         return phi, {"catalog": name, "params": {k: params[k] for k in sorted(params)}}
     if "expression" in obj:
         _require_keys(obj, "phi", {"expression", "lipschitz"}, {"expression", "lipschitz"})
@@ -262,7 +230,7 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise SemanticError("n_schedule: entries must be strictly ascending")
 
-    alphas_obj = raw.get("alphas", [0.25, 0.5, 0.75, 1.0])
+    alphas_obj = raw.get("alphas", list(DEFAULT_ALPHAS))
     if not isinstance(alphas_obj, list) or not alphas_obj:
         raise SchemaError("alphas: expected a nonempty array")
     alphas = tuple(sorted({_number(v, f"alphas[{i}]") for i, v in enumerate(alphas_obj)}))
@@ -285,7 +253,7 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
     if not 0 <= seed < 2**64:
         raise SemanticError("seed: must be an unsigned 64-bit integer")
 
-    state_cap = _integer(raw.get("state_cap", 10_000_000), "state_cap")
+    state_cap = _integer(raw.get("state_cap", DEFAULT_STATE_CAP), "state_cap")
     if state_cap < 1:
         raise SemanticError("state_cap: must be >= 1")
 
@@ -298,8 +266,8 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
         raise SemanticError("mc_horizon: must be >= 1")
 
     enum_horizon = _integer(raw.get("enum_horizon", 6), "enum_horizon")
-    if not 1 <= enum_horizon <= 8:
-        raise SemanticError("enum_horizon: must be in 1..8")
+    if not 1 <= enum_horizon <= DEFAULT_ENUM_STEPS:
+        raise SemanticError(f"enum_horizon: must be in 1..{DEFAULT_ENUM_STEPS}")
 
     return ExperimentConfig(
         family=family,

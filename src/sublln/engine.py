@@ -75,9 +75,9 @@ running sum (``depends_on`` "none" or "sum").  All three run one loop.
   no sum-state weights to tabulate, so ``_forward_history_rule`` walks the
   history tree instead.  It prunes zero-probability branches and caps the
   nodes it visits, unlike ``measures.conditional_means``, which keeps
-  zero-probability paths, holds every path and by default stops at 8
-  steps; merging the two walkers would need a flag or shrink the horizons
-  the walk accepts.
+  zero-probability paths, holds every path and stops at
+  ``measures.DEFAULT_ENUM_STEPS`` steps; merging the two walkers would need
+  a flag or shrink the horizons the walk accepts.
 """
 
 from __future__ import annotations
@@ -552,11 +552,9 @@ def expectation_under_policy(
     ``depends_on`` tag in {"none", "sum", "history"} and a ``horizon``.
     The probability mass is propagated exactly (over sum states, or over
     the history tree when the rule is genuinely history-dependent) and the
-    terminal distribution is averaged against phi.
+    terminal distribution is averaged against phi.  The family and n are
+    checked by :func:`build_support`.
     """
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     support = build_support(family, n, state_cap)
     if isinstance(policy, SelectionPolicy):
         if policy.horizon < n:

@@ -7,20 +7,21 @@ For a Lipschitz shape function phi the worst-case expectation of
 
 where ``C_alpha`` is the worst-case absolute (1+alpha)-moment, sharpening
 to ``sigma_bar / sqrt(n)`` for 1-Lipschitz phi (sigma_bar the upper
-standard deviation).  This module computes the limit by certified grid
-search, the bound formulas, the squared-distance moment to the mean
-interval, and gap-versus-n sweeps.
+standard deviation).  This module holds the shapes (:data:`CATALOG` names
+those a config may ask for), the limit by certified grid search, the bound
+formulas, the squared-distance moment and gap-versus-n sweeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .ambiguity import (
+    DEFAULT_ALPHAS,
     AlphaOutOfRange,
     AmbiguityFamily,
     MomentSummary,
@@ -34,6 +35,8 @@ from .rng import unit_array
 
 __all__ = [
     "BOUND_TOL",
+    "CATALOG",
+    "CatalogEntry",
     "InvalidInterval",
     "NonPositiveN",
     "LipschitzFunction",
@@ -128,9 +131,25 @@ def interval_dist_sq(lo: float, hi: float, domain_lo: float, domain_hi: float) -
 
 def interval_distance_phi(family: AmbiguityFamily) -> LipschitzFunction:
     """Squared distance to the family's mean interval, on its support range."""
-    lo, hi = mean_bounds(family)
-    dlo, dhi = family.support_bounds()
-    return interval_dist_sq(lo, hi, dlo, dhi)
+    return CATALOG["interval_dist_sq"].build(family, *mean_bounds(family))
+
+
+class CatalogEntry(NamedTuple):
+    """Parameter names and ``build(family, **params)``; the family gives a shape its support."""
+
+    params: tuple[str, ...]
+    build: Callable[..., LipschitzFunction]
+
+
+CATALOG: Mapping[str, CatalogEntry] = {
+    "linear": CatalogEntry(("a", "b"), lambda family, a, b: linear(a, b)),
+    "abs_dev": CatalogEntry(("c",), lambda family, c: abs_dev(c)),
+    "neg_abs_dev": CatalogEntry(("c",), lambda family, c: neg_abs_dev(c)),
+    "clip": CatalogEntry(("lo", "hi"), lambda family, lo, hi: clip_to(lo, hi)),
+    "interval_dist_sq": CatalogEntry(
+        ("lo", "hi"), lambda family, lo, hi: interval_dist_sq(lo, hi, *family.support_bounds())
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -193,10 +212,6 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
     if span == 0.0:
         return IntervalMaxResult(mu_lower, float(_eval_phi(phi, np.array([mu_lower]))[0]), 0.0)
     L = phi.lipschitz_constant
-    if L == 0.0:
-        vals = _eval_phi(phi, np.array([mu_lower, mu_upper]))
-        i = int(np.argmax(vals))
-        return IntervalMaxResult((mu_lower, mu_upper)[i], float(vals[i]), 0.0)
     target = 1e-9 * max(1.0, L * span)
     intervals = min(_MAX_GRID_INTERVALS, max(1, math.ceil(span * L / (2.0 * target))))
     grid = np.linspace(mu_lower, mu_upper, intervals + 1)
@@ -303,7 +318,7 @@ def rate_sweep(
     family: AmbiguityFamily,
     phi: LipschitzFunction,
     n_schedule: Sequence[int],
-    alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[RateReport, ...]:
     """Gap-versus-n sweep with every requested bound evaluated per n (see :func:`rate_reports`)."""

@@ -4,9 +4,10 @@ Every history-dependent mixture of family members induces a genuine
 probability measure dominated by the worst-case expectation.  This module
 builds such measures explicitly (notably the product measure that pins
 every step's mean at the limit maximizer), enumerates their exact
-martingale decompositions for small horizons, verifies the conditional
-mean containment and Chatterji's moment inequality, and draws
-reproducible Monte Carlo paths for larger horizons.
+martingale decompositions for horizons up to ``DEFAULT_ENUM_STEPS``,
+verifies the conditional mean containment and Chatterji's moment
+inequality, and draws reproducible Monte Carlo paths for larger horizons.
+Every entry point admits its measure through ``_admit``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .ambiguity import (
+    DEFAULT_ALPHAS,
     AmbiguityFamily,
     _require_valid,
     mean_bounds,
@@ -59,7 +61,7 @@ __all__ = [
     "lower_bound_reports",
 ]
 
-DEFAULT_ENUM_STEPS = 8
+DEFAULT_ENUM_STEPS = 8  # longest horizon conditional_means enumerates
 _BLOCK_UNIFORMS = 1 << 15  # uniforms per sampling block (256 KiB of float64)
 
 
@@ -205,21 +207,32 @@ class MartingaleDecomposition:
         return self.paths - self.cond_means
 
 
+def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
+    """Valid family, n >= 1, horizon >= n and the family's member count (the engine's message)."""
+    _require_valid(family)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if measure.horizon < n:
+        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
+    if measure.member_count != len(family.members):
+        raise PolicyIncomplete(
+            f"mixture weights have shape ({measure.member_count},), expected ({len(family.members)},)"
+        )
+
+
 def conditional_means(
     family: AmbiguityFamily,
     measure: PathMeasure,
     n: int,
     state_cap: int = DEFAULT_STATE_CAP,
-    max_steps: int = DEFAULT_ENUM_STEPS,
 ) -> MartingaleDecomposition:
-    """Exact conditional means by full path enumeration (small n only)."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if n > max_steps:
-        raise SupportOverflow(f"exact enumeration is limited to {max_steps} steps, got n={n}")
-    if measure.horizon < n:
-        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
+    """Exact conditional means by full path enumeration, for n up to ``DEFAULT_ENUM_STEPS``.
+
+    Sum rules get the realized history, whose total ``mixture_weights`` takes by ``math.fsum``.
+    """
+    _admit(family, measure, n)
+    if n > DEFAULT_ENUM_STEPS:
+        raise SupportOverflow(f"exact enumeration is limited to {DEFAULT_ENUM_STEPS} steps, got n={n}")
     _, atoms, w_matrix = family.union_atoms()
     n_atoms = len(atoms)
     if n_atoms**n > state_cap:
@@ -232,10 +245,6 @@ def conditional_means(
         rows = paths.shape[0]
         if measure.depends_on == "none":
             omega = np.tile(measure.mixture_weights(k), (rows, 1))
-        elif measure.depends_on == "sum":
-            omega = np.stack(
-                [measure.mixture_weights(k, total=math.fsum(paths[r])) for r in range(rows)]
-            )
         else:
             omega = np.stack(
                 [measure.mixture_weights(k, history=tuple(paths[r])) for r in range(rows)]
@@ -327,15 +336,11 @@ def chatterji_check(
 
 
 def _check_sampling(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int) -> None:
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _admit(family, measure, n)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if measure.horizon < n:
-        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
 
 
 def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int):
@@ -513,7 +518,7 @@ def lower_bound_checks(
     family: AmbiguityFamily,
     phi: LipschitzFunction,
     ns: Sequence[int],
-    alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
     """:func:`lower_bound_reports` with the limit found once and every worst case from one batched sweep."""
@@ -527,7 +532,7 @@ def lower_bound_check(
     family: AmbiguityFamily,
     phi: LipschitzFunction,
     n: int,
-    alphas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> LowerBoundReport:
     """:func:`lower_bound_checks` for a single horizon."""
