@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped JSON configs from the reference corpus."""
+"""Regenerate the shipped JSON configs from the reference corpus.
+
+Each file gives only the family, phi, ``n_schedule`` and seed; every other
+key is the default that ``parse_config`` fills in, written out by
+``dump_config``.
+"""
 
 import argparse
 import json
 from pathlib import Path
 
-from sublln.ambiguity import DEFAULT_ALPHAS, mean_bounds
+from sublln.ambiguity import mean_bounds
+from sublln.config import dump_config, parse_config
 from sublln.corpus import corpus_families
-from sublln.engine import DEFAULT_STATE_CAP
 
 N_SCHEDULE = [1, 2, 4, 8, 16, 32, 64]
 SEED = 20240810
 
 
-def config_for(name, family) -> dict:
+def config_text(name, family) -> str:
     lo, hi = mean_bounds(family)
-    return {
+    given = {
         "family": {
             "name": name,
             "lattice": {"origin": family.lattice.origin, "step": family.lattice.step},
@@ -23,15 +28,9 @@ def config_for(name, family) -> dict:
         },
         "phi": {"catalog": "abs_dev", "params": {"c": 0.5 * (lo + hi)}},
         "n_schedule": N_SCHEDULE,
-        "alphas": list(DEFAULT_ALPHAS),
-        "checks": ["eval", "sweep", "variance", "chatterji", "prop2", "pstar", "mc"],
-        "format": "csv",
         "seed": SEED,
-        "state_cap": DEFAULT_STATE_CAP,
-        "mc_samples": 100_000,
-        "mc_horizon": 50,
-        "enum_horizon": 6,
     }
+    return dump_config(parse_config(json.dumps(given)))
 
 
 def main(argv=None) -> int:
@@ -42,11 +41,11 @@ def main(argv=None) -> int:
     families = corpus_families()
     for name, family in families.items():
         path = args.out / f"{name}.json"
-        path.write_text(json.dumps(config_for(name, family), indent=2) + "\n")
+        path.write_text(config_text(name, family))
         print(f"wrote {path}")
     # the default corpus config points at the richest family
     default = args.out / "corpus.json"
-    default.write_text(json.dumps(config_for("three_atom", families["three_atom"]), indent=2) + "\n")
+    default.write_text(config_text("three_atom", families["three_atom"]))
     print(f"wrote {default}")
     return 0
 

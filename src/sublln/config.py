@@ -62,7 +62,7 @@ class SemanticError(ConfigError):
     pass
 
 
-def _require_keys(obj: Mapping, path: str, allowed: set[str], required: set[str]) -> None:
+def _require_keys(obj: Mapping, path: str, allowed: set[str], required: tuple[str, ...]) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     for key in obj:
@@ -94,10 +94,10 @@ def _string(value: Any, path: str) -> str:
 
 
 def _parse_family(obj: Any) -> tuple[AmbiguityFamily, str]:
-    _require_keys(obj, "family", {"name", "lattice", "members"}, {"lattice", "members"})
+    _require_keys(obj, "family", {"name", "lattice", "members"}, ("lattice", "members"))
     name = _string(obj.get("name", "family"), "family.name")
     lat = obj["lattice"]
-    _require_keys(lat, "family.lattice", {"origin", "step"}, {"origin", "step"})
+    _require_keys(lat, "family.lattice", {"origin", "step"}, ("origin", "step"))
     origin = _number(lat["origin"], "family.lattice.origin")
     step = _number(lat["step"], "family.lattice.step")
     members_obj = obj["members"]
@@ -129,14 +129,14 @@ def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunctio
     if not isinstance(obj, dict):
         raise SchemaError("phi: expected an object")
     if "catalog" in obj:
-        _require_keys(obj, "phi", {"catalog", "params"}, {"catalog"})
+        _require_keys(obj, "phi", {"catalog", "params"}, ("catalog",))
         name = _string(obj["catalog"], "phi.catalog")
         if name not in CATALOG:
             raise SemanticError(f"phi.catalog: unknown catalog entry {name!r}")
         entry = CATALOG[name]
         raw = obj.get("params", {})
         optional = name == "interval_dist_sq"  # its bounds default to the mean interval
-        _require_keys(raw, "phi.params", set(entry.params), set() if optional else set(entry.params))
+        _require_keys(raw, "phi.params", set(entry.params), () if optional else entry.params)
         params = {k: _number(v, f"phi.params.{k}") for k, v in raw.items()}
         if optional:
             params = {**dict(zip(entry.params, mean_bounds(family))), **params}
@@ -146,7 +146,7 @@ def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunctio
             raise SemanticError(f"phi.params: {exc}") from exc
         return phi, {"catalog": name, "params": {k: params[k] for k in sorted(params)}}
     if "expression" in obj:
-        _require_keys(obj, "phi", {"expression", "lipschitz"}, {"expression", "lipschitz"})
+        _require_keys(obj, "phi", {"expression", "lipschitz"}, ("expression", "lipschitz"))
         source = _string(obj["expression"], "phi.expression")
         constant = _number(obj["lipschitz"], "phi.lipschitz")
         if not constant > 0.0:
@@ -217,7 +217,7 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
-    _require_keys(raw, "config", _TOP_KEYS, {"family", "phi", "n_schedule"})
+    _require_keys(raw, "config", _TOP_KEYS, ("family", "phi", "n_schedule"))
     family, family_name = _parse_family(raw["family"])
     phi, phi_spec = _parse_phi_spec(raw["phi"], family)
 

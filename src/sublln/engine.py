@@ -55,8 +55,11 @@ The forward kernel
 ------------------
 :func:`expectation_under_policy` propagates probability mass forward over
 the same reduced dense window, one step at a time, for a
-:class:`SelectionPolicy` and for measures whose rule reads nothing or the
-running sum (``depends_on`` "none" or "sum").  All three run one loop.
+:class:`SelectionPolicy` and for a :class:`PathMeasure` whose rule reads
+nothing or the running sum.  All three run one loop.  Every evaluator, here
+and in :mod:`sublln.measures`, admits a measure once with ``_admit`` and
+hands a sum rule the lattice value ``k*origin + coord*step`` of the running
+sum (``_lattice_sums``, coord the integer coordinate sum of the atoms).
 
 * **Weight layout.**  Each step first gets its member weights: a
   ``(members,)`` vector for a "none" measure (one rule call), or a
@@ -85,7 +88,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,6 +101,7 @@ __all__ = [
     "SumSupport",
     "ValueTable",
     "SelectionPolicy",
+    "PathMeasure",
     "build_support",
     "value_table",
     "iid_sum_expectations",
@@ -169,8 +173,12 @@ class _Grid:
 
     def values(self, k: int) -> np.ndarray:
         """Dense window of sum values at step k (reachable and not)."""
-        coords = k * self.k_min + self.gcd * np.arange(self.size(k))
-        return k * self.origin + coords * self.step
+        return _lattice_sums(self, k, k * self.k_min + self.gcd * np.arange(self.size(k)))
+
+
+def _lattice_sums(lattice, k: int, coords: np.ndarray) -> np.ndarray:
+    """Sums of k atoms whose lattice coordinates add up to ``coords``: the value a sum rule reads."""
+    return k * lattice.origin + coords * lattice.step
 
 
 def _grid(family: AmbiguityFamily) -> _Grid:
@@ -399,6 +407,79 @@ class SelectionPolicy:
         return cls(support, tuple(sels))
 
 
+class PathMeasure:
+    """History-dependent mixture of family members, one weight vector per state.
+
+    ``depends_on`` declares what the rule reads: "none" (a fixed mixture per
+    step), "sum" (the running sum's lattice value), or "history" (the
+    realized atom tuple).  Evaluators pick exact propagation strategies
+    accordingly; only genuinely history-dependent rules require walking the
+    history tree.
+    """
+
+    __slots__ = ("horizon", "member_count", "depends_on", "name", "_rule")
+
+    def __init__(self, horizon: int, member_count: int, rule: Callable, depends_on: str, name: str):
+        if depends_on not in ("none", "sum", "history"):
+            raise ValueError(f"unknown dependence tag {depends_on!r}")
+        self.horizon = int(horizon)
+        self.member_count = int(member_count)
+        self.depends_on = depends_on
+        self.name = name
+        self._rule = rule
+
+    def __repr__(self):
+        return f"PathMeasure({self.name!r}, horizon={self.horizon}, depends_on={self.depends_on!r})"
+
+    def mixture_weights(self, step: int, total: float | None = None, history: tuple | None = None) -> np.ndarray:
+        if self.depends_on == "none":
+            w = self._rule(step)
+        elif self.depends_on == "sum":
+            if total is None:
+                raise PolicyIncomplete(f"measure {self.name!r} needs the running sum")
+            w = self._rule(step, total)
+        else:
+            if history is None:
+                raise PolicyIncomplete(f"measure {self.name!r} needs the realized history")
+            w = self._rule(step, history)
+        return _check_weights(w, self.member_count)
+
+    @classmethod
+    def constant(cls, weights: Sequence[float], horizon: int, name: str = "const-mixture") -> "PathMeasure":
+        w = np.asarray(weights, dtype=float).copy()
+        return cls(horizon, len(w), lambda step: w, "none", name)
+
+    @classmethod
+    def from_sum_rule(cls, rule: Callable, horizon: int, member_count: int, name: str = "sum-rule") -> "PathMeasure":
+        return cls(horizon, member_count, rule, "sum", name)
+
+    @classmethod
+    def from_history_rule(cls, rule: Callable, horizon: int, member_count: int, name: str = "history-rule") -> "PathMeasure":
+        return cls(horizon, member_count, rule, "history", name)
+
+    @classmethod
+    def from_policy(cls, policy: SelectionPolicy, member_count: int, name: str = "policy") -> "PathMeasure":
+        def rule(step, total):
+            w = np.zeros(member_count)
+            w[policy.member_at(step, total)] = 1.0
+            return w
+
+        return cls(policy.horizon, member_count, rule, "sum", name)
+
+
+def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
+    """Valid family, n >= 1, horizon >= n and the family's member count; ``mixture_weights`` checks the rest."""
+    _require_valid(family)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if measure.horizon < n:
+        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
+    if measure.member_count != len(family.members):
+        raise PolicyIncomplete(
+            f"mixture weights have shape ({measure.member_count},), expected ({len(family.members)},)"
+        )
+
+
 def _backward_tables(family: AmbiguityFamily, n: int, phi: Callable, state_cap: int, want_policy: bool):
     """Single-horizon sweep on the support, keeping every step's values or selections."""
     support = build_support(family, n, state_cap)
@@ -484,11 +565,10 @@ def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndar
             raise PolicyIncomplete(f"no selection at step {k}, sum {float(support.values(k)[i])!r}")
         return (np.arange(members, dtype=sel.dtype)[:, None] == sel).astype(float)
     if measure.depends_on == "none":
-        return _check_weights(measure.mixture_weights(k), members)
+        return measure.mixture_weights(k)
     weights = np.zeros((members, support.size(k)))
-    totals = support.values(k)
-    for i in np.nonzero(support.masks[k])[0]:
-        weights[:, i] = _check_weights(measure.mixture_weights(k, total=float(totals[i])), members)
+    totals = support.reachable_values(k).tolist()
+    weights[:, support.masks[k]] = np.array([measure.mixture_weights(k, total=t) for t in totals]).T
     return weights
 
 
@@ -522,10 +602,7 @@ def _forward_history_rule(family, n, support, measure, state_cap: int) -> np.nda
         if k == n:
             mass[(coord - n * support.k_min) // support.gcd] += prob
             continue
-        w_members = _check_weights(
-            measure.mixture_weights(k, history=hist), len(family.members)
-        )
-        q = w_matrix @ w_members
+        q = w_matrix @ measure.mixture_weights(k, history=hist)
         for a in range(len(coords)):
             if q[a] == 0.0:
                 continue
@@ -542,16 +619,15 @@ def expectation_under_policy(
     family: AmbiguityFamily,
     n: int,
     phi: Callable,
-    policy,
+    policy: SelectionPolicy | PathMeasure,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Exact expectation of ``phi(S_n / n)`` under a policy or mixture measure.
 
-    ``policy`` is either a :class:`SelectionPolicy` or any measure-like
-    object with ``mixture_weights(step, total=..., history=...)``, a
-    ``depends_on`` tag in {"none", "sum", "history"} and a ``horizon``.
-    The probability mass is propagated exactly (over sum states, or over
-    the history tree when the rule is genuinely history-dependent) and the
+    ``policy`` is a :class:`SelectionPolicy` or a :class:`PathMeasure`
+    (admitted once by ``_admit``); anything else raises ``TypeError``.  The
+    probability mass is propagated exactly (over sum states, or over the
+    history tree when the rule is genuinely history-dependent) and the
     terminal distribution is averaged against phi.  The family and n are
     checked by :func:`build_support`.
     """
@@ -562,16 +638,14 @@ def expectation_under_policy(
         lattice = operator.attrgetter("origin", "step", "k_min", "k_max", "gcd")
         if lattice(policy.support) != lattice(support):
             raise PolicyIncomplete("policy was extracted for a different lattice grid")
-    elif hasattr(policy, "mixture_weights") and hasattr(policy, "depends_on"):
-        if getattr(policy, "horizon", n) < n:
-            raise PolicyIncomplete(f"measure horizon {policy.horizon} is shorter than n={n}")
-        if policy.depends_on not in ("none", "sum", "history"):
-            raise PolicyIncomplete(f"unknown dependence tag {policy.depends_on!r}")
+        mass = _forward(n, support, policy)
+    elif isinstance(policy, PathMeasure):
+        _admit(family, policy, n)
+        if policy.depends_on == "history":
+            mass = _forward_history_rule(family, n, support, policy, state_cap)
+        else:
+            mass = _forward(n, support, policy)
     else:
         raise TypeError(f"unsupported policy object: {policy!r}")
-    if getattr(policy, "depends_on", None) == "history":
-        mass = _forward_history_rule(family, n, support, policy, state_cap)
-    else:
-        mass = _forward(n, support, policy)
     return pairwise_total(mass[support.masks[n]] * _eval_phi(phi, support.reachable_values(n) / n))
 

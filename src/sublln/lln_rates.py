@@ -87,8 +87,8 @@ class LipschitzFunction:
     name: str
 
     def __post_init__(self):
-        if not self.lipschitz_constant >= 0.0:
-            raise ValueError(f"Lipschitz constant must be >= 0, got {self.lipschitz_constant}")
+        if not (math.isfinite(self.lipschitz_constant) and self.lipschitz_constant >= 0.0):
+            raise ValueError(f"Lipschitz constant must be finite and >= 0, got {self.lipschitz_constant}")
 
     def __call__(self, x):
         return self.evaluator(x)

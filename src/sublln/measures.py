@@ -7,14 +7,15 @@ every step's mean at the limit maximizer), enumerates their exact
 martingale decompositions for horizons up to ``DEFAULT_ENUM_STEPS``,
 verifies the conditional mean containment and Chatterji's moment
 inequality, and draws reproducible Monte Carlo paths for larger horizons.
-Every entry point admits its measure through ``_admit``.
+:class:`PathMeasure` is the engine's own class, re-exported here; every
+entry point admits its measure through the engine's ``_admit``, and a sum
+rule reads the same lattice sum here as in the engine's forward kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,16 +29,16 @@ from .ambiguity import (
 )
 from .engine import (
     DEFAULT_STATE_CAP,
-    PolicyIncomplete,
-    SelectionPolicy,
+    PathMeasure,
     SupportOverflow,
-    _check_weights,
+    _admit,
+    _lattice_sums,
     expectation_under_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     iid_sum_expectations,
 )
 from .lln_rates import IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound
-from .rng import counter_offsets, mantissas, unit_at
+from .rng import counter_offsets, mantissas
 from .rng import unit_array  # unused here; kept bound for perfbench's span tracer
 
 __all__ = [
@@ -71,65 +72,6 @@ class MuStarOutOfRange(ValueError):
 
 class POutOfRange(ValueError):
     """Chatterji's inequality needs a moment order p in [1, 2]."""
-
-
-class PathMeasure:
-    """History-dependent mixture of family members, one weight vector per state.
-
-    ``depends_on`` declares what the rule reads: "none" (a fixed mixture per
-    step), "sum" (the running sum), or "history" (the realized atom tuple).
-    Evaluators pick exact propagation strategies accordingly; only
-    genuinely history-dependent rules require walking the history tree.
-    """
-
-    __slots__ = ("horizon", "member_count", "depends_on", "name", "_rule")
-
-    def __init__(self, horizon: int, member_count: int, rule: Callable, depends_on: str, name: str):
-        if depends_on not in ("none", "sum", "history"):
-            raise ValueError(f"unknown dependence tag {depends_on!r}")
-        self.horizon = int(horizon)
-        self.member_count = int(member_count)
-        self.depends_on = depends_on
-        self.name = name
-        self._rule = rule
-
-    def __repr__(self):
-        return f"PathMeasure({self.name!r}, horizon={self.horizon}, depends_on={self.depends_on!r})"
-
-    def mixture_weights(self, step: int, total: float | None = None, history: tuple | None = None) -> np.ndarray:
-        if self.depends_on == "none":
-            w = self._rule(step)
-        elif self.depends_on == "sum":
-            if total is None and history is not None:
-                total = math.fsum(history)
-            w = self._rule(step, total)
-        else:
-            if history is None:
-                raise PolicyIncomplete(f"measure {self.name!r} needs the realized history")
-            w = self._rule(step, history)
-        return _check_weights(w, self.member_count)
-
-    @classmethod
-    def constant(cls, weights: Sequence[float], horizon: int, name: str = "const-mixture") -> "PathMeasure":
-        w = np.asarray(weights, dtype=float).copy()
-        return cls(horizon, len(w), lambda step: w, "none", name)
-
-    @classmethod
-    def from_sum_rule(cls, rule: Callable, horizon: int, member_count: int, name: str = "sum-rule") -> "PathMeasure":
-        return cls(horizon, member_count, rule, "sum", name)
-
-    @classmethod
-    def from_history_rule(cls, rule: Callable, horizon: int, member_count: int, name: str = "history-rule") -> "PathMeasure":
-        return cls(horizon, member_count, rule, "history", name)
-
-    @classmethod
-    def from_policy(cls, policy: SelectionPolicy, member_count: int, name: str = "policy") -> "PathMeasure":
-        def rule(step, total):
-            w = np.zeros(member_count)
-            w[policy.member_at(step, total)] = 1.0
-            return w
-
-        return cls(policy.horizon, member_count, rule, "sum", name)
 
 
 def construct_pstar(family: AmbiguityFamily, mu_star: float, n: int) -> PathMeasure:
@@ -207,19 +149,6 @@ class MartingaleDecomposition:
         return self.paths - self.cond_means
 
 
-def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
-    """Valid family, n >= 1, horizon >= n and the family's member count (the engine's message)."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if measure.horizon < n:
-        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
-    if measure.member_count != len(family.members):
-        raise PolicyIncomplete(
-            f"mixture weights have shape ({measure.member_count},), expected ({len(family.members)},)"
-        )
-
-
 def conditional_means(
     family: AmbiguityFamily,
     measure: PathMeasure,
@@ -228,12 +157,12 @@ def conditional_means(
 ) -> MartingaleDecomposition:
     """Exact conditional means by full path enumeration, for n up to ``DEFAULT_ENUM_STEPS``.
 
-    Sum rules get the realized history, whose total ``mixture_weights`` takes by ``math.fsum``.
+    A sum rule gets each path's lattice sum, carried as its integer coordinate sum.
     """
     _admit(family, measure, n)
     if n > DEFAULT_ENUM_STEPS:
         raise SupportOverflow(f"exact enumeration is limited to {DEFAULT_ENUM_STEPS} steps, got n={n}")
-    _, atoms, w_matrix = family.union_atoms()
+    coords, atoms, w_matrix = family.union_atoms()
     n_atoms = len(atoms)
     if n_atoms**n > state_cap:
         raise SupportOverflow(f"{n_atoms}^{n} paths exceed the cap of {state_cap}")
@@ -241,14 +170,17 @@ def conditional_means(
     paths = np.zeros((1, 0))
     probs = np.array([1.0])
     cmeans = np.zeros((1, 0))
+    coord_sums = np.zeros(1, dtype=np.int64)
     for k in range(n):
         rows = paths.shape[0]
         if measure.depends_on == "none":
             omega = np.tile(measure.mixture_weights(k), (rows, 1))
+        elif measure.depends_on == "sum":
+            totals = _lattice_sums(family.lattice, k, coord_sums).tolist()
+            omega = np.stack([measure.mixture_weights(k, total=t) for t in totals])
+            coord_sums = (coord_sums[:, None] + coords).reshape(-1)
         else:
-            omega = np.stack(
-                [measure.mixture_weights(k, history=tuple(paths[r])) for r in range(rows)]
-            )
+            omega = np.stack([measure.mixture_weights(k, history=tuple(path)) for path in paths])
         q = omega @ w_matrix.T
         cm = q @ atoms
         paths = np.hstack([np.repeat(paths, n_atoms, axis=0), np.tile(atoms, rows)[:, None]])
@@ -346,30 +278,25 @@ def _check_sampling(family: AmbiguityFamily, measure: PathMeasure, n: int, count
 def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int):
     """Yield ``(first_path, atom_values)`` for consecutive blocks of whole paths.
 
-    The inverse-CDF kernel for ``depends_on == "none"`` measures.  Each block
-    of about ``_BLOCK_UNIFORMS`` uniforms draws its slice
+    The inverse-CDF kernel of every measure.  Each block of about
+    ``_BLOCK_UNIFORMS`` uniforms draws its slice
     ``[first_path*n, (first_path+rows)*n)`` of the stream, as 53-bit
-    mantissas m (the uniform is ``u = m * 2^-53``).  The atom index at step k
-    is the comparison count ``sum_{j<last} (u >= cum_k[j])``, which equals
-    ``min(searchsorted(cum_k, u, side="right"), last)`` because every CDF
-    ``cum_k`` is nondecreasing.  Built once per call, not per block:
-
-    - the integer thresholds ``ceil(cum * 2^53)``: ``m * 2^-53 >= c`` holds
-      exactly when ``m >= ceil(c * 2^53)``, and scaling by 2^53 is exact, so
-      the int64 comparisons have the float test's outcome;
-    - that table stored atom-major, so each comparison broadcasts one
-      contiguous row over the block;
-    - the stream's counter offsets, shared by every block (see
-      :mod:`sublln.rng`).
-
-    The count is kept in the smallest unsigned dtype that holds ``last``
-    (one byte up to 256 atoms), adding each bool mask viewed as uint8, and
-    cast to ``intp`` once for ``atoms.take``.
+    mantissas m (``u = m * 2^-53``), through counter offsets built once per
+    call (see :mod:`sublln.rng`).  The atom index at step k is the count
+    ``sum_{j<last} (m >= ceil(cum_k[j] * 2^53))``: scaling by 2^53 is exact,
+    so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
+    ``min(searchsorted(cum_k, u, side="right"), last)`` as every CDF
+    ``cum_k`` is nondecreasing.  A ``depends_on == "none"`` measure's
+    thresholds are built once per call, atom-major, so each comparison
+    broadcasts one contiguous row over the block, and counted in the
+    smallest unsigned dtype that holds ``last`` (one byte up to 256 atoms);
+    a sum or history rule is called once per (path, step) by ``_rule_indices``.
     """
-    _, atoms, w_matrix = family.union_atoms()
+    coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
-    cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
-    thresholds = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
+    if measure.depends_on == "none":
+        cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
+        thresholds = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
     count_dtype = np.min_scalar_type(last)
     rows = max(1, _BLOCK_UNIFORMS // n)
     offsets = counter_offsets(rows * n)
@@ -377,12 +304,35 @@ def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, coun
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
         m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
-        idx = np.zeros((r, n), dtype=count_dtype)
-        mask = np.empty((r, n), dtype=bool)
-        for row in thresholds:
-            np.greater_equal(m, row, out=mask)
-            idx += mask.view(np.uint8)
+        if measure.depends_on == "none":
+            idx = np.zeros((r, n), dtype=count_dtype)
+            mask = np.empty((r, n), dtype=bool)
+            for row in thresholds:
+                np.greater_equal(m, row, out=mask)
+                idx += mask.view(np.uint8)
+        else:
+            idx = _rule_indices(family.lattice, measure, m, coords, atoms, w_matrix)
         yield p0, atoms.take(idx.astype(np.intp))
+
+
+def _rule_indices(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> np.ndarray:
+    """Atom indices of one block under a sum rule (fed each path's lattice sum) or a history rule."""
+    idx = np.empty(m.shape, dtype=np.intp)
+    coord_sums = np.zeros(len(m), dtype=np.int64)
+    histories: list[tuple[float, ...]] = [()] * len(m)
+    for k in range(m.shape[1]):
+        if measure.depends_on == "sum":
+            totals = _lattice_sums(lattice, k, coord_sums).tolist()
+            weights = [measure.mixture_weights(k, total=t) for t in totals]
+        else:
+            weights = [measure.mixture_weights(k, history=h) for h in histories]
+        cum = np.cumsum([w_matrix @ w for w in weights], axis=1)[:, :-1]
+        np.sum(m[:, k, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1, out=idx[:, k])
+        if measure.depends_on == "sum":
+            coord_sums += coords.take(idx[:, k])
+        else:
+            histories = [h + (a,) for h, a in zip(histories, atoms.take(idx[:, k]).tolist())]
+    return idx
 
 
 def sample_paths(
@@ -398,34 +348,13 @@ def sample_paths(
     index ``p*n + k`` (see :mod:`sublln.rng`); the realized atom is the
     first one, in increasing value order, whose cumulative mixture
     probability exceeds the uniform.  Identical (seed, inputs) give
-    bit-identical samples.  Measures that read neither the running sum nor
-    the history are sampled in blocks of whole paths, each drawing its own
+    bit-identical samples.  Paths are drawn in blocks, each from its own
     slice of the same stream, so the block size never changes a sample.
-    :func:`sample_path_sums` returns the row sums of this array bit for bit
-    without holding it: its memory is one block plus the ``count`` sums,
-    independent of n.
     """
     _check_sampling(family, measure, n, count, seed)
     out = np.empty((count, n))
-    if count == 0:
-        return out
-    if measure.depends_on == "none":
-        for p0, block in _stepwise_blocks(family, measure, n, count, seed):
-            out[p0 : p0 + len(block)] = block
-        return out
-    _, atoms, w_matrix = family.union_atoms()
-    last = len(atoms) - 1
-    for pth in range(count):
-        hist: tuple[float, ...] = ()
-        total = 0.0
-        for k in range(n):
-            w = measure.mixture_weights(k, total=total, history=hist)
-            cum = np.cumsum(w_matrix @ w)
-            u = unit_at(seed, pth * n + k)
-            a = min(int(np.searchsorted(cum, u, side="right")), last)
-            out[pth, k] = atoms[a]
-            hist = hist + (float(atoms[a]),)
-            total += float(atoms[a])
+    for p0, block in _stepwise_blocks(family, measure, n, count, seed):
+        out[p0 : p0 + len(block)] = block
     return out
 
 
@@ -438,13 +367,9 @@ def sample_path_sums(
 ) -> np.ndarray:
     """Per-path sums of :func:`sample_paths`, bit for bit ``sample_paths(...).sum(axis=1)``.
 
-    For ``depends_on == "none"`` measures the paths are never held all at
-    once: each block is summed row by row as it is drawn (numpy's row
-    reduction depends only on the row), so memory is one block plus the
-    ``count`` sums, whatever n is.
+    Each block is summed row by row as it is drawn (numpy's row reduction
+    depends only on the row), so memory is one block plus the ``count`` sums.
     """
-    if measure.depends_on != "none":
-        return sample_paths(family, measure, n, count, seed).sum(axis=1)
     _check_sampling(family, measure, n, count, seed)
     out = np.empty(count)
     for p0, block in _stepwise_blocks(family, measure, n, count, seed):

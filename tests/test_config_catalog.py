@@ -7,6 +7,9 @@ library's own constant, so that the config layer adds no rule of its own.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,3 +99,42 @@ def test_generator_reproduces_shipped_configs(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == shipped
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (ROOT / "configs" / name).read_bytes(), name
+
+
+_MISSING_KEY_PROBE = """
+import json, sys
+from sublln.config import SchemaError, parse_config
+family = json.loads(sys.argv[1])
+for cfg in (
+    {"family": family, "phi": {"catalog": "linear"}, "n_schedule": [1]},
+    {"family": family, "phi": {"catalog": "clip", "params": {}}, "n_schedule": [1]},
+    {"family": family},
+    {},
+):
+    try:
+        parse_config(json.dumps(cfg))
+    except SchemaError as exc:
+        print(exc)
+"""
+
+
+def test_missing_keys_are_named_in_schema_order():
+    # the first missing key in the catalog's params order (top level: family, phi, n_schedule),
+    # whatever the hash seed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    outputs = set()
+    for hash_seed in range(6):
+        result = subprocess.run(
+            [sys.executable, "-c", _MISSING_KEY_PROBE, json.dumps(THREE_ATOM)],
+            env={**env, "PYTHONHASHSEED": str(hash_seed)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(result.stdout)
+    assert outputs == {
+        "phi.params.a: missing required key\n"
+        "phi.params.lo: missing required key\n"
+        "config.phi: missing required key\n"
+        "config.family: missing required key\n"
+    }

@@ -365,7 +365,7 @@ class TestExpectationUnderPolicy:
             def mixture_weights(self, step, total=None, history=None):
                 return [1.0, 0.0]
 
-        with pytest.raises(PolicyIncomplete, match="^unknown dependence tag 'path'$"):
+        with pytest.raises(TypeError, match="^unsupported policy object"):
             expectation_under_policy(DELTA_PAIR, 3, phi, UnknownTag())
         with pytest.raises(TypeError, match="^unsupported policy object"):
             expectation_under_policy(DELTA_PAIR, 3, phi, object())

@@ -223,3 +223,9 @@ def test_improved_bound_never_exceeds_fang(families):
 def test_clip_requires_ordered_interval():
     with pytest.raises(InvalidInterval):
         clip_to(1.0, 0.0)
+
+
+@pytest.mark.parametrize("constant", [math.inf, -1.0, math.nan])
+def test_lipschitz_constant_must_be_finite_and_nonnegative(constant):
+    with pytest.raises(ValueError, match=rf"^Lipschitz constant must be finite and >= 0, got {constant}$"):
+        LipschitzFunction(lambda x: x, constant, "bad")
