@@ -45,9 +45,9 @@ grouping does not change a value.
   :class:`SupportOverflow` is raised for the same inputs as by a
   single-horizon pass; its message names the smallest horizon past the cap.
 
-:func:`value_table` and :func:`extract_argmax_policy` run the same step code
-with one row on :class:`SumSupport`, which is this reduced lattice plus the
-reachable mask of every step: the raw indices of ``SumSupport.masks``,
+:func:`value_table` and :func:`extract_argmax_policy` are this sweep with one
+row on :class:`SumSupport`, the reduced lattice plus every step's reachable
+mask, recording every step: the raw indices of ``SumSupport.masks``,
 ``ValueTable.values`` and ``SelectionPolicy.selections`` are reduced, index
 i at step k standing for the coordinate ``k * k_min + i * gcd``.
 
@@ -58,8 +58,9 @@ the same reduced dense window, one step at a time, for a
 :class:`SelectionPolicy` and for a :class:`PathMeasure` whose rule reads
 nothing or the running sum.  All three run one loop.  Every evaluator, here
 and in :mod:`sublln.measures`, admits a measure once with ``_admit`` and
-hands a sum rule the lattice value ``k*origin + coord*step`` of the running
-sum (``_lattice_sums``, coord the integer coordinate sum of the atoms).
+calls a sum or history rule through ``_rule_weights``: a sum rule reads the
+lattice sum ``k*origin + coord*step`` (coord the integer coordinate sum of
+the atoms), a history rule the realized atoms as Python floats.
 
 * **Weight layout.**  Each step first gets its member weights: a
   ``(members,)`` vector for a "none" measure (one rule call), or a
@@ -271,8 +272,12 @@ def _row_groups(horizons: list[int], span: int) -> list[list[int]]:
     return groups
 
 
-def _sweep(grid: _Grid, phi: Callable, horizons: list[int], masks: dict[int, np.ndarray]) -> np.ndarray:
-    """Root values for distinct descending horizons by one backward sweep from ``horizons[0]``."""
+def _sweep(grid: _Grid, phi: Callable, horizons: list[int], masks, record: list | None = None) -> np.ndarray:
+    """Root values for distinct descending horizons by one backward sweep from ``horizons[0]``.
+
+    ``record``, for one horizon n, gets copies of each step's values and its lowest maximizing
+    member, from step n (member ``None``) down to 0.
+    """
     rows, span = len(horizons), grid.span
     cur, nxt, acc, tmp = (np.zeros((rows, grid.size(horizons[0]))) for _ in range(4))
     joined = 0
@@ -280,8 +285,13 @@ def _sweep(grid: _Grid, phi: Callable, horizons: list[int], masks: dict[int, np.
         if joined < rows and horizons[joined] == k:
             _terminal(grid, k, masks[k], phi, cur[joined, : k * span + 1])
             joined += 1
+            if record is not None:
+                record.append((cur[0, : k * span + 1].copy(), None))
         size = (k - 1) * span + 1
-        _step(cur[:joined], grid, nxt[:joined, :size], acc[:joined, :size], tmp[:joined, :size])
+        sel = None if record is None else np.zeros((1, size), dtype=np.int32)
+        _step(cur[:joined], grid, nxt[:joined, :size], acc[:joined, :size], tmp[:joined, :size], sel)
+        if record is not None:
+            record.append((nxt[0, :size].copy(), sel[0]))
         cur, nxt = nxt, cur
     return cur[:, 0]
 
@@ -480,29 +490,6 @@ def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
         )
 
 
-def _backward_tables(family: AmbiguityFamily, n: int, phi: Callable, state_cap: int, want_policy: bool):
-    """Single-horizon sweep on the support, keeping every step's values or selections."""
-    support = build_support(family, n, state_cap)
-    v_next = np.empty(support.size(n))
-    _terminal(support, n, support.masks[n], phi, v_next)
-    tables = [v_next]
-    policies: list[np.ndarray] = []
-    for k in range(n - 1, -1, -1):
-        size = support.size(k)
-        out, acc, tmp = np.empty(size), np.empty(size), np.empty(size)
-        sel = np.zeros(size, dtype=np.int32) if want_policy else None
-        _step(v_next, support, out, acc, tmp, sel)
-        if want_policy:
-            sel[~support.masks[k]] = -1
-            policies.append(sel)
-        else:
-            tables.append(out)
-        v_next = out
-    if want_policy:
-        return SelectionPolicy(support, tuple(reversed(policies)))
-    return ValueTable(support, tuple(reversed(tables)))
-
-
 def iid_sum_expectation(
     family: AmbiguityFamily,
     n: int,
@@ -530,7 +517,10 @@ def value_table(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ValueTable:
     """Full backward-recursion table for ``phi(S_n / n)``."""
-    return _backward_tables(family, n, phi, state_cap, want_policy=False)
+    support = build_support(family, n, state_cap)
+    steps: list = []
+    _sweep(support, phi, [n], support.masks, steps)
+    return ValueTable(support, tuple(values for values, _ in reversed(steps)))
 
 
 def extract_argmax_policy(
@@ -540,7 +530,13 @@ def extract_argmax_policy(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SelectionPolicy:
     """Lowest-index maximizing member at every reachable (step, sum) state."""
-    return _backward_tables(family, n, phi, state_cap, want_policy=True)
+    support = build_support(family, n, state_cap)
+    steps: list = []
+    _sweep(support, phi, [n], support.masks, steps)
+    sels = tuple(sel for _, sel in reversed(steps[1:]))
+    for sel, mask in zip(sels, support.masks):
+        sel[~mask] = -1
+    return SelectionPolicy(support, sels)
 
 
 def _check_weights(w, member_count: int) -> np.ndarray:
@@ -555,6 +551,18 @@ def _check_weights(w, member_count: int) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
+def _rule_weights(measure: PathMeasure, lattice, k: int, coords, histories) -> np.ndarray:
+    """Step-k weights ``(rows, members)`` of a sum or history rule; the one place such a rule is called.
+
+    A sum rule gets the lattice sum of each row's coordinate sum in ``coords``,
+    a history rule each row of the atom array ``histories`` as Python floats.
+    """
+    if measure.depends_on == "sum":
+        totals = _lattice_sums(lattice, k, coords).tolist()
+        return np.array([measure.mixture_weights(k, total=t) for t in totals])
+    return np.array([measure.mixture_weights(k, history=tuple(h)) for h in histories.tolist()])
+
+
 def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndarray:
     """Member weights of step k: ``(members,)`` for a ``"none"`` measure, else ``(members, states)``."""
     if isinstance(measure, SelectionPolicy):
@@ -567,8 +575,8 @@ def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndar
     if measure.depends_on == "none":
         return measure.mixture_weights(k)
     weights = np.zeros((members, support.size(k)))
-    totals = support.reachable_values(k).tolist()
-    weights[:, support.masks[k]] = np.array([measure.mixture_weights(k, total=t) for t in totals]).T
+    coords = k * support.k_min + support.gcd * np.flatnonzero(support.masks[k])
+    weights[:, support.masks[k]] = _rule_weights(measure, support, k, coords, None).T
     return weights
 
 
@@ -602,7 +610,7 @@ def _forward_history_rule(family, n, support, measure, state_cap: int) -> np.nda
         if k == n:
             mass[(coord - n * support.k_min) // support.gcd] += prob
             continue
-        q = w_matrix @ measure.mixture_weights(k, history=hist)
+        q = w_matrix @ _rule_weights(measure, support, k, None, np.array([hist]))[0]
         for a in range(len(coords)):
             if q[a] == 0.0:
                 continue
@@ -611,7 +619,7 @@ def _forward_history_rule(family, n, support, measure, state_cap: int) -> np.nda
                 raise SupportOverflow(
                     f"history-dependent forward pass exceeds the cap of {state_cap} paths"
                 )
-            stack.append((k + 1, coord + int(coords[a]), prob * float(q[a]), hist + (float(values[a]),)))
+            stack.append((k + 1, coord + int(coords[a]), prob * float(q[a]), hist + (values[a],)))
     return mass
 
 

@@ -202,9 +202,9 @@ class IntervalMaxResult:
 def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> IntervalMaxResult:
     """Maximize phi over [mu_lower, mu_upper] on a uniform grid with both endpoints.
 
-    The grid step h is chosen so that ``L*h/2 <= 1e-9 * max(1, L*(hi-lo))``,
-    capped at 10^6 + 1 points; the true maximum exceeds the reported one by
-    at most ``grid_error_bound = L*h/2``.
+    The true maximum exceeds the reported one by at most ``grid_error_bound = L*h/2``.  The grid
+    aims at ``L*h/2 <= 1e-9 * max(1, L*(hi-lo))`` with at most 10^6 intervals; the cap binds once
+    ``L*(hi-lo) > 2e-3``, and then the bound is ``L*(hi-lo) / (2*10^6)`` (5e-7 for L = 1 on [0, 1]).
     """
     if not mu_lower <= mu_upper:
         raise InvalidInterval(f"[{mu_lower}, {mu_upper}] is empty")

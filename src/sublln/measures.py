@@ -8,8 +8,8 @@ martingale decompositions for horizons up to ``DEFAULT_ENUM_STEPS``,
 verifies the conditional mean containment and Chatterji's moment
 inequality, and draws reproducible Monte Carlo paths for larger horizons.
 :class:`PathMeasure` is the engine's own class, re-exported here; every
-entry point admits its measure through the engine's ``_admit``, and a sum
-rule reads the same lattice sum here as in the engine's forward kernel.
+entry point admits its measure through the engine's ``_admit``, and every
+sum or history rule is called through the engine's ``_rule_weights``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .engine import (
     PathMeasure,
     SupportOverflow,
     _admit,
-    _lattice_sums,
+    _rule_weights,
     expectation_under_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     iid_sum_expectations,
@@ -157,7 +157,7 @@ def conditional_means(
 ) -> MartingaleDecomposition:
     """Exact conditional means by full path enumeration, for n up to ``DEFAULT_ENUM_STEPS``.
 
-    A sum rule gets each path's lattice sum, carried as its integer coordinate sum.
+    A sum or history rule reads each path through the engine's ``_rule_weights``.
     """
     _admit(family, measure, n)
     if n > DEFAULT_ENUM_STEPS:
@@ -175,12 +175,9 @@ def conditional_means(
         rows = paths.shape[0]
         if measure.depends_on == "none":
             omega = np.tile(measure.mixture_weights(k), (rows, 1))
-        elif measure.depends_on == "sum":
-            totals = _lattice_sums(family.lattice, k, coord_sums).tolist()
-            omega = np.stack([measure.mixture_weights(k, total=t) for t in totals])
-            coord_sums = (coord_sums[:, None] + coords).reshape(-1)
         else:
-            omega = np.stack([measure.mixture_weights(k, history=tuple(path)) for path in paths])
+            omega = _rule_weights(measure, family.lattice, k, coord_sums, paths)
+            coord_sums = (coord_sums[:, None] + coords).reshape(-1)
         q = omega @ w_matrix.T
         cm = q @ atoms
         paths = np.hstack([np.repeat(paths, n_atoms, axis=0), np.tile(atoms, rows)[:, None]])
@@ -290,7 +287,8 @@ def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, coun
     thresholds are built once per call, atom-major, so each comparison
     broadcasts one contiguous row over the block, and counted in the
     smallest unsigned dtype that holds ``last`` (one byte up to 256 atoms);
-    a sum or history rule is called once per (path, step) by ``_rule_indices``.
+    a sum or history rule is called once per (path, step) through
+    ``_rule_weights``.
     """
     coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
@@ -310,29 +308,22 @@ def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, coun
             for row in thresholds:
                 np.greater_equal(m, row, out=mask)
                 idx += mask.view(np.uint8)
+            yield p0, atoms.take(idx.astype(np.intp))
         else:
-            idx = _rule_indices(family.lattice, measure, m, coords, atoms, w_matrix)
-        yield p0, atoms.take(idx.astype(np.intp))
+            yield p0, _rule_paths(family.lattice, measure, m, coords, atoms, w_matrix)
 
 
-def _rule_indices(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> np.ndarray:
-    """Atom indices of one block under a sum rule (fed each path's lattice sum) or a history rule."""
-    idx = np.empty(m.shape, dtype=np.intp)
+def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> np.ndarray:
+    """Atom values of one block under a sum or history rule, each step's weights from ``_rule_weights``."""
+    paths = np.empty(m.shape)
     coord_sums = np.zeros(len(m), dtype=np.int64)
-    histories: list[tuple[float, ...]] = [()] * len(m)
     for k in range(m.shape[1]):
-        if measure.depends_on == "sum":
-            totals = _lattice_sums(lattice, k, coord_sums).tolist()
-            weights = [measure.mixture_weights(k, total=t) for t in totals]
-        else:
-            weights = [measure.mixture_weights(k, history=h) for h in histories]
+        weights = _rule_weights(measure, lattice, k, coord_sums, paths[:, :k])
         cum = np.cumsum([w_matrix @ w for w in weights], axis=1)[:, :-1]
-        np.sum(m[:, k, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1, out=idx[:, k])
-        if measure.depends_on == "sum":
-            coord_sums += coords.take(idx[:, k])
-        else:
-            histories = [h + (a,) for h, a in zip(histories, atoms.take(idx[:, k]).tolist())]
-    return idx
+        idx = np.sum(m[:, k, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
+        coord_sums += coords.take(idx)
+        paths[:, k] = atoms.take(idx)
+    return paths
 
 
 def sample_paths(

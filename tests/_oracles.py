@@ -318,9 +318,12 @@ def per_step_sampler(family, measure, n, count, seed):
 
     The sampler as it stood before paths were drawn in blocks: all
     ``count * n`` uniforms in one array, and the atom of (path p, step k)
-    is ``min(searchsorted(cum_k, u[p, k], side="right"), last)``.
+    is ``min(searchsorted(cum_k, u[p, k], side="right"), last)``.  A sum
+    rule reads ``k*origin + coord*step``, coord the integer coordinate sum
+    of the first k atoms.
     """
-    _, atoms, w_matrix = family.union_atoms()
+    coords, atoms, w_matrix = family.union_atoms()
+    lat = family.lattice
     last = len(atoms) - 1
     out = np.empty((count, n))
     if count == 0:
@@ -334,15 +337,15 @@ def per_step_sampler(family, measure, n, count, seed):
         return out
     for pth in range(count):
         hist = ()
-        total = 0.0
+        coord = 0
         for k in range(n):
-            w = measure.mixture_weights(k, total=total, history=hist)
+            w = measure.mixture_weights(k, total=k * lat.origin + coord * lat.step, history=hist)
             cum = np.cumsum(w_matrix @ w)
             u = unit_at(seed, pth * n + k)
             a = min(int(np.searchsorted(cum, u, side="right")), last)
             out[pth, k] = atoms[a]
             hist = hist + (float(atoms[a]),)
-            total += float(atoms[a])
+            coord += int(coords[a])
     return out
 
 

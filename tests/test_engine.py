@@ -301,6 +301,38 @@ class TestValueTable:
         assert table.root == iid_sum_expectation(DELTA_PAIR, n, phi)
 
 
+@pytest.mark.parametrize("name", [*corpus_families(), "fine_lattice"])
+def test_whole_tables_follow_the_recursion(name):
+    """Every reachable entry of the value table and the argmax policy, recomputed in Python floats.
+
+    A member's value is the left-to-right sum ``w_0*v[i+s_0] + w_1*v[i+s_1] + ...``
+    over its atoms in increasing value order, read from ``values[k+1]``; the
+    entry is the maximum over members and the selection the lowest member
+    index that attains it.
+    """
+    family = FINE_LATTICE if name == "fine_lattice" else corpus_families()[name]
+    for i, phi in enumerate(catalog_for(family)):
+        for n in (1, 5, 16):
+            table = value_table(family, n, phi)
+            policy = extract_argmax_policy(family, n, phi)
+            support = table.support
+            assert policy.support.masks[n].tolist() == support.masks[n].tolist()
+            for k in range(n):
+                v_next = table.values[k + 1].tolist()
+                for s in support.reachable_values(k).tolist():
+                    members = []
+                    for member in family.members:
+                        terms = [w * v_next[support.dense_index(k + 1, s + v)] for v, w in member.atoms]
+                        total = terms[0]
+                        for term in terms[1:]:
+                            total = total + term
+                        members.append(total)
+                    best = max(members)
+                    j = support.dense_index(k, s)
+                    assert table.values[k][j] == best, (name, i, n, k, s)
+                    assert policy.selections[k][j] == members.index(best), (name, i, n, k, s)
+
+
 class TestArgmaxPolicy:
     def test_constant_upper(self):
         policy = extract_argmax_policy(DELTA_PAIR, 2, lambda x: x)

@@ -52,6 +52,10 @@ class TestIntervalMax:
         assert res.max_value >= -res.grid_error_bound
         assert abs(res.argmax_r - 0.37) <= 1e-3
 
+    def test_grid_cap_sets_the_error_bound(self):
+        # L*(hi-lo) = 1 > 2e-3, so the 10^6-interval cap binds and the bound is L*(hi-lo)/(2*10^6)
+        assert interval_max(abs_dev(0.5), 0.0, 1.0).grid_error_bound == 1.0 * 1.0 / (2 * 10**6)
+
     def test_degenerate_interval(self):
         res = interval_max(abs_dev(0.0), 0.5, 0.5)
         assert res == type(res)(0.5, 0.5, 0.0)

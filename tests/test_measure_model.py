@@ -84,19 +84,45 @@ def sum_rule_measure(n):
 
 
 @pytest.mark.parametrize("block", [1, 9, 50, 64])
-@pytest.mark.parametrize("make", [sum_rule_measure, lambda n: history_parity_measure(THREE_ATOM, n)], ids=["sum", "history"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: (THREE_ATOM, sum_rule_measure(n)),
+        lambda n: (THREE_ATOM, history_parity_measure(THREE_ATOM, n)),
+        lambda n: (TENTH, PathMeasure.from_sum_rule(recording_threshold_rule([]), n, 2)),
+    ],
+    ids=["sum", "history", "tenth-sum"],
+)
 def test_rule_sampling_over_several_blocks(make, block):
     n, count, seed = 9, 61, 8
-    measure = make(n)
-    want = per_step_sampler(THREE_ATOM, measure, n, count, seed)
+    family, measure = make(n)
+    want = per_step_sampler(family, measure, n, count, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_UNIFORMS", block)
         assert -(-count // max(1, block // n)) > 1  # more than one block
-        paths = sample_paths(THREE_ATOM, measure, n, count, seed)
-        sums = sample_path_sums(THREE_ATOM, measure, n, count, seed)
+        paths = sample_paths(family, measure, n, count, seed)
+        sums = sample_path_sums(family, measure, n, count, seed)
     assert np.array_equal(bits(paths), bits(want))
     assert np.array_equal(bits(sums), bits(paths.sum(axis=1)))
     assert np.array_equal(bits(sums), bits(want.sum(axis=1)))
+
+
+def test_history_rules_see_python_floats():
+    n = 4
+    forward, enumerated, sampled = [], [], []
+
+    def recording_history_rule(seen):
+        def rule(step, history):
+            seen.extend(type(h) for h in history)
+            return np.array([0.0, 1.0]) if sum(history) > 0.3 else np.array([1.0, 0.0])
+
+        return rule
+
+    expectation_under_policy(TENTH, n, lambda x: x, PathMeasure.from_history_rule(recording_history_rule(forward), n, 2))
+    conditional_means(TENTH, PathMeasure.from_history_rule(recording_history_rule(enumerated), n, 2), n)
+    sample_paths(TENTH, PathMeasure.from_history_rule(recording_history_rule(sampled), n, 2), n, 50, seed=3)
+    for seen in (forward, enumerated, sampled):
+        assert seen and all(t is float for t in seen)
 
 
 def test_sum_rule_sampling_never_builds_every_path(monkeypatch):
