@@ -47,7 +47,8 @@ grouping does not change a value.
 
 :func:`value_table` and :func:`extract_argmax_policy` are this sweep with one
 row on :class:`SumSupport`, the reduced lattice plus every step's reachable
-mask, recording every step: the raw indices of ``SumSupport.masks``,
+mask, recording every step's values or (only for the policy) its lowest
+maximizing member: the raw indices of ``SumSupport.masks``,
 ``ValueTable.values`` and ``SelectionPolicy.selections`` are reduced, index
 i at step k standing for the coordinate ``k * k_min + i * gcd``.
 
@@ -272,11 +273,19 @@ def _row_groups(horizons: list[int], span: int) -> list[list[int]]:
     return groups
 
 
-def _sweep(grid: _Grid, phi: Callable, horizons: list[int], masks, record: list | None = None) -> np.ndarray:
+def _sweep(
+    grid: _Grid,
+    phi: Callable,
+    horizons: list[int],
+    masks,
+    values: list | None = None,
+    selections: list | None = None,
+) -> np.ndarray:
     """Root values for distinct descending horizons by one backward sweep from ``horizons[0]``.
 
-    ``record``, for one horizon n, gets copies of each step's values and its lowest maximizing
-    member, from step n (member ``None``) down to 0.
+    For one horizon n, ``values`` gets copies of each step's values from step n down to 0, and
+    ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members are
+    only tracked when ``selections`` is given.
     """
     rows, span = len(horizons), grid.span
     cur, nxt, acc, tmp = (np.zeros((rows, grid.size(horizons[0]))) for _ in range(4))
@@ -285,13 +294,15 @@ def _sweep(grid: _Grid, phi: Callable, horizons: list[int], masks, record: list 
         if joined < rows and horizons[joined] == k:
             _terminal(grid, k, masks[k], phi, cur[joined, : k * span + 1])
             joined += 1
-            if record is not None:
-                record.append((cur[0, : k * span + 1].copy(), None))
+            if values is not None:
+                values.append(cur[0, : k * span + 1].copy())
         size = (k - 1) * span + 1
-        sel = None if record is None else np.zeros((1, size), dtype=np.int32)
+        sel = None if selections is None else np.zeros((1, size), dtype=np.int32)
         _step(cur[:joined], grid, nxt[:joined, :size], acc[:joined, :size], tmp[:joined, :size], sel)
-        if record is not None:
-            record.append((nxt[0, :size].copy(), sel[0]))
+        if values is not None:
+            values.append(nxt[0, :size].copy())
+        if selections is not None:
+            selections.append(sel[0])
         cur, nxt = nxt, cur
     return cur[:, 0]
 
@@ -518,9 +529,9 @@ def value_table(
 ) -> ValueTable:
     """Full backward-recursion table for ``phi(S_n / n)``."""
     support = build_support(family, n, state_cap)
-    steps: list = []
-    _sweep(support, phi, [n], support.masks, steps)
-    return ValueTable(support, tuple(values for values, _ in reversed(steps)))
+    values: list = []
+    _sweep(support, phi, [n], support.masks, values=values)
+    return ValueTable(support, tuple(reversed(values)))
 
 
 def extract_argmax_policy(
@@ -531,9 +542,9 @@ def extract_argmax_policy(
 ) -> SelectionPolicy:
     """Lowest-index maximizing member at every reachable (step, sum) state."""
     support = build_support(family, n, state_cap)
-    steps: list = []
-    _sweep(support, phi, [n], support.masks, steps)
-    sels = tuple(sel for _, sel in reversed(steps[1:]))
+    selections: list = []
+    _sweep(support, phi, [n], support.masks, selections=selections)
+    sels = tuple(reversed(selections))
     for sel, mask in zip(sels, support.masks):
         sel[~mask] = -1
     return SelectionPolicy(support, sels)

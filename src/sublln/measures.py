@@ -32,6 +32,7 @@ from .engine import (
     PathMeasure,
     SupportOverflow,
     _admit,
+    _lattice_sums,
     _rule_weights,
     expectation_under_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
@@ -272,10 +273,43 @@ def _check_sampling(family: AmbiguityFamily, measure: PathMeasure, n: int, count
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
-def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int):
-    """Yield ``(first_path, atom_values)`` for consecutive blocks of whole paths.
+def _exact_lattice_sums(family: AmbiguityFamily, n: int) -> bool:
+    """Whether every float sum of n union atoms, in any order, equals ``_lattice_sums`` of its coordinate sum.
 
-    The inverse-CDF kernel of every measure.  Each block of about
+    ``origin``, ``step`` and the atoms are finite floats, so each is an
+    integer multiple of ``2^-e`` for the largest exponent e of their
+    denominators.  While n times the largest magnitude among the terms of
+    ``_lattice_sums(lattice, n, C)`` (``origin`` and ``c * step`` per
+    atom) and the atoms stays below ``2^(53-e)``, every partial sum of n
+    atoms, ``n * origin``, ``C * step`` and their sum are multiples of
+    ``2^-e`` below ``2^53 * 2^-e`` in magnitude, hence exact.  If every
+    atom also equals ``origin + c*step`` in floats, both sides are the
+    same exact number and the same bits.  That test rules out an atom 1
+    ulp off the lattice, and an atom ``-0.0``: whether a sum of ``-0.0``
+    keeps its sign depends on where the reduction starts, while
+    ``_lattice_sums`` gives ``+0.0``.  A step of 0.1 is a multiple of
+    ``2^-55`` only, so it passes only while n times the largest term stays
+    below 1/4.
+    """
+    coords, atoms, _ = family.union_atoms()
+    lattice = family.lattice
+    if not np.array_equal(atoms.view(np.uint64), _lattice_sums(lattice, 1, coords).view(np.uint64)):
+        return False
+    ratios = [x.as_integer_ratio() for x in (lattice.origin, lattice.step, *atoms.tolist())]
+    scale = max(den for _, den in ratios)  # 2^e
+    origin, step, *scaled = (num * (scale // den) for num, den in ratios)
+    largest = max(abs(origin), max(map(abs, coords.tolist())) * step, *map(abs, scaled))
+    return n * largest < 2**53
+
+
+def _stepwise_blocks(
+    family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int, coord_sums: bool = False
+):
+    """Yield ``(first_path, block)`` for consecutive blocks of whole paths.
+
+    ``block`` holds the atom values ``(rows, n)``, or with ``coord_sums``
+    each path's integer coordinate sum ``(rows,)`` as int64.  The
+    inverse-CDF kernel of every measure.  Each block of about
     ``_BLOCK_UNIFORMS`` uniforms draws its slice
     ``[first_path*n, (first_path+rows)*n)`` of the stream, as 53-bit
     mantissas m (``u = m * 2^-53``), through counter offsets built once per
@@ -283,19 +317,31 @@ def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, coun
     ``sum_{j<last} (m >= ceil(cum_k[j] * 2^53))``: scaling by 2^53 is exact,
     so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
     ``min(searchsorted(cum_k, u, side="right"), last)`` as every CDF
-    ``cum_k`` is nondecreasing.  A ``depends_on == "none"`` measure's
-    thresholds are built once per call, atom-major, so each comparison
-    broadcasts one contiguous row over the block, and counted in the
-    smallest unsigned dtype that holds ``last`` (one byte up to 256 atoms);
-    a sum or history rule is called once per (path, step) through
-    ``_rule_weights``.
+    ``cum_k`` is nondecreasing.
+
+    A ``depends_on == "none"`` measure's thresholds are built once per call,
+    atom-major.  When every step's thresholds are equal (every
+    :meth:`PathMeasure.constant`, so P* and the uniform mixture), each is
+    compared as a Python-int scalar; otherwise each comparison broadcasts
+    one contiguous row over the block.  Boundary j adds its increment
+    wherever ``m >= t_j``, in the smallest unsigned dtype that holds the
+    total: 1 for an atom index, which is then gathered, or the coordinate
+    gap ``coords[j+1] - coords[j]`` for a coordinate sum, each row then
+    summed in the smallest unsigned dtype that holds n times that total,
+    widened to int64 and offset by ``n * coords[0]``.  A unit increment is
+    the bool mask viewed as uint8.  A sum or history rule is called once
+    per (path, step) through ``_rule_weights``.
     """
     coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
     if measure.depends_on == "none":
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
         thresholds = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
-    count_dtype = np.min_scalar_type(last)
+        if (thresholds == thresholds[:, :1]).all():
+            thresholds = thresholds[:, 0].tolist()
+        increments = np.diff(coords).tolist() if coord_sums else [1] * last
+        count_dtype = np.min_scalar_type(sum(increments))
+        sum_dtype = np.min_scalar_type(n * sum(increments))
     rows = max(1, _BLOCK_UNIFORMS // n)
     offsets = counter_offsets(rows * n)
     buffer = np.empty(rows * n, dtype=np.uint64)
@@ -303,18 +349,25 @@ def _stepwise_blocks(family: AmbiguityFamily, measure: PathMeasure, n: int, coun
         r = min(rows, count - p0)
         m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
         if measure.depends_on == "none":
-            idx = np.zeros((r, n), dtype=count_dtype)
+            acc = np.zeros((r, n), dtype=count_dtype)
             mask = np.empty((r, n), dtype=bool)
-            for row in thresholds:
-                np.greater_equal(m, row, out=mask)
-                idx += mask.view(np.uint8)
-            yield p0, atoms.take(idx.astype(np.intp))
+            for t, inc in zip(thresholds, increments):
+                np.greater_equal(m, t, out=mask)
+                if inc == 1:
+                    acc += mask.view(np.uint8)
+                else:
+                    acc += mask.view(np.uint8) * count_dtype.type(inc)
+            if coord_sums:
+                yield p0, acc.sum(axis=1, dtype=sum_dtype).astype(np.int64) + n * int(coords[0])
+            else:
+                yield p0, atoms.take(acc.astype(np.intp))
         else:
-            yield p0, _rule_paths(family.lattice, measure, m, coords, atoms, w_matrix)
+            paths, sums = _rule_paths(family.lattice, measure, m, coords, atoms, w_matrix)
+            yield p0, sums if coord_sums else paths
 
 
-def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> np.ndarray:
-    """Atom values of one block under a sum or history rule, each step's weights from ``_rule_weights``."""
+def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Atom values and integer coordinate sums of one block under a sum or history rule, via ``_rule_weights``."""
     paths = np.empty(m.shape)
     coord_sums = np.zeros(len(m), dtype=np.int64)
     for k in range(m.shape[1]):
@@ -323,7 +376,7 @@ def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_m
         idx = np.sum(m[:, k, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
         coord_sums += coords.take(idx)
         paths[:, k] = atoms.take(idx)
-    return paths
+    return paths, coord_sums
 
 
 def sample_paths(
@@ -358,13 +411,19 @@ def sample_path_sums(
 ) -> np.ndarray:
     """Per-path sums of :func:`sample_paths`, bit for bit ``sample_paths(...).sum(axis=1)``.
 
-    Each block is summed row by row as it is drawn (numpy's row reduction
-    depends only on the row), so memory is one block plus the ``count`` sums.
+    When ``_exact_lattice_sums`` proves every float sum of n atoms exact
+    (every shipped config and corpus family), each path's sum is
+    ``_lattice_sums(lattice, n, C)`` of its integer coordinate sum C and
+    no atom is gathered.  Otherwise (a step such as 0.1) each block is
+    gathered and summed row by row as it is drawn (numpy's row reduction
+    depends only on the row).  Either way memory is one block plus the
+    ``count`` sums.
     """
     _check_sampling(family, measure, n, count, seed)
+    exact = _exact_lattice_sums(family, n)
     out = np.empty(count)
-    for p0, block in _stepwise_blocks(family, measure, n, count, seed):
-        out[p0 : p0 + len(block)] = block.sum(axis=1)
+    for p0, block in _stepwise_blocks(family, measure, n, count, seed, coord_sums=exact):
+        out[p0 : p0 + len(block)] = _lattice_sums(family.lattice, n, block) if exact else block.sum(axis=1)
     return out
 
 
