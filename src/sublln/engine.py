@@ -55,16 +55,16 @@ i at step k standing for the coordinate ``k * k_min + i * gcd``.
 The forward kernel
 ------------------
 :func:`expectation_under_policy` propagates probability mass forward over
-the same reduced dense window, one step at a time, for a
-:class:`SelectionPolicy` and for a :class:`PathMeasure` whose rule reads
-nothing or the running sum.  All three run one loop.  Every evaluator, here
-and in :mod:`sublln.measures`, admits a measure once with ``_admit`` and
-calls a sum or history rule through ``_rule_weights``: a sum rule reads the
+the same reduced dense window, one step at a time, for a policy (admitted as
+``PathMeasure.from_policy``) and for a measure whose rule reads nothing or
+the running sum.  All run one loop.  Every evaluator, here and in
+:mod:`sublln.measures`, admits a measure once with ``_admit`` and reads its
+rule or policy selections through ``_rule_weights``: a sum rule reads the
 lattice sum ``k*origin + coord*step`` (coord the integer coordinate sum of
 the atoms), a history rule the realized atoms as Python floats.
 
 * **Weight layout.**  Each step first gets its member weights: a
-  ``(members,)`` vector for a "none" measure (one rule call), or a
+  ``(members,)`` vector for a "none" measure (checked once per step), or a
   ``(members, states)`` array otherwise.  A policy is the one-hot case
   ``arange(members)[:, None] == selection``, as floats; a sum rule is
   called once per reachable state and leaves unreachable states at weight
@@ -76,13 +76,10 @@ the atoms), a history rule the realized atoms as Python floats.
   the inputs alone.  The products go through one scratch buffer; with the
   float one-hot rows this keeps the policy pass as fast as masking the
   mass member by member.
-* **Histories stay separate.**  A rule that reads the realized history has
-  no sum-state weights to tabulate, so ``_forward_history_rule`` walks the
-  history tree instead.  It prunes zero-probability branches and caps the
-  nodes it visits, unlike ``measures.conditional_means``, which keeps
-  zero-probability paths, holds every path and stops at
-  ``measures.DEFAULT_ENUM_STEPS`` steps; merging the two walkers would need
-  a flag or shrink the horizons the walk accepts.
+* **One history walker.**  A rule that reads the realized history has no
+  sum-state weights to tabulate, so the forward pass walks the history tree
+  with ``_walk_histories``, as ``measures.conditional_means`` does, and adds
+  the leaves into the window in the order of a depth-first walk.
 """
 
 from __future__ import annotations
@@ -189,9 +186,11 @@ def _grid(family: AmbiguityFamily) -> _Grid:
     k_max = max(int(c.max()) for c in coords)
     shifts = [[int(c) - k_min for c in member] for member in coords]
     g = math.gcd(*(s for member in shifts for s in member)) or 1
+    # divide out the residual of up to WEIGHT_TOL that validation accepts; each step would compound it
+    totals = [math.fsum(w for _, w in m.atoms) for m in family.members]
     terms = tuple(
-        tuple((float(w), s // g) for w, s in zip(m.weights, member))
-        for m, member in zip(family.members, shifts)
+        tuple((w / total, s // g) for (_, w), s in zip(m.atoms, member))
+        for m, total, member in zip(family.members, totals, shifts)
     )
     lat = family.lattice
     return _Grid(lat.origin, lat.step, k_min, k_max, g, (k_max - k_min) // g, terms)
@@ -438,7 +437,7 @@ class PathMeasure:
     history tree.
     """
 
-    __slots__ = ("horizon", "member_count", "depends_on", "name", "_rule")
+    __slots__ = ("horizon", "member_count", "depends_on", "name", "policy", "_rule", "_checked")
 
     def __init__(self, horizon: int, member_count: int, rule: Callable, depends_on: str, name: str):
         if depends_on not in ("none", "sum", "history"):
@@ -447,15 +446,22 @@ class PathMeasure:
         self.member_count = int(member_count)
         self.depends_on = depends_on
         self.name = name
+        self.policy: SelectionPolicy | None = None
         self._rule = rule
+        self._checked: dict[int, np.ndarray] = {}
 
     def __repr__(self):
         return f"PathMeasure({self.name!r}, horizon={self.horizon}, depends_on={self.depends_on!r})"
 
     def mixture_weights(self, step: int, total: float | None = None, history: tuple | None = None) -> np.ndarray:
+        """Checked member weights at ``step``; a ``"none"`` measure's are checked once per step and read-only."""
         if self.depends_on == "none":
-            w = self._rule(step)
-        elif self.depends_on == "sum":
+            w = self._checked.get(step)
+            if w is None:
+                w = self._checked[step] = _check_weights(self._rule(step), self.member_count)
+                w.flags.writeable = False
+            return w
+        if self.depends_on == "sum":
             if total is None:
                 raise PolicyIncomplete(f"measure {self.name!r} needs the running sum")
             w = self._rule(step, total)
@@ -480,16 +486,20 @@ class PathMeasure:
 
     @classmethod
     def from_policy(cls, policy: SelectionPolicy, member_count: int, name: str = "policy") -> "PathMeasure":
+        """The policy as a measure that carries it; ``mixture_weights`` answers through ``member_at``."""
+
         def rule(step, total):
             w = np.zeros(member_count)
             w[policy.member_at(step, total)] = 1.0
             return w
 
-        return cls(policy.horizon, member_count, rule, "sum", name)
+        measure = cls(policy.horizon, member_count, rule, "sum", name)
+        measure.policy = policy
+        return measure
 
 
 def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
-    """Valid family, n >= 1, horizon >= n and the family's member count; ``mixture_weights`` checks the rest."""
+    """Valid family, n >= 1, horizon >= n, the family's member count and lattice; weights are checked on use."""
     _require_valid(family)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -499,6 +509,10 @@ def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
         raise PolicyIncomplete(
             f"mixture weights have shape ({measure.member_count},), expected ({len(family.members)},)"
         )
+    if measure.policy is not None:
+        lattice = operator.attrgetter("origin", "step", "k_min", "k_max", "gcd")
+        if lattice(measure.policy.support) != lattice(_grid(family)):
+            raise PolicyIncomplete("policy was extracted for a different lattice grid")
 
 
 def iid_sum_expectation(
@@ -562,12 +576,23 @@ def _check_weights(w, member_count: int) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
-def _rule_weights(measure: PathMeasure, lattice, k: int, coords, histories) -> np.ndarray:
-    """Step-k weights ``(rows, members)`` of a sum or history rule; the one place such a rule is called.
+def _rule_weights(measure: PathMeasure, lattice, k: int, coords: np.ndarray, histories) -> np.ndarray:
+    """Step-k weights ``(rows, members)`` of the rows of ``coords``; the one place a rule is called.
 
-    A sum rule gets the lattice sum of each row's coordinate sum in ``coords``,
-    a history rule each row of the atom array ``histories`` as Python floats.
+    A ``"none"`` vector is tiled, a policy's selections at each row's integer
+    coordinate sum become one-hot rows, a sum rule gets the lattice sum of
+    that coordinate sum, a history rule each row of ``histories`` as floats.
     """
+    if measure.depends_on == "none":
+        return np.tile(measure.mixture_weights(k), (len(coords), 1))
+    if measure.policy is not None:
+        support = measure.policy.support
+        sel = measure.policy.selections[k][(coords - k * support.k_min) // support.gcd]
+        holes = np.flatnonzero(sel < 0)
+        if holes.size:
+            total = float(_lattice_sums(lattice, k, coords[holes[0]]))
+            raise PolicyIncomplete(f"no selection at step {k}, sum {total!r}")
+        return (sel[:, None] == np.arange(measure.member_count)).astype(float)
     if measure.depends_on == "sum":
         totals = _lattice_sums(lattice, k, coords).tolist()
         return np.array([measure.mixture_weights(k, total=t) for t in totals])
@@ -576,8 +601,9 @@ def _rule_weights(measure: PathMeasure, lattice, k: int, coords, histories) -> n
 
 def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndarray:
     """Member weights of step k: ``(members,)`` for a ``"none"`` measure, else ``(members, states)``."""
-    if isinstance(measure, SelectionPolicy):
-        sel = measure.selections[k][: support.size(k)]
+    policy = measure if isinstance(measure, SelectionPolicy) else measure.policy
+    if policy is not None:
+        sel = policy.selections[k][: support.size(k)]
         bad = support.masks[k] & (sel < 0)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
@@ -611,27 +637,37 @@ def _forward(n: int, support: SumSupport, measure) -> np.ndarray:
     return mass
 
 
-def _forward_history_rule(family, n, support, measure, state_cap: int) -> np.ndarray:
-    coords, values, w_matrix = family.union_atoms()
-    mass = np.zeros(support.size(n))
+def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: int | None) -> tuple[np.ndarray, ...]:
+    """``(paths, coord_sums, probs, cond_means)`` of n draws, by one level-by-level walk of the history tree.
+
+    Rows are in lexicographic order of the atom indices; a level's rows share
+    one ``_rule_weights`` call, and a child's probability is its parent's
+    times ``q = omega @ w_matrix.T``.  With ``cap`` None every child is kept;
+    otherwise children of zero ``q`` are dropped and ``SupportOverflow`` is
+    raised before a level takes the live children of all levels past ``cap``.
+    The walk holds one level of paths at a time.
+    """
+    coords, atoms, w_matrix = family.union_atoms()
+    paths = np.zeros((1, 0))
+    cmeans = np.zeros((1, 0))
+    probs = np.array([1.0])
+    coord_sums = np.zeros(1, dtype=np.int64)
     visited = 0
-    stack: list[tuple[int, int, float, tuple[float, ...]]] = [(0, 0, 1.0, ())]
-    while stack:
-        k, coord, prob, hist = stack.pop()
-        if k == n:
-            mass[(coord - n * support.k_min) // support.gcd] += prob
-            continue
-        q = w_matrix @ _rule_weights(measure, support, k, None, np.array([hist]))[0]
-        for a in range(len(coords)):
-            if q[a] == 0.0:
-                continue
-            visited += 1
-            if visited > state_cap:
-                raise SupportOverflow(
-                    f"history-dependent forward pass exceeds the cap of {state_cap} paths"
-                )
-            stack.append((k + 1, coord + int(coords[a]), prob * float(q[a]), hist + (values[a],)))
-    return mass
+    for k in range(n):
+        q = _rule_weights(measure, family.lattice, k, coord_sums, paths) @ w_matrix.T
+        if cap is None:
+            counts, atom, child_q = len(atoms), np.tile(np.arange(len(atoms)), len(q)), q.reshape(-1)
+        else:
+            keep = q != 0.0
+            visited += int(np.count_nonzero(keep))
+            if visited > cap:
+                raise SupportOverflow(f"history-dependent forward pass exceeds the cap of {cap} paths")
+            counts, atom, child_q = keep.sum(axis=1), np.nonzero(keep)[1], q[keep]
+        paths = np.hstack([np.repeat(paths, counts, axis=0), atoms[atom][:, None]])
+        cmeans = np.hstack([np.repeat(cmeans, counts, axis=0), np.repeat(q @ atoms, counts)[:, None]])
+        probs = np.repeat(probs, counts) * child_q
+        coord_sums = np.repeat(coord_sums, counts) + coords[atom]
+    return paths, coord_sums, probs, cmeans
 
 
 def expectation_under_policy(
@@ -643,28 +679,24 @@ def expectation_under_policy(
 ) -> float:
     """Exact expectation of ``phi(S_n / n)`` under a policy or mixture measure.
 
-    ``policy`` is a :class:`SelectionPolicy` or a :class:`PathMeasure`
-    (admitted once by ``_admit``); anything else raises ``TypeError``.  The
-    probability mass is propagated exactly (over sum states, or over the
-    history tree when the rule is genuinely history-dependent) and the
-    terminal distribution is averaged against phi.  The family and n are
-    checked by :func:`build_support`.
+    ``policy`` is a :class:`PathMeasure` or a :class:`SelectionPolicy`, taken
+    as ``PathMeasure.from_policy`` and admitted once by ``_admit``; anything
+    else raises ``TypeError``.  The probability mass is propagated exactly
+    (over sum states, or over the history tree when the rule is genuinely
+    history-dependent) and the terminal distribution is averaged against
+    phi.  The family and n are checked by :func:`build_support`.
     """
     support = build_support(family, n, state_cap)
     if isinstance(policy, SelectionPolicy):
-        if policy.horizon < n:
-            raise PolicyIncomplete(f"policy horizon {policy.horizon} is shorter than n={n}")
-        lattice = operator.attrgetter("origin", "step", "k_min", "k_max", "gcd")
-        if lattice(policy.support) != lattice(support):
-            raise PolicyIncomplete("policy was extracted for a different lattice grid")
-        mass = _forward(n, support, policy)
-    elif isinstance(policy, PathMeasure):
-        _admit(family, policy, n)
-        if policy.depends_on == "history":
-            mass = _forward_history_rule(family, n, support, policy, state_cap)
-        else:
-            mass = _forward(n, support, policy)
-    else:
+        policy = PathMeasure.from_policy(policy, len(family.members))
+    if not isinstance(policy, PathMeasure):
         raise TypeError(f"unsupported policy object: {policy!r}")
+    _admit(family, policy, n)
+    if policy.depends_on == "history":
+        _, coord_sums, probs, _ = _walk_histories(family, policy, n, state_cap)
+        mass = np.zeros(support.size(n))
+        # reversed rows add the paths in the order of a depth-first walk
+        np.add.at(mass, ((coord_sums - n * support.k_min) // support.gcd)[::-1], probs[::-1])
+    else:
+        mass = _forward(n, support, policy)
     return pairwise_total(mass[support.masks[n]] * _eval_phi(phi, support.reachable_values(n) / n))
-

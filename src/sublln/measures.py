@@ -8,8 +8,8 @@ martingale decompositions for horizons up to ``DEFAULT_ENUM_STEPS``,
 verifies the conditional mean containment and Chatterji's moment
 inequality, and draws reproducible Monte Carlo paths for larger horizons.
 :class:`PathMeasure` is the engine's own class, re-exported here; every
-entry point admits its measure through the engine's ``_admit``, and every
-sum or history rule is called through the engine's ``_rule_weights``.
+entry point admits its measure through the engine's ``_admit``, reads every
+rule and policy through its ``_rule_weights`` and enumerates with its walker.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .engine import (
     _admit,
     _lattice_sums,
     _rule_weights,
+    _walk_histories,
     expectation_under_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     iid_sum_expectations,
@@ -158,32 +159,15 @@ def conditional_means(
 ) -> MartingaleDecomposition:
     """Exact conditional means by full path enumeration, for n up to ``DEFAULT_ENUM_STEPS``.
 
-    A sum or history rule reads each path through the engine's ``_rule_weights``.
+    The engine's history walker keeps all ``atoms^n`` paths, zero-probability ones too.
     """
     _admit(family, measure, n)
     if n > DEFAULT_ENUM_STEPS:
         raise SupportOverflow(f"exact enumeration is limited to {DEFAULT_ENUM_STEPS} steps, got n={n}")
-    coords, atoms, w_matrix = family.union_atoms()
-    n_atoms = len(atoms)
-    if n_atoms**n > state_cap:
-        raise SupportOverflow(f"{n_atoms}^{n} paths exceed the cap of {state_cap}")
-
-    paths = np.zeros((1, 0))
-    probs = np.array([1.0])
-    cmeans = np.zeros((1, 0))
-    coord_sums = np.zeros(1, dtype=np.int64)
-    for k in range(n):
-        rows = paths.shape[0]
-        if measure.depends_on == "none":
-            omega = np.tile(measure.mixture_weights(k), (rows, 1))
-        else:
-            omega = _rule_weights(measure, family.lattice, k, coord_sums, paths)
-            coord_sums = (coord_sums[:, None] + coords).reshape(-1)
-        q = omega @ w_matrix.T
-        cm = q @ atoms
-        paths = np.hstack([np.repeat(paths, n_atoms, axis=0), np.tile(atoms, rows)[:, None]])
-        cmeans = np.hstack([np.repeat(cmeans, n_atoms, axis=0), np.repeat(cm, n_atoms)[:, None]])
-        probs = (probs[:, None] * q).reshape(-1)
+    atoms = family.union_atoms()[1]
+    if len(atoms) ** n > state_cap:
+        raise SupportOverflow(f"{len(atoms)}^{n} paths exceed the cap of {state_cap}")
+    paths, _, probs, cmeans = _walk_histories(family, measure, n, None)
     return MartingaleDecomposition(measure.name, atoms, paths, probs, cmeans)
 
 
@@ -329,8 +313,8 @@ def _stepwise_blocks(
     gap ``coords[j+1] - coords[j]`` for a coordinate sum, each row then
     summed in the smallest unsigned dtype that holds n times that total,
     widened to int64 and offset by ``n * coords[0]``.  A unit increment is
-    the bool mask viewed as uint8.  A sum or history rule is called once
-    per (path, step) through ``_rule_weights``.
+    the bool mask viewed as uint8.  A rule or policy is read once per
+    (path, step) through ``_rule_weights``.
     """
     coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
@@ -367,7 +351,7 @@ def _stepwise_blocks(
 
 
 def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Atom values and integer coordinate sums of one block under a sum or history rule, via ``_rule_weights``."""
+    """Atom values and integer coordinate sums of one block under a rule or a policy, via ``_rule_weights``."""
     paths = np.empty(m.shape)
     coord_sums = np.zeros(len(m), dtype=np.int64)
     for k in range(m.shape[1]):
