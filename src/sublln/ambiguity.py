@@ -104,6 +104,16 @@ class DiscreteDistribution:
         return np.array([w for _, w in self.atoms], dtype=float)
 
     @property
+    def normalized_weights(self) -> tuple[float, ...]:
+        """Weights divided by their ``math.fsum``, the weights every recursion and sampler reads.
+
+        Validation accepts a total within ``WEIGHT_TOL`` of one; each step of a
+        recursion would compound that residual, so it is divided out here, once.
+        """
+        total = math.fsum(w for _, w in self.atoms)
+        return tuple(w / total for _, w in self.atoms)
+
+    @property
     def mean(self) -> float:
         return math.fsum(v * w for v, w in self.atoms)
 
@@ -157,7 +167,7 @@ class AmbiguityFamily:
         return np.array([lat.coord(v) for v in self.members[index].values], dtype=np.int64)
 
     def union_atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pooled support: (coords, values, W) with W[a, m] = weight of atom a under member m.
+        """Pooled support: (coords, values, W) with W[a, m] = normalized weight of atom a under member m.
 
         Atoms from different members that share a lattice coordinate are
         merged; the representative value is the first one encountered in
@@ -172,7 +182,7 @@ class AmbiguityFamily:
         pos = {int(c): i for i, c in enumerate(coords)}
         w = np.zeros((len(coords), len(self.members)))
         for j, m in enumerate(self.members):
-            for v, weight in m.atoms:
+            for (v, _), weight in zip(m.atoms, m.normalized_weights):
                 w[pos[self.lattice.coord(v)], j] += weight
         return coords, values, w
 

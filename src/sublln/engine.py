@@ -186,11 +186,9 @@ def _grid(family: AmbiguityFamily) -> _Grid:
     k_max = max(int(c.max()) for c in coords)
     shifts = [[int(c) - k_min for c in member] for member in coords]
     g = math.gcd(*(s for member in shifts for s in member)) or 1
-    # divide out the residual of up to WEIGHT_TOL that validation accepts; each step would compound it
-    totals = [math.fsum(w for _, w in m.atoms) for m in family.members]
     terms = tuple(
-        tuple((w / total, s // g) for (_, w), s in zip(m.atoms, member))
-        for m, total, member in zip(family.members, totals, shifts)
+        tuple((w, s // g) for w, s in zip(m.normalized_weights, member))
+        for m, member in zip(family.members, shifts)
     )
     lat = family.lattice
     return _Grid(lat.origin, lat.step, k_min, k_max, g, (k_max - k_min) // g, terms)

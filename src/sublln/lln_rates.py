@@ -63,6 +63,7 @@ __all__ = [
 BOUND_TOL = 1e-9
 
 _MAX_GRID_INTERVALS = 10**6
+_GRID_BLOCK = 1 << 14  # grid points per phi call: 128 KiB per float64 temporary
 
 
 class InvalidInterval(ValueError):
@@ -205,6 +206,11 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
     The true maximum exceeds the reported one by at most ``grid_error_bound = L*h/2``.  The grid
     aims at ``L*h/2 <= 1e-9 * max(1, L*(hi-lo))`` with at most 10^6 intervals; the cap binds once
     ``L*(hi-lo) > 2e-3``, and then the bound is ``L*(hi-lo) / (2*10^6)`` (5e-7 for L = 1 on [0, 1]).
+
+    The grid is ``np.linspace(mu_lower, mu_upper, intervals + 1)`` point for point, built and
+    handed to phi ``_GRID_BLOCK`` points at a time, so phi's temporaries stay in L2.  The first
+    block maximum strictly above the best so far wins, and a NaN ends the search, so the result
+    is ``np.argmax`` of the whole grid: the lowest maximizing index, or the first NaN.
     """
     if not mu_lower <= mu_upper:
         raise InvalidInterval(f"[{mu_lower}, {mu_upper}] is empty")
@@ -214,10 +220,24 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
     L = phi.lipschitz_constant
     target = 1e-9 * max(1.0, L * span)
     intervals = min(_MAX_GRID_INTERVALS, max(1, math.ceil(span * L / (2.0 * target))))
-    grid = np.linspace(mu_lower, mu_upper, intervals + 1)
-    vals = _eval_phi(phi, grid)
-    i = int(np.argmax(vals))
-    return IntervalMaxResult(float(grid[i]), float(vals[i]), L * (span / intervals) / 2.0)
+    # np.linspace's point i is float(i) * step + mu_lower, and its last point is mu_upper.  Its
+    # denormal branch (step == 0) cannot occur: step is span (one interval) or above 1e-9 / L
+    # (the rule above), which is positive as L is finite.
+    step = span / intervals
+    best = None
+    for start in range(0, intervals + 1, _GRID_BLOCK):
+        xs = np.arange(start, min(start + _GRID_BLOCK, intervals + 1), dtype=float)
+        xs *= step
+        xs += mu_lower
+        if start + len(xs) > intervals:
+            xs[-1] = mu_upper
+        vals = _eval_phi(phi, xs)
+        i = int(np.argmax(vals))
+        if best is None or vals[i] > best[1] or math.isnan(vals[i]):
+            best = (float(xs[i]), float(vals[i]))
+            if math.isnan(best[1]):
+                break
+    return IntervalMaxResult(*best, L * step / 2.0)
 
 
 def theorem3_bound(L: float, c_alpha: float, alpha: float, n: int) -> float:

@@ -304,36 +304,58 @@ def _stepwise_blocks(
     ``cum_k`` is nondecreasing.
 
     A ``depends_on == "none"`` measure's thresholds are built once per call,
-    atom-major.  When every step's thresholds are equal (every
-    :meth:`PathMeasure.constant`, so P* and the uniform mixture), each is
-    compared as a Python-int scalar; otherwise each comparison broadcasts
-    one contiguous row over the block.  Boundary j adds its increment
-    wherever ``m >= t_j``, in the smallest unsigned dtype that holds the
-    total: 1 for an atom index, which is then gathered, or the coordinate
-    gap ``coords[j+1] - coords[j]`` for a coordinate sum, each row then
-    summed in the smallest unsigned dtype that holds n times that total,
-    widened to int64 and offset by ``n * coords[0]``.  A unit increment is
-    the bool mask viewed as uint8.  A rule or policy is read once per
-    (path, step) through ``_rule_weights``.
+    atom-major, and each boundary j adds its increment wherever
+    ``m >= t_j``: 1 for an atom index, which is then gathered, or the
+    coordinate gap ``coords[j+1] - coords[j]`` for a coordinate sum.  Since
+    ``0 <= m < 2^53``, a boundary whose threshold is ``2^53`` or above at
+    every step never fires and is dropped, and one whose threshold is 0 at
+    every step always fires and is folded into a base count that every
+    count starts from.  Boundaries with equal thresholds at every step
+    (adjacent, as every CDF is nondecreasing) are merged into one with the
+    summed increment.  When no boundary is left (P* on a single member),
+    every count is the base and no uniform is drawn.  When every step's
+    remaining thresholds are equal (every :meth:`PathMeasure.constant`, so
+    P* and the uniform mixture), each is compared as a Python-int scalar;
+    otherwise each comparison broadcasts one contiguous row over the block.
+    Counts are kept in the smallest unsigned dtype that holds the total of
+    all increments (a unit increment is the bool mask viewed as uint8); a
+    coordinate sum sums each row in the smallest unsigned dtype that holds
+    n times that total, widened to int64 and offset by ``n * coords[0]``.
+    A rule or policy is read once per (path, step) through ``_rule_weights``.
     """
     coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
+    draws = True
     if measure.depends_on == "none":
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
-        thresholds = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
+        table = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
+        table_increments = np.diff(coords).tolist() if coord_sums else [1] * last
+        count_dtype = np.min_scalar_type(sum(table_increments))
+        sum_dtype = np.min_scalar_type(n * sum(table_increments))
+        base, kept, increments = 0, [], []
+        for row, inc in zip(table, table_increments):
+            if row.min() >= 2**53:
+                continue
+            if row.max() <= 0:
+                base += inc
+            elif kept and np.array_equal(row, kept[-1]):
+                increments[-1] += inc
+            else:
+                kept.append(row)
+                increments.append(inc)
+        thresholds = np.array(kept, dtype=np.int64).reshape(len(kept), n)
         if (thresholds == thresholds[:, :1]).all():
             thresholds = thresholds[:, 0].tolist()
-        increments = np.diff(coords).tolist() if coord_sums else [1] * last
-        count_dtype = np.min_scalar_type(sum(increments))
-        sum_dtype = np.min_scalar_type(n * sum(increments))
+        draws = bool(increments)
     rows = max(1, _BLOCK_UNIFORMS // n)
     offsets = counter_offsets(rows * n)
     buffer = np.empty(rows * n, dtype=np.uint64)
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
-        m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
+        if draws:
+            m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
         if measure.depends_on == "none":
-            acc = np.zeros((r, n), dtype=count_dtype)
+            acc = np.full((r, n), base, dtype=count_dtype)
             mask = np.empty((r, n), dtype=bool)
             for t, inc in zip(thresholds, increments):
                 np.greater_equal(m, t, out=mask)

@@ -148,6 +148,27 @@ def grid_upper_variance(family, step=1e-6):
     return float(g[i]), float(mus[i])
 
 
+def linspace_interval_max(phi, lo, hi):
+    """``(argmax_r, max_value, grid_error_bound, intervals)`` of the limit search as it first stood.
+
+    The whole grid is one ``np.linspace`` of ``intervals + 1`` points, phi is
+    evaluated on all of it at once (point by point if that fails), and the
+    maximizer is ``np.argmax`` of the values.
+    """
+    from sublln.engine import _eval_phi
+
+    span = hi - lo
+    if span == 0.0:
+        return lo, float(_eval_phi(phi, np.array([lo]))[0]), 0.0, 0
+    L = phi.lipschitz_constant
+    target = 1e-9 * max(1.0, L * span)
+    intervals = min(10**6, max(1, math.ceil(span * L / (2.0 * target))))
+    grid = np.linspace(lo, hi, intervals + 1)
+    vals = _eval_phi(phi, grid)
+    i = int(np.argmax(vals))
+    return float(grid[i]), float(vals[i]), L * (span / intervals) / 2.0, intervals
+
+
 def dense_interval_max(phi, lo, hi, points=10_000_001, chunk=1_000_000):
     """Brute-force rescan of the interval maximum on a much finer grid."""
     if hi == lo:

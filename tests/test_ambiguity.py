@@ -234,3 +234,13 @@ def test_union_atoms_merges_on_coords():
     assert list(coords) == [1, 2]
     assert list(values) == [0.5, 1.0]
     assert np.allclose(w, [[1.0, 0.25], [0.0, 0.75]])
+
+
+def test_union_atoms_normalizes_drifting_weights():
+    # validation accepts the first member's total of 1 + 9e-13; every reader gets weights that sum to 1
+    fam = AmbiguityFamily.build(0, 1, [[(0, 0.5 + 9e-13), (1, 0.5)], [(0, 0.25), (1, 0.75)]])
+    assert validate_family(fam).ok
+    w = fam.union_atoms()[2]
+    for column in w.T:
+        assert abs(math.fsum(column) - 1.0) <= math.ulp(1.0)
+    assert w[:, 0].tolist() == list(fam.members[0].normalized_weights)

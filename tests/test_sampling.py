@@ -100,9 +100,9 @@ def test_uniform_equal_to_a_cdf_value(path):
 
 
 def test_top_uniform_is_clamped_to_the_last_atom():
-    # member weights sum to 1 - 4e-13, so the largest uniform lies past the CDF's end
-    family = AmbiguityFamily.build(0, 1, [[(0, 0.5), (1, 0.5 - 4e-13)]])
-    measure = uniform_mixture(family, 3)
+    # the mixture weight is 1 - 4e-13, so the largest uniform lies past the CDF's end
+    family = AmbiguityFamily.build(0, 1, [[(0, 0.5), (1, 0.5)]])
+    measure = PathMeasure.constant([1.0 - 4e-13], 3)
     top = 1.0 - 2.0**-53
     assert np.cumsum(family.union_atoms()[2] @ measure.mixture_weights(0))[-1] < top
     seed = seed_with_unit_at(4, top)

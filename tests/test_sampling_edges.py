@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from _oracles import per_step_sampler, seed_with_unit_at
 from sublln import measures
 from sublln.ambiguity import AmbiguityFamily
-from sublln.measures import sample_path_sums, sample_paths, uniform_mixture
+from sublln.measures import PathMeasure, sample_path_sums, sample_paths, uniform_mixture
 
 
 def bits(a):
@@ -75,9 +75,10 @@ EDGE_CDF_VALUES = [
     )
 )
 def test_integer_thresholds_agree_with_float_comparison(c):
-    # atoms 0 and 1 with the first CDF value exactly c (above 1 within the weight tolerance)
-    family = AmbiguityFamily.build(0, 1, [[(0, c), (1, max(0.0, 1.0 - c))]])
-    measure = uniform_mixture(family, 1)
+    # point masses at atoms 0 and 1 mixed as (c, 1 - c), so the first CDF value is exactly c
+    # (above 1 within the mixture weight tolerance)
+    family = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
+    measure = PathMeasure.constant([c, max(0.0, 1.0 - c)], 1)
     assert np.cumsum(family.union_atoms()[2] @ measure.mixture_weights(0))[0] == c
     # every mantissa next to c * 2^53 picks the atom that ``u >= c`` picks
     edge = math.ceil(Fraction(c) * 2**53)

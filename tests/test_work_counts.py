@@ -1,0 +1,65 @@
+"""Work that ``verify-all`` does, counted instead of timed, so a change that adds dead work fails here.
+
+The sampler draws uniforms only for CDF boundaries that can fire: P* on a
+single member draws none, and every other shipped config draws one uniform
+per (path, step).  The limit search hands phi at most one block of grid
+points at a time.
+"""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from sublln import cli, engine, lln_rates, measures
+from sublln.ambiguity import mean_bounds
+from sublln.config import parse_config
+from sublln.corpus import catalog_for
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+NO_DRAWS = {"point_mass", "delta_pair", "two_point_masses"}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_verify_all_draws_only_live_uniforms(path, tmp_path, monkeypatch):
+    draws = []
+
+    def counting(seed, start, offsets, out):
+        draws.append(out.size)
+        return mantissas(seed, start, offsets, out)
+
+    mantissas = measures.mantissas
+    monkeypatch.setattr(measures, "mantissas", counting)
+    config = parse_config(path.read_bytes())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(config, tmp_path) == 0
+    want = 0 if path.stem in NO_DRAWS else config.mc_samples * config.mc_horizon
+    assert sum(draws) == want
+
+
+def limit_searches(families):
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = parse_config(path.read_bytes())
+        yield config.phi, mean_bounds(config.family)
+    for family in families.values():
+        for phi in catalog_for(family):
+            yield phi, mean_bounds(family)
+
+
+def test_limit_search_evaluates_phi_one_block_at_a_time(families, monkeypatch):
+    sizes = []
+
+    def recording(phi, xs):
+        sizes.append(xs.size)
+        return engine._eval_phi(phi, xs)
+
+    monkeypatch.setattr(lln_rates, "_eval_phi", recording)
+    for phi, (lo, hi) in limit_searches(families):
+        sizes.clear()
+        lln_rates.interval_max(phi, lo, hi)
+        L, span = phi.lipschitz_constant, hi - lo
+        points = min(10**6, max(1, math.ceil(span * L / (2e-9 * max(1.0, L * span))))) + 1 if span else 1
+        assert max(sizes) <= lln_rates._GRID_BLOCK
+        assert sum(sizes) == points
