@@ -30,8 +30,8 @@ from .engine import (
     expectation_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
-    iid_sum_expectations,
     lower_iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
+    payoff_expectations,
 )
 from .lln_rates import (
     BOUND_TOL,
@@ -106,9 +106,9 @@ class _RunPlan:
     """Values the checks of one run share, each computed once, on first use.
 
     ``limit`` is the search for ``max phi`` (its maximizer pins every P* measure),
-    ``expectations`` are ``E_up[phi(S_n/n)]`` over the schedule, ``moments`` the moment
-    summary, and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and
-    ``prop2`` both read.
+    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and the squared distance to the mean
+    interval at ``S_n/n`` over the schedule, by one sweep; ``moments`` the moment summary,
+    and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and ``prop2`` both read.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -120,9 +120,10 @@ class _RunPlan:
         return interval_max(self._config.phi, *mean_bounds(self._config.family))
 
     @functools.cached_property
-    def expectations(self) -> tuple[float, ...]:
+    def expectations(self) -> tuple[tuple[float, ...], ...]:
         c = self._config
-        return iid_sum_expectations(c.family, c.phi, c.n_schedule, c.state_cap)
+        payoffs = (c.phi, lambda x: -c.phi(x), interval_distance_phi(c.family))
+        return payoff_expectations(c.family, payoffs, c.n_schedule, c.state_cap)
 
     @functools.cached_property
     def moments(self) -> MomentSummary:
@@ -142,10 +143,9 @@ class _RunPlan:
 
 
 def _check_eval(config: ExperimentConfig, plan: _RunPlan):
-    phi, ns = config.phi, config.n_schedule
-    lowers = [-v for v in iid_sum_expectations(config.family, lambda x: -phi(x), ns, config.state_cap)]
+    uppers, negated, _ = plan.expectations
     rows = []
-    for n, upper, lower in zip(ns, plan.expectations, lowers):
+    for n, upper, lower in zip(config.n_schedule, uppers, (-v for v in negated)):
         rows.append(
             {
                 "n": n,
@@ -158,7 +158,7 @@ def _check_eval(config: ExperimentConfig, plan: _RunPlan):
 
 
 def _check_sweep(config: ExperimentConfig, plan: _RunPlan):
-    reports = rate_reports(config.phi, config.n_schedule, plan.expectations, plan.limit.max_value, plan.moments)
+    reports = rate_reports(config.phi, config.n_schedule, plan.expectations[0], plan.limit.max_value, plan.moments)
     rows = []
     for rep in reports:
         row = {"n": rep.n, "expectation": rep.expectation, "limit": rep.limit, "gap": rep.gap}
@@ -173,10 +173,8 @@ def _check_sweep(config: ExperimentConfig, plan: _RunPlan):
 
 def _check_variance(config: ExperimentConfig, plan: _RunPlan):
     summary = plan.moments
-    dist_phi = interval_distance_phi(config.family)
-    dists = iid_sum_expectations(config.family, dist_phi, config.n_schedule, config.state_cap)
     rows = []
-    for n, dist in zip(config.n_schedule, dists):
+    for n, dist in zip(config.n_schedule, plan.expectations[2]):
         improved = improved_distance_bound(summary.sigma_bar_sq, n)
         fang = fang_bound(summary.sigma_bar_sq, summary.mu_spread, n)
         rows.append(
@@ -187,7 +185,7 @@ def _check_variance(config: ExperimentConfig, plan: _RunPlan):
                 "sigma_bar_sq": summary.sigma_bar_sq,
                 "sigma_bar_argmin": summary.sigma_bar_argmin,
                 "dist_sq_moment": dist,
-                "dist_lipschitz": dist_phi.lipschitz_constant,
+                "dist_lipschitz": interval_distance_phi(config.family).lipschitz_constant,
                 "improved_bound": improved,
                 "fang_bound": fang,
                 "holds_improved": bool(dist <= improved + BOUND_TOL),
@@ -250,7 +248,7 @@ def _check_prop2(config: ExperimentConfig, plan: _RunPlan):
 def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     reports = lower_bound_reports(
-        config.family, config.phi, config.n_schedule, plan.limit, plan.expectations, plan.moments.c_alpha,
+        config.family, config.phi, config.n_schedule, plan.limit, plan.expectations[0], plan.moments.c_alpha,
         config.state_cap,
     )
     for rep in reports:

@@ -13,20 +13,20 @@ forward.
 
 The backward kernel
 -------------------
-:func:`iid_sum_expectations` computes the values at many horizons with one
-sweep.  The map from step k+1 to step k does not depend on the horizon, so
-the sweep runs from ``N = max(ns)`` down to 0 over a 2-D ``(rows, states)``
-array: the row of horizon n joins at step n, holding phi at the reachable
-sums of step n and zeros elsewhere, and from then on every step's arithmetic
-is shared by all joined rows.  Horizon groups whose rows would exceed
-``_ROW_BUDGET`` states are swept separately; rows never interact, so the
-grouping does not change a value.
+:func:`payoff_expectations` computes many payoffs at many horizons with one
+sweep.  The map from step k+1 to step k depends on neither, so the sweep
+runs from ``N = max(ns)`` down to 0 over a 2-D ``(rows, states)`` array of
+``(horizon, phi)`` rows: the rows of horizon n join at step n, holding their
+phi at the reachable sums of step n and zeros elsewhere, and from then on
+every step's arithmetic is shared by all joined rows.  Row groups that would
+exceed ``_ROW_BUDGET`` states are swept separately; rows never interact, so
+the grouping does not change a value.
 
 * **Summation order.**  A member's value is the left-to-right sum
   ``w_0 * v[s_0:] + w_1 * v[s_1:] + ...`` over its atoms in increasing value
   order, and the step value is the running ``np.maximum`` over members in
   index order (the argmax policy breaks ties to the lower index).  Results
-  are therefore deterministic and do not depend on which horizons share a
+  are therefore deterministic and do not depend on which rows share a
   sweep.
 * **gcd reduction.**  Coordinates are taken relative to the smallest atom
   coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
@@ -43,7 +43,8 @@ grouping does not change a value.
   ``(n + 1) + (k_max - k_min) * n * (n + 1) / 2`` for the largest horizon, and is
   checked by arithmetic before anything is allocated, so
   :class:`SupportOverflow` is raised for the same inputs as by a
-  single-horizon pass; its message names the smallest horizon past the cap.
+  single-horizon, single-payoff pass; its message names the smallest horizon
+  past the cap.
 
 :func:`value_table` and :func:`extract_argmax_policy` are this sweep with one
 row on :class:`SumSupport`, the reduced lattice plus every step's reachable
@@ -104,6 +105,7 @@ __all__ = [
     "build_support",
     "value_table",
     "iid_sum_expectations",
+    "payoff_expectations",
     "iid_sum_expectation",
     "lower_iid_sum_expectation",
     "extract_argmax_policy",
@@ -260,36 +262,35 @@ def _step(
             np.maximum(out, acc, out=out)
 
 
-def _row_groups(horizons: list[int], span: int) -> list[list[int]]:
-    """Split descending horizons into sweeps of at most ``_ROW_BUDGET`` row states (one row at least)."""
-    groups: list[list[int]] = []
-    for n in horizons:
-        if not groups or (len(groups[-1]) + 1) * (groups[-1][0] * span + 1) > _ROW_BUDGET:
+def _row_groups(rows: list, span: int) -> list[list]:
+    """Split descending ``(horizon, phi)`` rows into sweeps of at most ``_ROW_BUDGET`` row states (one row at least)."""
+    groups: list[list] = []
+    for row in rows:
+        if not groups or (len(groups[-1]) + 1) * (groups[-1][0][0] * span + 1) > _ROW_BUDGET:
             groups.append([])
-        groups[-1].append(n)
+        groups[-1].append(row)
     return groups
 
 
 def _sweep(
     grid: _Grid,
-    phi: Callable,
-    horizons: list[int],
+    rows: list,
     masks,
     values: list | None = None,
     selections: list | None = None,
 ) -> np.ndarray:
-    """Root values for distinct descending horizons by one backward sweep from ``horizons[0]``.
+    """Root values of descending ``(horizon, phi)`` rows by one backward sweep from the first horizon.
 
-    For one horizon n, ``values`` gets copies of each step's values from step n down to 0, and
-    ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members are
-    only tracked when ``selections`` is given.
+    For one row of horizon n, ``values`` gets copies of each step's values from step n down to 0,
+    and ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members
+    are only tracked when ``selections`` is given.
     """
-    rows, span = len(horizons), grid.span
-    cur, nxt, acc, tmp = (np.zeros((rows, grid.size(horizons[0]))) for _ in range(4))
+    top, span = rows[0][0], grid.span
+    cur, nxt, acc, tmp = (np.zeros((len(rows), grid.size(top))) for _ in range(4))
     joined = 0
-    for k in range(horizons[0], 0, -1):
-        if joined < rows and horizons[joined] == k:
-            _terminal(grid, k, masks[k], phi, cur[joined, : k * span + 1])
+    for k in range(top, 0, -1):
+        while joined < len(rows) and rows[joined][0] == k:
+            _terminal(grid, k, masks[k], rows[joined][1], cur[joined, : k * span + 1])
             joined += 1
             if values is not None:
                 values.append(cur[0, : k * span + 1].copy())
@@ -304,16 +305,16 @@ def _sweep(
     return cur[:, 0]
 
 
-def iid_sum_expectations(
+def payoff_expectations(
     family: AmbiguityFamily,
-    phi: Callable,
+    payoffs: Sequence[Callable],
     ns: Iterable[int],
     state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[float, ...]:
-    """Worst-case expectations of ``phi(S_n / n)`` for every n in ``ns``, in that order.
+) -> tuple[tuple[float, ...], ...]:
+    """Worst-case expectations of ``phi(S_n / n)`` for every n in ``ns``, one tuple per phi in ``payoffs``.
 
-    One backward sweep from the largest horizon serves them all (see the
-    module docstring); ``ns`` may be unsorted and repeat horizons.
+    One backward sweep from the largest horizon serves them all, a ``(horizon, phi)`` row each (see
+    the module docstring); ``ns`` may be unsorted and repeat horizons.
     """
     _require_valid(family)
     horizons = list(ns)
@@ -321,16 +322,26 @@ def iid_sum_expectations(
         if n < 1:
             raise ValueError(f"n must be a positive integer, got {n}")
     if not horizons:
-        return ()
+        return tuple(() for _ in payoffs)
     grid = _grid(family)
     distinct = sorted(set(horizons), reverse=True)
     for n in reversed(distinct):  # ascending: an overflow names the smallest horizon past the cap
         _check_cap(grid, n, state_cap)
     masks = _reachable_masks(grid, distinct[0], distinct)
-    roots: dict[int, float] = {}
-    for group in _row_groups(distinct, grid.span):
-        roots.update(zip(group, _sweep(grid, phi, group, masks).tolist()))
-    return tuple(roots[n] for n in horizons)
+    keys = [(n, i) for n in distinct for i in range(len(payoffs))]
+    groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span)
+    roots = dict(zip(keys, (r for group in groups for r in _sweep(grid, group, masks).tolist())))
+    return tuple(tuple(roots[n, i] for n in horizons) for i in range(len(payoffs)))
+
+
+def iid_sum_expectations(
+    family: AmbiguityFamily,
+    phi: Callable,
+    ns: Iterable[int],
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[float, ...]:
+    """Worst-case expectations of ``phi(S_n / n)`` for every n in ``ns``, in that order (one payoff)."""
+    return payoff_expectations(family, [phi], ns, state_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -542,7 +553,7 @@ def value_table(
     """Full backward-recursion table for ``phi(S_n / n)``."""
     support = build_support(family, n, state_cap)
     values: list = []
-    _sweep(support, phi, [n], support.masks, values=values)
+    _sweep(support, [(n, phi)], support.masks, values=values)
     return ValueTable(support, tuple(reversed(values)))
 
 
@@ -555,7 +566,7 @@ def extract_argmax_policy(
     """Lowest-index maximizing member at every reachable (step, sum) state."""
     support = build_support(family, n, state_cap)
     selections: list = []
-    _sweep(support, phi, [n], support.masks, selections=selections)
+    _sweep(support, [(n, phi)], support.masks, selections=selections)
     sels = tuple(reversed(selections))
     for sel, mask in zip(sels, support.masks):
         sel[~mask] = -1
@@ -635,19 +646,18 @@ def _forward(n: int, support: SumSupport, measure) -> np.ndarray:
     return mass
 
 
-def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: int | None) -> tuple[np.ndarray, ...]:
-    """``(paths, coord_sums, probs, cond_means)`` of n draws, by one level-by-level walk of the history tree.
+def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: int | None) -> tuple:
+    """``(paths, coord_sums, probs, means)`` of n draws, by one level-by-level walk of the history tree.
 
-    Rows are in lexicographic order of the atom indices; a level's rows share
-    one ``_rule_weights`` call, and a child's probability is its parent's
-    times ``q = omega @ w_matrix.T``.  With ``cap`` None every child is kept;
-    otherwise children of zero ``q`` are dropped and ``SupportOverflow`` is
-    raised before a level takes the live children of all levels past ``cap``.
-    The walk holds one level of paths at a time.
+    Rows are in lexicographic order of the atom indices; a level's rows share one ``_rule_weights``
+    call, a child's probability is its parent's times ``q = omega @ w_matrix.T``, and ``means[k]``
+    is level k's ``q @ atoms``.  With ``cap`` None every child is kept; otherwise children of zero
+    ``q`` are dropped and ``SupportOverflow`` is raised before a level takes the live children of
+    all levels past ``cap``.  The walk holds one level of paths at a time.
     """
     coords, atoms, w_matrix = family.union_atoms()
     paths = np.zeros((1, 0))
-    cmeans = np.zeros((1, 0))
+    means = []
     probs = np.array([1.0])
     coord_sums = np.zeros(1, dtype=np.int64)
     visited = 0
@@ -662,10 +672,10 @@ def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: 
                 raise SupportOverflow(f"history-dependent forward pass exceeds the cap of {cap} paths")
             counts, atom, child_q = keep.sum(axis=1), np.nonzero(keep)[1], q[keep]
         paths = np.hstack([np.repeat(paths, counts, axis=0), atoms[atom][:, None]])
-        cmeans = np.hstack([np.repeat(cmeans, counts, axis=0), np.repeat(q @ atoms, counts)[:, None]])
+        means.append(q @ atoms)
         probs = np.repeat(probs, counts) * child_q
         coord_sums = np.repeat(coord_sums, counts) + coords[atom]
-    return paths, coord_sums, probs, cmeans
+    return paths, coord_sums, probs, tuple(means)
 
 
 def expectation_under_policy(

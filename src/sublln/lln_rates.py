@@ -218,8 +218,8 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
     if span == 0.0:
         return IntervalMaxResult(mu_lower, float(_eval_phi(phi, np.array([mu_lower]))[0]), 0.0)
     L = phi.lipschitz_constant
-    target = 1e-9 * max(1.0, L * span)
-    intervals = min(_MAX_GRID_INTERVALS, max(1, math.ceil(span * L / (2.0 * target))))
+    # the target above, with L*span clipped at 1 rather than divided out: a huge L cannot give inf / inf
+    intervals = min(_MAX_GRID_INTERVALS, max(1, math.ceil(min(span * L, 1.0) / 2e-9)))
     # np.linspace's point i is float(i) * step + mu_lower, and its last point is mu_upper.  Its
     # denormal branch (step == 0) cannot occur: step is span (one interval) or above 1e-9 / L
     # (the rule above), which is positive as L is finite.

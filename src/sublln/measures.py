@@ -167,7 +167,8 @@ def conditional_means(
     atoms = family.union_atoms()[1]
     if len(atoms) ** n > state_cap:
         raise SupportOverflow(f"{len(atoms)}^{n} paths exceed the cap of {state_cap}")
-    paths, _, probs, cmeans = _walk_histories(family, measure, n, None)
+    paths, _, probs, means = _walk_histories(family, measure, n, None)
+    cmeans = np.column_stack([np.repeat(m, len(atoms) ** (n - k)) for k, m in enumerate(means)])
     return MartingaleDecomposition(measure.name, atoms, paths, probs, cmeans)
 
 

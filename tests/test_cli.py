@@ -9,7 +9,7 @@ import pytest
 from sublln import cli
 from sublln.cli import main
 from sublln.config import parse_config
-from sublln.engine import iid_sum_expectations
+from sublln.engine import payoff_expectations
 from sublln.lln_rates import interval_max
 from sublln.measures import conditional_means
 
@@ -226,18 +226,35 @@ class TestRunPlan:
     def test_shared_values_computed_once_per_run(self, tmp_path, monkeypatch):
         config = parse_config((CONFIGS / "three_atom.json").read_bytes())
         maxima = count_calls(monkeypatch, interval_max)
-        sweeps = count_calls(monkeypatch, iid_sum_expectations)
+        sweeps = count_calls(monkeypatch, payoff_expectations)
         enumerations = count_calls(monkeypatch, conditional_means)
         assert cli.run(config, tmp_path / "r") == 0
-        # one limit search; backward sweeps of phi, -phi (eval) and the distance moment (variance)
+        # one limit search; one backward sweep stacks phi, -phi (eval) and the distance moment (variance)
         assert len(maxima) == 1
-        assert len(sweeps) == 3
+        assert len(sweeps) == 1
         # P*, parity and uniform once per enumerated n for chatterji and prop2, plus prop2's argmax
         assert cli._enum_ns(config) == [1, 2, 4]
         assert len(enumerations) == 3 * 3 + 3
         assert cli.run(config, tmp_path / "r2") == 0
         # nothing carries over to the next run
-        assert (len(maxima), len(sweeps), len(enumerations)) == (2, 6, 24)
+        assert (len(maxima), len(sweeps), len(enumerations)) == (2, 2, 24)
+
+    @pytest.mark.parametrize("check", ["eval", "variance"])
+    def test_single_check_reads_the_same_plan(self, tmp_path, check):
+        out = tmp_path / "r"
+        args = [check, "--config", str(CONFIGS / "three_atom.json"), "--out", str(out), "--seed", "7"]
+        assert main(args) == 0
+        name = f"report_{check}.csv"
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == GOLDEN_SHA256["three_atom", "csv"][name]
+
+    def test_single_check_past_the_state_cap(self, tmp_path, capsys):
+        # three_atom has (n + 1) * (2n + 1) dense states: 561 at n = 16, 2145 at n = 32
+        args = ["variance", "--config", str(CONFIGS / "three_atom.json"), "--out", str(tmp_path / "r")]
+        assert main(args + ["--state-cap", "1000"]) == 1
+        assert capsys.readouterr().err == (
+            "error: check 'variance': 2145 sum states for n=32 exceed the cap of 1000; "
+            "the lattice is too fine for this horizon\n"
+        )
 
 
 # SHA-256 of every file ``verify-all --seed 7`` writes for each shipped

@@ -20,6 +20,7 @@ from sublln.engine import (
     iid_sum_expectations,
     lower_iid_sum_expectation,
     pairwise_total,
+    payoff_expectations,
     value_table,
 )
 from sublln.measures import PathMeasure, construct_pstar, uniform_mixture
@@ -171,8 +172,25 @@ class TestBatchedKernel:
         ns = list(range(1, 41))
         whole = iid_sum_expectations(family, phi, ns)
         monkeypatch.setattr(engine, "_ROW_BUDGET", 200)
-        assert len(engine._row_groups(ns[::-1], 3)) > 1
+        assert len(engine._row_groups([(n, phi) for n in ns[::-1]], 3)) > 1
         assert bits(iid_sum_expectations(family, phi, ns)) == bits(whole)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_stacked_payoffs_match_single_sweeps(self, families, monkeypatch, split):
+        ns = [9, 2, 17, 9, 1, 33, 2]
+        for name, family in families.items():
+            shapes = catalog_for(family)
+            payoffs = [*shapes, *(lambda x, p=p: -p(x) for p in shapes)]
+            singles = [bits(iid_sum_expectations(family, phi, ns)) for phi in payoffs]
+            with monkeypatch.context() as patch:
+                if split:
+                    # five rows of the largest horizon per group: the twelve rows of a horizon split
+                    span = engine._grid(family).span
+                    patch.setattr(engine, "_ROW_BUDGET", 5 * (max(ns) * span + 1))
+                    groups = engine._row_groups([(n, p) for n in (33, 17) for p in payoffs], span)
+                    assert any(a[-1][0] == b[0][0] for a, b in zip(groups, groups[1:])), name
+                assert [bits(row) for row in payoff_expectations(family, payoffs, ns)] == singles, name
+            assert payoff_expectations(family, payoffs, []) == ((),) * len(payoffs)
 
     def test_four_atom_member_close_to_pairwise_fold(self):
         # Left-to-right and pairwise sums differ in rounding from four atoms on.

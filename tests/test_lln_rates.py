@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sublln import lln_rates
 from sublln.ambiguity import AlphaOutOfRange, AmbiguityFamily, mean_bounds, upper_variance
 from sublln.corpus import catalog_for, one_lipschitz_catalog_for
 from sublln.lln_rates import (
@@ -59,6 +60,20 @@ class TestIntervalMax:
     def test_degenerate_interval(self):
         res = interval_max(abs_dev(0.0), 0.5, 0.5)
         assert res == type(res)(0.5, 0.5, 0.0)
+
+    def test_huge_finite_lipschitz_constant(self, monkeypatch):
+        # L*span overflows to inf; the grid still takes its 10^6-interval cap
+        sizes, evaluate = [], lln_rates._eval_phi
+
+        def recording(phi, xs):
+            sizes.append(xs.size)
+            return evaluate(phi, xs)
+
+        monkeypatch.setattr(lln_rates, "_eval_phi", recording)
+        res = interval_max(LipschitzFunction(lambda x: x, 1e308, "big"), 0.0, 10.0)
+        assert (res.argmax_r, res.max_value) == (10.0, 10.0)
+        assert sum(sizes) == 10**6 + 1
+        assert math.isfinite(res.grid_error_bound)
 
     def test_zero_lipschitz(self):
         phi = LipschitzFunction(lambda x: np.full_like(np.asarray(x, dtype=float), 3.0), 0.0, "const")

@@ -3,7 +3,9 @@
 The sampler draws uniforms only for CDF boundaries that can fire: P* on a
 single member draws none, and every other shipped config draws one uniform
 per (path, step).  The limit search hands phi at most one block of grid
-points at a time.
+points at a time.  The backward driver runs once for the run plan, whose
+one sweep stacks every payoff the checks read, and once per argmax policy
+that prop2 extracts.
 """
 
 import contextlib
@@ -37,6 +39,22 @@ def test_verify_all_draws_only_live_uniforms(path, tmp_path, monkeypatch):
         assert cli.run(config, tmp_path) == 0
     want = 0 if path.stem in NO_DRAWS else config.mc_samples * config.mc_horizon
     assert sum(draws) == want
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_verify_all_sweeps_backward_once_per_plan_and_policy(path, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    sweep = engine._sweep
+    monkeypatch.setattr(engine, "_sweep", counting)
+    config = parse_config(path.read_bytes())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(config, tmp_path) == 0
+    assert len(calls) == 1 + len(cli._enum_ns(config))
 
 
 def limit_searches(families):
