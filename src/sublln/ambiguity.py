@@ -40,8 +40,6 @@ DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 LATTICE_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class AlphaOutOfRange(ValueError):
     """Moment order parameter alpha must lie in (0, 1]."""
@@ -314,40 +312,26 @@ def moment_c_alpha(family: AmbiguityFamily, alpha: float) -> float:
 
 
 def upper_variance(family: AmbiguityFamily) -> tuple[float, float]:
-    """Minimize ``g(mu) = max_P E_P[(x - mu)^2]`` over the mean interval.
+    """Minimize ``g(mu) = max_P E_P[(x - mu)^2]`` over the mean interval in closed form.
 
-    g is a pointwise maximum of quadratics with unit leading coefficient,
-    hence convex.  Golden-section search shrinks the bracket to absolute
-    width 1e-12 (or to floating-point resolution, whichever comes first)
-    and the value at the bracket midpoint is returned with the midpoint.
-    Returns ``(sigma_bar_sq, argmin_mu)``.
+    ``g(mu) = mu^2 + max_i (m2_i - 2 mu m1_i)`` with ``m1_i``, ``m2_i`` member i's
+    mean and second moment: a unit-curvature parabola plus a convex piecewise-linear
+    envelope.  Its minimizer is therefore an endpoint, a vertex ``m1_i`` of one
+    member's parabola, or a kink ``(m2_i - m2_j) / (2 (m1_i - m1_j))`` where two
+    members' lines cross.  g is evaluated at those candidates inside the interval,
+    in ascending order, and the first minimum is returned as
+    ``(sigma_bar_sq, argmin_mu)``.  The endpoints are member means, so they are
+    among the vertices.
     """
     _require_valid(family)
-    means = [m.mean for m in family.members]
-    lo, hi = min(means), max(means)
-    m1 = np.array(means)
+    m1 = np.array([m.mean for m in family.members])
     m2 = np.array([m.abs_moment(2.0) for m in family.members])
-
-    def g(mu: float) -> float:
-        return float(np.max(m2 - 2.0 * mu * m1) + mu * mu)
-
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(200):
-        if b - a <= 1e-12 or not (a < x1 < x2 < b):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = g(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = g(x2)
-    mid = 0.5 * (a + b)
-    return g(mid), mid
+    i, j = np.nonzero(m1[:, None] > m1[None, :])
+    kinks = (m2[i] - m2[j]) / (2.0 * (m1[i] - m1[j]))
+    mus = np.sort(np.concatenate([m1, kinks[(m1.min() <= kinks) & (kinks <= m1.max())]]))
+    g = (m2[:, None] - 2.0 * np.outer(m1, mus)).max(axis=0) + mus * mus
+    k = int(np.argmin(g))
+    return float(g[k]), float(mus[k]) + 0.0  # + 0.0 reports a -0.0 argmin as 0.0
 
 
 def one_step_expectation(family: AmbiguityFamily, psi: Callable[[float], float]) -> float:

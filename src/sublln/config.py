@@ -157,7 +157,10 @@ def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunctio
             raise SemanticError(f"phi.expression: {exc}") from exc
         phi = LipschitzFunction(expr.evaluate, constant, f"expr({source})")
         dlo, dhi = family.support_bounds()
-        check = spot_check_lipschitz(phi, dlo, dhi)
+        try:
+            check = spot_check_lipschitz(phi, dlo, dhi)
+        except ValueError as exc:
+            raise SemanticError(f"phi.expression: {exc}") from exc
         if not check.ok:
             raise SemanticError(
                 f"phi.lipschitz: declared constant {constant} violated near "

@@ -174,21 +174,26 @@ def spot_check_lipschitz(
     Draws point pairs deterministically from the given seed and reports the
     worst slack violation (relative tolerance ``rel_tol``).  A sound
     constant passes; a declared constant that is too small is caught with
-    high probability.
+    high probability.  Raises ``ValueError`` naming the first point where
+    phi is not finite.
     """
     if not lo <= hi:
         raise InvalidInterval(f"[{lo}, {hi}] is empty")
     u = unit_array(seed, 0, 2 * pairs)
-    xs = lo + u[:pairs] * (hi - lo)
-    ys = lo + u[pairs:] * (hi - lo)
-    xs = np.concatenate([xs, [lo]])
-    ys = np.concatenate([ys, [hi]])
+    xs = np.concatenate([lo + u[:pairs] * (hi - lo), [lo]])
+    ys = np.concatenate([lo + u[pairs:] * (hi - lo), [hi]])
     fx = _eval_phi(phi, xs)
     fy = _eval_phi(phi, ys)
-    budget = phi.lipschitz_constant * np.abs(xs - ys)
-    excess = np.abs(fx - fy) - (budget + rel_tol * (1.0 + budget))
+    for x, f in ((xs, fx), (ys, fy)):
+        if not np.isfinite(f).all():
+            raise ValueError(f"phi is not finite at x={float(x[np.argmin(np.isfinite(f))])!r}")
+    # Both sides are scaled by s = 2^-e with max(1, L) < 2^e, exact outside the subnormal range;
+    # with s <= 1/2 and L*s < 1 no term can overflow.  The excess is divided back by s when reported.
+    s = math.ldexp(1.0, -math.frexp(max(1.0, phi.lipschitz_constant))[1])
+    budget = (phi.lipschitz_constant * s) * np.abs(xs - ys)
+    excess = np.abs(fx * s - fy * s) - (budget + rel_tol * (s + budget))
     i = int(np.argmax(excess))
-    return LipschitzCheck(bool(excess[i] <= 0.0), float(excess[i]), float(xs[i]), float(ys[i]))
+    return LipschitzCheck(bool(excess[i] <= 0.0), float(excess[i]) / s, float(xs[i]), float(ys[i]))
 
 
 @dataclass(frozen=True)

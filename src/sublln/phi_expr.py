@@ -16,6 +16,7 @@ Evaluation is numpy-vectorized.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -219,8 +220,10 @@ class _Parser:
             self.expect(")")
             return node
         if m := _NUMBER.match(self.text, self.pos):
+            if not math.isfinite(value := float(m.group())):
+                self.error(f"number {m.group()!r} overflows to {value}")
             self.pos = m.end()
-            return Num(float(m.group()))
+            return Num(value)
         if m := _NAME.match(self.text, self.pos):
             name = m.group()
             name_pos = self.pos

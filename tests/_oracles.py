@@ -7,6 +7,7 @@ cross-check each other.
 
 import itertools
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -146,6 +147,32 @@ def grid_upper_variance(family, step=1e-6):
     g = (m2[:, None] - 2.0 * np.outer(m1, mus)).max(axis=0) + mus * mus
     i = int(np.argmin(g))
     return float(g[i]), float(mus[i])
+
+
+def exact_upper_variance(family):
+    """Exact ``(min, argmin)`` of g(mu) = max_P E_P[(x - mu)^2] over the mean interval, as Fractions.
+
+    Moments are summed exactly from the float atoms.  g is a unit parabola plus
+    the upper envelope of the lines ``m2_i - 2 mu m1_i``, so its minimizer is a
+    member mean or a crossing of two lines inside the interval; every such
+    candidate is evaluated in exact arithmetic.
+    """
+    m1 = [sum(Fraction(w) * Fraction(v) for v, w in m.atoms) for m in family.members]
+    m2 = [sum(Fraction(w) * Fraction(v) ** 2 for v, w in m.atoms) for m in family.members]
+    lo, hi = min(m1), max(m1)
+    kinks = {
+        (b1 - b2) / (2 * (a1 - a2))
+        for a1, b1 in zip(m1, m2)
+        for a2, b2 in zip(m1, m2)
+        if a1 != a2
+    }
+    candidates = sorted(set(m1) | {mu for mu in kinks if lo <= mu <= hi})
+
+    def g(mu):
+        return max(b - 2 * mu * a for a, b in zip(m1, m2)) + mu * mu
+
+    best = min(candidates, key=g)
+    return g(best), best
 
 
 def linspace_interval_max(phi, lo, hi):

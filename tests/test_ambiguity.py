@@ -19,7 +19,7 @@ from sublln.ambiguity import (
     validate_family,
 )
 
-from _oracles import grid_upper_variance
+from _oracles import exact_upper_variance, grid_upper_variance
 
 TWO_POINT = AmbiguityFamily.build(0, 1, [[(-1, 1.0)], [(1, 1.0)]])
 FAIR_COIN = AmbiguityFamily.build(0, 1, [[(-1, 0.5), (1, 0.5)]])
@@ -169,6 +169,44 @@ class TestUpperVariance:
             assert var <= g_hi + 1e-12
             assert lo - 1e-12 <= argmin <= hi + 1e-12
 
+
+
+def assert_matches_exact(family):
+    """Value and argmin within 16 ulp of the exact minimum (relative above 1), and no -0.0."""
+    var, argmin = upper_variance(family)
+    exact_var, exact_argmin = exact_upper_variance(family)
+    assert type(var) is float and type(argmin) is float
+    for got, exact in ((var, exact_var), (argmin, exact_argmin)):
+        assert abs(got - exact) <= 16 * 2.0**-52 * max(1, abs(exact)), (family.name, got, float(exact))
+    assert repr(argmin) != "-0.0"
+
+
+@st.composite
+def lattice_families(draw):
+    """1-4 members, each with 1-4 atoms on the 0.25 lattice and weights in sixteenths."""
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        coords = sorted(draw(st.lists(st.integers(-12, 12), min_size=1, max_size=4, unique=True)))
+        cuts = draw(st.lists(st.integers(1, 15), min_size=len(coords) - 1, max_size=len(coords) - 1, unique=True))
+        edges = [0, *sorted(cuts), 16]
+        members.append([(0.25 * c, (b - a) / 16) for c, a, b in zip(coords, edges, edges[1:])])
+    return AmbiguityFamily.build(0.0, 0.25, members)
+
+
+class TestUpperVarianceClosedForm:
+    def test_corpus_matches_exact_oracle(self, families):
+        for family in families.values():
+            assert_matches_exact(family)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_families())
+    def test_random_lattice_families_match_exact_oracle(self, family):
+        assert_matches_exact(family)
+
+    def test_shipped_values_are_exact(self, families):
+        assert repr(upper_variance(families["two_point_masses"])) == "(1.0, 0.0)"
+        assert upper_variance(families["delta_pair"]) == (0.25, 0.5)
+        assert upper_variance(families["three_atom"])[0] == 0.5625
 
 class TestOneStepExpectation:
     def test_square(self):

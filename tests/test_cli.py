@@ -180,6 +180,15 @@ class TestExitCodes:
         assert [(r["bound_corollary"], r["holds_corollary"]) for r in rows] == [("", "")] * 4
         assert json.loads((out / "summary.json").read_text())["checks"]["sweep"]["passed"] is True
 
+    def test_huge_lipschitz_constant_runs_without_warnings(self, tmp_path, capsys):
+        # L * |x - y| exceeds the float range at L = 1e308; the suite turns RuntimeWarning into an error
+        cfg = json.loads((CONFIGS / "three_atom.json").read_text())
+        cfg["phi"] = {"expression": "x", "lipschitz": 1e308}
+        path = tmp_path / "huge_l.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_state_cap_too_small_is_input_error(self, tmp_path):
         cfg = write_config(tmp_path, checks=["eval"])
         code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "r"), "--state-cap", "3"])
@@ -268,7 +277,7 @@ GOLDEN_SHA256 = {
         'report_prop2.csv': 'dd582aef46c40aa8b91dcb859aa54bef45c047c19805538db6fcb995c41ccd24',
         'report_pstar.csv': '2e2fb46b29da536136f300249bff71fbf192848deb098b24fd18ed3c9a5816eb',
         'report_sweep.csv': '734d541d9a199e9a96634edf9eef12808cb42eb18c17ad801407798f657f45c3',
-        'report_variance.csv': '09131ecab0351cda819799cfe63108d43de7b43e3deede746893b6ccdefe70ab',
+        'report_variance.csv': '3e89b57465b1121c30d0ebf6cd771edf16ef1612163496b4b42b187534965809',
         'summary.json': 'f555dfa191c7c0a2ad82c91509042033f077876814be32c99c768a54f94cf044',
     },
     ('bernoulli_pair', 'json'): {
@@ -278,7 +287,7 @@ GOLDEN_SHA256 = {
         'report_prop2.json': '9781868e54cc8aa0630c78ae0bc28cb9cd5d4eb506c24fa6249ca450dc356bc7',
         'report_pstar.json': 'a237f2441c9038292ccc05541a0817cf1506801f1a742bdc2821f327477457d6',
         'report_sweep.json': 'c0870e1836341817d3eee583c2f0ab93e8aa29071ae17fda171d015be246aaf2',
-        'report_variance.json': 'e038975c41aed25664984ef63dbeaee523a07626cf5d79f303fd829a4e2899bb',
+        'report_variance.json': '55fbf82a828e68474f4f23fdb214bff3906131eb76af8ba20431f55f0f112bed',
         'summary.json': '4fbd11fc8393efdec1d3bd96ddd4d54bcfc94f86e5787d317e25789f30e93a92',
     },
     ('corpus', 'csv'): {
@@ -287,8 +296,8 @@ GOLDEN_SHA256 = {
         'report_mc.csv': 'd7425de49cbb13c833f49d5652df18966ab015039fbcd769010deab1a28fda7a',
         'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
         'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
-        'report_sweep.csv': '721032f550a163e8149b7d12fdb22e9ac1e8543ce95c193e678d5a03c13ce094',
-        'report_variance.csv': '94cf6f0484868d570793b2ed7c449053d1a54c1250b00703eccb35e6daebafce',
+        'report_sweep.csv': 'd29a263da4ac885ed0b3393de9d6eb5b8a6c099be129b6fef0d14dfcaf0fc6c5',
+        'report_variance.csv': 'db5c903aa16b24325bfafc38c9a940ad8683b2e937cf94e3d9e4764e68c5025d',
         'summary.json': '9bd87d640cf30eca2be2ee9b36ce745dc2233ba49b81368697c75c758b14603e',
     },
     ('corpus', 'json'): {
@@ -297,8 +306,8 @@ GOLDEN_SHA256 = {
         'report_mc.json': '451fc76b055952c3ea2cbbd17dfb1497e78b0ad7c349551c899cd9ac1a09ef66',
         'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
         'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
-        'report_sweep.json': 'fc744ad7340b8f2a50ea04ba8a1cc4d87b72dedaa78bf7243aa9ed0716427c8b',
-        'report_variance.json': '3b5e99dca6eb4dfb838db0e1d448b9d7beb2567e2753d871c9ace1d7bdea8ce2',
+        'report_sweep.json': '16551a2fe5e99cc8e25fa0ebaa0b06265dca5773d4a8490cf0bb4b285fb98d0b',
+        'report_variance.json': 'bb84161b6406d2aa86a8989ae0f5aa23bbcf7d71c961e1d83f154b9bd0c04889',
         'summary.json': 'c2fc50f35e9341ecc89de92302bd7e2c107b0deb157f5add9f1d7c63ced6343c',
     },
     ('delta_pair', 'csv'): {
@@ -307,8 +316,8 @@ GOLDEN_SHA256 = {
         'report_mc.csv': '0e3b91f14155d8b99337d5e7a2ea5b6c72b66a1fc65c808ca856fe4541726fd5',
         'report_prop2.csv': 'da1b7134b2ade9020902c0b6963997f39f61414e85c2d080d7d5a198fa714fe9',
         'report_pstar.csv': '150ed7dac4fdcb86e1cdd0e00954f068d31096bec7a300324b55f6a33f74e111',
-        'report_sweep.csv': '645d0bf6523493ae83bab2e87dec5ec354265e7a535ee7c62d03f61877504e3e',
-        'report_variance.csv': 'e4c35d9753b9ad427e00d2727733407ed3ef3cf87843eb050246896607e6dc69',
+        'report_sweep.csv': '3844eb52d75891316564d4ddc559d376e309e0aa037c0fd5077ef7da8b1d0e7f',
+        'report_variance.csv': 'a6d4bccfd5abc354408c4da88ab356ba1b96c8f759bd6cc4cda77a1964339528',
         'summary.json': '224136cbfa1cabb43f11018cb1da72d5e197716ac29174953bddb313d80b9c10',
     },
     ('delta_pair', 'json'): {
@@ -317,8 +326,8 @@ GOLDEN_SHA256 = {
         'report_mc.json': '3407e8dbd3c37d34ea85bc8d9cc6f481c3480cef0e25aa6b5153a0b8f28e1eef',
         'report_prop2.json': '04e77bf4d14d53b50b8f5babfa51a12a0a74e8629a55d6af75e712ef48b54cd0',
         'report_pstar.json': '46c0af2bce4b0bdfba3c0b3373aa2c938a97ef4ffa32caf86bd0e7ea5c483899',
-        'report_sweep.json': 'a4ad45b76684a85bdca92f44710abd05d1e41730ade0e2568d4a6fb8e1c36f28',
-        'report_variance.json': '3ffa28435588c5d39e83125e7c1a797b30d0edf68b86377282bfdb3e9cb35bff',
+        'report_sweep.json': '8ca143b4cfc6a0d77f28561f265905b81f53fb05833e888812310de489ead9cc',
+        'report_variance.json': '4d73c1c0b77586c3420c826d035b5f0904e3bee4a8349954aae60dbfa3292dcb',
         'summary.json': 'ab88412a14681367398c69bfe0ad3330ad6fcd885692b7719f3106370dddd201',
     },
     ('fair_coin', 'csv'): {
@@ -367,8 +376,8 @@ GOLDEN_SHA256 = {
         'report_mc.csv': '02948364709c84dd74fe5cb06bbff555a4a40524f3dd369f720b58c672b40ce8',
         'report_prop2.csv': 'aeb7eb3900b29856180ba1e91a69e561e03b4eb9a2e1255bfe0e079590d5c830',
         'report_pstar.csv': '1562e15a5c7c4e928eb0b11a5156b29f845b7de49af25e85a48a065b2630b9c0',
-        'report_sweep.csv': 'e723129073ccb54f8012d8b18aa6a0ebb0dad9ab07aeb0bda45a2a19db181f98',
-        'report_variance.csv': 'ffbb2eba20b5df9d1ded01507f632b9ff444dae82baa33faf19d8b33ceec42a4',
+        'report_sweep.csv': '27bcdd37f5341abe0d79cc3b9cfc4275b0cb4e0d95e919914301e2cb2711dd40',
+        'report_variance.csv': '96a1af332ba75c9ccf76dfbf2d24452d5945ce6dcdd8adaa1d5aa7a81e4f27b3',
         'summary.json': 'bd33140cd8db5db641a167b9f724fbadbd5016694faaec76f90bff4528cc9e00',
     },
     ('skewed_pair', 'json'): {
@@ -377,8 +386,8 @@ GOLDEN_SHA256 = {
         'report_mc.json': '9747cf0bc2751eaa19d585a2438f2c23f6677d15ec3eda541195375b783135b8',
         'report_prop2.json': '69f4a059de22cc652ec2338c42bfc7658afbaa020720598cd196db498fc577fe',
         'report_pstar.json': '92d1e522ca5e92fee00ef68cccc4277b51d158726484c501686008f405123833',
-        'report_sweep.json': '731119177c2ac6a2e478438c91e8c0a0ead0117e9f84c59f14711e4254e7c05f',
-        'report_variance.json': 'a1c9c4f929b2dd58fb24ea6603336b1979dbbb72908e039c259e3c7e367d8b3b',
+        'report_sweep.json': '12163efb51c76d8b106ff88f3939b10b91fd432df4e696933f6ee555122ea69f',
+        'report_variance.json': '1888159769558f6a423f600bb9da053349977210606d68e8dc045725d8c605d6',
         'summary.json': 'bb7faaa8610677fd0c939235f2e8f2fd4b7c5d1e08710440282a07865ade7820',
     },
     ('three_atom', 'csv'): {
@@ -387,8 +396,8 @@ GOLDEN_SHA256 = {
         'report_mc.csv': 'd7425de49cbb13c833f49d5652df18966ab015039fbcd769010deab1a28fda7a',
         'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
         'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
-        'report_sweep.csv': '721032f550a163e8149b7d12fdb22e9ac1e8543ce95c193e678d5a03c13ce094',
-        'report_variance.csv': '94cf6f0484868d570793b2ed7c449053d1a54c1250b00703eccb35e6daebafce',
+        'report_sweep.csv': 'd29a263da4ac885ed0b3393de9d6eb5b8a6c099be129b6fef0d14dfcaf0fc6c5',
+        'report_variance.csv': 'db5c903aa16b24325bfafc38c9a940ad8683b2e937cf94e3d9e4764e68c5025d',
         'summary.json': '9bd87d640cf30eca2be2ee9b36ce745dc2233ba49b81368697c75c758b14603e',
     },
     ('three_atom', 'json'): {
@@ -397,8 +406,8 @@ GOLDEN_SHA256 = {
         'report_mc.json': '451fc76b055952c3ea2cbbd17dfb1497e78b0ad7c349551c899cd9ac1a09ef66',
         'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
         'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
-        'report_sweep.json': 'fc744ad7340b8f2a50ea04ba8a1cc4d87b72dedaa78bf7243aa9ed0716427c8b',
-        'report_variance.json': '3b5e99dca6eb4dfb838db0e1d448b9d7beb2567e2753d871c9ace1d7bdea8ce2',
+        'report_sweep.json': '16551a2fe5e99cc8e25fa0ebaa0b06265dca5773d4a8490cf0bb4b285fb98d0b',
+        'report_variance.json': 'bb84161b6406d2aa86a8989ae0f5aa23bbcf7d71c961e1d83f154b9bd0c04889',
         'summary.json': 'c2fc50f35e9341ecc89de92302bd7e2c107b0deb157f5add9f1d7c63ced6343c',
     },
     ('two_point_masses', 'csv'): {
@@ -407,8 +416,8 @@ GOLDEN_SHA256 = {
         'report_mc.csv': '4ac354492e85879531ff3f644c35c893326a509404736b28f6a35c91e898a81c',
         'report_prop2.csv': '8f1423eb9dd482fdf31959ecc11058956fc776fbd2af0e53693c9c393ee32d04',
         'report_pstar.csv': 'ebb3fc9a5448748241e51b8a993d797e42d50e6c4b92e7ca623eee349f4eca43',
-        'report_sweep.csv': '145e61df2e23fa48847bff68e302f2a9a68752b49aadb61c1655774dd2c39bad',
-        'report_variance.csv': 'bf9d425fc92052b3e18fa32ea49149192dd0bf387ec0e939e7bfe8d245cd1278',
+        'report_sweep.csv': 'd1b7242c4644c0c07df545feb2d78d200e0ab3b3ee37120bc18f5f82af9ff8d7',
+        'report_variance.csv': '71528fe01463042a94c965acf0c44ecc1b25aa01f6ed02d7175341b53ad8cadd',
         'summary.json': '5855e65748953e1909d50edf0c4110ef88d88f473b033bf48850eb5c6596abc8',
     },
     ('two_point_masses', 'json'): {
@@ -417,8 +426,8 @@ GOLDEN_SHA256 = {
         'report_mc.json': 'd428d2b7d365897784431482cc7a4ae78eeb358a831fb855287da4523d22c4ab',
         'report_prop2.json': '41c60dc2d3f795cdc739070f7317cde208cd81cda71783de1fcf34a03a9b5bec',
         'report_pstar.json': 'a9b4446d7ed8178a8ac4c58de3949a8099b6c797641f7b3b4bdff4e453d437d8',
-        'report_sweep.json': '5bdd3b521b35dc7e13fd16948e5d1e6ad90d0c1c895ebbf800b494e701380877',
-        'report_variance.json': '20db8d9ae669f3b9ccdac62be4bfa87e431ae2326388d7cadf8b51885cab1a0a',
+        'report_sweep.json': 'c64aa813755ddec74a4363a7f750f3bfa6fe396dcf50cf7a43f8920e921f1430',
+        'report_variance.json': '27bbba5ff0b510d039c828f3178129365aea0ea8c90b422553f5858d1b9bb52b',
         'summary.json': 'dcb3411779d958fa55d9ba7b3cfbf6c426c97cd378d5886a3a36ef8053ec9e99',
     },
 }

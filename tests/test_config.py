@@ -76,6 +76,11 @@ class TestParseConfig:
         with pytest.raises(SemanticError):
             parse(minimal_config(phi={"expression": "4*x", "lipschitz": 1.0}))
 
+    def test_non_finite_phi_named(self):
+        with pytest.raises(SemanticError) as exc:
+            parse(minimal_config(phi={"expression": "x*1e300*1e300", "lipschitz": 1.0}))
+        assert "phi.expression: phi is not finite at x=" in str(exc.value)
+
     def test_bad_expression_positioned(self):
         with pytest.raises(SemanticError) as exc:
             parse(minimal_config(phi={"expression": "1+*2", "lipschitz": 1.0}))

@@ -81,6 +81,13 @@ class TestErrors:
             parse_phi("abs(x)+bogus")
         assert exc.value.offset == 7
 
+    @pytest.mark.parametrize("text, offset", [("x*0+1e309", 4), ("max(x, 2e400)", 7)])
+    def test_overflowing_literal_rejected_at_its_offset(self, text, offset):
+        with pytest.raises(PhiSyntaxError) as exc:
+            parse_phi(text)
+        assert exc.value.offset == offset
+        assert "overflows to inf" in str(exc.value)
+
 
 @st.composite
 def expression_trees(draw, depth=0):
