@@ -28,6 +28,7 @@ from .engine import (
     SupportOverflow,
     ValueTable,
     expectation_under_policy,
+    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
     iid_sum_expectations,

@@ -27,7 +27,8 @@ from .config import CHECKS, ConfigError, ExperimentConfig, parse_config
 from .engine import (
     PolicyIncomplete,
     SupportOverflow,
-    expectation_under_policy,
+    expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
+    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     lower_iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
@@ -105,14 +106,15 @@ def _enum_ns(config: ExperimentConfig) -> list[int]:
 class _RunPlan:
     """Values the checks of one run share, each computed once, on first use.
 
-    ``limit`` is the search for ``max phi`` (its maximizer pins every P* measure),
-    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and the squared distance to the mean
-    interval at ``S_n/n`` over the schedule, by one sweep; ``moments`` the moment summary,
+    ``limit`` is the search for ``max phi``, whose maximizer pins ``pstar``, the run's one P* measure;
+    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and the squared distance to the mean interval
+    at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values of one forward pass (the
+    schedule for ``pstar``, ``mc_horizon`` for ``mc``); ``moments`` the moment summary,
     and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and ``prop2`` both read.
     """
 
-    def __init__(self, config: ExperimentConfig):
-        self._config = config
+    def __init__(self, config: ExperimentConfig, requested: Sequence[str]):
+        self._config, self._requested = config, requested
         self._diagnostics: dict[int, list[tuple[PathMeasure, MartingaleDecomposition]]] = {}
 
     @functools.cached_property
@@ -126,6 +128,17 @@ class _RunPlan:
         return payoff_expectations(c.family, payoffs, c.n_schedule, c.state_cap)
 
     @functools.cached_property
+    def pstar(self) -> PathMeasure:
+        c = self._config
+        return construct_pstar(c.family, self.limit.argmax_r, max(*c.n_schedule, c.mc_horizon, c.enum_horizon))
+
+    @functools.cached_property
+    def e_pstars(self) -> dict[int, float]:
+        c, asked = self._config, self._requested
+        ns = [*(c.n_schedule if "pstar" in asked else ()), *((c.mc_horizon,) if "mc" in asked else ())]
+        return dict(zip(ns, expectations_under_policy(c.family, c.phi, ns, self.pstar, c.state_cap)))
+
+    @functools.cached_property
     def moments(self) -> MomentSummary:
         return moment_summary(self._config.family, self._config.alphas)
 
@@ -133,11 +146,7 @@ class _RunPlan:
         """P*, the parity rule and the uniform mixture at horizon n, each with its exact decomposition."""
         if n not in self._diagnostics:
             c = self._config
-            measures = [
-                construct_pstar(c.family, self.limit.argmax_r, n),
-                history_parity_measure(c.family, n),
-                uniform_mixture(c.family, n),
-            ]
+            measures = [self.pstar, history_parity_measure(c.family, n), uniform_mixture(c.family, n)]
             self._diagnostics[n] = [(m, conditional_means(c.family, m, n, c.state_cap)) for m in measures]
         return self._diagnostics[n]
 
@@ -248,8 +257,8 @@ def _check_prop2(config: ExperimentConfig, plan: _RunPlan):
 def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     reports = lower_bound_reports(
-        config.family, config.phi, config.n_schedule, plan.limit, plan.expectations[0], plan.moments.c_alpha,
-        config.state_cap,
+        config.family, config.phi, config.n_schedule, plan.limit, plan.pstar,
+        [plan.e_pstars[n] for n in config.n_schedule], plan.expectations[0], plan.moments.c_alpha,
     )
     for rep in reports:
         row = {
@@ -273,19 +282,17 @@ def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
 def _check_mc(config: ExperimentConfig, plan: _RunPlan):
     n = config.mc_horizon
     count = config.mc_samples
-    measure = construct_pstar(config.family, plan.limit.argmax_r, n)
-    exact = expectation_under_policy(config.family, n, config.phi, measure, config.state_cap)
-    sums = sample_path_sums(config.family, measure, n, count, config.seed)
+    sums = sample_path_sums(config.family, plan.pstar, n, count, config.seed)
     values = np.asarray(config.phi(sums / n), dtype=float)
     sample_mean = float(values.mean())
     sample_std = float(values.std(ddof=1))
     tolerance = 4.0 * sample_std / math.sqrt(count)
-    abs_error = abs(sample_mean - exact)
+    abs_error = abs(sample_mean - plan.e_pstars[n])
     row = {
         "n": n,
         "samples": count,
         "seed": config.seed,
-        "exact": exact,
+        "exact": plan.e_pstars[n],
         "sample_mean": sample_mean,
         "sample_std": sample_std,
         "abs_error": abs_error,
@@ -326,7 +333,7 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "checks": {},
     }
     overall = True
-    plan = _RunPlan(config)
+    plan = _RunPlan(config, requested)
     for name in (c for c in CHECKS if c in requested):
         try:
             rows = _CHECK_TABLE[name][0](config, plan)

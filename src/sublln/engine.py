@@ -55,21 +55,20 @@ i at step k standing for the coordinate ``k * k_min + i * gcd``.
 
 The forward kernel
 ------------------
-:func:`expectation_under_policy` propagates probability mass forward over
-the same reduced dense window, one step at a time, for a policy (admitted as
-``PathMeasure.from_policy``) and for a measure whose rule reads nothing or
-the running sum.  All run one loop.  Every evaluator, here and in
-:mod:`sublln.measures`, admits a measure once with ``_admit`` and reads its
-rule or policy selections through ``_rule_weights``: a sum rule reads the
-lattice sum ``k*origin + coord*step`` (coord the integer coordinate sum of
-the atoms), a history rule the realized atoms as Python floats.
+:func:`expectations_under_policy` propagates probability mass forward over
+the same reduced dense window, one step at a time and in one loop, for a
+policy (admitted as ``PathMeasure.from_policy``) and for a measure whose rule
+reads nothing or the running sum.  The mass at step k does not depend on the
+last step, so one pass to ``max(ns)`` serves every horizon.  Every evaluator,
+here and in :mod:`sublln.measures`, admits a measure once with ``_admit`` and
+reads its rule or policy selections through ``_rule_weights``: a sum rule
+reads the lattice sum ``k*origin + coord*step`` (coord the integer coordinate
+sum of the atoms), a history rule the realized atoms as Python floats.
 
-* **Weight layout.**  Each step first gets its member weights: a
-  ``(members,)`` vector for a "none" measure (checked once per step), or a
-  ``(members, states)`` array otherwise.  A policy is the one-hot case
-  ``arange(members)[:, None] == selection``, as floats; a sum rule is
-  called once per reachable state and leaves unreachable states at weight
-  zero.  Members lead so that each member's row is contiguous.
+* **Weight layout.**  Each step's ``(members, states)`` weights are
+  ``_rule_weights`` at the reachable coordinates, transposed, and zero at
+  unreachable states: a "none" vector (checked once per step) tiled, a
+  policy's selections as one-hot rows.  Members lead, so rows are contiguous.
 * **Product and accumulation order.**  For each member in index order,
   skipping a member whose weights are all zero, and each of its atoms in
   increasing value order, the kernel adds ``(weight_m * w) * mass`` into
@@ -78,9 +77,9 @@ the atoms), a history rule the realized atoms as Python floats.
   float one-hot rows this keeps the policy pass as fast as masking the
   mass member by member.
 * **One history walker.**  A rule that reads the realized history has no
-  sum-state weights to tabulate, so the forward pass walks the history tree
-  with ``_walk_histories``, as ``measures.conditional_means`` does, and adds
-  the leaves into the window in the order of a depth-first walk.
+  sum-state weights to tabulate, so the forward pass walks the tree of each
+  horizon with ``_walk_histories``, as ``measures.conditional_means`` does,
+  and adds the leaves into the window in the order of a depth-first walk.
 """
 
 from __future__ import annotations
@@ -110,6 +109,7 @@ __all__ = [
     "lower_iid_sum_expectation",
     "extract_argmax_policy",
     "expectation_under_policy",
+    "expectations_under_policy",
 ]
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -148,7 +148,7 @@ def _eval_phi(phi: Callable, xs: np.ndarray) -> np.ndarray:
         out = np.asarray(phi(xs), dtype=float)
         if out.shape == xs.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):  # a scalar-only phi; a warning raised as an error reaches the caller
         pass
     return np.array([float(phi(float(x))) for x in xs])
 
@@ -305,6 +305,19 @@ def _sweep(
     return cur[:, 0]
 
 
+def _horizons(family: AmbiguityFamily, ns: Iterable[int], state_cap: int) -> tuple[list[int], list[int], _Grid]:
+    """Checked ``ns`` as a list, its distinct horizons ascending and the grid; an overflow names the smallest."""
+    _require_valid(family)
+    horizons = list(ns)
+    for n in horizons:
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+    grid, distinct = _grid(family), sorted(set(horizons))
+    for n in distinct:
+        _check_cap(grid, n, state_cap)
+    return horizons, distinct, grid
+
+
 def payoff_expectations(
     family: AmbiguityFamily,
     payoffs: Sequence[Callable],
@@ -316,19 +329,11 @@ def payoff_expectations(
     One backward sweep from the largest horizon serves them all, a ``(horizon, phi)`` row each (see
     the module docstring); ``ns`` may be unsorted and repeat horizons.
     """
-    _require_valid(family)
-    horizons = list(ns)
-    for n in horizons:
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
+    horizons, distinct, grid = _horizons(family, ns, state_cap)
     if not horizons:
         return tuple(() for _ in payoffs)
-    grid = _grid(family)
-    distinct = sorted(set(horizons), reverse=True)
-    for n in reversed(distinct):  # ascending: an overflow names the smallest horizon past the cap
-        _check_cap(grid, n, state_cap)
-    masks = _reachable_masks(grid, distinct[0], distinct)
-    keys = [(n, i) for n in distinct for i in range(len(payoffs))]
+    masks = _reachable_masks(grid, distinct[-1], distinct)
+    keys = [(n, i) for n in reversed(distinct) for i in range(len(payoffs))]
     groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span)
     roots = dict(zip(keys, (r for group in groups for r in _sweep(grid, group, masks).tolist())))
     return tuple(tuple(roots[n, i] for n in horizons) for i in range(len(payoffs)))
@@ -608,42 +613,24 @@ def _rule_weights(measure: PathMeasure, lattice, k: int, coords: np.ndarray, his
     return np.array([measure.mixture_weights(k, history=tuple(h)) for h in histories.tolist()])
 
 
-def _step_weights(measure, k: int, support: SumSupport, members: int) -> np.ndarray:
-    """Member weights of step k: ``(members,)`` for a ``"none"`` measure, else ``(members, states)``."""
-    policy = measure if isinstance(measure, SelectionPolicy) else measure.policy
-    if policy is not None:
-        sel = policy.selections[k][: support.size(k)]
-        bad = support.masks[k] & (sel < 0)
-        if bad.any():
-            i = int(np.nonzero(bad)[0][0])
-            raise PolicyIncomplete(f"no selection at step {k}, sum {float(support.values(k)[i])!r}")
-        return (np.arange(members, dtype=sel.dtype)[:, None] == sel).astype(float)
-    if measure.depends_on == "none":
-        return measure.mixture_weights(k)
-    weights = np.zeros((members, support.size(k)))
-    coords = k * support.k_min + support.gcd * np.flatnonzero(support.masks[k])
-    weights[:, support.masks[k]] = _rule_weights(measure, support, k, coords, None).T
-    return weights
-
-
-def _forward(n: int, support: SumSupport, measure) -> np.ndarray:
-    """Mass over step n's dense window under a policy or non-history measure (see the module docstring)."""
-    members = len(support.terms)
-    mass = np.array([1.0])
-    scratch = np.empty(support.size(n - 1))
-    for k in range(n):
-        weights = _step_weights(measure, k, support, members)
-        live = weights.reshape(members, -1).any(axis=1)
+def _forward(support: SumSupport, measure: PathMeasure, ns: Iterable[int]) -> dict[int, np.ndarray]:
+    """Mass over the dense window of each step in ``ns`` under a non-history measure, by one pass."""
+    members, keep, masses, mass = len(support.terms), set(ns), {}, np.array([1.0])
+    scratch = np.empty(support.size(max(keep) - 1))
+    for k in range(max(keep)):
+        weights = np.zeros((members, mass.size))
+        coords = k * support.k_min + support.gcd * np.flatnonzero(support.masks[k])
+        weights[:, support.masks[k]] = _rule_weights(measure, support, k, coords, None).T
         nxt = np.zeros(mass.size + support.span)
         product = scratch[: mass.size]
-        for weight, is_live, terms in zip(weights, live, support.terms):
-            if not is_live:
-                continue
-            for w, s in terms:
-                np.multiply(weight * w, mass, out=product)
+        for m in np.flatnonzero(weights.any(axis=1)):  # members of nonzero weight, in index order
+            for w, s in support.terms[m]:
+                np.multiply(weights[m] * w, mass, out=product)
                 nxt[s : s + mass.size] += product
         mass = nxt
-    return mass
+        if k + 1 in keep:
+            masses[k + 1] = mass
+    return masses
 
 
 def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: int | None) -> tuple:
@@ -678,6 +665,36 @@ def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: 
     return paths, coord_sums, probs, tuple(means)
 
 
+def expectations_under_policy(
+    family: AmbiguityFamily,
+    phi: Callable,
+    ns: Iterable[int],
+    policy: SelectionPolicy | PathMeasure,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[float, ...]:
+    """:func:`expectation_under_policy` for each n in ``ns`` by one pass; an overflow names the smallest n."""
+    horizons, distinct, _ = _horizons(family, ns, state_cap)
+    if not horizons:
+        return ()
+    support = build_support(family, distinct[-1], state_cap)
+    if isinstance(policy, SelectionPolicy):
+        policy = PathMeasure.from_policy(policy, len(family.members))
+    if not isinstance(policy, PathMeasure):
+        raise TypeError(f"unsupported policy object: {policy!r}")
+    _admit(family, policy, distinct[-1])
+    if policy.depends_on == "history":
+        mass = {n: np.zeros(support.size(n)) for n in distinct}
+        for n in distinct:
+            _, coord_sums, probs, _ = _walk_histories(family, policy, n, state_cap)
+            # reversed rows add the paths in the order of a depth-first walk
+            np.add.at(mass[n], ((coord_sums - n * support.k_min) // support.gcd)[::-1], probs[::-1])
+    else:
+        mass = _forward(support, policy, distinct)
+    xs = {n: support.reachable_values(n) / n for n in mass}
+    values = {n: pairwise_total(mass[n][support.masks[n]] * _eval_phi(phi, xs[n])) for n in mass}
+    return tuple(values[n] for n in horizons)
+
+
 def expectation_under_policy(
     family: AmbiguityFamily,
     n: int,
@@ -694,17 +711,4 @@ def expectation_under_policy(
     history-dependent) and the terminal distribution is averaged against
     phi.  The family and n are checked by :func:`build_support`.
     """
-    support = build_support(family, n, state_cap)
-    if isinstance(policy, SelectionPolicy):
-        policy = PathMeasure.from_policy(policy, len(family.members))
-    if not isinstance(policy, PathMeasure):
-        raise TypeError(f"unsupported policy object: {policy!r}")
-    _admit(family, policy, n)
-    if policy.depends_on == "history":
-        _, coord_sums, probs, _ = _walk_histories(family, policy, n, state_cap)
-        mass = np.zeros(support.size(n))
-        # reversed rows add the paths in the order of a depth-first walk
-        np.add.at(mass, ((coord_sums - n * support.k_min) // support.gcd)[::-1], probs[::-1])
-    else:
-        mass = _forward(n, support, policy)
-    return pairwise_total(mass[support.masks[n]] * _eval_phi(phi, support.reachable_values(n) / n))
+    return expectations_under_policy(family, phi, [n], policy, state_cap)[0]

@@ -35,7 +35,8 @@ from .engine import (
     _lattice_sums,
     _rule_weights,
     _walk_histories,
-    expectation_under_policy,
+    expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
+    expectations_under_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     iid_sum_expectations,
 )
@@ -460,22 +461,21 @@ def lower_bound_reports(
     phi: LipschitzFunction,
     ns: Sequence[int],
     limit: IntervalMaxResult,
+    pstar: PathMeasure,
+    e_pstars: Sequence[float],
     e_uppers: Sequence[float],
     c_alpha: Mapping[float, float],
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
-    """Per-n lower-chain reports from the limit search, the worst cases ``e_uppers`` of ``ns`` and ``c_alpha``.
+    """Per-n lower-chain reports of ``ns`` from the limit search, ``pstar``, ``e_pstars``, ``e_uppers`` and ``c_alpha``.
 
-    The measure pinning every step's mean at ``mu_star = limit.argmax_r`` must be
+    The measure ``pstar`` pinning every step's mean at ``mu_star = limit.argmax_r`` must be
     dominated by the worst case, its per-step mean must equal ``mu_star``, and
     ``phi(mu_star) - E[phi(S_n/n)]`` must stay within the rate bound for each alpha.
     """
     mu_star = limit.argmax_r
-    measure = construct_pstar(family, mu_star, max(ns, default=1))
-    step_mean = float(measure.mixture_weights(0) @ family.member_means())
+    step_mean = float(pstar.mixture_weights(0) @ family.member_means())
     reports = []
-    for n, e_upper in zip(ns, e_uppers):
-        e_pstar = expectation_under_policy(family, n, phi, measure, state_cap)
+    for n, e_pstar, e_upper in zip(ns, e_pstars, e_uppers):
         lower_gap = limit.max_value - e_pstar
         bounds = {a: theorem3_bound(phi.lipschitz_constant, c, a, n) for a, c in c_alpha.items()}
         reports.append(
@@ -503,11 +503,13 @@ def lower_bound_checks(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
-    """:func:`lower_bound_reports` with the limit found once and every worst case from one batched sweep."""
+    """:func:`lower_bound_reports` with the limit found once, one batched backward sweep and one P* forward pass."""
     limit = interval_max(phi, *mean_bounds(family))
     e_uppers = iid_sum_expectations(family, phi, ns, state_cap)
+    pstar = construct_pstar(family, limit.argmax_r, max(ns, default=1))
+    e_pstars = expectations_under_policy(family, phi, ns, pstar, state_cap)
     c_alpha = {float(a): moment_c_alpha(family, a) for a in alphas}
-    return lower_bound_reports(family, phi, ns, limit, e_uppers, c_alpha, state_cap)
+    return lower_bound_reports(family, phi, ns, limit, pstar, e_pstars, e_uppers, c_alpha)
 
 
 def lower_bound_check(

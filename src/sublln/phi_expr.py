@@ -143,7 +143,8 @@ class PhiExpression:
     root: Node
 
     def evaluate(self, x):
-        out = _eval(self.root, x)
+        with np.errstate(all="ignore"):  # IEEE results: a caller names the first point where phi is not finite
+            out = _eval(self.root, x)
         if isinstance(x, np.ndarray) and np.ndim(out) == 0:
             return np.full(x.shape, float(out))
         return out

@@ -9,9 +9,10 @@ import pytest
 from sublln import cli
 from sublln.cli import main
 from sublln.config import parse_config
+from sublln import engine
 from sublln.engine import payoff_expectations
 from sublln.lln_rates import interval_max
-from sublln.measures import conditional_means
+from sublln.measures import conditional_means, construct_pstar
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -264,6 +265,42 @@ class TestRunPlan:
             "error: check 'variance': 2145 sum states for n=32 exceed the cap of 1000; "
             "the lattice is too fine for this horizon\n"
         )
+
+    def test_pstar_built_and_propagated_once_per_run(self, tmp_path, monkeypatch):
+        config = parse_config((CONFIGS / "three_atom.json").read_bytes())
+        builds = count_calls(monkeypatch, construct_pstar)
+        passes = count_calls(monkeypatch, engine._forward)
+        assert cli.run(config, tmp_path / "r") == 0
+        # one P* serves chatterji, prop2, pstar and mc; one forward pass covers the schedule and mc_horizon
+        assert (len(builds), len(passes)) == (1, 1)
+        assert sorted(passes[0][2]) == sorted({*config.n_schedule, config.mc_horizon})
+        assert cli.run(config, tmp_path / "r2") == 0
+        assert (len(builds), len(passes)) == (2, 2)
+
+    @pytest.mark.parametrize("check, n, states", [("pstar", 32, 2145), ("mc", 50, 5151)])
+    def test_pstar_checks_past_the_state_cap(self, tmp_path, capsys, check, n, states):
+        args = [check, "--config", str(CONFIGS / "three_atom.json"), "--out", str(tmp_path / "r")]
+        assert main(args + ["--state-cap", "1000"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: check '{check}': {states} sum states for n={n} exceed the cap of 1000; "
+            "the lattice is too fine for this horizon\n"
+        )
+
+    def test_shared_pstar_pass_fails_in_pstar_past_the_state_cap(self, tmp_path, capsys):
+        # the schedule fits the cap and mc_horizon = 50 does not: the pass shared by pstar and mc fails first
+        cfg = json.loads((CONFIGS / "three_atom.json").read_text())
+        cfg["n_schedule"] = [1, 2, 4]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        message = "5151 sum states for n=50 exceed the cap of 1000; the lattice is too fine for this horizon\n"
+        for command, code, err in [
+            ("verify-all", 1, f"error: check 'pstar': {message}"),
+            ("pstar", 0, ""),
+            ("mc", 1, f"error: check 'mc': {message}"),
+        ]:
+            args = [command, "--config", str(path), "--out", str(tmp_path / command), "--state-cap", "1000"]
+            assert main(args) == code, command
+            assert capsys.readouterr().err == err, command
 
 
 # SHA-256 of every file ``verify-all --seed 7`` writes for each shipped

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sublln.engine import (
     SupportOverflow,
     build_support,
     expectation_under_policy,
+    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
     iid_sum_expectations,
@@ -23,7 +25,7 @@ from sublln.engine import (
     payoff_expectations,
     value_table,
 )
-from sublln.measures import PathMeasure, construct_pstar, uniform_mixture
+from sublln.measures import PathMeasure, construct_pstar, history_parity_measure, uniform_mixture
 
 from _oracles import (
     history_tree_max,
@@ -524,7 +526,9 @@ FORWARD_NS = (1, 3, 7, 16, 40)
 
 
 def engine_mass(family, n, measure):
-    return engine._forward(n, build_support(family, n), measure)
+    if isinstance(measure, SelectionPolicy):  # the kernel reads a policy through the measure that carries it
+        measure = PathMeasure.from_policy(measure, len(family.members))
+    return engine._forward(build_support(family, n), measure, [n])[n]
 
 
 def cosine_sum_rule(family, n):
@@ -580,6 +584,50 @@ class TestForwardKernel:
             for i, phi in enumerate(catalog_for(family)):
                 got = expectation_under_policy(family, n, phi, measure)
                 assert abs(got - window_expectation(family, n, phi, want)) <= 1e-15, (n, i)
+
+    def test_every_horizon_from_one_pass_bit_for_bit(self, families, name):
+        # the mass at step k does not depend on the last step, so one pass serves unsorted, repeated horizons
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        ns = [7, 1, 4, 7, 2]
+        top = max(ns)
+        for i, phi in enumerate(catalog_for(family)):
+            policy = extract_argmax_policy(family, top, phi)
+            measures = [construct_pstar(family, mu, top) for mu in (lo, 0.5 * (lo + hi), hi)]
+            measures += [
+                uniform_mixture(family, top),
+                policy,
+                PathMeasure.from_policy(policy, len(family.members)),
+                cosine_sum_rule(family, top),
+                history_parity_measure(family, top),
+            ]
+            for measure in measures:
+                want = [expectation_under_policy(family, n, phi, measure) for n in ns]
+                assert bits(expectations_under_policy(family, phi, ns, measure)) == bits(want), (i, measure)
+                assert expectations_under_policy(family, phi, [], measure) == ()
+
+
+class TestEvalPhi:
+    def test_a_warning_reaches_the_caller_after_one_call(self):
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return x * 1e300 * 1e300
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                engine._eval_phi(phi, np.linspace(0.0, 1.0, 1001))
+        assert len(calls) == 1
+
+    def test_scalar_only_phis_still_fall_back(self):
+        xs = np.linspace(-1.0, 1.0, 9)
+        table = {float(x): 2.0 * float(x) for x in xs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert engine._eval_phi(lambda x: table[float(x)], xs).tolist() == (2.0 * xs).tolist()
+            assert engine._eval_phi(lambda x: min(abs(x), 0.5), xs).tolist() == np.minimum(abs(xs), 0.5).tolist()
 
 
 @settings(max_examples=40, deadline=None)
