@@ -7,14 +7,20 @@ from sublln.corpus import catalog_for, corpus_families
 from sublln.lln_rates import rate_sweep
 
 
-def main() -> int:
+def main(argv=None) -> int:
     families = corpus_families()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--family", choices=sorted(families), default="three_atom")
     parser.add_argument("--phi", default="abs_dev", help="catalog name prefix (e.g. linear, abs_dev, clip)")
-    parser.add_argument("--n-max", type=int, default=1024)
-    parser.add_argument("--alpha", type=float, default=1.0)
-    args = parser.parse_args()
+    parser.add_argument(
+        "--n-max", type=int, default=1024, help="largest horizon, at least 1; horizons are powers of two up to 1024"
+    )
+    parser.add_argument("--alpha", type=float, default=1.0, help="moment order alpha in (0, 1]")
+    args = parser.parse_args(argv)
+    if args.n_max < 1:
+        parser.error(f"--n-max must be at least 1, got {args.n_max}")
+    if not 0.0 < args.alpha <= 1.0:
+        parser.error(f"--alpha must be in (0, 1], got {args.alpha:g}")
 
     family = families[args.family]
     matches = [phi for phi in catalog_for(family) if phi.name.startswith(args.phi)]

@@ -37,6 +37,7 @@ from .engine import (
 )
 from .lln_rates import (
     BOUND_TOL,
+    ROUND_TOL,
     IntervalMaxResult,
     InvalidInterval,
     LipschitzFunction,
@@ -56,6 +57,7 @@ from .lln_rates import (
     rate_sweep,
     spot_check_lipschitz,
     theorem3_bound,
+    verdict,
 )
 from .measures import (
     ChatterjiReport,

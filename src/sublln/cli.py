@@ -36,12 +36,14 @@ from .engine import (
 )
 from .lln_rates import (
     BOUND_TOL,
+    ROUND_TOL,
     IntervalMaxResult,
     fang_bound,
     improved_distance_bound,
     interval_distance_phi,
     interval_max,
     rate_reports,
+    verdict,
 )
 from .measures import (
     MartingaleDecomposition,
@@ -160,7 +162,7 @@ def _check_eval(config: ExperimentConfig, plan: _RunPlan):
                 "n": n,
                 "expectation": upper,
                 "lower_expectation": lower,
-                "holds_order": bool(lower <= upper + 1e-12),
+                "holds_order": verdict(lower, upper, ROUND_TOL),
             }
         )
     return rows
@@ -197,9 +199,9 @@ def _check_variance(config: ExperimentConfig, plan: _RunPlan):
                 "dist_lipschitz": interval_distance_phi(config.family).lipschitz_constant,
                 "improved_bound": improved,
                 "fang_bound": fang,
-                "holds_improved": bool(dist <= improved + BOUND_TOL),
-                "holds_fang": bool(dist <= fang + BOUND_TOL),
-                "holds_ordering": bool(improved <= fang + BOUND_TOL),
+                "holds_improved": verdict(dist, improved, BOUND_TOL),
+                "holds_fang": verdict(dist, fang, BOUND_TOL),
+                "holds_ordering": verdict(improved, fang, BOUND_TOL),
             }
         )
     return rows
@@ -274,7 +276,7 @@ def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
         for a in config.alphas:
             row[f"bound_theorem3_{_alpha_tag(a)}"] = rep.bound_theorem3[a]
             row[f"holds_lower_{_alpha_tag(a)}"] = rep.lower_holds[a]
-        row["holds_pinning"] = bool(rep.step_mean_error <= 1e-12)
+        row["holds_pinning"] = verdict(rep.step_mean_error, 0.0, ROUND_TOL)
         rows.append(row)
     return rows
 
@@ -316,12 +318,23 @@ _CHECK_TABLE = {
 
 
 def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = None) -> int:
-    """Execute the requested checks, write reports and a summary; return the exit code."""
+    """Execute the requested checks, then write reports and a summary; return the exit code.
+
+    Every check runs before the first file is written, so a run that exits 1 writes nothing.
+    """
     requested = tuple(checks) if checks is not None else config.checks
     unknown = [c for c in requested if c not in CHECKS]
     if unknown:
         print(f"error: unknown check name {unknown[0]!r}", file=sys.stderr)
         return 1
+    plan = _RunPlan(config, requested)
+    results = {}
+    for name in (c for c in CHECKS if c in requested):
+        try:
+            results[name] = _CHECK_TABLE[name][0](config, plan)
+        except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError) as exc:
+            print(f"error: check '{name}': {exc}", file=sys.stderr)
+            return 1
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, Any] = {
@@ -333,13 +346,7 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "checks": {},
     }
     overall = True
-    plan = _RunPlan(config, requested)
-    for name in (c for c in CHECKS if c in requested):
-        try:
-            rows = _CHECK_TABLE[name][0](config, plan)
-        except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError) as exc:
-            print(f"error: check '{name}': {exc}", file=sys.stderr)
-            return 1
+    for name, rows in results.items():
         report = _write_report(out_dir / f"report_{name}", rows, config.format)
         passed = _passed(rows)
         overall = overall and passed

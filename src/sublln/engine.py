@@ -310,8 +310,8 @@ def _horizons(family: AmbiguityFamily, ns: Iterable[int], state_cap: int) -> tup
     _require_valid(family)
     horizons = list(ns)
     for n in horizons:
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
     grid, distinct = _grid(family), sorted(set(horizons))
     for n in distinct:
         _check_cap(grid, n, state_cap)

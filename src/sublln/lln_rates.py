@@ -35,6 +35,7 @@ from .rng import unit_array
 
 __all__ = [
     "BOUND_TOL",
+    "ROUND_TOL",
     "CATALOG",
     "CatalogEntry",
     "InvalidInterval",
@@ -58,12 +59,25 @@ __all__ = [
     "distance_sq_moment",
     "rate_reports",
     "rate_sweep",
+    "verdict",
 ]
 
 BOUND_TOL = 1e-9
+ROUND_TOL = 1e-12
 
 _MAX_GRID_INTERVALS = 10**6
 _GRID_BLOCK = 1 << 14  # grid points per phi call: 128 KiB per float64 temporary
+
+
+def verdict(lhs: float, rhs: float, err: float) -> bool:
+    """Whether ``lhs <= rhs`` holds up to ``err``: every ``holds_*`` and ``ok`` cell of a report but ``mc``'s.
+
+    The float form is exactly ``lhs <= rhs + err``, which rounds unlike ``lhs - rhs <= err``
+    (the two disagree on ``(1.0, 1.0 - 2**-53, 2**-54)``).  ``err`` is ``BOUND_TOL`` for the
+    rate bounds of ``sweep`` and ``variance`` and the Chatterji moment chain, and ``ROUND_TOL``
+    elsewhere, the theorem-3 bound of ``pstar`` included.
+    """
+    return bool(lhs <= rhs + err)
 
 
 class InvalidInterval(ValueError):
@@ -332,9 +346,9 @@ def rate_reports(
     for n, e in zip(ns, expectations):
         gap = abs(e - limit)
         b3 = {a: theorem3_bound(L, c, a, n) for a, c in moments.c_alpha.items()}
-        h3 = {a: bool(gap <= b + BOUND_TOL) for a, b in b3.items()}
+        h3 = {a: verdict(gap, b, BOUND_TOL) for a, b in b3.items()}
         bc = corollary_bound(moments.sigma_bar, n) if use_corollary else None
-        hc = bool(gap <= bc + BOUND_TOL) if use_corollary else None
+        hc = verdict(gap, bc, BOUND_TOL) if use_corollary else None
         reports.append(RateReport(n, e, limit, gap, b3, h3, bc, hc))
     return tuple(reports)
 
@@ -347,12 +361,13 @@ def rate_sweep(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[RateReport, ...]:
     """Gap-versus-n sweep with every requested bound evaluated per n (see :func:`rate_reports`)."""
+    for n in n_schedule:
+        _check_n(n)
     schedule = [int(n) for n in n_schedule]
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"n_schedule must be strictly ascending, got {schedule}")
-    _check_n(schedule[0])
     moments = moment_summary(family, alphas)
     limit = interval_max(phi, moments.mu_lower, moments.mu_upper).max_value
     return rate_reports(phi, schedule, iid_sum_expectations(family, phi, schedule, state_cap), limit, moments)

@@ -40,7 +40,7 @@ from .engine import (
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     iid_sum_expectations,
 )
-from .lln_rates import IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound
+from .lln_rates import BOUND_TOL, ROUND_TOL, IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound, verdict
 from .rng import counter_offsets, mantissas
 from .rng import unit_array  # unused here; kept bound for perfbench's span tracer
 
@@ -88,7 +88,7 @@ def construct_pstar(family: AmbiguityFamily, mu_star: float, n: int) -> PathMeas
     _require_valid(family)
     means = [m.mean for m in family.members]
     lo, hi = min(means), max(means)
-    if not (lo - 1e-12 <= mu_star <= hi + 1e-12):
+    if not (lo - ROUND_TOL <= mu_star <= hi + ROUND_TOL):
         raise MuStarOutOfRange(f"mu_star {mu_star!r} is outside [{lo!r}, {hi!r}]")
     i_up = means.index(hi)
     weights = np.zeros(len(means))
@@ -200,7 +200,7 @@ def prop2_check(
     excess = np.maximum(dec.cond_means - hi, lo - dec.cond_means)
     p, s = np.unravel_index(int(np.argmax(excess)), excess.shape)
     worst = float(excess[p, s])
-    return Prop2Report(bool(worst <= 1e-12), worst, int(s) + 1, int(p), lo, hi, dec.n, dec.measure_name)
+    return Prop2Report(verdict(worst, 0.0, ROUND_TOL), worst, int(s) + 1, int(p), lo, hi, dec.n, dec.measure_name)
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,9 @@ def chatterji_check(
         float(p),
         lhs,
         rhs,
-        bool(lhs <= rhs + 1e-12),
+        verdict(lhs, rhs, ROUND_TOL),
         chain_bound,
-        bool(lhs <= chain_bound + 1e-9),
+        verdict(lhs, chain_bound, BOUND_TOL),
     )
 
 
@@ -486,11 +486,11 @@ def lower_bound_reports(
                 e_pstar=e_pstar,
                 e_upper=e_upper,
                 lower_gap=lower_gap,
-                upper_dominates=bool(e_pstar <= e_upper + 1e-12),
+                upper_dominates=verdict(e_pstar, e_upper, ROUND_TOL),
                 step_mean=step_mean,
                 step_mean_error=abs(step_mean - mu_star),
                 bound_theorem3=bounds,
-                lower_holds={a: bool(lower_gap <= b + 1e-12) for a, b in bounds.items()},
+                lower_holds={a: verdict(lower_gap, b, ROUND_TOL) for a, b in bounds.items()},
             )
         )
     return reports

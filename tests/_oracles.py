@@ -52,6 +52,29 @@ def history_tree_max(family, n, phi):
     return rec(())
 
 
+def rational_backward(family, n, phi):
+    """``E_up[phi(S_n/n)]`` by backward recursion in exact rationals.
+
+    The weights are the family's ``normalized_weights`` read as Fractions, and
+    phi is evaluated once per reachable sum at the engine's own float points
+    ``(n*origin + c*step)/n``.  Every sum and maximum after that is exact, so
+    the result differs from the engine's only by the engine's float rounding
+    in the recursion.
+    """
+    lat = family.lattice
+    members = [
+        [(lat.coord(v), Fraction(w)) for (v, _), w in zip(m.atoms, m.normalized_weights)]
+        for m in family.members
+    ]
+    levels = reachable_coords(family, n)
+    coords = sorted(levels[n])
+    xs = np.array([(n * lat.origin + c * lat.step) / n for c in coords])
+    values = dict(zip(coords, map(Fraction, np.asarray(phi(xs), dtype=float).tolist())))
+    for k in range(n - 1, -1, -1):
+        values = {c: max(sum(w * values[c + a] for a, w in member) for member in members) for c in levels[k]}
+    return values[0]
+
+
 def sum_policy_count(family, n):
     levels = reachable_coords(family, n)
     return len(family.members) ** sum(len(levels[k]) for k in range(n))

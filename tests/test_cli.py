@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -11,7 +12,7 @@ from sublln.cli import main
 from sublln.config import parse_config
 from sublln import engine
 from sublln.engine import payoff_expectations
-from sublln.lln_rates import interval_max
+from sublln.lln_rates import interval_max, verdict
 from sublln.measures import conditional_means, construct_pstar
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -216,6 +217,15 @@ class TestVerifyAll:
         assert not (out / "report_sweep.csv").exists()
 
 
+def patch_bindings(monkeypatch, fn, replacement) -> None:
+    """Bind ``replacement`` to every sublln module attribute bound to ``fn``."""
+    for name, module in list(sys.modules.items()):
+        if name == "sublln" or name.startswith("sublln."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Count calls of ``fn`` through every sublln module attribute bound to it."""
     calls = []
@@ -224,11 +234,7 @@ def count_calls(monkeypatch, fn) -> list:
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "sublln" or name.startswith("sublln."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+    patch_bindings(monkeypatch, fn, counted)
     return calls
 
 
@@ -293,14 +299,39 @@ class TestRunPlan:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         message = "5151 sum states for n=50 exceed the cap of 1000; the lattice is too fine for this horizon\n"
-        for command, code, err in [
-            ("verify-all", 1, f"error: check 'pstar': {message}"),
-            ("pstar", 0, ""),
-            ("mc", 1, f"error: check 'mc': {message}"),
+        for command, code, err, written in [
+            ("verify-all", 1, f"error: check 'pstar': {message}", []),
+            ("pstar", 0, "", ["report_pstar.csv", "summary.json"]),
+            ("mc", 1, f"error: check 'mc': {message}", []),
         ]:
-            args = [command, "--config", str(path), "--out", str(tmp_path / command), "--state-cap", "1000"]
+            out = tmp_path / command
+            args = [command, "--config", str(path), "--out", str(out), "--state-cap", "1000"]
             assert main(args) == code, command
-            assert capsys.readouterr().err == err, command
+            captured = capsys.readouterr()
+            assert captured.err == err, command
+            # every check runs before the first file is written: a failed run leaves no partial reports
+            assert sorted(p.name for p in out.glob("*")) == written, command
+            if code == 1:
+                assert captured.out == "", command
+
+
+class TestVerdictOwner:
+    def test_every_verdict_but_mc_is_decided_by_the_owner(self, tmp_path, monkeypatch):
+        # with the owner answering false, a true cell could only come from a comparison of its own
+        patch_bindings(monkeypatch, verdict, lambda lhs, rhs, err: False)
+        for path in sorted(CONFIGS.glob("*.json")):
+            config = dataclasses.replace(parse_config(path.read_bytes()), format="csv")
+            out = tmp_path / path.stem
+            assert cli.run(config, out) == 2, path.stem
+            for report in sorted(out.glob("report_*.csv")):
+                cells = [
+                    (column, value)
+                    for row in read_csv(report)
+                    for column, value in row.items()
+                    if value in ("true", "false") and (report.name, column) != ("report_mc.csv", "holds")
+                ]
+                assert report.name == "report_mc.csv" or cells, (path.stem, report.name)
+                assert all(value == "false" for _, value in cells), (path.stem, report.name)
 
 
 # SHA-256 of every file ``verify-all --seed 7`` writes for each shipped

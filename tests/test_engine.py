@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from _oracles import (
     history_tree_max,
     per_horizon_backward,
     per_state_forward,
+    rational_backward,
     reachable_coords,
     sum_value,
     unreduced_window,
@@ -104,6 +106,15 @@ class TestIidSumExpectation:
     def test_invalid_family(self):
         with pytest.raises(FamilyInvalid):
             iid_sum_expectation(AmbiguityFamily.build(0, 1, [[(0.25, 1.0)]]), 2, lambda x: x)
+
+    def test_matches_exact_rationals(self, families):
+        # both sides read the same phi floats and normalized weights; only the recursion's rounding differs
+        ns = list(range(1, 13))
+        for name, family in families.items():
+            for phi in catalog_for(family):
+                for n, value in zip(ns, iid_sum_expectations(family, phi, ns)):
+                    exact = rational_backward(family, n, phi)
+                    assert abs(Fraction(value) - exact) <= 1e-12 * max(1, abs(exact)), (name, phi.name, n)
 
     def test_range_invariant(self, families):
         for family in families.values():
@@ -235,6 +246,8 @@ class TestBatchedKernel:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             iid_sum_expectations(TWO_POINT, lambda x: x, [3, 0])
+        with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
+            iid_sum_expectations(TWO_POINT, lambda x: x, [2.5])
 
     @pytest.mark.parametrize("name", ["bernoulli_pair", "skewed_pair", "three_atom", "fine_lattice"])
     def test_phi_called_only_at_reachable_sums(self, families, name):

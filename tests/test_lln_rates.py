@@ -25,6 +25,7 @@ from sublln.lln_rates import (
     rate_sweep,
     spot_check_lipschitz,
     theorem3_bound,
+    verdict,
 )
 
 from _oracles import dense_interval_max, fair_coin_expectation
@@ -33,6 +34,14 @@ FAIR_COIN = AmbiguityFamily.build(0, 1, [[(-1, 0.5), (1, 0.5)]])
 DELTA_PAIR = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
 TWO_POINT = AmbiguityFamily.build(0, 1, [[(-1, 1.0)], [(1, 1.0)]])
 POINT_MASS = AmbiguityFamily.build(0, 0.5, [[(0.5, 1.0)]])
+
+
+class TestVerdict:
+    def test_float_form_is_lhs_at_most_rhs_plus_err(self):
+        # 1 - 2^-53 + 2^-54 rounds to 1.0 (a tie, to even), but 1.0 - (1 - 2^-53) = 2^-53 exceeds 2^-54
+        assert verdict(1.0, 1.0 - 2**-53, 2**-54) is True
+        assert not 1.0 - (1.0 - 2**-53) <= 2**-54
+        assert verdict(np.float64(1.0), np.float64(0.5), 0.0) is False
 
 
 class TestIntervalMax:
@@ -199,6 +208,8 @@ class TestRateSweep:
             rate_sweep(TWO_POINT, abs_dev(0.0), [4, 2])
         with pytest.raises(NonPositiveN):
             rate_sweep(TWO_POINT, abs_dev(0.0), [0, 2])
+        with pytest.raises(NonPositiveN):
+            rate_sweep(TWO_POINT, abs_dev(0.0), [2.5])
 
     def test_monotone_vanishing(self, families):
         schedule = [1, 1024]
