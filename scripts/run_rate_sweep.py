@@ -2,8 +2,10 @@
 """Print a gap-versus-n table for a corpus family and a catalog shape function."""
 
 import argparse
+import sys
 
 from sublln.corpus import catalog_for, corpus_families
+from sublln.engine import SupportOverflow
 from sublln.lln_rates import rate_sweep
 
 
@@ -13,7 +15,7 @@ def main(argv=None) -> int:
     parser.add_argument("--family", choices=sorted(families), default="three_atom")
     parser.add_argument("--phi", default="abs_dev", help="catalog name prefix (e.g. linear, abs_dev, clip)")
     parser.add_argument(
-        "--n-max", type=int, default=1024, help="largest horizon, at least 1; horizons are powers of two up to 1024"
+        "--n-max", type=int, default=1024, help="largest horizon, at least 1; horizons are the powers of two up to it"
     )
     parser.add_argument("--alpha", type=float, default=1.0, help="moment order alpha in (0, 1]")
     args = parser.parse_args(argv)
@@ -27,8 +29,12 @@ def main(argv=None) -> int:
     if not matches:
         parser.error(f"no catalog entry starting with {args.phi!r}")
     phi = matches[0]
-    schedule = [n for n in (2**k for k in range(11)) if n <= args.n_max]
-    reports = rate_sweep(family, phi, schedule, alphas=(args.alpha,))
+    schedule = [2**k for k in range(args.n_max.bit_length())]
+    try:
+        reports = rate_sweep(family, phi, schedule, alphas=(args.alpha,))
+    except SupportOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     print(f"family={args.family}  phi={phi.name}  L={phi.lipschitz_constant:g}")
     header = f"{'n':>6} {'expectation':>14} {'limit':>10} {'gap':>12} {'rate bound':>12} {'corollary':>12}"

@@ -155,7 +155,7 @@ def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunctio
             expr = parse_phi(source)
         except PhiSyntaxError as exc:
             raise SemanticError(f"phi.expression: {exc}") from exc
-        phi = LipschitzFunction(expr.evaluate, constant, f"expr({source})")
+        phi = LipschitzFunction(expr, constant, f"expr({source})")
         dlo, dhi = family.support_bounds()
         try:
             check = spot_check_lipschitz(phi, dlo, dhi)

@@ -177,9 +177,12 @@ class _Grid:
         return _lattice_sums(self, k, k * self.k_min + self.gcd * np.arange(self.size(k)))
 
 
-def _lattice_sums(lattice, k: int, coords: np.ndarray) -> np.ndarray:
-    """Sums of k atoms whose lattice coordinates add up to ``coords``: the value a sum rule reads."""
-    return k * lattice.origin + coords * lattice.step
+def _lattice_sums(lattice, k: int, coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums of k atoms whose lattice coordinates add up to ``coords``: the value a sum rule reads.
+
+    ``coords * step + k * origin``, into ``out`` when given (float addition commutes bit for bit).
+    """
+    return np.add(np.multiply(coords, lattice.step, out=out), k * lattice.origin, out=out)
 
 
 def _grid(family: AmbiguityFamily) -> _Grid:
@@ -207,22 +210,32 @@ def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
 
 
 def _reachable_masks(grid: _Grid, n: int, keep: Iterable[int]) -> dict[int, np.ndarray]:
-    """Reachable-sum masks of the steps in ``keep`` (all at most n), by one forward OR pass."""
+    """Reachable-sum masks of the steps in ``keep`` (all at most n), by one forward OR pass.
+
+    The pass stops at the first step k whose mask is the previous one with ``span`` ones
+    inserted at some index j.  Every later mask is then this one with ``(j' - k) * span``
+    more ones at j: with A the reachable set and S the union shifts (0 and ``span`` among
+    them), sums below j come only from sums below j, which A_k and A_{k-1} share; the sums
+    from ``j + span`` up mirror this; and ``A_k + 0`` and ``A_k + span`` cover the ones in
+    between.  A full window (j = 1 at k = 1) is the case that stays full.
+    """
     keep = set(keep)
     shifts = sorted({s for member in grid.terms for _, s in member})
     mask = np.ones(1, dtype=bool)
     masks = {0: mask} if 0 in keep else {}
     for k in range(1, n + 1):
-        if k > 1 and mask.all():
-            # A full window stays full: consecutive union shifts are at most span apart.
-            masks.update((j, np.ones(grid.size(j), dtype=bool)) for j in keep if j >= k)
-            break
         nxt = np.zeros(grid.size(k), dtype=bool)
         for s in shifts:
             nxt[s : s + mask.size] |= mask
-        mask = nxt
+        prev, mask = mask, nxt
         if k in keep:
             masks[k] = mask
+        diff = np.flatnonzero(mask[: prev.size] != prev)
+        j = int(diff[0]) if diff.size else prev.size
+        if mask[j : j + grid.span].all() and np.array_equal(mask[j + grid.span :], prev[j:]):
+            for later in (i for i in keep if i > k):
+                masks[later] = np.concatenate([mask[:j], np.ones((later - k) * grid.span, dtype=bool), mask[j:]])
+            break
     return masks
 
 
@@ -245,21 +258,30 @@ def _step(
 
     ``out``, ``acc`` and ``tmp`` have the step's window as last axis; each
     member's value is the left-to-right sum of its weighted shifted windows
-    of ``v_next``.  ``sel``, when given, receives the lowest maximizing
-    member index.
+    of ``v_next``.  A point-mass member (one atom of weight exactly 1.0) is
+    its shifted window itself, as ``x * 1.0 == x`` for every float, so it
+    costs no arithmetic.  ``sel``, when given, receives the lowest
+    maximizing member index.
     """
     size = out.shape[-1]
     for m, terms in enumerate(grid.terms):
-        dst = out if m == 0 else acc
-        (w, s), *rest = terms
-        np.multiply(v_next[..., s : s + size], w, out=dst)
-        for w, s in rest:
-            np.multiply(v_next[..., s : s + size], w, out=tmp)
-            dst += tmp
+        w, s = terms[0]
+        value = v_next[..., s : s + size]
+        if w != 1.0 or len(terms) > 1:
+            dst = acc if m else out
+            np.multiply(value, w, out=dst)
+            for w, s in terms[1:]:
+                np.multiply(v_next[..., s : s + size], w, out=tmp)
+                dst += tmp
+            value = dst
         if m:
             if sel is not None:
-                sel[acc > out] = m
-            np.maximum(out, acc, out=out)
+                sel[value > best] = m
+            best = np.maximum(best, value, out=out)
+        else:
+            best = value
+    if best is not out:
+        np.copyto(out, best)
 
 
 def _row_groups(rows: list, span: int) -> list[list]:
@@ -310,7 +332,7 @@ def _horizons(family: AmbiguityFamily, ns: Iterable[int], state_cap: int) -> tup
     _require_valid(family)
     horizons = list(ns)
     for n in horizons:
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
     grid, distinct = _grid(family), sorted(set(horizons))
     for n in distinct:

@@ -31,6 +31,7 @@ from .ambiguity import (
     upper_variance,  # unused here; kept bound for perfbench's span tracer
 )
 from .engine import DEFAULT_STATE_CAP, _eval_phi, iid_sum_expectation, iid_sum_expectations
+from .phi_expr import Abs, Add, Clip, Max, Mul, Neg, Num, PhiExpression, Sub, Var
 from .rng import unit_array
 
 __all__ = [
@@ -89,7 +90,7 @@ class NonPositiveN(ValueError):
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise NonPositiveN(f"n must be a positive integer, got {n!r}")
 
 
@@ -109,39 +110,38 @@ class LipschitzFunction:
         return self.evaluator(x)
 
 
+def _tree(root, lipschitz_constant: float, name: str) -> LipschitzFunction:
+    """A catalog shape: its tree runs the numpy operations of the formula it names, in its order."""
+    return LipschitzFunction(PhiExpression(name, root), lipschitz_constant, name)
+
+
 def linear(a: float, b: float) -> LipschitzFunction:
-    return LipschitzFunction(lambda x: a * x + b, abs(a), f"linear(a={a!r},b={b!r})")
+    return _tree(Add(Mul(Num(a), Var()), Num(b)), abs(a), f"linear(a={a!r},b={b!r})")
 
 
 def abs_dev(c: float) -> LipschitzFunction:
-    return LipschitzFunction(lambda x: np.abs(x - c), 1.0, f"abs_dev(c={c!r})")
+    return _tree(Abs(Sub(Var(), Num(c))), 1.0, f"abs_dev(c={c!r})")
 
 
 def neg_abs_dev(c: float) -> LipschitzFunction:
-    return LipschitzFunction(lambda x: -np.abs(x - c), 1.0, f"neg_abs_dev(c={c!r})")
+    return _tree(Neg(Abs(Sub(Var(), Num(c)))), 1.0, f"neg_abs_dev(c={c!r})")
 
 
 def clip_to(lo: float, hi: float) -> LipschitzFunction:
     if not lo <= hi:
         raise InvalidInterval(f"clip interval [{lo}, {hi}] is empty")
-    return LipschitzFunction(lambda x: np.clip(x, lo, hi), 1.0, f"clip(lo={lo!r},hi={hi!r})")
+    return _tree(Clip(Var(), lo, hi), 1.0, f"clip(lo={lo!r},hi={hi!r})")
 
 
 def interval_dist_sq(lo: float, hi: float, domain_lo: float, domain_hi: float) -> LipschitzFunction:
-    """Squared distance to [lo, hi], with a Lipschitz constant valid on the domain."""
+    """Squared distance ``d*d``, ``d = max(lo-x,0)+max(x-hi,0)``, to [lo, hi], Lipschitz on the domain."""
     if not lo <= hi:
         raise InvalidInterval(f"target interval [{lo}, {hi}] is empty")
     if not domain_lo <= domain_hi:
         raise InvalidInterval(f"domain [{domain_lo}, {domain_hi}] is empty")
-
-    def evaluator(x):
-        d = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
-        return d * d
-
+    d = Add(Max(Sub(Num(lo), Var()), Num(0.0)), Max(Sub(Var(), Num(hi)), Num(0.0)))
     constant = 2.0 * max(abs(domain_lo - hi), abs(domain_hi - lo))
-    return LipschitzFunction(
-        evaluator, constant, f"interval_dist_sq(lo={lo!r},hi={hi!r})"
-    )
+    return _tree(Mul(d, d), constant, f"interval_dist_sq(lo={lo!r},hi={hi!r})")
 
 
 def interval_distance_phi(family: AmbiguityFamily) -> LipschitzFunction:
@@ -227,9 +227,17 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
     ``L*(hi-lo) > 2e-3``, and then the bound is ``L*(hi-lo) / (2*10^6)`` (5e-7 for L = 1 on [0, 1]).
 
     The grid is ``np.linspace(mu_lower, mu_upper, intervals + 1)`` point for point, built and
-    handed to phi ``_GRID_BLOCK`` points at a time, so phi's temporaries stay in L2.  The first
-    block maximum strictly above the best so far wins, and a NaN ends the search, so the result
-    is ``np.argmax`` of the whole grid: the lowest maximizing index, or the first NaN.
+    handed to phi ``_GRID_BLOCK`` points at a time, so phi's temporaries stay in L2.  When phi is
+    a :class:`PhiExpression` tree (every catalog shape and config expression), each block gets
+    the upper end of ``enclose`` over the hull of its grid points.  That bound holds for the
+    float values phi returns there, rounding included (see ``PhiExpression.enclose``).  Blocks
+    are then taken by descending bound, ties by block index, and a block is skipped when its
+    bound is below the best value so far, or equal to it and the block starts after the best
+    index: it cannot hold a larger value, nor an equal one at a lower index.  A value is kept
+    when it is larger than the best, or equal to it at a lower index.  An opaque callable, or a
+    tree whose enclosure is not finite, has no bound: its blocks go in index order and none is
+    skipped, and a NaN ends the search.  Either way the result is ``np.argmax`` of the whole
+    grid: the lowest maximizing index, signed zeros included, or the first NaN.
     """
     if not mu_lower <= mu_upper:
         raise InvalidInterval(f"[{mu_lower}, {mu_upper}] is empty")
@@ -243,8 +251,14 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
     # denormal branch (step == 0) cannot occur: step is span (one interval) or above 1e-9 / L
     # (the rule above), which is positive as L is finite.
     step = span / intervals
-    best = None
-    for start in range(0, intervals + 1, _GRID_BLOCK):
+    starts = np.arange(0, intervals + 1, _GRID_BLOCK)
+    highs = _block_highs(phi.evaluator, starts, intervals, step, mu_lower, mu_upper)
+    blocks = range(len(starts)) if highs is None else sorted(range(len(starts)), key=lambda b: (-highs[b], b))
+    best = None  # (grid index, point, value)
+    for b in blocks:
+        start = int(starts[b])
+        if best is not None and highs is not None and (highs[b] < best[2] or highs[b] <= best[2] and start > best[0]):
+            continue
         xs = np.arange(start, min(start + _GRID_BLOCK, intervals + 1), dtype=float)
         xs *= step
         xs += mu_lower
@@ -252,11 +266,29 @@ def interval_max(phi: LipschitzFunction, mu_lower: float, mu_upper: float) -> In
             xs[-1] = mu_upper
         vals = _eval_phi(phi, xs)
         i = int(np.argmax(vals))
-        if best is None or vals[i] > best[1] or math.isnan(vals[i]):
-            best = (float(xs[i]), float(vals[i]))
-            if math.isnan(best[1]):
+        value = float(vals[i])
+        if best is None or value > best[2] or value == best[2] and start + i < best[0] or math.isnan(value):
+            best = (start + i, float(xs[i]), value)
+            if math.isnan(value):
                 break
-    return IntervalMaxResult(*best, L * step / 2.0)
+    return IntervalMaxResult(best[1], best[2], L * step / 2.0)
+
+
+def _block_highs(evaluator, starts: np.ndarray, intervals: int, step: float, mu_lower: float, mu_upper: float):
+    """Each grid block's enclosure upper end, or None for an opaque callable or a non-finite enclosure.
+
+    A block's points are ``float(i) * step + mu_lower`` for its indices i, nondecreasing in i as
+    every rounded operation is monotone, and ``mu_upper`` for the last index, so the hull of its
+    first and last regular point and (last block) ``mu_upper`` holds them all.
+    """
+    if not isinstance(evaluator, PhiExpression):
+        return None
+    first = starts * step + mu_lower
+    last = (np.minimum(starts + _GRID_BLOCK, intervals) - 1) * step + mu_lower
+    lo, hi = np.minimum(first, last), np.maximum(first, last)
+    lo[-1], hi[-1] = min(lo[-1], mu_upper), max(hi[-1], mu_upper)
+    _, high = evaluator.enclose(lo, hi)
+    return high.tolist() if np.isfinite(high).all() else None
 
 
 def theorem3_bound(L: float, c_alpha: float, alpha: float, n: int) -> float:

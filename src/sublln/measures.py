@@ -315,7 +315,8 @@ def _stepwise_blocks(
     count starts from.  Boundaries with equal thresholds at every step
     (adjacent, as every CDF is nondecreasing) are merged into one with the
     summed increment.  When no boundary is left (P* on a single member),
-    every count is the base and no uniform is drawn.  When every step's
+    every count is the base: all paths come as one read-only zero-stride
+    block, and nothing is drawn or looped over.  When every step's
     remaining thresholds are equal (every :meth:`PathMeasure.constant`, so
     P* and the uniform mixture), each is compared as a Python-int scalar;
     otherwise each comparison broadcasts one contiguous row over the block.
@@ -327,7 +328,6 @@ def _stepwise_blocks(
     """
     coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
-    draws = True
     if measure.depends_on == "none":
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
         table = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
@@ -345,17 +345,21 @@ def _stepwise_blocks(
             else:
                 kept.append(row)
                 increments.append(inc)
-        thresholds = np.array(kept, dtype=np.int64).reshape(len(kept), n)
+        if not kept:
+            if coord_sums:
+                yield 0, np.broadcast_to(np.int64(n * (base + int(coords[0]))), (count,))
+            else:
+                yield 0, np.broadcast_to(atoms[base], (count, n))
+            return
+        thresholds = np.array(kept, dtype=np.int64)
         if (thresholds == thresholds[:, :1]).all():
             thresholds = thresholds[:, 0].tolist()
-        draws = bool(increments)
     rows = max(1, _BLOCK_UNIFORMS // n)
     offsets = counter_offsets(rows * n)
     buffer = np.empty(rows * n, dtype=np.uint64)
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
-        if draws:
-            m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
+        m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
         if measure.depends_on == "none":
             acc = np.full((r, n), base, dtype=count_dtype)
             mask = np.empty((r, n), dtype=bool)
@@ -431,7 +435,10 @@ def sample_path_sums(
     exact = _exact_lattice_sums(family, n)
     out = np.empty(count)
     for p0, block in _stepwise_blocks(family, measure, n, count, seed, coord_sums=exact):
-        out[p0 : p0 + len(block)] = _lattice_sums(family.lattice, n, block) if exact else block.sum(axis=1)
+        if exact:
+            _lattice_sums(family.lattice, n, block, out=out[p0 : p0 + len(block)])
+        else:
+            out[p0 : p0 + len(block)] = block.sum(axis=1)
     return out
 
 

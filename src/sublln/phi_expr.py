@@ -11,12 +11,20 @@ Grammar (ASCII, standard precedence, left associative):
 
 Division is only accepted when the divisor is a nonzero constant
 subexpression, which keeps every accepted expression total on the reals.
-Evaluation is numpy-vectorized.
+Evaluation is numpy-vectorized.  :meth:`PhiExpression.enclose` bounds every
+float value of a tree on an interval (Moore, *Interval Analysis*, 1966).
+
+The shape catalog of :mod:`sublln.lln_rates` builds its trees directly, with
+one node the grammar lacks: :class:`Clip`, ``np.clip`` itself, since a
+``min(max(x, lo), hi)`` tree differs in the sign of zero
+(``np.clip(-0.0, 0.0, 1.0)`` is ``-0.0``).  A built tree may use one node
+as both factors of a product, as ``d*d`` does; the node then runs once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -90,7 +98,18 @@ class Max:
     right: "Node"
 
 
-Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Abs, Min, Max]
+@dataclass(frozen=True)
+class Clip:
+    operand: "Node"
+    lo: float
+    hi: float
+
+
+Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Abs, Min, Max, Clip]
+
+_BINARY = {
+    Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv, Min: np.minimum, Max: np.maximum
+}
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -110,46 +129,108 @@ def _is_constant(node: Node) -> bool:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _eval(node: Node, x):
+def _compile(node: Node):
+    """The tree as a function of x, one numpy operation per node, in the tree's order; a node used twice runs once."""
     match node:
         case Num(v):
-            return v
+            return lambda x: v
         case Var():
-            return x
+            return lambda x: x
         case Neg(a):
-            return -_eval(a, x)
-        case Add(a, b):
-            return _eval(a, x) + _eval(b, x)
-        case Sub(a, b):
-            return _eval(a, x) - _eval(b, x)
-        case Mul(a, b):
-            return _eval(a, x) * _eval(b, x)
-        case Div(a, b):
-            return _eval(a, x) / _eval(b, x)
+            f = _compile(a)
+            return lambda x: -f(x)
         case Abs(a):
-            return np.abs(_eval(a, x))
-        case Min(a, b):
-            return np.minimum(_eval(a, x), _eval(b, x))
-        case Max(a, b):
-            return np.maximum(_eval(a, x), _eval(b, x))
+            f = _compile(a)
+            return lambda x: np.abs(f(x))
+        case Clip(a, lo, hi):
+            f = _compile(a)
+            return lambda x: np.clip(f(x), lo, hi)
+        case Mul(a, b) if b is a:
+            f = _compile(a)
+            return lambda x: (v := f(x)) * v
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Min(a, b) | Max(a, b):
+            f, g, op = _compile(a), _compile(b), _BINARY[type(node)]
+            return lambda x: op(f(x), g(x))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _finite(low, high):
+    """The endpoints, or NaN for both wherever either is not finite; later nodes carry the NaN."""
+    ok = np.isfinite(low) & np.isfinite(high)
+    return np.where(ok, low, np.nan), np.where(ok, high, np.nan)
+
+
+def _enclose(node: Node, lo, hi):
+    match node:
+        case Num(v):
+            return v, v
+        case Var():
+            return lo, hi
+        case Neg(a):
+            low, high = _enclose(a, lo, hi)
+            return _finite(-high, -low)
+        case Add(a, b):
+            (la, ha), (lb, hb) = _enclose(a, lo, hi), _enclose(b, lo, hi)
+            return _finite(la + lb, ha + hb)
+        case Sub(a, b):
+            (la, ha), (lb, hb) = _enclose(a, lo, hi), _enclose(b, lo, hi)
+            return _finite(la - hb, ha - lb)
+        case Mul(a, b) | Div(a, b):
+            (la, ha), (lb, hb) = _enclose(a, lo, hi), _enclose(b, lo, hi)
+            op = _BINARY[type(node)]
+            c = [op(la, lb), op(la, hb), op(ha, lb), op(ha, hb)]
+            return _finite(np.minimum.reduce(c), np.maximum.reduce(c))
+        case Abs(a):
+            low, high = _enclose(a, lo, hi)
+            return _finite(np.maximum(np.maximum(low, -high), 0.0), np.maximum(-low, high))
+        case Min(a, b) | Max(a, b):
+            (la, ha), (lb, hb) = _enclose(a, lo, hi), _enclose(b, lo, hi)
+            op = _BINARY[type(node)]
+            return _finite(op(la, lb), op(ha, hb))
+        case Clip(a, c_lo, c_hi):
+            low, high = _enclose(a, lo, hi)
+            return _finite(np.clip(low, c_lo, c_hi), np.clip(high, c_lo, c_hi))
     raise TypeError(f"unknown node {node!r}")
 
 
 @dataclass(frozen=True)
 class PhiExpression:
-    """Parsed expression; callable on scalars or numpy arrays."""
+    """Expression tree, parsed from ``source`` or built with a descriptive one; callable on scalars or numpy arrays."""
 
     source: str
     root: Node
 
+    def __post_init__(self):
+        object.__setattr__(self, "_run", _compile(self.root))
+
     def evaluate(self, x):
         with np.errstate(all="ignore"):  # IEEE results: a caller names the first point where phi is not finite
-            out = _eval(self.root, x)
+            out = self._run(x)
         if isinstance(x, np.ndarray) and np.ndim(out) == 0:
             return np.full(x.shape, float(out))
         return out
 
     __call__ = evaluate
+
+    def enclose(self, lo, hi):
+        """``(low, high)`` with ``low <= evaluate(x) <= high`` for every float x in ``[lo, hi]``; arrays broadcast.
+
+        The endpoints are computed in ordinary round-to-nearest, with no widening and no
+        tolerance, and still bound every *float* evaluation of this tree on ``[lo, hi]``.
+        Over a box of arguments the exact result of ``+``, ``-``, ``*`` and ``/`` by a
+        constant lies between its exact values at the corners, and ``abs``, ``min``, ``max``,
+        ``clip`` and negation are bounded by the same operations on the endpoints.  Rounding
+        to nearest is monotone, so each rounded endpoint bounds the rounded operation at
+        every point of the box, and induction over the tree gives the claim.  It bounds
+        the float evaluation, not the real-valued function.  Where an endpoint of any
+        subtree is NaN or infinite, both endpoints are NaN: a NaN evaluation
+        (``inf - inf``) could hide behind a finite ``min``, ``max`` or ``clip``, so
+        nothing is claimed there.
+        """
+        with np.errstate(all="ignore"):
+            low, high = _enclose(self.root, lo, hi)
+        low, high, _, _ = np.broadcast_arrays(low, high, lo, hi)
+        return low, high
 
 
 class _Parser:
@@ -200,7 +281,7 @@ class _Parser:
             else:
                 if not _is_constant(rhs):
                     self.error("divisor must be a constant expression", op_pos)
-                if float(_eval(rhs, 0.0)) == 0.0:
+                if float(_compile(rhs)(0.0)) == 0.0:
                     self.error("division by a zero constant", op_pos)
                 node = Div(node, rhs)
         return node

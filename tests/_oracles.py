@@ -444,3 +444,31 @@ def seed_with_unit_at(index, u):
     z = (z * pow(_MULT1, -1, 2**64)) & MASK64
     z = _unxorshift(z, 30)
     return (z - (index + 1) * _GAMMA) & MASK64
+
+
+# The catalog shapes as the lambdas they were before they became expression trees.
+LAMBDA_CATALOG = {
+    "linear": lambda a, b: lambda x: a * x + b,
+    "abs_dev": lambda c: lambda x: np.abs(x - c),
+    "neg_abs_dev": lambda c: lambda x: -np.abs(x - c),
+    "clip": lambda lo, hi: lambda x: np.clip(x, lo, hi),
+    "interval_dist_sq": lambda lo, hi: lambda x: (
+        lambda d: d * d
+    )(np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)),
+}
+
+
+def lambda_catalog_for(family):
+    """``corpus.catalog_for(family)`` as those lambdas, in the same order."""
+    from sublln.ambiguity import mean_bounds
+
+    lo, hi = mean_bounds(family)
+    mid = 0.5 * (lo + hi)
+    return (
+        LAMBDA_CATALOG["linear"](1.0, 0.0),
+        LAMBDA_CATALOG["linear"](-0.5, 0.25),
+        LAMBDA_CATALOG["abs_dev"](mid),
+        LAMBDA_CATALOG["neg_abs_dev"](mid),
+        LAMBDA_CATALOG["clip"](lo, hi),
+        LAMBDA_CATALOG["interval_dist_sq"](lo, hi),
+    )

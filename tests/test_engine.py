@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sublln import engine
@@ -248,6 +248,10 @@ class TestBatchedKernel:
             iid_sum_expectations(TWO_POINT, lambda x: x, [3, 0])
         with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
             iid_sum_expectations(TWO_POINT, lambda x: x, [2.5])
+        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+            iid_sum_expectations(TWO_POINT, lambda x: x, [True])
+        with pytest.raises(ValueError, match="got True"):
+            expectations_under_policy(TWO_POINT, lambda x: x, [2, True], PathMeasure.constant([0.5, 0.5], 2))
 
     @pytest.mark.parametrize("name", ["bernoulli_pair", "skewed_pair", "three_atom", "fine_lattice"])
     def test_phi_called_only_at_reachable_sums(self, families, name):
@@ -707,3 +711,84 @@ def test_pairwise_total_matches_fsum():
     for size in (0, 1, 2, 3, 17, 1000):
         a = rng.normal(size=size)
         assert pairwise_total(a) == pytest.approx(math.fsum(a.tolist()), abs=1e-12)
+
+
+def full_or_masks(shifts, span, n):
+    """Every step's reachable mask of the shift set, by the plain OR pass."""
+    masks = [np.ones(1, dtype=bool)]
+    for _ in range(n):
+        nxt = np.zeros(masks[-1].size + span, dtype=bool)
+        for s in shifts:
+            nxt[s : s + masks[-1].size] |= masks[-1]
+        masks.append(nxt)
+    return masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    span=st.integers(0, 12),
+    inner=st.sets(st.integers(1, 11), max_size=6),
+    n=st.integers(1, 120),
+    keep=st.sets(st.integers(0, 120), max_size=8),
+)
+def test_reachable_masks_match_the_full_or_pass(span, inner, n, keep):
+    # shift sets hold 0 and span with gcd 1, as the engine's reduced lattice does
+    shifts = sorted({0, span} | {s for s in inner if s < span})
+    assume(span == 0 or math.gcd(*shifts) == 1)
+    grid = engine._Grid(0.0, 1.0, 0, span, 1, span, tuple(((1.0, s),) for s in shifts))
+    want = full_or_masks(shifts, span, n)
+    keep = {k for k in keep if k <= n} | {n}
+    got = engine._reachable_masks(grid, n, keep)
+    assert sorted(got) == sorted(keep)
+    for k in keep:
+        assert np.array_equal(got[k], want[k]), k
+    every = engine._reachable_masks(grid, n, range(n + 1))
+    for k in range(n + 1):
+        assert np.array_equal(every[k], want[k]), k
+
+
+def test_skewed_masks_stop_at_their_stable_shape(families, monkeypatch):
+    # skewed_pair (shifts 0, 1, 3) never fills its window, as 3k - 1 is never a sum, yet its
+    # masks are stable from step 2 on: the OR pass allocates one window per step up to there
+    grid = engine._grid(families["skewed_pair"])
+    windows = []
+    zeros = np.zeros
+
+    def counting(*args, **kwargs):
+        windows.append(args)
+        return zeros(*args, **kwargs)
+
+    monkeypatch.setattr(engine.np, "zeros", counting)
+    masks = engine._reachable_masks(grid, 1024, [1024])
+    monkeypatch.undo()
+    assert not masks[1024].all()
+    assert np.array_equal(masks[1024], full_or_masks([0, 1, 3], 3, 1024)[1024])
+    assert len(windows) == 2
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [[(0, 1.0)], [(1, 1.0)]],  # two point masses: one np.maximum per step
+        [[(-1, 1.0)]],  # one point mass: a copy
+        [[(-1, 0.5), (1, 0.5)], [(0, 1.0)]],  # a point mass after a mixed member
+        [[(0, 1.0)], [(-1, 0.25), (1, 0.75)], [(1, 1.0)]],  # point masses around a mixed member
+    ],
+)
+def test_point_mass_members_cost_no_arithmetic(members):
+    family = AmbiguityFamily.build(0, 1, members)
+    for phi in catalog_for(family) + (lambda x: np.where(x == 0.0, -0.0, np.cos(x)),):
+        for n in (1, 4, 9):
+            want, selections = per_horizon_backward(family, n, phi)
+            assert bits([iid_sum_expectation(family, n, phi)]) == bits([want])
+            policy = extract_argmax_policy(family, n, phi)
+            for k in range(n):
+                assert_on_sublattice(policy.selections[k], selections[k], unreduced_window(family, 0)[2], -1)
+    if all(len(m) == 1 for m in members):
+        # only views of v_next are read: the scratch arrays keep their NaNs
+        grid = engine._grid(family)
+        v_next = np.arange(2.0 * grid.span + 1)[None, :]
+        out, acc, tmp = (np.full((1, grid.span + 1), np.nan) for _ in range(3))
+        engine._step(v_next, grid, out, acc, tmp)
+        assert np.isnan(acc).all() and np.isnan(tmp).all()
+        assert not np.isnan(out).any()

@@ -210,6 +210,10 @@ class TestRateSweep:
             rate_sweep(TWO_POINT, abs_dev(0.0), [0, 2])
         with pytest.raises(NonPositiveN):
             rate_sweep(TWO_POINT, abs_dev(0.0), [2.5])
+        with pytest.raises(NonPositiveN, match="got True"):
+            rate_sweep(TWO_POINT, abs_dev(0.0), [True, 2])
+        with pytest.raises(NonPositiveN, match="got True"):
+            corollary_bound(1.0, True)
 
     def test_monotone_vanishing(self, families):
         schedule = [1, 1024]

@@ -186,3 +186,33 @@ def test_random_dyadic_lattices_match_the_float_sums(family, kind, n, block, ext
         assert taken == "lattice"
         assert sample_paths(family, measure, n, count, seed).tobytes() == want.tobytes()
         assert sums.tobytes() == want.sum(axis=1).tobytes()
+
+
+# SHA-256 of P*'s path sums at the config's mc_horizon and mc_samples, as the blockwise sampler
+# gave them before a measure with no boundary left skipped the blocks; the seed cannot matter
+NO_DRAW_SUMS = {
+    "point_mass": "4b8fcddbba6d673ffd20615d328ff637f7459692c3805cb647421bfc5962bda9",
+    "delta_pair": "8568d6b117678d53edec66018e6d52abe48837f64aebd6aee0153ddf2001ea51",
+    "two_point_masses": "ba576b35304c99931fbead5eda60016d44769aa022949a7159969c1e63c74ba7",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("name", sorted(NO_DRAW_SUMS))
+def test_no_boundary_left_draws_nothing(name, seed, monkeypatch):
+    import hashlib
+    from pathlib import Path
+
+    from sublln import cli
+    from sublln.config import parse_config
+
+    config = parse_config((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").read_bytes())
+    pstar = cli._RunPlan(config, ["mc"]).pstar
+    n, count = config.mc_horizon, config.mc_samples
+    monkeypatch.setattr(measures, "mantissas", None)  # a draw would fail
+    blocks = list(measures._stepwise_blocks(config.family, pstar, n, count, seed, coord_sums=True))
+    assert len(blocks) == 1 and blocks[0][1].shape == (count,)
+    assert blocks[0][1].strides == (0,)  # one lattice sum for every path, nothing counted per path
+    sums = sample_path_sums(config.family, pstar, n, count, seed)
+    assert hashlib.sha256(sums.tobytes()).hexdigest() == NO_DRAW_SUMS[name]
+    assert sums.tobytes() == sample_paths(config.family, pstar, n, count, seed).sum(axis=1).tobytes()

@@ -3,7 +3,9 @@
 The sampler draws uniforms only for CDF boundaries that can fire: P* on a
 single member draws none, and every other shipped config draws one uniform
 per (path, step).  The limit search hands phi at most one block of grid
-points at a time.  The backward driver runs once for the run plan, whose
+points at a time: every grid point of an opaque callable, and for each
+shipped catalog shape, a tree, only the one block that its enclosure
+leaves.  The backward driver runs once for the run plan, whose
 one sweep stacks every payoff the checks read, and once per argmax policy
 that prop2 extracts.
 """
@@ -66,7 +68,8 @@ def limit_searches(families):
             yield phi, mean_bounds(family)
 
 
-def test_limit_search_evaluates_phi_one_block_at_a_time(families, monkeypatch):
+def recorded_limit_searches(families, monkeypatch, opaque):
+    """``(phi, sizes, points)`` per limit search: the sizes of the blocks handed to phi, and the grid size."""
     sizes = []
 
     def recording(phi, xs):
@@ -75,9 +78,31 @@ def test_limit_search_evaluates_phi_one_block_at_a_time(families, monkeypatch):
 
     monkeypatch.setattr(lln_rates, "_eval_phi", recording)
     for phi, (lo, hi) in limit_searches(families):
+        if opaque:
+            phi = lln_rates.LipschitzFunction(lambda x, f=phi.evaluator: f(x), phi.lipschitz_constant, phi.name)
         sizes.clear()
         lln_rates.interval_max(phi, lo, hi)
         L, span = phi.lipschitz_constant, hi - lo
         points = min(10**6, max(1, math.ceil(span * L / (2e-9 * max(1.0, L * span))))) + 1 if span else 1
+        yield phi, list(sizes), points
+
+
+def test_opaque_limit_search_evaluates_every_point_once(families, monkeypatch):
+    for phi, sizes, points in recorded_limit_searches(families, monkeypatch, opaque=True):
         assert max(sizes) <= lln_rates._GRID_BLOCK
         assert sum(sizes) == points
+
+
+def test_limit_search_evaluates_phi_one_block_at_a_time(families, monkeypatch):
+    # every corpus and config shape is a tree whose maximum one block holds, and whose enclosure
+    # rules out every other block: one block of at most _GRID_BLOCK points (the whole grid when
+    # the mean interval is a point)
+    searches = list(recorded_limit_searches(families, monkeypatch, opaque=False))
+    assert len(searches) == 8 + 7 * 6
+    for phi, sizes, points in searches:
+        assert len(sizes) == 1, phi.name
+        assert max(sizes) <= lln_rates._GRID_BLOCK
+    # 14 one-point grids (point_mass and fair_coin), and 10^6 + 1 points elsewhere: the last
+    # block (577 points) for the 10 increasing shapes, a whole block (16384) for the other 26
+    assert sum(sizes[0] for _, sizes, _ in searches) == 14 + 10 * 577 + 26 * 16384
+    assert sum(points for _, _, points in searches) == 14 + 36 * (10**6 + 1)
