@@ -341,8 +341,10 @@ def one_step_expectation(family: AmbiguityFamily, psi: Callable[[float], float])
 
 
 def moment_summary(family: AmbiguityFamily, alphas: Sequence[float] = DEFAULT_ALPHAS) -> MomentSummary:
-    """All moment quantities of the family in one record."""
+    """All moment quantities of the family in one record; ``alphas`` must be nonempty, each in (0, 1]."""
     lo, hi = mean_bounds(family)
     c = {float(a): moment_c_alpha(family, a) for a in alphas}
+    if not c:
+        raise AlphaOutOfRange("alphas must be nonempty")
     var, argmin = upper_variance(family)
     return MomentSummary(lo, hi, c, var, argmin)

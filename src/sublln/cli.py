@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -366,13 +365,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
-
-
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="sublln",
@@ -386,7 +378,7 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="path to a JSON config")
         p.add_argument("--out", type=Path, default=Path("reports"), help="report directory")
         p.add_argument("--format", choices=("csv", "json"), default=None, help="override report format")
-        p.add_argument("--seed", type=_u64, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--state-cap", type=int, default=None, help="override the state cap")
     return parser
 
@@ -398,23 +390,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    overrides = {k: v for k, v in vars(args).items() if k in ("format", "seed", "state_cap") and v is not None}
     try:
         config = parse_config(text)
+        if overrides:
+            config = parse_config(json.dumps({**config.to_mapping(), **overrides}))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    overrides = {}
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.state_cap is not None:
-        if args.state_cap < 1:
-            print("error: --state-cap must be >= 1", file=sys.stderr)
-            return 1
-        overrides["state_cap"] = args.state_cap
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
     checks = None if args.command == "verify-all" else [args.command]
     return run(config, args.out, checks)
 

@@ -87,6 +87,12 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _integer_at_least(value: Any, path: str, minimum: int) -> int:
+    if _integer(value, path) < minimum:
+        raise SemanticError(f"{path}: must be >= {minimum}")
+    return value
+
+
 def _string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{path}: expected a string")
@@ -256,17 +262,9 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
     if not 0 <= seed < 2**64:
         raise SemanticError("seed: must be an unsigned 64-bit integer")
 
-    state_cap = _integer(raw.get("state_cap", DEFAULT_STATE_CAP), "state_cap")
-    if state_cap < 1:
-        raise SemanticError("state_cap: must be >= 1")
-
-    mc_samples = _integer(raw.get("mc_samples", 100_000), "mc_samples")
-    if mc_samples < 2:
-        raise SemanticError("mc_samples: must be >= 2")
-
-    mc_horizon = _integer(raw.get("mc_horizon", 50), "mc_horizon")
-    if mc_horizon < 1:
-        raise SemanticError("mc_horizon: must be >= 1")
+    state_cap = _integer_at_least(raw.get("state_cap", DEFAULT_STATE_CAP), "state_cap", 1)
+    mc_samples = _integer_at_least(raw.get("mc_samples", 100_000), "mc_samples", 2)
+    mc_horizon = _integer_at_least(raw.get("mc_horizon", 50), "mc_horizon", 1)
 
     enum_horizon = _integer(raw.get("enum_horizon", 6), "enum_horizon")
     if not 1 <= enum_horizon <= DEFAULT_ENUM_STEPS:

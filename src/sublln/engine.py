@@ -60,10 +60,10 @@ the same reduced dense window, one step at a time and in one loop, for a
 policy (admitted as ``PathMeasure.from_policy``) and for a measure whose rule
 reads nothing or the running sum.  The mass at step k does not depend on the
 last step, so one pass to ``max(ns)`` serves every horizon.  Every evaluator,
-here and in :mod:`sublln.measures`, admits a measure once with ``_admit`` and
-reads its rule or policy selections through ``_rule_weights``: a sum rule
-reads the lattice sum ``k*origin + coord*step`` (coord the integer coordinate
-sum of the atoms), a history rule the realized atoms as Python floats.
+here and in :mod:`sublln.measures`, admits its inputs once with ``_horizons``
+(``_admit`` for one n) and reads a rule or policy through ``_rule_weights``: a
+sum rule reads the lattice sum ``k*origin + coord*step`` (coord the integer
+coordinate sum of the atoms), a history rule the realized atoms as floats.
 
 * **Weight layout.**  Each step's ``(members, states)`` weights are
   ``_rule_weights`` at the reachable coordinates, transposed, and zero at
@@ -95,6 +95,7 @@ from .ambiguity import AmbiguityFamily, _require_valid
 
 __all__ = [
     "DEFAULT_STATE_CAP",
+    "NonPositiveN",
     "SupportOverflow",
     "PolicyIncomplete",
     "SumSupport",
@@ -118,6 +119,22 @@ _SUM_TOL = 1e-9
 
 # Largest rows x states array of one sweep; four such arrays are live at once.
 _ROW_BUDGET = 1 << 20
+
+
+class NonPositiveN(ValueError):
+    """Horizon n must be a positive integer."""
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool: the test of every integer argument."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_n(n) -> int:
+    """The horizon rule of every entry point: ``int(n)`` of an integer n >= 1 (``_is_int``), else NonPositiveN."""
+    if not _is_int(n) or n <= 0:
+        raise NonPositiveN(f"n must be a positive integer, got {n!r}")
+    return int(n)
 
 
 class SupportOverflow(RuntimeError):
@@ -327,16 +344,30 @@ def _sweep(
     return cur[:, 0]
 
 
-def _horizons(family: AmbiguityFamily, ns: Iterable[int], state_cap: int) -> tuple[list[int], list[int], _Grid]:
-    """Checked ``ns`` as a list, its distinct horizons ascending and the grid; an overflow names the smallest."""
+def _horizons(
+    family: AmbiguityFamily, ns: Iterable[int], state_cap: int | None, measure: "PathMeasure | None" = None
+) -> tuple[list[int], list[int], _Grid | None]:
+    """Checked ``ns`` as a list of ints, its distinct horizons ascending and the grid: the one admission.
+
+    The family must be valid and every n pass ``_check_n``, and with a ``state_cap`` the cap (an overflow
+    names the smallest n).  A ``measure`` must fit the longest n: horizon, member count and a policy's
+    lattice; weights are checked on use.  The grid, dearer than the rest, is None unless one of these needs it.
+    """
     _require_valid(family)
-    horizons = list(ns)
-    for n in horizons:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-    grid, distinct = _grid(family), sorted(set(horizons))
-    for n in distinct:
-        _check_cap(grid, n, state_cap)
+    horizons = [_check_n(n) for n in ns]
+    distinct, policy = sorted(set(horizons)), getattr(measure, "policy", None)
+    grid = None if state_cap is None and policy is None else _grid(family)
+    if state_cap is not None:
+        for n in distinct:
+            _check_cap(grid, n, state_cap)
+    if measure is not None and distinct:
+        if measure.horizon < distinct[-1]:
+            raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={distinct[-1]}")
+        if measure.member_count != (members := len(family.members)):
+            raise PolicyIncomplete(f"mixture weights have shape ({measure.member_count},), expected ({members},)")
+        lattice = operator.attrgetter("origin", "step", "k_min", "k_max", "gcd")
+        if policy is not None and lattice(policy.support) != lattice(grid):
+            raise PolicyIncomplete("policy was extracted for a different lattice grid")
     return horizons, distinct, grid
 
 
@@ -401,11 +432,11 @@ class SumSupport(_Grid):
 
 def build_support(family: AmbiguityFamily, n: int, state_cap: int = DEFAULT_STATE_CAP) -> SumSupport:
     """Reachable sums for n draws; raises SupportOverflow past the state cap."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    grid = _grid(family)
-    _check_cap(grid, n, state_cap)
+    (n,), _, grid = _horizons(family, [n], state_cap)
+    return _support(grid, n)
+
+
+def _support(grid: _Grid, n: int) -> SumSupport:
     masks = _reachable_masks(grid, n, range(n + 1))
     return SumSupport(**vars(grid), n=n, masks=tuple(masks[k] for k in range(n + 1)))
 
@@ -456,10 +487,10 @@ class SelectionPolicy:
         member_index: int,
         state_cap: int = DEFAULT_STATE_CAP,
     ) -> "SelectionPolicy":
-        if not 0 <= member_index < len(family.members):
-            raise PolicyIncomplete(f"member index {member_index} out of range")
+        if not _is_int(member_index) or not 0 <= member_index < len(family.members):
+            raise PolicyIncomplete(f"member index {member_index!r} out of range")
         support = build_support(family, n, state_cap)
-        sels = (np.where(support.masks[k], np.int32(member_index), np.int32(-1)) for k in range(n))
+        sels = (np.where(support.masks[k], np.int32(member_index), np.int32(-1)) for k in range(support.n))
         return cls(support, tuple(sels))
 
 
@@ -478,7 +509,7 @@ class PathMeasure:
     def __init__(self, horizon: int, member_count: int, rule: Callable, depends_on: str, name: str):
         if depends_on not in ("none", "sum", "history"):
             raise ValueError(f"unknown dependence tag {depends_on!r}")
-        self.horizon = int(horizon)
+        self.horizon = _check_n(horizon)
         self.member_count = int(member_count)
         self.depends_on = depends_on
         self.name = name
@@ -534,21 +565,9 @@ class PathMeasure:
         return measure
 
 
-def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> None:
-    """Valid family, n >= 1, horizon >= n, the family's member count and lattice; weights are checked on use."""
-    _require_valid(family)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if measure.horizon < n:
-        raise PolicyIncomplete(f"measure horizon {measure.horizon} is shorter than n={n}")
-    if measure.member_count != len(family.members):
-        raise PolicyIncomplete(
-            f"mixture weights have shape ({measure.member_count},), expected ({len(family.members)},)"
-        )
-    if measure.policy is not None:
-        lattice = operator.attrgetter("origin", "step", "k_min", "k_max", "gcd")
-        if lattice(measure.policy.support) != lattice(_grid(family)):
-            raise PolicyIncomplete("policy was extracted for a different lattice grid")
+def _admit(family: AmbiguityFamily, measure: PathMeasure, n: int) -> int:
+    """The admitted int n of a measure's n draws from the family (see ``_horizons``)."""
+    return _horizons(family, [n], None, measure)[0][0]
 
 
 def iid_sum_expectation(
@@ -580,7 +599,7 @@ def value_table(
     """Full backward-recursion table for ``phi(S_n / n)``."""
     support = build_support(family, n, state_cap)
     values: list = []
-    _sweep(support, [(n, phi)], support.masks, values=values)
+    _sweep(support, [(support.n, phi)], support.masks, values=values)
     return ValueTable(support, tuple(reversed(values)))
 
 
@@ -593,7 +612,7 @@ def extract_argmax_policy(
     """Lowest-index maximizing member at every reachable (step, sum) state."""
     support = build_support(family, n, state_cap)
     selections: list = []
-    _sweep(support, [(n, phi)], support.masks, selections=selections)
+    _sweep(support, [(support.n, phi)], support.masks, selections=selections)
     sels = tuple(reversed(selections))
     for sel, mask in zip(sels, support.masks):
         sel[~mask] = -1
@@ -695,15 +714,14 @@ def expectations_under_policy(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[float, ...]:
     """:func:`expectation_under_policy` for each n in ``ns`` by one pass; an overflow names the smallest n."""
-    horizons, distinct, _ = _horizons(family, ns, state_cap)
-    if not horizons:
-        return ()
-    support = build_support(family, distinct[-1], state_cap)
     if isinstance(policy, SelectionPolicy):
         policy = PathMeasure.from_policy(policy, len(family.members))
     if not isinstance(policy, PathMeasure):
         raise TypeError(f"unsupported policy object: {policy!r}")
-    _admit(family, policy, distinct[-1])
+    horizons, distinct, grid = _horizons(family, ns, state_cap, policy)
+    if not horizons:
+        return ()
+    support = _support(grid, distinct[-1])
     if policy.depends_on == "history":
         mass = {n: np.zeros(support.size(n)) for n in distinct}
         for n in distinct:
@@ -727,10 +745,10 @@ def expectation_under_policy(
     """Exact expectation of ``phi(S_n / n)`` under a policy or mixture measure.
 
     ``policy`` is a :class:`PathMeasure` or a :class:`SelectionPolicy`, taken
-    as ``PathMeasure.from_policy`` and admitted once by ``_admit``; anything
-    else raises ``TypeError``.  The probability mass is propagated exactly
-    (over sum states, or over the history tree when the rule is genuinely
-    history-dependent) and the terminal distribution is averaged against
-    phi.  The family and n are checked by :func:`build_support`.
+    as ``PathMeasure.from_policy``; anything else raises ``TypeError``.  The
+    family, n and the measure are admitted once by ``_horizons``.  The
+    probability mass is propagated exactly (over sum states, or over the
+    history tree when the rule is genuinely history-dependent) and the
+    terminal distribution is averaged against phi.
     """
     return expectations_under_policy(family, phi, [n], policy, state_cap)[0]

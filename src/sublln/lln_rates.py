@@ -30,7 +30,7 @@ from .ambiguity import (
     moment_summary,
     upper_variance,  # unused here; kept bound for perfbench's span tracer
 )
-from .engine import DEFAULT_STATE_CAP, _eval_phi, iid_sum_expectation, iid_sum_expectations
+from .engine import DEFAULT_STATE_CAP, NonPositiveN, _check_n, _eval_phi, iid_sum_expectation, iid_sum_expectations
 from .phi_expr import Abs, Add, Clip, Max, Mul, Neg, Num, PhiExpression, Sub, Var
 from .rng import unit_array
 
@@ -83,15 +83,6 @@ def verdict(lhs: float, rhs: float, err: float) -> bool:
 
 class InvalidInterval(ValueError):
     """Interval endpoints are out of order."""
-
-
-class NonPositiveN(ValueError):
-    """Horizon n must be a positive integer."""
-
-
-def _check_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise NonPositiveN(f"n must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -299,7 +290,7 @@ def theorem3_bound(L: float, c_alpha: float, alpha: float, n: int) -> float:
         raise ValueError(f"c_alpha must be >= 0, got {c_alpha}")
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange(f"alpha must be in (0, 1], got {alpha}")
-    _check_n(n)
+    n = _check_n(n)
     return L * (4.0 * c_alpha / n**alpha) ** (1.0 / (1.0 + alpha))
 
 
@@ -307,7 +298,7 @@ def corollary_bound(sigma_bar: float, n: int) -> float:
     """Rate bound ``sigma_bar / sqrt(n)`` for 1-Lipschitz shape functions."""
     if not sigma_bar >= 0.0:
         raise ValueError(f"sigma_bar must be >= 0, got {sigma_bar}")
-    _check_n(n)
+    n = _check_n(n)
     return sigma_bar / math.sqrt(n)
 
 
@@ -321,7 +312,7 @@ def fang_bound(sigma_bar_sq: float, mu_spread: float, n: int) -> float:
         raise ValueError(f"sigma_bar_sq must be >= 0, got {sigma_bar_sq}")
     if not mu_spread >= 0.0:
         raise ValueError(f"mu_spread must be >= 0, got {mu_spread}")
-    _check_n(n)
+    n = _check_n(n)
     return 2.0 * (sigma_bar_sq + mu_spread**2) / n
 
 
@@ -329,13 +320,12 @@ def improved_distance_bound(sigma_bar_sq: float, n: int) -> float:
     """Sharpened distance-moment bound ``sigma_bar_sq / n``."""
     if not sigma_bar_sq >= 0.0:
         raise ValueError(f"sigma_bar_sq must be >= 0, got {sigma_bar_sq}")
-    _check_n(n)
+    n = _check_n(n)
     return sigma_bar_sq / n
 
 
 def distance_sq_moment(family: AmbiguityFamily, n: int, state_cap: int = DEFAULT_STATE_CAP) -> float:
     """Worst-case expectation of the squared distance of S_n/n to the mean interval."""
-    _check_n(n)
     return iid_sum_expectation(family, n, interval_distance_phi(family), state_cap)
 
 
@@ -393,9 +383,7 @@ def rate_sweep(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[RateReport, ...]:
     """Gap-versus-n sweep with every requested bound evaluated per n (see :func:`rate_reports`)."""
-    for n in n_schedule:
-        _check_n(n)
-    schedule = [int(n) for n in n_schedule]
+    schedule = [_check_n(n) for n in n_schedule]
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):

@@ -24,7 +24,8 @@ from .ambiguity import (
     AmbiguityFamily,
     _require_valid,
     mean_bounds,
-    moment_c_alpha,
+    moment_c_alpha,  # unused here; kept bound for perfbench's span tracer
+    moment_summary,
     one_step_expectation,
 )
 from .engine import (
@@ -32,6 +33,8 @@ from .engine import (
     PathMeasure,
     SupportOverflow,
     _admit,
+    _check_n,
+    _is_int,
     _lattice_sums,
     _rule_weights,
     _walk_histories,
@@ -162,7 +165,7 @@ def conditional_means(
 
     The engine's history walker keeps all ``atoms^n`` paths, zero-probability ones too.
     """
-    _admit(family, measure, n)
+    n = _admit(family, measure, n)
     if n > DEFAULT_ENUM_STEPS:
         raise SupportOverflow(f"exact enumeration is limited to {DEFAULT_ENUM_STEPS} steps, got n={n}")
     atoms = family.union_atoms()[1]
@@ -251,12 +254,16 @@ def chatterji_check(
     )
 
 
-def _check_sampling(family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int) -> None:
-    _admit(family, measure, n)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+def _check_sampling(
+    family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int
+) -> tuple[int, int, int]:
+    """The admitted n, count and seed as Python ints; count and seed pass ``_is_int`` as n does."""
+    n = _admit(family, measure, n)
+    if not _is_int(count) or count < 0:
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return n, int(count), int(seed)
 
 
 def _exact_lattice_sums(family: AmbiguityFamily, n: int) -> bool:
@@ -407,7 +414,7 @@ def sample_paths(
     bit-identical samples.  Paths are drawn in blocks, each from its own
     slice of the same stream, so the block size never changes a sample.
     """
-    _check_sampling(family, measure, n, count, seed)
+    n, count, seed = _check_sampling(family, measure, n, count, seed)
     out = np.empty((count, n))
     for p0, block in _stepwise_blocks(family, measure, n, count, seed):
         out[p0 : p0 + len(block)] = block
@@ -431,7 +438,7 @@ def sample_path_sums(
     depends only on the row).  Either way memory is one block plus the
     ``count`` sums.
     """
-    _check_sampling(family, measure, n, count, seed)
+    n, count, seed = _check_sampling(family, measure, n, count, seed)
     exact = _exact_lattice_sums(family, n)
     out = np.empty(count)
     for p0, block in _stepwise_blocks(family, measure, n, count, seed, coord_sums=exact):
@@ -511,12 +518,13 @@ def lower_bound_checks(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
     """:func:`lower_bound_reports` with the limit found once, one batched backward sweep and one P* forward pass."""
-    limit = interval_max(phi, *mean_bounds(family))
+    moments = moment_summary(family, alphas)
+    ns = [_check_n(n) for n in ns]
+    limit = interval_max(phi, moments.mu_lower, moments.mu_upper)
     e_uppers = iid_sum_expectations(family, phi, ns, state_cap)
     pstar = construct_pstar(family, limit.argmax_r, max(ns, default=1))
     e_pstars = expectations_under_policy(family, phi, ns, pstar, state_cap)
-    c_alpha = {float(a): moment_c_alpha(family, a) for a in alphas}
-    return lower_bound_reports(family, phi, ns, limit, pstar, e_pstars, e_uppers, c_alpha)
+    return lower_bound_reports(family, phi, ns, limit, pstar, e_pstars, e_uppers, moments.c_alpha)
 
 
 def lower_bound_check(

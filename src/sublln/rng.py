@@ -23,6 +23,8 @@ the conversion to floats.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["MASK64", "mix64", "u64_at", "unit_at", "counter_offsets", "mantissas", "unit_array"]
@@ -42,7 +44,7 @@ def mix64(z: int) -> int:
 
 def u64_at(seed: int, index: int) -> int:
     """The index-th raw 64-bit output of the stream for this seed."""
-    return mix64((seed + (index + 1) * _GAMMA) & MASK64)
+    return mix64((operator.index(seed) + (operator.index(index) + 1) * _GAMMA) & MASK64)
 
 
 def unit_at(seed: int, index: int) -> float:
@@ -64,9 +66,10 @@ def mantissas(seed: int, start: int, offsets: np.ndarray, out: np.ndarray) -> np
     mantissas are below 2^53, so ``out.view(np.int64)`` holds the same
     integers.  Works in place on ``out`` plus one scratch buffer; uint64
     array arithmetic wraps mod 2^64 as the definition requires, and the
-    scalar start is reduced as a Python int, so no counter overflows.
+    scalar seed and start are reduced as ``operator.index`` ints, so no counter overflows.
     """
-    np.add(offsets[: out.size], np.uint64(((start + 1) * _GAMMA + seed) & MASK64), out=out)
+    base = (operator.index(start) + 1) * _GAMMA + operator.index(seed)
+    np.add(offsets[: out.size], np.uint64(base & MASK64), out=out)
     t = np.empty_like(out)
     for shift, mult in ((30, _MULT1), (27, _MULT2)):
         np.right_shift(out, np.uint64(shift), out=t)

@@ -196,6 +196,21 @@ class TestExitCodes:
         code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "r"), "--state-cap", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (["--state-cap", "0"], "state_cap: must be >= 1"),
+            (["--seed", "-1"], "seed: must be an unsigned 64-bit integer"),
+            (["--seed", str(2**64)], "seed: must be an unsigned 64-bit integer"),
+        ],
+    )
+    def test_bad_override_exits_with_the_config_message(self, tmp_path, capsys, override, message):
+        # overrides are parsed with the config, so they obey its rules and messages
+        cfg = write_config(tmp_path, checks=["eval"])
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "r"), *override]) == 1
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not (tmp_path / "r").exists()
+
 
 class TestVerifyAll:
     def test_shipped_corpus_config(self, tmp_path):

@@ -12,6 +12,7 @@ from sublln import engine
 from sublln.ambiguity import AmbiguityFamily, FamilyInvalid, mean_bounds, one_step_expectation
 from sublln.corpus import catalog_for, corpus_families
 from sublln.engine import (
+    NonPositiveN,
     PolicyIncomplete,
     SelectionPolicy,
     SupportOverflow,
@@ -244,14 +245,21 @@ class TestBatchedKernel:
             iid_sum_expectations(TWO_POINT, lambda x: x, [3, 1, 2], state_cap=5)
 
     def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            iid_sum_expectations(TWO_POINT, lambda x: x, [3, 0])
-        with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
-            iid_sum_expectations(TWO_POINT, lambda x: x, [2.5])
-        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
-            iid_sum_expectations(TWO_POINT, lambda x: x, [True])
-        with pytest.raises(ValueError, match="got True"):
-            expectations_under_policy(TWO_POINT, lambda x: x, [2, True], PathMeasure.constant([0.5, 0.5], 2))
+        measure = PathMeasure.constant([0.5, 0.5], 3)
+        for n in (0, 2.5, True):
+            message = f"^n must be a positive integer, got {n}$"
+            with pytest.raises(NonPositiveN, match=message):
+                iid_sum_expectations(TWO_POINT, lambda x: x, [3, n])
+            with pytest.raises(NonPositiveN, match=message):
+                payoff_expectations(TWO_POINT, [abs], [n])
+            with pytest.raises(NonPositiveN, match=message):
+                expectations_under_policy(TWO_POINT, lambda x: x, [2, n], measure)
+        # a numpy horizon is the Python int of its value: same roots, same bits
+        ns = [np.int64(3), np.uint8(1), np.int32(3)]
+        want = iid_sum_expectations(TWO_POINT, np.cos, [3, 1, 3])
+        assert bits(iid_sum_expectations(TWO_POINT, np.cos, ns)) == bits(want)
+        got = expectations_under_policy(TWO_POINT, np.cos, ns, measure)
+        assert bits(got) == bits(expectations_under_policy(TWO_POINT, np.cos, [3, 1, 3], measure))
 
     @pytest.mark.parametrize("name", ["bernoulli_pair", "skewed_pair", "three_atom", "fine_lattice"])
     def test_phi_called_only_at_reachable_sums(self, families, name):

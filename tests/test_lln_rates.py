@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sublln import lln_rates
-from sublln.ambiguity import AlphaOutOfRange, AmbiguityFamily, mean_bounds, upper_variance
+from sublln.ambiguity import AlphaOutOfRange, AmbiguityFamily, mean_bounds, moment_summary, upper_variance
 from sublln.corpus import catalog_for, one_lipschitz_catalog_for
 from sublln.lln_rates import (
     BOUND_TOL,
@@ -27,6 +27,7 @@ from sublln.lln_rates import (
     theorem3_bound,
     verdict,
 )
+from sublln.measures import lower_bound_check
 
 from _oracles import dense_interval_max, fair_coin_expectation
 
@@ -215,6 +216,20 @@ class TestRateSweep:
         with pytest.raises(NonPositiveN, match="got True"):
             corollary_bound(1.0, True)
 
+    def test_empty_alphas_rejected(self, families):
+        # no alpha would leave no theorem-3 bound, and all_hold would pass vacuously
+        family = families["three_atom"]
+        with pytest.raises(AlphaOutOfRange, match="^alphas must be nonempty$"):
+            moment_summary(family, ())
+        with pytest.raises(AlphaOutOfRange, match="^alphas must be nonempty$"):
+            rate_sweep(family, linear(2.0, 0.0), [1, 2], alphas=())
+        with pytest.raises(AlphaOutOfRange, match="^alphas must be nonempty$"):
+            lower_bound_check(family, linear(2.0, 0.0), 2, alphas=())
+        with pytest.raises(AlphaOutOfRange):
+            lower_bound_check(family, linear(2.0, 0.0), 2, alphas=(0.5, 1.5))
+        got = lower_bound_check(family, linear(2.0, 0.0), 2, alphas=iter([1.0, 0.5]))
+        assert list(got.bound_theorem3) == [1.0, 0.5]
+
     def test_monotone_vanishing(self, families):
         schedule = [1, 1024]
         for family in families.values():
@@ -240,6 +255,15 @@ class TestLipschitzSpotCheck:
         lying = LipschitzFunction(lambda x: 3.0 * x, 1.0, "steep")
         check = spot_check_lipschitz(lying, 0.0, 1.0, pairs=500, seed=0)
         assert not check.ok
+
+    def test_numpy_seed_gives_the_check_of_the_int(self):
+        phi = abs_dev(0.25)
+        for seed in (0, 7, 2**64 - 1):
+            want = spot_check_lipschitz(phi, -1.0, 1.0, pairs=100, seed=seed)
+            assert spot_check_lipschitz(phi, -1.0, 1.0, pairs=100, seed=np.uint64(seed)) == want
+        assert spot_check_lipschitz(phi, -1.0, 1.0, pairs=100, seed=np.int64(1)) == spot_check_lipschitz(
+            phi, -1.0, 1.0, pairs=100, seed=1
+        )
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):

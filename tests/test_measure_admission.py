@@ -1,27 +1,45 @@
-"""Measure admission and the one enumeration path of sum and history rules.
+"""Measure admission, the one horizon rule and the one enumeration path of sum and history rules.
 
 A measure is admitted once per call of a measures entry point: the family
 must be valid, n positive, the measure's horizon long enough and its
 member count the family's.  A wrong member count is reported with the
 engine's own weight-shape message, whichever entry point sees it first.
+Every entry point that takes a horizon, sample count, seed or member index
+takes a Python or numpy integer and no bool, and hands it on as a Python
+int, so a numpy integer gives the bits of the equal Python int.
 """
 
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from sublln.ambiguity import AmbiguityFamily, FamilyInvalid
-from sublln.engine import PolicyIncomplete, expectation_under_policy, extract_argmax_policy
-from sublln.lln_rates import abs_dev
+from sublln.engine import (
+    NonPositiveN,
+    PolicyIncomplete,
+    SelectionPolicy,
+    build_support,
+    expectation_under_policy,
+    expectations_under_policy,
+    extract_argmax_policy,
+    iid_sum_expectations,
+    value_table,
+)
+from sublln.lln_rates import abs_dev, rate_sweep
 from sublln.measures import (
     PathMeasure,
     chatterji_check,
     conditional_means,
+    construct_pstar,
+    history_parity_measure,
+    lower_bound_checks,
     prop2_check,
     sample_path_sums,
     sample_paths,
+    uniform_mixture,
 )
 
 INVALID = AmbiguityFamily.build(0, 1, [[(0.5, 1.0)]])
@@ -32,6 +50,34 @@ ENTRY_POINTS = {
     "chatterji_check": lambda family, measure, n: chatterji_check(family, measure, n, 1.5),
     "sample_paths": lambda family, measure, n: sample_paths(family, measure, n, 10, 3),
     "sample_path_sums": lambda family, measure, n: sample_path_sums(family, measure, n, 10, 3),
+    "expectations_under_policy": lambda family, measure, n: expectations_under_policy(family, abs, [n], measure),
+}
+
+
+def _on_a_two_member_measure(call):
+    return lambda family, n: call(family, PathMeasure.constant([0.5, 0.5], 4), n)
+
+
+# Every entry point that takes a horizon, called on (family, n); results are compared by their pickles.
+HORIZON_ENTRY_POINTS = {
+    **{name: _on_a_two_member_measure(call) for name, call in ENTRY_POINTS.items()},
+    "build_support": lambda family, n: build_support(family, n),
+    "value_table": lambda family, n: value_table(family, n, abs),
+    "extract_argmax_policy": lambda family, n: extract_argmax_policy(family, n, abs),
+    "SelectionPolicy.constant": lambda family, n: SelectionPolicy.constant(family, n, 1),
+    "iid_sum_expectations": lambda family, n: iid_sum_expectations(family, abs, [n, 1]),
+    "rate_sweep": lambda family, n: rate_sweep(family, abs_dev(0.25), [n]),
+    "lower_bound_checks": lambda family, n: lower_bound_checks(family, abs_dev(0.25), [1, n]),
+}
+
+# The PathMeasure constructors, called on (family, horizon); each keeps the horizon.
+MEASURE_CONSTRUCTORS = {
+    "PathMeasure.constant": lambda family, n: PathMeasure.constant([0.5, 0.5], n),
+    "PathMeasure.from_sum_rule": lambda family, n: PathMeasure.from_sum_rule(lambda k, t: [1.0, 0.0], n, 2),
+    "PathMeasure.from_history_rule": lambda family, n: PathMeasure.from_history_rule(lambda k, h: [1.0, 0.0], n, 2),
+    "construct_pstar": lambda family, n: construct_pstar(family, 0.5, n),
+    "uniform_mixture": lambda family, n: uniform_mixture(family, n),
+    "history_parity_measure": lambda family, n: history_parity_measure(family, n),
 }
 
 TWO_MEMBER_MEASURES = {
@@ -63,6 +109,49 @@ def test_admission_messages(families, entry):
         call(family, PathMeasure.constant([0.5, 0.5], 4), 0)
     with pytest.raises(PolicyIncomplete, match="^measure horizon 2 is shorter than n=3$"):
         call(family, PathMeasure.constant([0.5, 0.5], 2), 3)
+
+
+@pytest.mark.parametrize("entry", [*HORIZON_ENTRY_POINTS, *MEASURE_CONSTRUCTORS])
+@pytest.mark.parametrize("n", [True, 2.5, 0])
+def test_the_horizon_rule_rejects(families, entry, n):
+    call = {**HORIZON_ENTRY_POINTS, **MEASURE_CONSTRUCTORS}[entry]
+    with pytest.raises(NonPositiveN, match=f"^n must be a positive integer, got {re.escape(repr(n))}$"):
+        call(families["delta_pair"], n)
+
+
+@pytest.mark.parametrize("entry", HORIZON_ENTRY_POINTS)
+def test_a_numpy_horizon_gives_the_bits_of_the_int(families, entry):
+    call = HORIZON_ENTRY_POINTS[entry]
+    assert pickle.dumps(call(families["delta_pair"], np.int64(3))) == pickle.dumps(call(families["delta_pair"], 3))
+
+
+@pytest.mark.parametrize("entry", MEASURE_CONSTRUCTORS)
+def test_a_numpy_horizon_is_kept_as_an_int(families, entry):
+    measure = MEASURE_CONSTRUCTORS[entry](families["delta_pair"], np.int64(3))
+    assert type(measure.horizon) is int and measure.horizon == 3
+
+
+@pytest.mark.parametrize("sample", [sample_paths, sample_path_sums])
+def test_sample_count_and_seed_follow_the_integer_rule(families, sample):
+    family, measure = families["three_atom"], PathMeasure.constant([0.2, 0.3, 0.5], 4)
+    want = sample(family, measure, 4, 9, 2**64 - 1).tobytes()
+    assert sample(family, measure, np.int32(4), np.int64(9), np.uint64(2**64 - 1)).tobytes() == want
+    for count in (True, 2.5, -1):
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 0, got {re.escape(repr(count))}$"):
+            sample(family, measure, 4, count, 7)
+    for seed in (True, 2.5, -1, 2**64):
+        with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {re.escape(repr(seed))}$"):
+            sample(family, measure, 4, 9, seed)
+
+
+def test_member_index_follows_the_integer_rule(families):
+    family = families["three_atom"]
+    assert pickle.dumps(SelectionPolicy.constant(family, 3, np.int64(2))) == pickle.dumps(
+        SelectionPolicy.constant(family, 3, 2)
+    )
+    for index in (True, 1.0, -1, 3):
+        with pytest.raises(PolicyIncomplete, match=f"^member index {re.escape(repr(index))} out of range$"):
+            SelectionPolicy.constant(family, 3, index)
 
 
 def test_expectation_under_policy_admission_messages(families):

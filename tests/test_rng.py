@@ -69,3 +69,19 @@ def test_mantissas_reuse_one_offset_array(seed):
         got = mantissas(seed, start, offsets, np.empty(count, dtype=np.uint64))
         assert got.tolist() == [u64_at(seed, start + i) >> 11 for i in range(count)]
     assert np.array_equal(offsets, before)
+
+
+@pytest.mark.parametrize("seed", [0, 7, MASK64])
+@pytest.mark.parametrize("start", [0, 5, 2**64 - 2])
+def test_numpy_integers_give_the_bits_of_python_ints(seed, start):
+    # seed, start and index are reduced as Python ints, so a numpy integer cannot overflow the counter
+    for np_seed, np_start in ((np.uint64(seed), start), (seed, np.uint64(start)), (np.uint64(seed), np.uint64(start))):
+        assert unit_array(np_seed, np_start, 4).tobytes() == unit_array(seed, start, 4).tobytes()
+        assert u64_at(np_seed, np_start) == u64_at(seed, start)
+        assert unit_at(np_seed, np_start) == unit_at(seed, start)
+        out = np.empty(4, dtype=np.uint64)
+        want = [u64_at(seed, start + i) >> 11 for i in range(4)]
+        assert mantissas(np_seed, np_start, counter_offsets(4), out).tolist() == want
+    if seed < 2**63 and start < 2**63:
+        assert unit_array(np.int64(seed), np.int64(start), 4).tobytes() == unit_array(seed, start, 4).tobytes()
+        assert u64_at(np.int64(seed), np.int64(start)) == u64_at(seed, start)
