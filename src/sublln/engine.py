@@ -18,27 +18,40 @@ sweep.  The map from step k+1 to step k depends on neither, so the sweep
 runs from ``N = max(ns)`` down to 0 over a 2-D ``(rows, states)`` array of
 ``(horizon, phi)`` rows: the rows of horizon n join at step n, holding their
 phi at the reachable sums of step n and zeros elsewhere, and from then on
-every step's arithmetic is shared by all joined rows.  Row groups that would
-exceed ``_ROW_BUDGET`` states are swept separately; rows never interact, so
-the grouping does not change a value.
+every step's arithmetic is shared by all joined rows.  Row groups whose
+arrays would together hold more than ``_ROW_BUDGET`` states are swept
+separately; rows never interact, so the grouping does not change a value.
 
-* **Summation order.**  A member's value is the left-to-right sum
-  ``w_0 * v[s_0:] + w_1 * v[s_1:] + ...`` over its atoms in increasing value
-  order, and the step value is the running ``np.maximum`` over members in
-  index order (the argmax policy breaks ties to the lower index).  Results
-  are therefore deterministic and do not depend on which rows share a
-  sweep.
+* **Step program.**  One backward step is a fixed list of ufunc calls
+  (``_program``).  One broadcast ``np.multiply`` writes ``w * v`` over
+  ``width + span`` columns for every distinct atom weight w of the family;
+  a member's value is the left-to-right ``np.add`` chain of its atoms'
+  shifted views of those products, in increasing atom value order, and the
+  step value is the running ``np.maximum`` over members in index order (the
+  argmax policy breaks ties to the lower index).  A point-mass member (one
+  atom of weight 1.0) is its shifted view of ``v`` itself, as
+  ``x * 1.0 == x``.  Since ``(w*v)[s+i]`` is ``w*v[s+i]``, every entry sees
+  the same float operations as when each atom's shifted window is weighted
+  on its own, and no result depends on which rows share a sweep.
+* **Blocks of steps.**  The sweep runs in blocks that end where a row joins
+  or after ``_BLOCK_STEPS`` steps.  A block builds its program once for each
+  direction of the ``cur``/``nxt`` swap, over fixed views as wide as its
+  first window, and runs the two in turn, so a step costs its ufunc calls
+  and no slicing.  Later steps of a block also fill columns past their true
+  window; these stale columns are finite whenever phi is, as every value
+  the sweep writes is a maximum of weighted sums of values written before.
 * **gcd reduction.**  Coordinates are taken relative to the smallest atom
   coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
   all atoms coincide).  Index i at step k stands for the sum
   ``k * origin + (k * k_min + i * g) * step``; sums off this sublattice are
   never reachable.
-* **Unreachable entries.**  The window at step k is dense, so some entries
-  are not reachable sums.  Every union shift maps a reachable sum of step k
-  to a reachable sum of step k+1, so a reachable entry only ever reads
-  reachable entries and the zeros or stale values elsewhere never reach the
-  result.  Reachability comes from one forward OR pass; only the masks of
-  requested horizons are kept, and phi is called only at reachable sums.
+* **Unreachable entries and stale columns.**  The window at step k is
+  dense, so some entries are not reachable sums.  Every union shift maps a
+  reachable sum of step k to a reachable sum of step k+1, inside its window,
+  so a reachable entry only ever reads reachable entries, and the zeros,
+  unreachable values and stale columns elsewhere never reach the result.
+  Reachability comes from one forward OR pass; only the masks of requested
+  horizons are kept, and phi is called only at reachable sums.
 * **State cap.**  The cap counts the dense states of the unreduced lattice,
   ``(n + 1) + (k_max - k_min) * n * (n + 1) / 2`` for the largest horizon, and is
   checked by arithmetic before anything is allocated, so
@@ -87,6 +100,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -117,8 +131,11 @@ DEFAULT_STATE_CAP = 10_000_000
 
 _SUM_TOL = 1e-9
 
-# Largest rows x states array of one sweep; four such arrays are live at once.
-_ROW_BUDGET = 1 << 20
+# Largest number of states held by one sweep's arrays together (``_row_groups``).
+_ROW_BUDGET = 1 << 22
+
+# Most steps run by one step program; a block's fixed views are as wide as its first window.
+_BLOCK_STEPS = 32
 
 
 class NonPositiveN(ValueError):
@@ -263,49 +280,80 @@ def _terminal(grid: _Grid, n: int, mask: np.ndarray, phi: Callable, out: np.ndar
     out[mask] = _eval_phi(phi, xs)
 
 
-def _step(
-    v_next: np.ndarray,
-    grid: _Grid,
-    out: np.ndarray,
-    acc: np.ndarray,
-    tmp: np.ndarray,
-    sel: np.ndarray | None = None,
-) -> None:
-    """One backward step on ``(..., states)`` arrays: ``out`` gets the max over members.
+def _products(grid: _Grid) -> tuple[np.ndarray, tuple]:
+    """The product weights of a step program and every member's terms on them.
 
-    ``out``, ``acc`` and ``tmp`` have the step's window as last axis; each
-    member's value is the left-to-right sum of its weighted shifted windows
-    of ``v_next``.  A point-mass member (one atom of weight exactly 1.0) is
-    its shifted window itself, as ``x * 1.0 == x`` for every float, so it
-    costs no arithmetic.  ``sel``, when given, receives the lowest
-    maximizing member index.
+    The weights are the distinct atom weights of the members that are not point masses (one atom of
+    weight 1.0), as a ``(weights, 1, 1)`` column; a member's terms are ``(weight index, shift)`` pairs,
+    the index None for a point mass.  Weights are told apart by sign as well, so a -0.0 weight keeps
+    products of its own.
     """
-    size = out.shape[-1]
-    for m, terms in enumerate(grid.terms):
-        w, s = terms[0]
-        value = v_next[..., s : s + size]
-        if w != 1.0 or len(terms) > 1:
-            dst = acc if m else out
-            np.multiply(value, w, out=dst)
-            for w, s in terms[1:]:
-                np.multiply(v_next[..., s : s + size], w, out=tmp)
-                dst += tmp
-            value = dst
+    index: dict = {}
+    members = []
+    for terms in grid.terms:
+        if len(terms) == 1 and terms[0][0] == 1.0:
+            members.append(((None, terms[0][1]),))
+        else:
+            members.append(tuple((index.setdefault((w, math.copysign(1.0, w)), len(index)), s) for w, s in terms))
+    return np.array([w for w, _ in index], dtype=float).reshape(-1, 1, 1), tuple(members)
+
+
+def _program(
+    weights: np.ndarray,
+    members: tuple,
+    src: np.ndarray,
+    dst: np.ndarray,
+    acc: np.ndarray,
+    products: np.ndarray,
+    sel: np.ndarray | None = None,
+) -> list[partial]:
+    """The ufunc calls of one backward step from ``src`` into ``dst``, in order.
+
+    ``dst`` and ``acc`` are ``(rows, width)`` views, ``products`` is ``(weights, rows, width + span)``
+    and ``src`` has at least ``width + span`` columns.  One multiply writes ``src * w`` over the
+    products' columns for every weight.  A member's value is the left-to-right sum of its terms'
+    shifted product views (its shifted ``src`` view for a point mass), written to ``dst`` for member
+    0 and to ``acc`` for the others, and ``dst`` gets the running maximum over members in index
+    order.  ``sel``, when given, receives the lowest maximizing member index.  The calls hold
+    their views, so a program runs again for every step for which its arrays hold the step's data.
+    """
+    width = dst.shape[-1]
+
+    def view(i, s):
+        return src[:, s : s + width] if i is None else products[i, :, s : s + width]
+
+    calls = [] if sel is None else [partial(np.copyto, sel, 0)]
+    flag = None if sel is None else np.empty(sel.shape, dtype=bool)
+    if weights.size:
+        calls.append(partial(np.multiply, src[None, :, : products.shape[-1]], weights, products))
+    for m, terms in enumerate(members):
+        value = view(*terms[0])
+        if len(terms) > 1:
+            into = acc if m else dst
+            calls.append(partial(np.add, value, view(*terms[1]), into))
+            calls.extend(partial(np.add, into, view(*t), into) for t in terms[2:])
+            value = into
         if m:
             if sel is not None:
-                sel[value > best] = m
-            best = np.maximum(best, value, out=out)
+                calls += [partial(np.greater, value, best, flag), partial(np.copyto, sel, m, where=flag)]
+            calls.append(partial(np.maximum, best, value, out=dst))
+            best = dst
         else:
             best = value
-    if best is not out:
-        np.copyto(out, best)
+    if best is not dst:
+        calls.append(partial(np.copyto, dst, best))
+    return calls
 
 
-def _row_groups(rows: list, span: int) -> list[list]:
-    """Split descending ``(horizon, phi)`` rows into sweeps of at most ``_ROW_BUDGET`` row states (one row at least)."""
+def _row_groups(rows: list, span: int, weights: int = 1) -> list[list]:
+    """Split descending ``(horizon, phi)`` rows into sweeps of at most ``_ROW_BUDGET`` live states (one row at least).
+
+    A sweep of r rows of top horizon n holds ``3 + weights`` arrays of at most ``r * (n * span + 1)``
+    states: ``cur``, ``nxt``, ``acc`` and the products of ``weights`` distinct atom weights.
+    """
     groups: list[list] = []
     for row in rows:
-        if not groups or (len(groups[-1]) + 1) * (groups[-1][0][0] * span + 1) > _ROW_BUDGET:
+        if not groups or (len(groups[-1]) + 1) * (groups[-1][0][0] * span + 1) * (3 + weights) > _ROW_BUDGET:
             groups.append([])
         groups[-1].append(row)
     return groups
@@ -320,27 +368,42 @@ def _sweep(
 ) -> np.ndarray:
     """Root values of descending ``(horizon, phi)`` rows by one backward sweep from the first horizon.
 
-    For one row of horizon n, ``values`` gets copies of each step's values from step n down to 0,
-    and ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members
-    are only tracked when ``selections`` is given.
+    The sweep runs in blocks of at most ``_BLOCK_STEPS`` steps that end where a row joins; each block
+    builds one step program per direction of the ``cur``/``nxt`` swap, over fixed views as wide as its
+    first step's window, and runs them in turn.  For one row of horizon n, ``values`` gets copies of
+    each step's values from step n down to 0, and ``selections`` each step's lowest maximizing member
+    from step n-1 down to 0; the members are only tracked when ``selections`` is given.
     """
-    top, span = rows[0][0], grid.span
-    cur, nxt, acc, tmp = (np.zeros((len(rows), grid.size(top))) for _ in range(4))
-    joined = 0
-    for k in range(top, 0, -1):
+    top = rows[0][0]
+    weights, members = _products(grid)
+    cur, nxt = (np.zeros((len(rows), grid.size(top))) for _ in range(2))
+    # the widest block: j joined rows of horizon n need j * size(n) product columns per weight
+    most = max((j + 1) * grid.size(n) for j, (n, _) in enumerate(rows))
+    product_space, acc_space = np.empty(weights.size * most), np.empty(most)
+    joined, k = 0, top
+    while k:
         while joined < len(rows) and rows[joined][0] == k:
-            _terminal(grid, k, masks[k], rows[joined][1], cur[joined, : k * span + 1])
+            _terminal(grid, k, masks[k], rows[joined][1], cur[joined, : grid.size(k)])
             joined += 1
             if values is not None:
-                values.append(cur[0, : k * span + 1].copy())
-        size = (k - 1) * span + 1
-        sel = None if selections is None else np.zeros((1, size), dtype=np.int32)
-        _step(cur[:joined], grid, nxt[:joined, :size], acc[:joined, :size], tmp[:joined, :size], sel)
-        if values is not None:
-            values.append(nxt[0, :size].copy())
-        if selections is not None:
-            selections.append(sel[0])
-        cur, nxt = nxt, cur
+                values.append(cur[0, : grid.size(k)].copy())
+        end = max(k - _BLOCK_STEPS, rows[joined][0] if joined < len(rows) else 0)
+        width = grid.size(k - 1)
+        products = product_space[: weights.size * joined * grid.size(k)].reshape(weights.size, joined, grid.size(k))
+        acc = acc_space[: joined * width].reshape(joined, width)
+        sel = None if selections is None else np.empty((1, width), dtype=np.int32)
+        programs = [
+            _program(weights, members, src[:joined], dst[:joined, :width], acc, products, sel)
+            for src, dst in ((cur, nxt), (nxt, cur))
+        ]
+        for i in range(k - end):
+            for call in programs[i % 2]:
+                call()
+            cur, nxt, k = nxt, cur, k - 1
+            if values is not None:
+                values.append(cur[0, : grid.size(k)].copy())
+            if selections is not None:
+                selections.append(sel[0, : grid.size(k)].copy())
     return cur[:, 0]
 
 
@@ -387,7 +450,7 @@ def payoff_expectations(
         return tuple(() for _ in payoffs)
     masks = _reachable_masks(grid, distinct[-1], distinct)
     keys = [(n, i) for n in reversed(distinct) for i in range(len(payoffs))]
-    groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span)
+    groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span, _products(grid)[0].size)
     roots = dict(zip(keys, (r for group in groups for r in _sweep(grid, group, masks).tolist())))
     return tuple(tuple(roots[n, i] for n in horizons) for i in range(len(payoffs)))
 
@@ -510,6 +573,8 @@ class PathMeasure:
         if depends_on not in ("none", "sum", "history"):
             raise ValueError(f"unknown dependence tag {depends_on!r}")
         self.horizon = _check_n(horizon)
+        if not _is_int(member_count) or member_count < 1:
+            raise PolicyIncomplete(f"member count must be a positive integer, got {member_count!r}")
         self.member_count = int(member_count)
         self.depends_on = depends_on
         self.name = name

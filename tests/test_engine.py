@@ -281,6 +281,76 @@ class TestBatchedKernel:
             assert calls == [want[2]]
 
 
+BLOCK = engine._BLOCK_STEPS
+
+
+class TestStepBlocks:
+    """The sweep across the boundaries of its blocks of steps, against the per-horizon oracle bit for bit."""
+
+    @pytest.mark.parametrize("name", [*corpus_families(), "fine_lattice"])
+    def test_horizons_around_a_block(self, families, name):
+        family = FINE_LATTICE if name == "fine_lattice" else families[name]
+        singles = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 100]
+        for i, phi in enumerate(catalog_for(family)):
+            want = oracle_values(family, phi, singles)
+            assert bits([iid_sum_expectation(family, n, phi) for n in singles]) == bits(want), (name, i)
+            # rows join mid-block, and at or next to a block's end
+            for ns in ([3, 40, 77], [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 100]):
+                got = iid_sum_expectations(family, phi, ns)
+                assert bits(got) == bits(oracle_values(family, phi, ns)), (name, i, ns)
+
+    @pytest.mark.parametrize("name", [*corpus_families(), "fine_lattice"])
+    def test_tables_and_selections_past_a_block(self, families, name):
+        family = FINE_LATTICE if name == "fine_lattice" else families[name]
+        g = unreduced_window(family, 0)[2]
+        n = 2 * BLOCK + 1
+        for phi in catalog_for(family):
+            want, selections = per_horizon_backward(family, n, phi)
+            table = value_table(family, n, phi)
+            assert bits([table.root]) == bits([want])
+            assert [v.size for v in table.values] == [table.support.size(k) for k in range(n + 1)]
+            policy = extract_argmax_policy(family, n, phi)
+            assert len(policy.selections) == n
+            for k in range(n):
+                assert_on_sublattice(policy.selections[k], selections[k], g, -1)
+
+    def test_signed_zero_ties_past_a_block(self):
+        for low in (-0.0, 0.0):
+            phi = lambda x, low=low: np.where(x == 0.0, low, -low)
+            for n in (BLOCK + 1, 2 * BLOCK + 1):
+                want = per_horizon_backward(DELTA_PAIR, n, phi)[0]
+                assert bits(iid_sum_expectations(DELTA_PAIR, phi, [n, 1])[:1]) == bits([want])
+
+    def test_a_program_per_block_and_direction(self, families, monkeypatch):
+        # 77 -> 45 -> 40 (a row joins) -> 8 -> 3 (a row joins) -> 0
+        built = []
+
+        def recording(weights, members, src, dst, *rest):
+            built.append(dst.shape)
+            return program(weights, members, src, dst, *rest)
+
+        program = engine._program
+        monkeypatch.setattr(engine, "_program", recording)
+        family = families["three_atom"]
+        iid_sum_expectations(family, catalog_for(family)[2], [3, 40, 77])
+        blocks = [(77, 1), (45, 1), (40, 2), (8, 2), (3, 3)]  # (first step, joined rows); span 4
+        assert built == [(rows, 4 * (k - 1) + 1) for k, rows in blocks for _ in range(2)]
+
+    def test_row_groups_count_the_products(self, monkeypatch):
+        rows = [(10, None)] * 4
+        monkeypatch.setattr(engine, "_ROW_BUDGET", 2 * 4 * 31)
+        assert [len(g) for g in engine._row_groups(rows, 3)] == [2, 2]
+        assert [len(g) for g in engine._row_groups(rows, 3, weights=5)] == [1, 1, 1, 1]
+
+    def test_stale_columns_raise_no_float_error(self, families):
+        schedule = [2**k for k in range(11)]
+        for family in families.values():
+            for phi in catalog_for(family):
+                with np.errstate(all="raise"):
+                    roots = iid_sum_expectations(family, phi, schedule)
+                assert all(math.isfinite(r) for r in roots)
+
+
 class TestLowerExpectation:
     def test_adversary_picks_zero(self):
         assert lower_iid_sum_expectation(DELTA_PAIR, 2, lambda x: x) == 0.0
@@ -357,7 +427,7 @@ def test_whole_tables_follow_the_recursion(name):
     """
     family = FINE_LATTICE if name == "fine_lattice" else corpus_families()[name]
     for i, phi in enumerate(catalog_for(family)):
-        for n in (1, 5, 16):
+        for n in (1, 5, 16, BLOCK + 2):
             table = value_table(family, n, phi)
             policy = extract_argmax_policy(family, n, phi)
             support = table.support
@@ -793,10 +863,18 @@ def test_point_mass_members_cost_no_arithmetic(members):
             for k in range(n):
                 assert_on_sublattice(policy.selections[k], selections[k], unreduced_window(family, 0)[2], -1)
     if all(len(m) == 1 for m in members):
-        # only views of v_next are read: the scratch arrays keep their NaNs
+        # the step program multiplies and adds nothing: np.maximum over views, or one copy of a view
         grid = engine._grid(family)
-        v_next = np.arange(2.0 * grid.span + 1)[None, :]
-        out, acc, tmp = (np.full((1, grid.span + 1), np.nan) for _ in range(3))
-        engine._step(v_next, grid, out, acc, tmp)
-        assert np.isnan(acc).all() and np.isnan(tmp).all()
-        assert not np.isnan(out).any()
+        weights, terms = engine._products(grid)
+        src = np.arange(2.0 * grid.span + 1)[None, :]
+        dst, acc = (np.full((1, grid.span + 1), np.nan) for _ in range(2))
+        products = np.empty((0, 1, src.shape[-1]))
+        program = engine._program(weights, terms, src, dst, acc, products)
+        functions = [call.func for call in program]
+        assert functions == ([np.maximum] * (len(members) - 1) if len(members) > 1 else [np.copyto])
+        assert all(np.shares_memory(a, src) or a is dst for call in program for a in call.args)
+        for call in program:
+            call()
+        assert np.isnan(acc).all()
+        want = np.max([src[0, s : s + grid.span + 1] for ((_, s),) in grid.terms], axis=0)
+        assert bits(dst[0]) == bits(want)

@@ -154,6 +154,21 @@ def test_member_index_follows_the_integer_rule(families):
             SelectionPolicy.constant(family, 3, index)
 
 
+def test_member_count_follows_the_integer_rule(families):
+    rule = lambda step, total: [0.2, 0.3, 0.5]
+    measure = PathMeasure.from_sum_rule(rule, 3, np.int64(3))
+    assert type(measure.member_count) is int and measure.member_count == 3
+    assert expectation_under_policy(families["three_atom"], 3, abs, measure) == expectation_under_policy(
+        families["three_atom"], 3, abs, PathMeasure.from_sum_rule(rule, 3, 3)
+    )
+    for count in (2.5, True, "2", 0, -1):
+        message = f"^member count must be a positive integer, got {re.escape(repr(count))}$"
+        with pytest.raises(PolicyIncomplete, match=message):
+            PathMeasure.from_sum_rule(rule, 3, count)
+    with pytest.raises(ValueError, match="^member count must be a positive integer, got 0$"):
+        PathMeasure.constant([], 3)
+
+
 def test_expectation_under_policy_admission_messages(families):
     measure = PathMeasure.constant([0.5, 0.5], 4)
     with pytest.raises(FamilyInvalid, match="^member 0 atom 0: value 0.5 is not on the lattice$"):
