@@ -15,41 +15,59 @@ The backward kernel
 -------------------
 :func:`payoff_expectations` computes many payoffs at many horizons with one
 sweep.  The map from step k+1 to step k depends on neither, so the sweep
-runs from ``N = max(ns)`` down to 0 over a 2-D ``(rows, states)`` array of
-``(horizon, phi)`` rows: the rows of horizon n join at step n, holding their
-phi at the reachable sums of step n and zeros elsewhere, and from then on
-every step's arithmetic is shared by all joined rows.  Row groups whose
-arrays would together hold more than ``_ROW_BUDGET`` states are swept
-separately; rows never interact, so the grouping does not change a value.
+runs from ``N = max(ns)`` down to 0 over ``(horizon, phi)`` rows: the rows of
+horizon n join at step n, holding their phi at the reachable sums of step n
+and zeros elsewhere, and from then on every step's arithmetic is shared by
+all joined rows.  Row groups whose arrays would together hold more than
+``_ROW_BUDGET`` states are swept separately; rows never interact, so the
+grouping does not change a value.
 
+* **State-major rows.**  ``cur`` and ``nxt`` are flat and zero-initialised;
+  with r rows joined, entry (state s, row i) sits at ``s * r + i``.  A shift
+  of s states is a shift of ``s * r`` entries, so every view of a step is
+  one contiguous 1-D run over all joined rows.  Where rows join, one strided
+  copy re-lays the rows already there and each new row's phi fills its
+  strided column; the roots are the first r entries.  The sweep's arrays
+  start on 64-byte boundaries (``_aligned``), so a step's stores do not
+  split cache lines.
 * **Step program.**  One backward step is a fixed list of ufunc calls
-  (``_program``).  One broadcast ``np.multiply`` writes ``w * v`` over
-  ``width + span`` columns for every distinct atom weight w of the family;
-  a member's value is the left-to-right ``np.add`` chain of its atoms'
-  shifted views of those products, in increasing atom value order, and the
-  step value is the running ``np.maximum`` over members in index order (the
-  argmax policy breaks ties to the lower index).  A point-mass member (one
-  atom of weight 1.0) is its shifted view of ``v`` itself, as
+  (``_program``).  One broadcast ``np.multiply`` writes ``w * v`` over the
+  window plus ``span`` states for every distinct atom weight w of the
+  family; a member's value is the left-to-right ``np.add`` chain of its
+  atoms' shifted views of those products, in increasing atom value order,
+  and the step value is the running ``np.maximum`` over members in index
+  order (the argmax policy breaks ties to the lower index).  A point-mass
+  member (one atom of weight 1.0) is its shifted view of ``v`` itself, as
   ``x * 1.0 == x``.  Since ``(w*v)[s+i]`` is ``w*v[s+i]``, every entry sees
   the same float operations as when each atom's shifted window is weighted
   on its own, and no result depends on which rows share a sweep.
+* **Unbuffered calls.**  numpy sends a ufunc call that is not one
+  contiguous 1-D pass through its buffered iterator whenever several of the
+  call's rows fit in the ufunc buffer (8192 elements by default), at two to
+  four times the cost.  The state-major rows leave one such call per step,
+  the ``(weights, entries)`` product broadcast, and the step programs run
+  with the buffer size ``_BUFSIZE``, inside one ``np.errstate`` scope per
+  sweep, which restores the caller's buffer size on exit.  phi runs under
+  the caller's buffer size, as its reductions may depend on it; elementwise
+  ufuncs never do, so no value depends on ``_BUFSIZE``.
 * **Blocks of steps.**  The sweep runs in blocks that end where a row joins
   or after ``_BLOCK_STEPS`` steps.  A block builds its program once for each
   direction of the ``cur``/``nxt`` swap, over fixed views as wide as its
   first window, and runs the two in turn, so a step costs its ufunc calls
-  and no slicing.  Later steps of a block also fill columns past their true
-  window; these stale columns are finite whenever phi is, as every value
-  the sweep writes is a maximum of weighted sums of values written before.
+  and no slicing.  Later steps of a block also fill states past their true
+  window; these stale entries are finite whenever phi is, as every value
+  the sweep writes is a maximum of weighted sums of values written before
+  (or a zero of the initial arrays).
 * **gcd reduction.**  Coordinates are taken relative to the smallest atom
   coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
   all atoms coincide).  Index i at step k stands for the sum
   ``k * origin + (k * k_min + i * g) * step``; sums off this sublattice are
   never reachable.
-* **Unreachable entries and stale columns.**  The window at step k is
+* **Unreachable and stale entries.**  The window at step k is
   dense, so some entries are not reachable sums.  Every union shift maps a
   reachable sum of step k to a reachable sum of step k+1, inside its window,
   so a reachable entry only ever reads reachable entries, and the zeros,
-  unreachable values and stale columns elsewhere never reach the result.
+  unreachable values and stale entries elsewhere never reach the result.
   Reachability comes from one forward OR pass; only the masks of requested
   horizons are kept, and phi is called only at reachable sums.
 * **State cap.**  The cap counts the dense states of the unreduced lattice,
@@ -136,6 +154,12 @@ _ROW_BUDGET = 1 << 22
 
 # Most steps run by one step program; a block's fixed views are as wide as its first window.
 _BLOCK_STEPS = 32
+
+# Ufunc buffer size in elements while a sweep runs its step programs (``_sweep``).  With numpy's
+# default of 8192, the product broadcast of a step takes the buffered iterator whenever several rows
+# of it fit in one buffer, at two to four times the cost of the same call with a small buffer.
+# Measured: 32 to 2048 ran the corpus and deep sweeps alike, and 16 was slower on some.
+_BUFSIZE = 64
 
 
 class NonPositiveN(ValueError):
@@ -284,7 +308,7 @@ def _products(grid: _Grid) -> tuple[np.ndarray, tuple]:
     """The product weights of a step program and every member's terms on them.
 
     The weights are the distinct atom weights of the members that are not point masses (one atom of
-    weight 1.0), as a ``(weights, 1, 1)`` column; a member's terms are ``(weight index, shift)`` pairs,
+    weight 1.0), as a ``(weights, 1)`` column; a member's terms are ``(weight index, shift)`` pairs,
     the index None for a point mass.  Weights are told apart by sign as well, so a -0.0 weight keeps
     products of its own.
     """
@@ -295,12 +319,13 @@ def _products(grid: _Grid) -> tuple[np.ndarray, tuple]:
             members.append(((None, terms[0][1]),))
         else:
             members.append(tuple((index.setdefault((w, math.copysign(1.0, w)), len(index)), s) for w, s in terms))
-    return np.array([w for w, _ in index], dtype=float).reshape(-1, 1, 1), tuple(members)
+    return np.array([w for w, _ in index], dtype=float).reshape(-1, 1), tuple(members)
 
 
 def _program(
     weights: np.ndarray,
     members: tuple,
+    rows: int,
     src: np.ndarray,
     dst: np.ndarray,
     acc: np.ndarray,
@@ -309,23 +334,25 @@ def _program(
 ) -> list[partial]:
     """The ufunc calls of one backward step from ``src`` into ``dst``, in order.
 
-    ``dst`` and ``acc`` are ``(rows, width)`` views, ``products`` is ``(weights, rows, width + span)``
-    and ``src`` has at least ``width + span`` columns.  One multiply writes ``src * w`` over the
-    products' columns for every weight.  A member's value is the left-to-right sum of its terms'
-    shifted product views (its shifted ``src`` view for a point mass), written to ``dst`` for member
-    0 and to ``acc`` for the others, and ``dst`` gets the running maximum over members in index
-    order.  ``sel``, when given, receives the lowest maximizing member index.  The calls hold
-    their views, so a program runs again for every step for which its arrays hold the step's data.
+    The arrays are flat and state-major: entry (state s, row r) sits at ``s * rows + r``, so a shift
+    of s states is a shift of ``s * rows`` entries and every view is one contiguous 1-D run.  ``dst``
+    and ``acc`` hold the step's ``width`` states, ``products`` is ``(weights, (width + span) * rows)``
+    and ``src`` has at least as many entries as a product row.  One multiply writes ``src * w`` over
+    the products for every weight.  A member's value is the left-to-right sum of its terms' shifted
+    product views (its shifted ``src`` view for a point mass), written to ``dst`` for member 0 and to
+    ``acc`` for the others, and ``dst`` gets the running maximum over members in index order.
+    ``sel``, when given, receives the lowest maximizing member index.  The calls hold their views, so
+    a program runs again for every step for which its arrays hold the step's data.
     """
-    width = dst.shape[-1]
+    size = dst.size
 
     def view(i, s):
-        return src[:, s : s + width] if i is None else products[i, :, s : s + width]
+        return src[s * rows : s * rows + size] if i is None else products[i, s * rows : s * rows + size]
 
     calls = [] if sel is None else [partial(np.copyto, sel, 0)]
     flag = None if sel is None else np.empty(sel.shape, dtype=bool)
     if weights.size:
-        calls.append(partial(np.multiply, src[None, :, : products.shape[-1]], weights, products))
+        calls.append(partial(np.multiply, src[None, : products.shape[-1]], weights, products))
     for m, terms in enumerate(members):
         value = view(*terms[0])
         if len(terms) > 1:
@@ -345,11 +372,23 @@ def _program(
     return calls
 
 
+def _aligned(alloc: Callable, n: int) -> np.ndarray:
+    """``n`` floats of ``alloc`` that start on a 64-byte boundary, as a view.
+
+    malloc aligns to 16 bytes only, and a step program over arrays 16 bytes off a cache line runs about
+    30 % slower than over aligned ones (three_atom at n = 4096, AVX-512 ufunc loops).
+    """
+    raw = alloc(n + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + n]
+
+
 def _row_groups(rows: list, span: int, weights: int = 1) -> list[list]:
     """Split descending ``(horizon, phi)`` rows into sweeps of at most ``_ROW_BUDGET`` live states (one row at least).
 
     A sweep of r rows of top horizon n holds ``3 + weights`` arrays of at most ``r * (n * span + 1)``
-    states: ``cur``, ``nxt``, ``acc`` and the products of ``weights`` distinct atom weights.
+    states: the products of ``weights`` distinct atom weights, ``acc``, and ``cur`` and ``nxt``, which
+    hold ``most`` states, the largest count of joined rows times their window (``_sweep``).
     """
     groups: list[list] = []
     for row in rows:
@@ -368,43 +407,56 @@ def _sweep(
 ) -> np.ndarray:
     """Root values of descending ``(horizon, phi)`` rows by one backward sweep from the first horizon.
 
-    The sweep runs in blocks of at most ``_BLOCK_STEPS`` steps that end where a row joins; each block
-    builds one step program per direction of the ``cur``/``nxt`` swap, over fixed views as wide as its
-    first step's window, and runs them in turn.  For one row of horizon n, ``values`` gets copies of
-    each step's values from step n down to 0, and ``selections`` each step's lowest maximizing member
-    from step n-1 down to 0; the members are only tracked when ``selections`` is given.
+    ``cur`` and ``nxt`` hold the joined rows state-major (``_program``).  Where rows join, one strided
+    copy re-lays the rows before them and each new row's phi fills its strided column.  The sweep
+    runs in blocks of at most ``_BLOCK_STEPS`` steps that end where a row joins; each block builds one
+    step program per direction of the ``cur``/``nxt`` swap, over fixed views as wide as its first
+    step's window, and runs them in turn with the ufunc buffer size ``_BUFSIZE``; phi runs under the
+    caller's.  For one row of horizon n, ``values`` gets copies of each step's values from step n down
+    to 0, and ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members
+    are only tracked when ``selections`` is given.
     """
-    top = rows[0][0]
     weights, members = _products(grid)
-    cur, nxt = (np.zeros((len(rows), grid.size(top))) for _ in range(2))
-    # the widest block: j joined rows of horizon n need j * size(n) product columns per weight
+    # the widest block: j joined rows of horizon n hold j * size(n) entries
     most = max((j + 1) * grid.size(n) for j, (n, _) in enumerate(rows))
-    product_space, acc_space = np.empty(weights.size * most), np.empty(most)
-    joined, k = 0, top
-    while k:
-        while joined < len(rows) and rows[joined][0] == k:
-            _terminal(grid, k, masks[k], rows[joined][1], cur[joined, : grid.size(k)])
-            joined += 1
-            if values is not None:
-                values.append(cur[0, : grid.size(k)].copy())
-        end = max(k - _BLOCK_STEPS, rows[joined][0] if joined < len(rows) else 0)
-        width = grid.size(k - 1)
-        products = product_space[: weights.size * joined * grid.size(k)].reshape(weights.size, joined, grid.size(k))
-        acc = acc_space[: joined * width].reshape(joined, width)
-        sel = None if selections is None else np.empty((1, width), dtype=np.int32)
-        programs = [
-            _program(weights, members, src[:joined], dst[:joined, :width], acc, products, sel)
-            for src, dst in ((cur, nxt), (nxt, cur))
-        ]
-        for i in range(k - end):
-            for call in programs[i % 2]:
-                call()
-            cur, nxt, k = nxt, cur, k - 1
-            if values is not None:
-                values.append(cur[0, : grid.size(k)].copy())
-            if selections is not None:
-                selections.append(sel[0, : grid.size(k)].copy())
-    return cur[:, 0]
+    cur, nxt = _aligned(np.zeros, most), _aligned(np.zeros, most)
+    product_space, acc_space = _aligned(np.empty, weights.size * most), _aligned(np.empty, most)
+    joined, k, caller = 0, rows[0][0], np.getbufsize()
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        while k:
+            size, before = grid.size(k), joined
+            while joined < len(rows) and rows[joined][0] == k:
+                joined += 1
+            if joined > before:
+                if before:  # re-lay the rows already joined at the new stride
+                    nxt[: size * joined].reshape(size, joined)[:, :before] = cur[: size * before].reshape(size, before)
+                    cur, nxt = nxt, cur
+                columns = cur[: size * joined].reshape(size, joined)
+                np.setbufsize(caller)
+                for r in range(before, joined):
+                    _terminal(grid, k, masks[k], rows[r][1], columns[:, r])
+                np.setbufsize(_BUFSIZE)
+                if values is not None:
+                    values.append(cur[:size].copy())
+            end = max(k - _BLOCK_STEPS, rows[joined][0] if joined < len(rows) else 0)
+            width = grid.size(k - 1)
+            products = product_space[: weights.size * joined * size].reshape(weights.size, joined * size)
+            acc = acc_space[: joined * width]
+            sel = None if selections is None else np.empty(width, dtype=np.int32)
+            programs = [
+                _program(weights, members, joined, src, dst[: joined * width], acc, products, sel)
+                for src, dst in ((cur, nxt), (nxt, cur))
+            ]
+            for i in range(k - end):
+                for call in programs[i % 2]:
+                    call()
+                cur, nxt, k = nxt, cur, k - 1
+                if values is not None:
+                    values.append(cur[: grid.size(k)].copy())
+                if selections is not None:
+                    selections.append(sel[: grid.size(k)].copy())
+    return cur[:joined]
 
 
 def _horizons(

@@ -325,16 +325,30 @@ class TestStepBlocks:
         # 77 -> 45 -> 40 (a row joins) -> 8 -> 3 (a row joins) -> 0
         built = []
 
-        def recording(weights, members, src, dst, *rest):
-            built.append(dst.shape)
-            return program(weights, members, src, dst, *rest)
+        def recording(weights, members, rows, src, dst, *rest):
+            built.append((rows, dst.shape))
+            return program(weights, members, rows, src, dst, *rest)
 
         program = engine._program
         monkeypatch.setattr(engine, "_program", recording)
         family = families["three_atom"]
         iid_sum_expectations(family, catalog_for(family)[2], [3, 40, 77])
         blocks = [(77, 1), (45, 1), (40, 2), (8, 2), (3, 3)]  # (first step, joined rows); span 4
-        assert built == [(rows, 4 * (k - 1) + 1) for k, rows in blocks for _ in range(2)]
+        assert built == [(rows, (rows * (4 * (k - 1) + 1),)) for k, rows in blocks for _ in range(2)]
+
+    def test_step_arrays_start_on_cache_lines(self, families, monkeypatch):
+        starts = []
+
+        def recording(weights, members, rows, src, dst, acc, products, *rest):
+            starts.extend(a.ctypes.data % 64 for a in (src, dst, acc, products) if a.size)
+            return program(weights, members, rows, src, dst, acc, products, *rest)
+
+        program = engine._program
+        monkeypatch.setattr(engine, "_program", recording)
+        for family in families.values():
+            iid_sum_expectations(family, catalog_for(family)[2], [3, 40, 77])
+            extract_argmax_policy(family, 9, catalog_for(family)[2])
+        assert starts and set(starts) == {0}
 
     def test_row_groups_count_the_products(self, monkeypatch):
         rows = [(10, None)] * 4
@@ -349,6 +363,78 @@ class TestStepBlocks:
                 with np.errstate(all="raise"):
                     roots = iid_sum_expectations(family, phi, schedule)
                 assert all(math.isfinite(r) for r in roots)
+
+
+class TestBufferSize:
+    """The step programs run under their own ufunc buffer size; phi and the caller keep theirs."""
+
+    @staticmethod
+    def sweep_bits(family, n):
+        # every shape's roots on a row-joining and a doubling schedule, and its table and policy at n
+        cap = 1 << 40  # the fine lattice passes the default cap at n = 1024; its reduced arrays are small
+        out = []
+        for phi in catalog_for(family):
+            for ns in ([3, 40, 77], [2**k for k in range(11)]):
+                out.append(bits(iid_sum_expectations(family, phi, ns, state_cap=cap)))
+            out.append([bits(v) for v in value_table(family, n, phi).values])
+            out.append([s.tolist() for s in extract_argmax_policy(family, n, phi).selections])
+        return out
+
+    @pytest.mark.parametrize("n", [33, 70])
+    @pytest.mark.parametrize("name", [*corpus_families(), "fine_lattice"])
+    def test_bits_do_not_depend_on_the_callers_buffer_size(self, families, name, n):
+        family = FINE_LATTICE if name == "fine_lattice" else families[name]
+        got = {}
+        for size in (16, 8192, 2**20):
+            with np.errstate():
+                np.setbufsize(size)
+                got[size] = self.sweep_bits(family, n)
+                assert np.getbufsize() == size
+        assert got[16] == got[8192] == got[2**20]
+
+    def test_callers_state_is_restored(self, families):
+        family = families["three_atom"]
+        calls = []
+
+        def failing(xs):
+            calls.append(xs.size)
+            if len(calls) == 2:  # the second row joins mid-sweep
+                raise RuntimeError("phi failed")
+            return np.cos(xs)
+
+        with np.errstate(over="ignore", divide="raise", invalid="warn", under="print"):
+            np.setbufsize(4096)
+            state = np.geterr()
+            iid_sum_expectations(family, np.cos, [3, 40, 77])
+            value_table(family, 40, np.cos)
+            assert (np.getbufsize(), np.geterr()) == (4096, state)
+            with pytest.raises(RuntimeError, match="phi failed"):
+                iid_sum_expectations(family, failing, [3, 40, 77])
+            assert len(calls) == 2
+            assert (np.getbufsize(), np.geterr()) == (4096, state)
+
+    def test_phi_runs_under_the_callers_buffer_size(self, families):
+        family = families["skewed_pair"]
+        seen = []
+
+        def phi(xs):
+            seen.append(np.getbufsize())
+            return np.sin(xs)
+
+        for size in (16, 8192, 2**20):
+            with np.errstate():
+                np.setbufsize(size)
+                seen.clear()
+                payoff_expectations(family, [phi, phi], [3, 40, 77])
+                extract_argmax_policy(family, 40, phi)
+                assert seen == [size] * 7
+
+    @pytest.mark.parametrize("ns", [[3, 40, 77], [1, 1, 2, 64]])
+    def test_three_payoffs_match_the_oracle(self, families, ns):
+        for name, family in [*families.items(), ("fine_lattice", FINE_LATTICE)]:
+            payoffs = catalog_for(family)[:3]
+            got = payoff_expectations(family, payoffs, ns)
+            assert [bits(row) for row in got] == [bits(oracle_values(family, phi, ns)) for phi in payoffs], name
 
 
 class TestLowerExpectation:
@@ -863,18 +949,21 @@ def test_point_mass_members_cost_no_arithmetic(members):
             for k in range(n):
                 assert_on_sublattice(policy.selections[k], selections[k], unreduced_window(family, 0)[2], -1)
     if all(len(m) == 1 for m in members):
-        # the step program multiplies and adds nothing: np.maximum over views, or one copy of a view
+        # the step program multiplies and adds nothing: np.maximum over 1-D views, or one copy of a view
         grid = engine._grid(family)
         weights, terms = engine._products(grid)
-        src = np.arange(2.0 * grid.span + 1)[None, :]
-        dst, acc = (np.full((1, grid.span + 1), np.nan) for _ in range(2))
-        products = np.empty((0, 1, src.shape[-1]))
-        program = engine._program(weights, terms, src, dst, acc, products)
+        rows, width = 2, grid.span + 1
+        src = np.arange(float(rows * (width + grid.span)))
+        dst, acc = (np.full(rows * width, np.nan) for _ in range(2))
+        products = np.empty((0, src.size))
+        program = engine._program(weights, terms, rows, src, dst, acc, products)
         functions = [call.func for call in program]
         assert functions == ([np.maximum] * (len(members) - 1) if len(members) > 1 else [np.copyto])
-        assert all(np.shares_memory(a, src) or a is dst for call in program for a in call.args)
+        views = [a for call in program for a in call.args if a is not dst]
+        assert all(a.ndim == 1 and np.shares_memory(a, src) for a in views)
         for call in program:
             call()
         assert np.isnan(acc).all()
-        want = np.max([src[0, s : s + grid.span + 1] for ((_, s),) in grid.terms], axis=0)
-        assert bits(dst[0]) == bits(want)
+        # state-major: a shift of s states is a shift of s * rows entries
+        want = np.max([src[s * rows : (s + width) * rows] for ((_, s),) in grid.terms], axis=0)
+        assert bits(dst) == bits(want)
