@@ -19,8 +19,12 @@ runs from ``N = max(ns)`` down to 0 over ``(horizon, phi)`` rows: the rows of
 horizon n join at step n, holding their phi at the reachable sums of step n
 and zeros elsewhere, and from then on every step's arithmetic is shared by
 all joined rows.  Row groups whose arrays would together hold more than
-``_ROW_BUDGET`` states are swept separately; rows never interact, so the
-grouping does not change a value.
+``_ROW_BUDGET`` states are swept separately.  A row's entries inside its
+window only ever hold values of that row.  Which entries outside the
+probability band get recomputed depends on the sweep's blocks, and so on the
+rows beside it, but such entries weigh at most ``2**-100`` at the root: the
+grouping moves a root by no more than that share of its payoff's oscillation
+(and the rounding it brings), and the same inputs always give the same bits.
 
 * **State-major rows.**  ``cur`` and ``nxt`` are flat and zero-initialised;
   with r rows joined, entry (state s, row i) sits at ``s * r + i``.  A shift
@@ -40,7 +44,7 @@ grouping does not change a value.
   member (one atom of weight 1.0) is its shifted view of ``v`` itself, as
   ``x * 1.0 == x``.  Since ``(w*v)[s+i]`` is ``w*v[s+i]``, every entry sees
   the same float operations as when each atom's shifted window is weighted
-  on its own, and no result depends on which rows share a sweep.
+  on its own, and no entry's value depends on another row's values.
 * **Unbuffered calls.**  numpy sends a ufunc call that is not one
   contiguous 1-D pass through its buffered iterator whenever several of the
   call's rows fit in the ufunc buffer (8192 elements by default), at two to
@@ -52,22 +56,51 @@ grouping does not change a value.
   ufuncs never do, so no value depends on ``_BUFSIZE``.
 * **Blocks of steps.**  The sweep runs in blocks that end where a row joins
   or after ``_BLOCK_STEPS`` steps.  A block builds its program once for each
-  direction of the ``cur``/``nxt`` swap, over fixed views as wide as its
-  first window, and runs the two in turn, so a step costs its ufunc calls
-  and no slicing.  Later steps of a block also fill states past their true
-  window; these stale entries are finite whenever phi is, as every value
-  the sweep writes is a maximum of weighted sums of values written before
-  (or a zero of the initial arrays).
+  direction of the ``cur``/``nxt`` swap, over fixed views that cover the
+  union of its steps' bands (below), starting on a 64-byte boundary, and
+  runs the two in turn, so a step costs its ufunc calls and no slicing.
+  Later steps of a block also fill states past their true window; these
+  stale entries are finite whenever phi is, as every value the sweep writes
+  is a maximum of weighted sums of values written before (or a zero of the
+  initial arrays).
+* **Probability band.**  With a and b the least and greatest member mean
+  shift ``sum(w * s)`` and ``eps_k = 2**-100 / (k (k + 1))``, the reduced
+  index of S_k leaves ``[k*a - t_k, k*b + t_k]``, for
+  ``t_k = span * sqrt(k ln(2 / eps_k) / 2)``, with probability at most
+  eps_k under every adapted choice of members (Azuma-Hoeffding: S_k is a
+  martingale plus k conditional means in [a, b], with increments in
+  [0, span]).  ``_band`` widens this by one index on each side and clips it
+  to the window.  Every ``payoff_expectations`` sweep (so
+  ``iid_sum_expectations``, the lower value and ``lln_rates.rate_sweep``)
+  computes each block only over its steps' bands; the entries outside keep
+  values of their own row, so every root stays within
+  ``2**-100 * (max - min of its row's terminal values)`` of the dense
+  recursion in exact arithmetic, as paths that ever leave the band carry at
+  most ``sum eps_k < 2**-100`` of the mass.  The band is the full window at
+  every step below 162 on the corpus and the fine lattice, so no horizon up
+  to 162 is trimmed.  The first trimmed step is 162 on the fine lattice, 169
+  on fair_coin and bernoulli_pair, 202 on three_atom and 307 on skewed_pair;
+  point_mass, two_point_masses and delta_pair (a = 0, b = span) are never
+  trimmed.  A sweep that records a table or selections, and one whose joined
+  rows' terminal values are not all finite, computes the full windows: an
+  infinite value outside the band would otherwise be lost, or read with a
+  weight the certificate does not cover.
 * **gcd reduction.**  Coordinates are taken relative to the smallest atom
   coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
   all atoms coincide).  Index i at step k stands for the sum
   ``k * origin + (k * k_min + i * g) * step``; sums off this sublattice are
   never reachable.
-* **Unreachable and stale entries.**  The window at step k is
+* **Unreachable, stale and out-of-band entries.**  The window at step k is
   dense, so some entries are not reachable sums.  Every union shift maps a
   reachable sum of step k to a reachable sum of step k+1, inside its window,
   so a reachable entry only ever reads reachable entries, and the zeros,
-  unreachable values and stale entries elsewhere never reach the result.
+  unreachable values and stale entries past the window never reach the
+  result.  An entry outside a block's views holds a value its own row had
+  at the same index at a later step (while a later step is trimmed, both
+  buffers receive the terminal where the top row joins and the re-laid step
+  at every later join), a value between the smallest and largest terminal
+  value of that row (its zeros at unreachable sums included).  Reachable
+  entries read such values only along paths that leave the band.
   Reachability comes from one forward OR pass; only the masks of requested
   horizons are kept, and phi is called only at reachable sums.
 * **State cap.**  The cap counts the dense states of the unreduced lattice,
@@ -160,6 +193,12 @@ _BLOCK_STEPS = 32
 # of it fit in one buffer, at two to four times the cost of the same call with a small buffer.
 # Measured: 32 to 2048 ran the corpus and deep sweeps alike, and 16 was slower on some.
 _BUFSIZE = 64
+
+# Bound on the probability, under any choice of members, that the partial sums ever leave the band (``_band``).
+_TAIL_BUDGET = 2.0**-100
+
+# Byte boundary on which the sweep's arrays and each block's views start (``_aligned``).
+_ALIGN = 64
 
 
 class NonPositiveN(ValueError):
@@ -336,7 +375,8 @@ def _program(
 
     The arrays are flat and state-major: entry (state s, row r) sits at ``s * rows + r``, so a shift
     of s states is a shift of ``s * rows`` entries and every view is one contiguous 1-D run.  ``dst``
-    and ``acc`` hold the step's ``width`` states, ``products`` is ``(weights, (width + span) * rows)``
+    and ``acc`` hold ``width`` states from ``src``'s first state on (a window, or a block's bands, see
+    ``_sweep``), ``products`` is ``(weights, (width + span) * rows)``
     and ``src`` has at least as many entries as a product row.  One multiply writes ``src * w`` over
     the products for every weight.  A member's value is the left-to-right sum of its terms' shifted
     product views (its shifted ``src`` view for a point mass), written to ``dst`` for member 0 and to
@@ -373,14 +413,37 @@ def _program(
 
 
 def _aligned(alloc: Callable, n: int) -> np.ndarray:
-    """``n`` floats of ``alloc`` that start on a 64-byte boundary, as a view.
+    """``n`` floats of ``alloc`` that start on an ``_ALIGN``-byte boundary, as a view.
 
     malloc aligns to 16 bytes only, and a step program over arrays 16 bytes off a cache line runs about
     30 % slower than over aligned ones (three_atom at n = 4096, AVX-512 ufunc loops).
     """
-    raw = alloc(n + 7)
-    start = -raw.ctypes.data % 64 // 8
+    raw = alloc(n + _ALIGN // 8 - 1)
+    start = -raw.ctypes.data % _ALIGN // 8
     return raw[start : start + n]
+
+
+def _band(grid: _Grid, n: int) -> tuple[int, list[int], list[int]]:
+    """The first step whose band is narrower than its window (n when no earlier one is), and the band's
+    lowest and highest reduced index at steps 0..n, clipped to each window.
+
+    With a and b the least and greatest member mean shift ``sum(w * s)``, the reduced index of S_k is,
+    under any adapted choice of members, a martingale plus k conditional means in [a, b] with increments
+    in [0, span].  By Azuma-Hoeffding it leaves ``[k*a - t_k, k*b + t_k]`` with probability at most
+    ``2 exp(-2 t_k^2 / (k span^2)) = eps_k`` for ``t_k = span * sqrt(k ln(2 / eps_k) / 2)``, and with
+    ``eps_k = _TAIL_BUDGET / (k (k + 1))`` these tails sum to less than ``_TAIL_BUDGET``.  One index of
+    slack on each side absorbs the rounding of the float arithmetic.
+    """
+    means = [sum(w * s for w, s in terms) for terms in grid.terms]
+    k = np.arange(n + 1, dtype=float)
+    t = np.zeros(n + 1)
+    t[1:] = grid.span * np.sqrt(k[1:] * np.log(2.0 * k[1:] * (k[1:] + 1.0) / _TAIL_BUDGET) / 2.0)
+    window = k * grid.span
+    lo = np.maximum(np.floor(k * min(means) - t) - 1.0, 0.0)
+    hi = np.minimum(np.ceil(k * max(means) + t) + 1.0, window)
+    trimmed = np.flatnonzero((lo > 0.0) | (hi < window))
+    first = int(trimmed[0]) if trimmed.size else n
+    return first, lo.astype(np.int64).tolist(), hi.astype(np.int64).tolist()
 
 
 def _row_groups(rows: list, span: int, weights: int = 1) -> list[list]:
@@ -410,11 +473,14 @@ def _sweep(
     ``cur`` and ``nxt`` hold the joined rows state-major (``_program``).  Where rows join, one strided
     copy re-lays the rows before them and each new row's phi fills its strided column.  The sweep
     runs in blocks of at most ``_BLOCK_STEPS`` steps that end where a row joins; each block builds one
-    step program per direction of the ``cur``/``nxt`` swap, over fixed views as wide as its first
-    step's window, and runs them in turn with the ufunc buffer size ``_BUFSIZE``; phi runs under the
-    caller's.  For one row of horizon n, ``values`` gets copies of each step's values from step n down
-    to 0, and ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members
-    are only tracked when ``selections`` is given.
+    step program per direction of the ``cur``/``nxt`` swap, over fixed views that cover the union of
+    its steps' bands (``_band``) from a cache line on, and runs them in turn with the ufunc buffer size
+    ``_BUFSIZE``; phi runs under the caller's.  Entries outside a block's views keep values of their own
+    row: while a later step is trimmed, both buffers get each join's step.  A sweep that records values
+    or selections, and one whose joined rows' values are not all finite, computes the full windows.
+    For one row of horizon n, ``values`` gets copies of each step's values from step n down to 0, and
+    ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members are only
+    tracked when ``selections`` is given.
     """
     weights, members = _products(grid)
     # the widest block: j joined rows of horizon n hold j * size(n) entries
@@ -422,6 +488,8 @@ def _sweep(
     cur, nxt = _aligned(np.zeros, most), _aligned(np.zeros, most)
     product_space, acc_space = _aligned(np.empty, weights.size * most), _aligned(np.empty, most)
     joined, k, caller = 0, rows[0][0], np.getbufsize()
+    # steps below ``first`` compute their full windows
+    first, lo, hi = (k, None, None) if values is not None or selections is not None else _band(grid, k)
     with np.errstate():
         np.setbufsize(_BUFSIZE)
         while k:
@@ -437,15 +505,26 @@ def _sweep(
                 for r in range(before, joined):
                     _terminal(grid, k, masks[k], rows[r][1], columns[:, r])
                 np.setbufsize(_BUFSIZE)
+                if first < k:
+                    if np.isfinite(cur[: size * joined]).all():
+                        nxt[: size * joined] = cur[: size * joined]
+                    else:
+                        first = k
                 if values is not None:
                     values.append(cur[:size].copy())
             end = max(k - _BLOCK_STEPS, rows[joined][0] if joined < len(rows) else 0)
-            width = grid.size(k - 1)
-            products = product_space[: weights.size * joined * size].reshape(weights.size, joined * size)
-            acc = acc_space[: joined * width]
-            sel = None if selections is None else np.empty(width, dtype=np.int32)
+            if k - 1 < first:
+                start, stop = 0, grid.size(k - 1) * joined
+            else:  # the union of the block's bands, from a cache line on
+                start = min(lo[end:k]) * joined
+                start -= start % (_ALIGN // 8)
+                stop = (max(hi[end:k]) + 1) * joined
+            length = stop - start + grid.span * joined
+            products = product_space[: weights.size * length].reshape(weights.size, length)
+            acc = acc_space[: stop - start]
+            sel = None if selections is None else np.empty(grid.size(k - 1), dtype=np.int32)
             programs = [
-                _program(weights, members, joined, src, dst[: joined * width], acc, products, sel)
+                _program(weights, members, joined, src[start:], dst[start:stop], acc, products, sel)
                 for src, dst in ((cur, nxt), (nxt, cur))
             ]
             for i in range(k - end):
@@ -753,7 +832,8 @@ def _rule_weights(measure: PathMeasure, lattice, k: int, coords: np.ndarray, his
 
     A ``"none"`` vector is tiled, a policy's selections at each row's integer
     coordinate sum become one-hot rows, a sum rule gets the lattice sum of
-    that coordinate sum, a history rule each row of ``histories`` as floats.
+    that coordinate sum, a history rule each row's realized atoms as a tuple of
+    floats, from ``histories`` (one sequence per row; None for the other rules).
     """
     if measure.depends_on == "none":
         return np.tile(measure.mixture_weights(k), (len(coords), 1))
@@ -768,7 +848,7 @@ def _rule_weights(measure: PathMeasure, lattice, k: int, coords: np.ndarray, his
     if measure.depends_on == "sum":
         totals = _lattice_sums(lattice, k, coords).tolist()
         return np.array([measure.mixture_weights(k, total=t) for t in totals])
-    return np.array([measure.mixture_weights(k, history=tuple(h)) for h in histories.tolist()])
+    return np.array([measure.mixture_weights(k, history=tuple(h)) for h in histories])
 
 
 def _forward(support: SumSupport, measure: PathMeasure, ns: Iterable[int]) -> dict[int, np.ndarray]:
@@ -807,7 +887,8 @@ def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: 
     coord_sums = np.zeros(1, dtype=np.int64)
     visited = 0
     for k in range(n):
-        q = _rule_weights(measure, family.lattice, k, coord_sums, paths) @ w_matrix.T
+        histories = paths.tolist() if measure.depends_on == "history" else None
+        q = _rule_weights(measure, family.lattice, k, coord_sums, histories) @ w_matrix.T
         if cap is None:
             counts, atom, child_q = len(atoms), np.tile(np.arange(len(atoms)), len(q)), q.reshape(-1)
         else:

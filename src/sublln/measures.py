@@ -386,15 +386,21 @@ def _stepwise_blocks(
 
 
 def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Atom values and integer coordinate sums of one block under a rule or a policy, via ``_rule_weights``."""
+    """Atom values and integer coordinate sums of one block under a rule or a policy, via ``_rule_weights``.
+
+    A history rule reads each row's history tuple, which grows by one atom per step.
+    """
     paths = np.empty(m.shape)
     coord_sums = np.zeros(len(m), dtype=np.int64)
+    histories = [()] * len(m) if measure.depends_on == "history" else None
     for k in range(m.shape[1]):
-        weights = _rule_weights(measure, lattice, k, coord_sums, paths[:, :k])
+        weights = _rule_weights(measure, lattice, k, coord_sums, histories)
         cum = np.cumsum([w_matrix @ w for w in weights], axis=1)[:, :-1]
         idx = np.sum(m[:, k, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
         coord_sums += coords.take(idx)
         paths[:, k] = atoms.take(idx)
+        if histories is not None:
+            histories = [h + (a,) for h, a in zip(histories, paths[:, k].tolist())]
     return paths, coord_sums
 
 

@@ -363,6 +363,119 @@ class TestStepBlocks:
                 with np.errstate(all="raise"):
                     roots = iid_sum_expectations(family, phi, schedule)
                 assert all(math.isfinite(r) for r in roots)
+        # a deep banded sweep, whose entries outside each block's views are its rows' own values, on the
+        # benchmark's shape and the interval distance.  Underflow is let through: the interval distance's
+        # own values underflow from n = 2048 on, dense or not.
+        family = families["three_atom"]
+        payoffs = [catalog_for(family)[i] for i in (2, 5)]
+        with np.errstate(all="raise", under="ignore"):
+            roots = payoff_expectations(family, payoffs, [4096], state_cap=40_000_000)
+        assert all(math.isfinite(r) for (r,) in roots)
+
+
+def band_bound(family, n, phi):
+    """The banded root's distance bound from the dense recursion, with the float rounding of both.
+
+    phi is taken over step n's whole window, and the unreachable entries' zeros count in its oscillation.
+    """
+    values = np.asarray(phi(engine._grid(family).values(n) / n), dtype=float)
+    osc = max(values.max(), 0.0) - min(values.min(), 0.0)
+    atoms = max(len(m.atoms) for m in family.members)
+    return 2.0**-100 * osc + 2 * n * atoms * 2.0**-53 * np.abs(values).max()
+
+
+class TestProbabilityBand:
+    """Sweeps that record no table trim each step to its Azuma-Hoeffding band (``engine._band``)."""
+
+    FIRST_TRIM = {"fair_coin": 169, "bernoulli_pair": 169, "three_atom": 202, "skewed_pair": 307, "fine_lattice": 162}
+
+    @pytest.mark.parametrize("name", ["three_atom", "fair_coin", "fine_lattice"])
+    def test_mass_outside_the_band_is_certified(self, families, name):
+        family = FINE_LATTICE if name == "fine_lattice" else families[name]
+        n, cap = 320, 1 << 40  # the fine lattice passes the default cap at n = 320; its reduced arrays are small
+        support = build_support(family, n, cap)
+        lo, hi = engine._band(support, n)[1:]
+        lower, upper = mean_bounds(family)
+        policy = extract_argmax_policy(family, n, catalog_for(family)[2], cap)
+        measures = [PathMeasure.from_policy(policy, len(family.members))]
+        measures += [construct_pstar(family, mu, n) for mu in (lower, 0.5 * (lower + upper), upper)]
+        for measure in measures:
+            masses = engine._forward(support, measure, range(1, n + 1))
+            for k, mass in masses.items():
+                outside = mass[: lo[k]].sum() + mass[hi[k] + 1 :].sum()
+                assert outside <= 2.0**-100 / (k * (k + 1)), (measure, k, outside)
+
+    def test_reach(self, families):
+        cases = {**families, "fine_lattice": FINE_LATTICE}
+        n = 4096
+        for name, family in cases.items():
+            grid = engine._grid(family)
+            first, lo, hi = engine._band(grid, n)
+            trimmed = [k for k in range(n + 1) if lo[k] > 0 or hi[k] < k * grid.span]
+            assert all(0 <= lo[k] <= hi[k] <= k * grid.span for k in range(n + 1)), name
+            assert not trimmed or trimmed[0] >= 160, name
+            assert (trimmed[0] if trimmed else None) == self.FIRST_TRIM.get(name), name
+            assert first == (trimmed[0] if trimmed else n), name
+        grid = engine._grid(families["three_atom"])
+        lo, hi = engine._band(grid, n)[1:]
+        band = sum(hi[k] - lo[k] + 1 for k in range(1, n + 1))
+        assert band <= 0.55 * sum(grid.size(k) for k in range(1, n + 1))
+
+    def test_a_sweep_computes_only_its_bands(self, families, monkeypatch):
+        # one row of horizon 4096 runs 128 full blocks, each with one program per direction
+        sizes = []
+
+        def recording(weights, members, rows, src, dst, *rest):
+            sizes.append(dst.size)
+            return program(weights, members, rows, src, dst, *rest)
+
+        program = engine._program
+        monkeypatch.setattr(engine, "_program", recording)
+        family = families["three_atom"]
+        iid_sum_expectation(family, 4096, catalog_for(family)[2], state_cap=40_000_000)
+        grid = engine._grid(family)
+        assert len(sizes) == 2 * 4096 // BLOCK
+        assert BLOCK * sum(sizes[::2]) <= 0.6 * sum(grid.size(k) for k in range(4096))
+
+    def test_roots_and_lower_values_match_the_oracle(self, families):
+        ns = [200, 320]
+        for name, family in families.items():
+            catalog = catalog_for(family)
+            upper = payoff_expectations(family, catalog, ns)
+            lower = payoff_expectations(family, [lambda x, phi=phi: -phi(x) for phi in catalog], ns)
+            for i, phi in enumerate(catalog):
+                for j, n in enumerate(ns):
+                    bound = band_bound(family, n, phi)
+                    assert abs(upper[i][j] - per_horizon_backward(family, n, phi)[0]) <= bound, (name, i, n)
+                    want = per_horizon_backward(family, n, lambda x: -phi(x))[0]
+                    assert abs(lower[i][j] - want) <= bound, (name, i, n)
+
+    def test_a_row_alone_and_inside_a_deeper_sweep(self, families):
+        for name, family in families.items():
+            catalog = catalog_for(family)
+            alone = payoff_expectations(family, catalog, [300])
+            inside = payoff_expectations(family, catalog, [300, 1024])
+            for i, phi in enumerate(catalog):
+                assert abs(alone[i][0] - inside[i][0]) <= band_bound(family, 300, phi), (name, i)
+        # a row never reads another row's values, however far apart their scales: after the re-lay at step
+        # 300, the small row sits where the large one sat before
+        family = families["fair_coin"]
+        grid = engine._grid(family)
+        rows = [(1024, lambda x: 2.0**900 * np.abs(x)), (300, np.abs)]
+        roots = engine._sweep(grid, rows, engine._reachable_masks(grid, 1024, [300, 1024])).tolist()
+        for (n, phi), root in zip(rows, roots):
+            assert abs(root - per_horizon_backward(family, n, phi)[0]) <= band_bound(family, n, phi), n
+
+    def test_an_infinite_far_edge_keeps_the_full_window(self, families):
+        family = families["fair_coin"]
+        edge = lambda x: np.where(x >= 1.0, np.inf, np.abs(x))
+        assert iid_sum_expectation(family, 300, edge) == math.inf == per_horizon_backward(family, 300, edge)[0]
+        # a row that joins later turns the band off from its step on
+        grid = engine._grid(family)
+        masks = engine._reachable_masks(grid, 1024, [300, 1024])
+        top, late = engine._sweep(grid, [(1024, np.abs), (300, edge)], masks).tolist()
+        assert late == math.inf
+        assert abs(top - per_horizon_backward(family, 1024, np.abs)[0]) <= band_bound(family, 1024, np.abs)
 
 
 class TestBufferSize:
