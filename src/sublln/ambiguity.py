@@ -68,7 +68,14 @@ class LatticeSpec:
         return self.origin + coord * self.step
 
     def on_lattice(self, value: float) -> bool:
+        """Whether ``value`` is within ``LATTICE_TOL`` of ``origin + k * step`` for an integer ``|k| <= 2**53``.
+
+        Past ``2**53`` every float is an integer, so the test would hold for any value, and an
+        infinite ``k`` (a subnormal step) has no nearest integer.
+        """
         if not math.isfinite(value) or not self.step > 0.0:
+            return False
+        if not abs((value - self.origin) / self.step) <= 2.0**53:
             return False
         return abs(self.value(self.coord(value)) - value) <= LATTICE_TOL
 

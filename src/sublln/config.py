@@ -1,20 +1,28 @@
 """Strict JSON experiment configuration.
 
 A config is a single JSON object; unknown keys are rejected anywhere so a
-typo cannot silently skip a verification.  See the README for the full
-schema and defaults.
+typo cannot silently skip a verification.  The schema lives in two places
+only: ``family`` and ``phi`` have their own parsers (``_parse_family``,
+``_parse_phi_spec``), and every other key is one field of
+:class:`ExperimentConfig`, declared with its default and rule by ``_key``.
+Those field lines fix the allowed and required keys, the defaults, the
+order in which rules run (so which error wins) and the canonical key order
+of :func:`dump_config`.  The README gives the same schema for users.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping
+import re
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from typing import Any, Callable, Mapping
 
 from .ambiguity import DEFAULT_ALPHAS, AmbiguityFamily, mean_bounds, validate_family
 from .engine import DEFAULT_STATE_CAP
-from .lln_rates import CATALOG, InvalidInterval, LipschitzFunction, spot_check_lipschitz
+from .lln_rates import CATALOG, LipschitzFunction, spot_check_lipschitz
 from .measures import DEFAULT_ENUM_STEPS
 from .phi_expr import PhiSyntaxError, parse_phi
 
@@ -31,19 +39,10 @@ __all__ = [
 
 CHECKS = ("eval", "sweep", "variance", "chatterji", "prop2", "pstar", "mc")
 
-_TOP_KEYS = {
-    "family",
-    "phi",
-    "n_schedule",
-    "alphas",
-    "checks",
-    "format",
-    "seed",
-    "state_cap",
-    "mc_samples",
-    "mc_horizon",
-    "enum_horizon",
-}
+# Deepest nesting of JSON arrays and objects a config may use: the decoder recurses once per level,
+# and a valid config needs five.
+MAX_JSON_DEPTH = 100
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 class ConfigError(ValueError):
@@ -62,6 +61,20 @@ class SemanticError(ConfigError):
     pass
 
 
+def _check_nesting(text: str) -> None:
+    """Refuse arrays and objects nested deeper than ``MAX_JSON_DEPTH``, at the first bracket past it."""
+    depth = 0
+    for m in _JSON_TOKEN.finditer(text):
+        if m.group() in ("[", "{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                pos = m.start()
+                line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+                raise ConfigSyntaxError(f"line {line}, column {column}: nested deeper than {MAX_JSON_DEPTH} levels")
+        elif m.group() in ("]", "}"):
+            depth -= 1
+
+
 def _require_keys(obj: Mapping, path: str, allowed: set[str], required: tuple[str, ...]) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
@@ -76,9 +89,13 @@ def _require_keys(obj: Mapping, path: str, allowed: set[str], required: tuple[st
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SemanticError(f"{path}: integer does not fit a float") from None
     if not math.isfinite(value):
         raise SemanticError(f"{path}: must be finite")
-    return float(value)
+    return value
 
 
 def _integer(value: Any, path: str) -> int:
@@ -99,7 +116,7 @@ def _string(value: Any, path: str) -> str:
     return value
 
 
-def _parse_family(obj: Any) -> tuple[AmbiguityFamily, str]:
+def _parse_family(obj: Any) -> AmbiguityFamily:
     _require_keys(obj, "family", {"name", "lattice", "members"}, ("lattice", "members"))
     name = _string(obj.get("name", "family"), "family.name")
     lat = obj["lattice"]
@@ -128,7 +145,7 @@ def _parse_family(obj: Any) -> tuple[AmbiguityFamily, str]:
     result = validate_family(family)
     if not result.ok:
         raise SemanticError(f"family: {result.code}: {result.message}")
-    return family, name
+    return family
 
 
 def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunction, dict]:
@@ -148,7 +165,7 @@ def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunctio
             params = {**dict(zip(entry.params, mean_bounds(family))), **params}
         try:
             phi = entry.build(family, **params)
-        except InvalidInterval as exc:
+        except ValueError as exc:  # an empty interval, or a Lipschitz constant past the float range
             raise SemanticError(f"phi.params: {exc}") from exc
         return phi, {"catalog": name, "params": {k: params[k] for k in sorted(params)}}
     if "expression" in obj:
@@ -176,42 +193,97 @@ def _parse_phi_spec(obj: Any, family: AmbiguityFamily) -> tuple[LipschitzFunctio
     raise SchemaError("phi: expected either 'catalog' or 'expression'")
 
 
+def _nonempty_array(value: Any, key: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{key}: expected a nonempty array")
+    return value
+
+
+def _schedule(value: Any, key: str) -> tuple[int, ...]:
+    schedule = tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(_nonempty_array(value, key)))
+    if any(v < 1 for v in schedule):
+        raise SemanticError(f"{key}: entries must be positive")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise SemanticError(f"{key}: entries must be strictly ascending")
+    return schedule
+
+
+def _alphas(value: Any, key: str) -> tuple[float, ...]:
+    alphas = tuple(sorted({_number(v, f"{key}[{i}]") for i, v in enumerate(_nonempty_array(value, key))}))
+    if any(not 0.0 < a <= 1.0 for a in alphas):
+        raise SemanticError(f"{key}: entries must lie in (0, 1]")
+    return alphas
+
+
+def _checks(value: Any, key: str) -> tuple[str, ...]:
+    for i, c in enumerate(_nonempty_array(value, key)):
+        if _string(c, f"{key}[{i}]") not in CHECKS:
+            raise SemanticError(f"{key}[{i}]: unknown check name {c!r}")
+    return tuple(c for c in CHECKS if c in value)
+
+
+def _format(value: Any, key: str) -> str:
+    if _string(value, key) not in ("csv", "json"):
+        raise SemanticError(f"{key}: expected 'csv' or 'json', got {value!r}")
+    return value
+
+
+def _seed(value: Any, key: str) -> int:
+    if not 0 <= _integer(value, key) < 2**64:
+        raise SemanticError(f"{key}: must be an unsigned 64-bit integer")
+    return value
+
+
+def _enum_horizon(value: Any, key: str) -> int:
+    if not 1 <= _integer(value, key) <= DEFAULT_ENUM_STEPS:
+        raise SemanticError(f"{key}: must be in 1..{DEFAULT_ENUM_STEPS}")
+    return value
+
+
+def _key(rule: Callable[[Any, str], Any], default: Any = MISSING):
+    """A config key after family and phi: ``rule(value, key)`` admits its JSON value; no default makes it required."""
+    return field(metadata={"rule": rule, "default": default})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; canonical form via :meth:`to_mapping`."""
+    """Validated experiment description; canonical form via :meth:`to_mapping`.
+
+    Every field declared with ``_key`` is a top-level config key, in canonical order, with its
+    default and its rule: parsing, defaults, rule order and serialization all read these lines.
+    """
 
     family: AmbiguityFamily
-    family_name: str
     phi: LipschitzFunction
     phi_spec: dict
-    n_schedule: tuple[int, ...]
-    alphas: tuple[float, ...]
-    checks: tuple[str, ...]
-    format: str
-    seed: int
-    state_cap: int
-    mc_samples: int
-    mc_horizon: int
-    enum_horizon: int
+    n_schedule: tuple[int, ...] = _key(_schedule)
+    alphas: tuple[float, ...] = _key(_alphas, list(DEFAULT_ALPHAS))
+    checks: tuple[str, ...] = _key(_checks, list(CHECKS))
+    format: str = _key(_format, "csv")
+    seed: int = _key(_seed, 0)
+    state_cap: int = _key(partial(_integer_at_least, minimum=1), DEFAULT_STATE_CAP)
+    mc_samples: int = _key(partial(_integer_at_least, minimum=2), 100_000)
+    mc_horizon: int = _key(partial(_integer_at_least, minimum=1), 50)
+    enum_horizon: int = _key(_enum_horizon, 6)
+
+    @property
+    def family_name(self) -> str:
+        """The family's own name, so a replaced family cannot leave a stale one."""
+        return self.family.name
 
     def to_mapping(self) -> dict:
         return {
             "family": {
-                "name": self.family_name,
+                "name": self.family.name,
                 "lattice": {"origin": self.family.lattice.origin, "step": self.family.lattice.step},
                 "members": [[[v, w] for v, w in m.atoms] for m in self.family.members],
             },
             "phi": self.phi_spec,
-            "n_schedule": list(self.n_schedule),
-            "alphas": list(self.alphas),
-            "checks": list(self.checks),
-            "format": self.format,
-            "seed": self.seed,
-            "state_cap": self.state_cap,
-            "mc_samples": self.mc_samples,
-            "mc_horizon": self.mc_horizon,
-            "enum_horizon": self.enum_horizon,
+            **{k.name: list(v) if isinstance(v := getattr(self, k.name), tuple) else v for k in _KEYS},
         }
+
+
+_KEYS = tuple(f for f in fields(ExperimentConfig) if "rule" in f.metadata)
 
 
 def parse_config(text: bytes | str) -> ExperimentConfig:
@@ -221,70 +293,20 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigSyntaxError(f"config is not valid UTF-8 at byte {exc.start}") from exc
+    _check_nesting(text)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise ConfigSyntaxError(f"config: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
-    _require_keys(raw, "config", _TOP_KEYS, ("family", "phi", "n_schedule"))
-    family, family_name = _parse_family(raw["family"])
+    required = ("family", "phi", *(k.name for k in _KEYS if k.metadata["default"] is MISSING))
+    _require_keys(raw, "config", {"family", "phi", *(k.name for k in _KEYS)}, required)
+    family = _parse_family(raw["family"])
     phi, phi_spec = _parse_phi_spec(raw["phi"], family)
-
-    sched_obj = raw["n_schedule"]
-    if not isinstance(sched_obj, list) or not sched_obj:
-        raise SchemaError("n_schedule: expected a nonempty array")
-    schedule = tuple(_integer(v, f"n_schedule[{i}]") for i, v in enumerate(sched_obj))
-    if any(v < 1 for v in schedule):
-        raise SemanticError("n_schedule: entries must be positive")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise SemanticError("n_schedule: entries must be strictly ascending")
-
-    alphas_obj = raw.get("alphas", list(DEFAULT_ALPHAS))
-    if not isinstance(alphas_obj, list) or not alphas_obj:
-        raise SchemaError("alphas: expected a nonempty array")
-    alphas = tuple(sorted({_number(v, f"alphas[{i}]") for i, v in enumerate(alphas_obj)}))
-    if any(not 0.0 < a <= 1.0 for a in alphas):
-        raise SemanticError("alphas: entries must lie in (0, 1]")
-
-    checks_obj = raw.get("checks", list(CHECKS))
-    if not isinstance(checks_obj, list) or not checks_obj:
-        raise SchemaError("checks: expected a nonempty array")
-    for i, c in enumerate(checks_obj):
-        if _string(c, f"checks[{i}]") not in CHECKS:
-            raise SemanticError(f"checks[{i}]: unknown check name {c!r}")
-    checks = tuple(c for c in CHECKS if c in checks_obj)
-
-    fmt = _string(raw.get("format", "csv"), "format")
-    if fmt not in ("csv", "json"):
-        raise SemanticError(f"format: expected 'csv' or 'json', got {fmt!r}")
-
-    seed = _integer(raw.get("seed", 0), "seed")
-    if not 0 <= seed < 2**64:
-        raise SemanticError("seed: must be an unsigned 64-bit integer")
-
-    state_cap = _integer_at_least(raw.get("state_cap", DEFAULT_STATE_CAP), "state_cap", 1)
-    mc_samples = _integer_at_least(raw.get("mc_samples", 100_000), "mc_samples", 2)
-    mc_horizon = _integer_at_least(raw.get("mc_horizon", 50), "mc_horizon", 1)
-
-    enum_horizon = _integer(raw.get("enum_horizon", 6), "enum_horizon")
-    if not 1 <= enum_horizon <= DEFAULT_ENUM_STEPS:
-        raise SemanticError(f"enum_horizon: must be in 1..{DEFAULT_ENUM_STEPS}")
-
-    return ExperimentConfig(
-        family=family,
-        family_name=family_name,
-        phi=phi,
-        phi_spec=phi_spec,
-        n_schedule=schedule,
-        alphas=alphas,
-        checks=checks,
-        format=fmt,
-        seed=seed,
-        state_cap=state_cap,
-        mc_samples=mc_samples,
-        mc_horizon=mc_horizon,
-        enum_horizon=enum_horizon,
-    )
+    values = {k.name: k.metadata["rule"](raw.get(k.name, k.metadata["default"]), k.name) for k in _KEYS}
+    return ExperimentConfig(family, phi, phi_spec, **values)
 
 
 def dump_config(config: ExperimentConfig) -> str:

@@ -217,6 +217,13 @@ def _check_n(n) -> int:
     return int(n)
 
 
+def _check_state_cap(state_cap) -> int:
+    """Every public entry point's cap rule: ``int(state_cap)`` of an integer >= 1 (``_is_int``), else ValueError."""
+    if not _is_int(state_cap) or state_cap < 1:
+        raise ValueError(f"state_cap must be a positive integer, got {state_cap!r}")
+    return int(state_cap)
+
+
 class SupportOverflow(RuntimeError):
     """The requested computation would exceed the configured state cap."""
 
@@ -543,8 +550,8 @@ def _horizons(
 ) -> tuple[list[int], list[int], _Grid | None]:
     """Checked ``ns`` as a list of ints, its distinct horizons ascending and the grid: the one admission.
 
-    The family must be valid and every n pass ``_check_n``, and with a ``state_cap`` the cap (an overflow
-    names the smallest n).  A ``measure`` must fit the longest n: horizon, member count and a policy's
+    The family must be valid and every n pass ``_check_n``, and with a ``state_cap`` (one that passed
+    ``_check_state_cap``; None only from ``_admit``) the cap (an overflow names the smallest n).  A ``measure`` must fit the longest n: horizon, member count and a policy's
     lattice; weights are checked on use.  The grid, dearer than the rest, is None unless one of these needs it.
     """
     _require_valid(family)
@@ -576,7 +583,7 @@ def payoff_expectations(
     One backward sweep from the largest horizon serves them all, a ``(horizon, phi)`` row each (see
     the module docstring); ``ns`` may be unsorted and repeat horizons.
     """
-    horizons, distinct, grid = _horizons(family, ns, state_cap)
+    horizons, distinct, grid = _horizons(family, ns, _check_state_cap(state_cap))
     if not horizons:
         return tuple(() for _ in payoffs)
     masks = _reachable_masks(grid, distinct[-1], distinct)
@@ -626,7 +633,7 @@ class SumSupport(_Grid):
 
 def build_support(family: AmbiguityFamily, n: int, state_cap: int = DEFAULT_STATE_CAP) -> SumSupport:
     """Reachable sums for n draws; raises SupportOverflow past the state cap."""
-    (n,), _, grid = _horizons(family, [n], state_cap)
+    (n,), _, grid = _horizons(family, [n], _check_state_cap(state_cap))
     return _support(grid, n)
 
 
@@ -916,6 +923,7 @@ def expectations_under_policy(
         policy = PathMeasure.from_policy(policy, len(family.members))
     if not isinstance(policy, PathMeasure):
         raise TypeError(f"unsupported policy object: {policy!r}")
+    state_cap = _check_state_cap(state_cap)
     horizons, distinct, grid = _horizons(family, ns, state_cap, policy)
     if not horizons:
         return ()

@@ -30,7 +30,15 @@ from .ambiguity import (
     moment_summary,
     upper_variance,  # unused here; kept bound for perfbench's span tracer
 )
-from .engine import DEFAULT_STATE_CAP, NonPositiveN, _check_n, _eval_phi, iid_sum_expectation, iid_sum_expectations
+from .engine import (
+    DEFAULT_STATE_CAP,
+    NonPositiveN,
+    _check_n,
+    _check_state_cap,
+    _eval_phi,
+    iid_sum_expectation,
+    iid_sum_expectations,
+)
 from .phi_expr import Abs, Add, Clip, Max, Mul, Neg, Num, PhiExpression, Sub, Var
 from .rng import unit_array
 
@@ -383,7 +391,7 @@ def rate_sweep(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[RateReport, ...]:
     """Gap-versus-n sweep with every requested bound evaluated per n (see :func:`rate_reports`)."""
-    schedule = [_check_n(n) for n in n_schedule]
+    state_cap, schedule = _check_state_cap(state_cap), [_check_n(n) for n in n_schedule]
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):

@@ -34,6 +34,7 @@ from .engine import (
     SupportOverflow,
     _admit,
     _check_n,
+    _check_state_cap,
     _is_int,
     _lattice_sums,
     _rule_weights,
@@ -165,7 +166,7 @@ def conditional_means(
 
     The engine's history walker keeps all ``atoms^n`` paths, zero-probability ones too.
     """
-    n = _admit(family, measure, n)
+    state_cap, n = _check_state_cap(state_cap), _admit(family, measure, n)
     if n > DEFAULT_ENUM_STEPS:
         raise SupportOverflow(f"exact enumeration is limited to {DEFAULT_ENUM_STEPS} steps, got n={n}")
     atoms = family.union_atoms()[1]
@@ -198,6 +199,7 @@ def prop2_check(
     decomposition: MartingaleDecomposition | None = None,
 ) -> Prop2Report:
     """Check that every enumerated conditional mean lies in the mean interval."""
+    _check_state_cap(state_cap)
     dec = decomposition or conditional_means(family, measure, n, state_cap)
     lo, hi = mean_bounds(family)
     excess = np.maximum(dec.cond_means - hi, lo - dec.cond_means)
@@ -235,6 +237,7 @@ def chatterji_check(
     """
     if not 1.0 <= p <= 2.0:
         raise POutOfRange(f"p must be in [1, 2], got {p}")
+    _check_state_cap(state_cap)
     dec = decomposition or conditional_means(family, measure, n, state_cap)
     d = dec.diffs
     probs = dec.path_probs
@@ -524,6 +527,7 @@ def lower_bound_checks(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
     """:func:`lower_bound_reports` with the limit found once, one batched backward sweep and one P* forward pass."""
+    state_cap = _check_state_cap(state_cap)
     moments = moment_summary(family, alphas)
     ns = [_check_n(n) for n in ns]
     limit = interval_max(phi, moments.mu_lower, moments.mu_upper)

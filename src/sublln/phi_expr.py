@@ -11,6 +11,8 @@ Grammar (ASCII, standard precedence, left associative):
 
 Division is only accepted when the divisor is a nonzero constant
 subexpression, which keeps every accepted expression total on the reals.
+A parsed expression nests at most ``MAX_DEPTH`` levels, so parsing,
+evaluating and enclosing it stay far inside the interpreter's recursion limit.
 Evaluation is numpy-vectorized.  :meth:`PhiExpression.enclose` bounds every
 float value of a tree on an interval (Moore, *Interval Analysis*, 1966).
 
@@ -114,6 +116,11 @@ _BINARY = {
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _WS = re.compile(r"[ \t\r\n]*")
+
+MAX_DEPTH = 200
+"""Most levels a parsed expression nests, counted two ways: parentheses and calls open at once,
+which bound the parser's recursion, and operations (each operator, ``abs``, ``min`` and ``max``)
+from the result down to any operand, which bound the recursion of evaluating and enclosing it."""
 
 
 def _is_constant(node: Node) -> bool:
@@ -234,15 +241,24 @@ class PhiExpression:
 
 
 class _Parser:
+    """Recursive descent; each method returns a subtree and its depth in operations (see ``MAX_DEPTH``)."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = -1  # parentheses and calls entered and not yet left, the top level being none
 
     def _byte_offset(self, char_pos: int) -> int:
         return len(self.text[:char_pos].encode("utf-8"))
 
     def error(self, message: str, char_pos: int | None = None):
         raise PhiSyntaxError(message, self._byte_offset(self.pos if char_pos is None else char_pos))
+
+    def level(self, depth: int) -> int:
+        """``depth + 1``, the level over ``depth``; past ``MAX_DEPTH`` a positioned error."""
+        if depth >= MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+        return depth + 1
 
     def skip_ws(self):
         self.pos = _WS.match(self.text, self.pos).end()
@@ -257,25 +273,28 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek() != "":
             self.error("unexpected trailing input")
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        self.open = self.level(self.open)  # refused before recursing past MAX_DEPTH groups
+        node, depth = self.term()
         while (op := self.peek()) in ("+", "-"):
             self.pos += 1
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            rhs, rhs_depth = self.term()
+            node, depth = (Add if op == "+" else Sub)(node, rhs), self.level(max(depth, rhs_depth))
+        self.open -= 1
+        return node, depth
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.unary()
         while (op := self.peek()) in ("*", "/"):
             op_pos = self.pos
             self.pos += 1
-            rhs = self.unary()
+            rhs, rhs_depth = self.unary()
+            depth = self.level(max(depth, rhs_depth))
             if op == "*":
                 node = Mul(node, rhs)
             else:
@@ -284,46 +303,50 @@ class _Parser:
                 if float(_compile(rhs)(0.0)) == 0.0:
                     self.error("division by a zero constant", op_pos)
                 node = Div(node, rhs)
-        return node
+        return node, depth
 
-    def unary(self) -> Node:
-        if self.peek() == "-":
+    def unary(self) -> tuple[Node, int]:
+        signs = 0
+        while self.peek() == "-":
             self.pos += 1
-            return Neg(self.unary())
-        return self.primary()
+            signs += 1
+        node, depth = self.primary()
+        for _ in range(signs):
+            node, depth = Neg(node), self.level(depth)
+        return node, depth
 
-    def primary(self) -> Node:
+    def primary(self) -> tuple[Node, int]:
         ch = self.peek()
         if ch == "":
             self.error("unexpected end of input")
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node, depth = self.expr()
             self.expect(")")
-            return node
+            return node, depth
         if m := _NUMBER.match(self.text, self.pos):
             if not math.isfinite(value := float(m.group())):
                 self.error(f"number {m.group()!r} overflows to {value}")
             self.pos = m.end()
-            return Num(value)
+            return Num(value), 0
         if m := _NAME.match(self.text, self.pos):
             name = m.group()
             name_pos = self.pos
             self.pos = m.end()
             if name == "x":
-                return Var()
+                return Var(), 0
             if name == "abs":
                 self.expect("(")
-                node = Abs(self.expr())
+                node, depth = self.expr()
                 self.expect(")")
-                return node
+                return Abs(node), self.level(depth)
             if name in ("min", "max"):
                 self.expect("(")
-                a = self.expr()
+                a, depth_a = self.expr()
                 self.expect(",")
-                b = self.expr()
+                b, depth_b = self.expr()
                 self.expect(")")
-                return Min(a, b) if name == "min" else Max(a, b)
+                return (Min if name == "min" else Max)(a, b), self.level(max(depth_a, depth_b))
             self.error(f"unknown name {name!r}", name_pos)
         self.error(f"unexpected character {ch!r}")
 

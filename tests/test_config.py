@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+
+from sublln.corpus import corpus_families
 
 from sublln.config import (
     ConfigSyntaxError,
@@ -131,6 +134,14 @@ class TestRoundTrip:
         config = parse(minimal_config(phi=phi, seed=42, checks=["sweep", "mc"]))
         again = parse_config(dump_config(config).encode())
         assert config.to_mapping() == again.to_mapping()
+
+    def test_replaced_family_names_itself(self):
+        config = parse(minimal_config())
+        other = corpus_families()["three_atom"]
+        replaced = dataclasses.replace(config, family=other)
+        assert replaced.family_name == other.name == "three_atom"
+        assert replaced.to_mapping()["family"]["name"] == "three_atom"
+        assert len(dataclasses.fields(config)) == 12
 
     def test_defaults_materialized(self):
         config = parse(minimal_config())

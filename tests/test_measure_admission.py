@@ -4,9 +4,9 @@ A measure is admitted once per call of a measures entry point: the family
 must be valid, n positive, the measure's horizon long enough and its
 member count the family's.  A wrong member count is reported with the
 engine's own weight-shape message, whichever entry point sees it first.
-Every entry point that takes a horizon, sample count, seed or member index
-takes a Python or numpy integer and no bool, and hands it on as a Python
-int, so a numpy integer gives the bits of the equal Python int.
+Every entry point that takes a horizon, sample count, seed, member index or
+state cap takes a Python or numpy integer and no bool, and hands it on as a
+Python int, so a numpy integer gives the bits of the equal Python int.
 """
 
 import math
@@ -25,16 +25,20 @@ from sublln.engine import (
     expectation_under_policy,
     expectations_under_policy,
     extract_argmax_policy,
+    iid_sum_expectation,
     iid_sum_expectations,
+    lower_iid_sum_expectation,
+    payoff_expectations,
     value_table,
 )
-from sublln.lln_rates import abs_dev, rate_sweep
+from sublln.lln_rates import abs_dev, distance_sq_moment, rate_sweep
 from sublln.measures import (
     PathMeasure,
     chatterji_check,
     conditional_means,
     construct_pstar,
     history_parity_measure,
+    lower_bound_check,
     lower_bound_checks,
     prop2_check,
     sample_path_sums,
@@ -78,6 +82,37 @@ MEASURE_CONSTRUCTORS = {
     "construct_pstar": lambda family, n: construct_pstar(family, 0.5, n),
     "uniform_mixture": lambda family, n: uniform_mixture(family, n),
     "history_parity_measure": lambda family, n: history_parity_measure(family, n),
+}
+
+# Every public entry point that takes a state cap, called on (family, state_cap).
+CAP_ENTRY_POINTS = {
+    "payoff_expectations": lambda family, cap: payoff_expectations(family, [abs, abs_dev(0.5)], [4, 2], cap),
+    "iid_sum_expectations": lambda family, cap: iid_sum_expectations(family, abs, [4, 2], cap),
+    "iid_sum_expectation": lambda family, cap: iid_sum_expectation(family, 4, abs_dev(0.0), cap),
+    "lower_iid_sum_expectation": lambda family, cap: lower_iid_sum_expectation(family, 4, abs_dev(0.0), cap),
+    "build_support": lambda family, cap: build_support(family, 4, cap),
+    "value_table": lambda family, cap: value_table(family, 4, abs, cap),
+    "extract_argmax_policy": lambda family, cap: extract_argmax_policy(family, 4, abs, cap),
+    "SelectionPolicy.constant": lambda family, cap: SelectionPolicy.constant(family, 4, 1, cap),
+    "expectations_under_policy": lambda family, cap: expectations_under_policy(
+        family, abs, [4, 2], uniform_mixture(family, 4), cap
+    ),
+    "expectation_under_policy": lambda family, cap: expectation_under_policy(
+        family, 4, abs, history_parity_measure(family, 4), cap
+    ),
+    "conditional_means": lambda family, cap: conditional_means(family, uniform_mixture(family, 4), 4, cap),
+    "prop2_check": lambda family, cap: prop2_check(family, uniform_mixture(family, 4), 4, cap),
+    "prop2_check(decomposition)": lambda family, cap: prop2_check(
+        family, uniform_mixture(family, 4), 4, cap, conditional_means(family, uniform_mixture(family, 4), 4)
+    ),
+    "chatterji_check": lambda family, cap: chatterji_check(family, uniform_mixture(family, 4), 4, 1.5, cap),
+    "chatterji_check(decomposition)": lambda family, cap: chatterji_check(
+        family, uniform_mixture(family, 4), 4, 1.5, cap, conditional_means(family, uniform_mixture(family, 4), 4)
+    ),
+    "lower_bound_checks": lambda family, cap: lower_bound_checks(family, abs_dev(0.0), [2, 4], state_cap=cap),
+    "lower_bound_check": lambda family, cap: lower_bound_check(family, abs_dev(0.0), 4, state_cap=cap),
+    "distance_sq_moment": lambda family, cap: distance_sq_moment(family, 4, cap),
+    "rate_sweep": lambda family, cap: rate_sweep(family, abs_dev(0.0), [2, 4], state_cap=cap),
 }
 
 TWO_MEMBER_MEASURES = {
@@ -129,6 +164,19 @@ def test_a_numpy_horizon_gives_the_bits_of_the_int(families, entry):
 def test_a_numpy_horizon_is_kept_as_an_int(families, entry):
     measure = MEASURE_CONSTRUCTORS[entry](families["delta_pair"], np.int64(3))
     assert type(measure.horizon) is int and measure.horizon == 3
+
+
+@pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
+@pytest.mark.parametrize("cap", [None, True, 2.5, "100", 0, -1], ids=repr)
+def test_the_cap_rule_rejects(families, entry, cap):
+    with pytest.raises(ValueError, match=f"^state_cap must be a positive integer, got {re.escape(repr(cap))}$"):
+        CAP_ENTRY_POINTS[entry](families["three_atom"], cap)
+
+
+@pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
+def test_a_numpy_cap_gives_the_bits_of_the_int(families, entry):
+    call, family = CAP_ENTRY_POINTS[entry], families["three_atom"]
+    assert pickle.dumps(call(family, np.int64(10**7))) == pickle.dumps(call(family, 10**7))
 
 
 @pytest.mark.parametrize("sample", [sample_paths, sample_path_sums])
