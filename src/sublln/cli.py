@@ -109,7 +109,7 @@ class _RunPlan:
 
     ``limit`` is the search for ``max phi``, whose maximizer pins ``pstar``, the run's one P* measure;
     ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and the squared distance to the mean interval
-    at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values of one forward pass (the
+    at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values of one weighted sweep (the
     schedule for ``pstar``, ``mc_horizon`` for ``mc``); ``moments`` the moment summary,
     and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and ``prop2`` both read.
     """
@@ -283,17 +283,18 @@ def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
 def _check_mc(config: ExperimentConfig, plan: _RunPlan):
     n = config.mc_horizon
     count = config.mc_samples
+    exact = plan.e_pstars[n]  # first: a horizon past the state cap fails before any draw
     sums = sample_path_sums(config.family, plan.pstar, n, count, config.seed)
     values = np.asarray(config.phi(sums / n), dtype=float)
     sample_mean = float(values.mean())
     sample_std = float(values.std(ddof=1))
     tolerance = 4.0 * sample_std / math.sqrt(count)
-    abs_error = abs(sample_mean - plan.e_pstars[n])
+    abs_error = abs(sample_mean - exact)
     row = {
         "n": n,
         "samples": count,
         "seed": config.seed,
-        "exact": plan.e_pstars[n],
+        "exact": exact,
         "sample_mean": sample_mean,
         "sample_std": sample_std,
         "abs_error": abs_error,
@@ -331,7 +332,7 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
     for name in (c for c in CHECKS if c in requested):
         try:
             results[name] = _CHECK_TABLE[name][0](config, plan)
-        except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError) as exc:
+        except (SupportOverflow, PolicyIncomplete, FamilyInvalid, ValueError, ArithmeticError) as exc:
             print(f"error: check '{name}': {exc}", file=sys.stderr)
             return 1
     out_dir = Path(out_dir)

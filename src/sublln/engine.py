@@ -7,9 +7,15 @@ recursion over reachable sums:
     v_n(s) = phi(s / n)
     v_k(s) = max over members P of  sum_j P(a_j) * v_{k+1}(s + a_j)
 
-with ``v_0(0)`` the final value.  The module also extracts the maximizing
-policy and evaluates constructed selection policies and mixture measures
-forward.
+with ``v_0(0)`` the final value.  Under a fixed measure, which draws from
+member m at step k and sum s with weight ``w_m(k, s)``, the maximum becomes a
+weighted sum:
+
+    v_k(s) = sum over members m of  w_m(k, s) * sum_j P_m(a_j) * v_{k+1}(s + a_j)
+
+and ``v_0(0)`` is ``E_P[phi(S_n / n)]``.  One backward kernel computes both, in
+two modes: the max mode for worst-case values, value tables and the argmax
+policy, and the weighted mode for selection policies and mixture measures.
 
 The backward kernel
 -------------------
@@ -45,6 +51,21 @@ grouping moves a root by no more than that share of its payoff's oscillation
   ``x * 1.0 == x``.  Since ``(w*v)[s+i]`` is ``w*v[s+i]``, every entry sees
   the same float operations as when each atom's shifted window is weighted
   on its own, and no entry's value depends on another row's values.
+* **Weighted mode.**  A sweep with a measure fills, before each step, a
+  state-major ``(members, entries)`` buffer with the measure's member
+  weights at that step's reachable sums, each state's once per joined row
+  and 0 at unreachable states (``_mix``).  Its step
+  program writes member 0's value times its weight to the step and adds
+  each later member's value times its weight, in index order, in place of
+  the running maximum.  A member adds exactly 0 where its weight is 0: its
+  product is set to 0 there (``np.putmask``), so an infinite payoff on sums
+  the measure never reaches gives no NaN, and the ``0 * inf`` or
+  ``inf - inf`` such a member computes raises no float error (the sweep
+  ignores invalid operations; phi keeps the caller's settings).  An
+  infinite payoff on a path of positive probability gives an infinite
+  value, and NaN comes only from reaching both +inf and -inf.  A
+  zero-weight atom inside a member multiplies as in the max mode.  Without
+  a measure the program issues exactly the max mode's calls.
 * **Unbuffered calls.**  numpy sends a ufunc call that is not one
   contiguous 1-D pass through its buffered iterator whenever several of the
   call's rows fit in the ufunc buffer (8192 elements by default), at two to
@@ -52,8 +73,8 @@ grouping moves a root by no more than that share of its payoff's oscillation
   the ``(weights, entries)`` product broadcast, and the step programs run
   with the buffer size ``_BUFSIZE``, inside one ``np.errstate`` scope per
   sweep, which restores the caller's buffer size on exit.  phi runs under
-  the caller's buffer size, as its reductions may depend on it; elementwise
-  ufuncs never do, so no value depends on ``_BUFSIZE``.
+  the caller's buffer size and error handling, as its reductions may depend
+  on them; elementwise ufuncs never do, so no value depends on ``_BUFSIZE``.
 * **Blocks of steps.**  The sweep runs in blocks that end where a row joins
   or after ``_BLOCK_STEPS`` steps.  A block builds its program once for each
   direction of the ``cur``/``nxt`` swap, over fixed views that cover the
@@ -61,18 +82,19 @@ grouping moves a root by no more than that share of its payoff's oscillation
   runs the two in turn, so a step costs its ufunc calls and no slicing.
   Later steps of a block also fill states past their true window; these
   stale entries are finite whenever phi is, as every value the sweep writes
-  is a maximum of weighted sums of values written before (or a zero of the
-  initial arrays).
+  is a maximum or a weighted sum of weighted sums of values written before
+  (or a zero of the initial arrays).
 * **Probability band.**  With a and b the least and greatest member mean
   shift ``sum(w * s)`` and ``eps_k = 2**-100 / (k (k + 1))``, the reduced
   index of S_k leaves ``[k*a - t_k, k*b + t_k]``, for
   ``t_k = span * sqrt(k ln(2 / eps_k) / 2)``, with probability at most
   eps_k under every adapted choice of members (Azuma-Hoeffding: S_k is a
   martingale plus k conditional means in [a, b], with increments in
-  [0, span]).  ``_band`` widens this by one index on each side and clips it
-  to the window.  Every ``payoff_expectations`` sweep (so
-  ``iid_sum_expectations``, the lower value and ``lln_rates.rate_sweep``)
-  computes each block only over its steps' bands; the entries outside keep
+  [0, span]).  A fixed measure is such a choice.  ``_band`` widens this by
+  one index on each side and clips it to the window.  Every
+  ``payoff_expectations`` sweep (so ``iid_sum_expectations``, the lower
+  value and ``lln_rates.rate_sweep``) and every weighted sweep computes each
+  block only over its steps' bands; the entries outside keep
   values of their own row, so every root stays within
   ``2**-100 * (max - min of its row's terminal values)`` of the dense
   recursion in exact arithmetic, as paths that ever leave the band carry at
@@ -108,7 +130,8 @@ grouping moves a root by no more than that share of its payoff's oscillation
   checked by arithmetic before anything is allocated, so
   :class:`SupportOverflow` is raised for the same inputs as by a
   single-horizon, single-payoff pass; its message names the smallest horizon
-  past the cap.
+  past the cap.  Coordinate sums are held in 64-bit integers, so a horizon n
+  with ``n * max(|k_min|, |k_max|) >= 2**63`` is refused the same way.
 
 :func:`value_table` and :func:`extract_argmax_policy` are this sweep with one
 row on :class:`SumSupport`, the reduced lattice plus every step's reachable
@@ -117,33 +140,20 @@ maximizing member: the raw indices of ``SumSupport.masks``,
 ``ValueTable.values`` and ``SelectionPolicy.selections`` are reduced, index
 i at step k standing for the coordinate ``k * k_min + i * gcd``.
 
-The forward kernel
-------------------
-:func:`expectations_under_policy` propagates probability mass forward over
-the same reduced dense window, one step at a time and in one loop, for a
-policy (admitted as ``PathMeasure.from_policy``) and for a measure whose rule
-reads nothing or the running sum.  The mass at step k does not depend on the
-last step, so one pass to ``max(ns)`` serves every horizon.  Every evaluator,
+Fixed measures
+--------------
+:func:`expectations_under_policy` evaluates a policy (admitted as
+``PathMeasure.from_policy``) and a measure whose rule reads nothing or the
+running sum by one weighted sweep over all its horizons.  Every evaluator,
 here and in :mod:`sublln.measures`, admits its inputs once with ``_horizons``
 (``_admit`` for one n) and reads a rule or policy through ``_rule_weights``: a
 sum rule reads the lattice sum ``k*origin + coord*step`` (coord the integer
 coordinate sum of the atoms), a history rule the realized atoms as floats.
-
-* **Weight layout.**  Each step's ``(members, states)`` weights are
-  ``_rule_weights`` at the reachable coordinates, transposed, and zero at
-  unreachable states: a "none" vector (checked once per step) tiled, a
-  policy's selections as one-hot rows.  Members lead, so rows are contiguous.
-* **Product and accumulation order.**  For each member in index order,
-  skipping a member whose weights are all zero, and each of its atoms in
-  increasing value order, the kernel adds ``(weight_m * w) * mass`` into
-  the next window at the atom's shift.  Every value is therefore fixed by
-  the inputs alone.  The products go through one scratch buffer; with the
-  float one-hot rows this keeps the policy pass as fast as masking the
-  mass member by member.
-* **One history walker.**  A rule that reads the realized history has no
-  sum-state weights to tabulate, so the forward pass walks the tree of each
-  horizon with ``_walk_histories``, as ``measures.conditional_means`` does,
-  and adds the leaves into the window in the order of a depth-first walk.
+A rule that reads the realized history has no sum-state weights to tabulate:
+it is evaluated on the tree of each horizon, walked by ``_walk_histories`` as
+``measures.conditional_means`` walks it, whose leaves are added into the
+window in the order of a depth-first walk and summed against phi by
+``pairwise_total``.
 """
 
 from __future__ import annotations
@@ -304,13 +314,16 @@ def _grid(family: AmbiguityFamily) -> _Grid:
 
 
 def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
-    """Raise SupportOverflow when n steps exceed the cap in unreduced dense states."""
+    """Raise SupportOverflow when n steps exceed the cap in unreduced dense states, or when their
+    coordinate sums would leave the 64-bit integers that hold them."""
     total = (n + 1) + (grid.k_max - grid.k_min) * n * (n + 1) // 2
     if total > state_cap:
         raise SupportOverflow(
             f"{total} sum states for n={n} exceed the cap of {state_cap}; "
             "the lattice is too fine for this horizon"
         )
+    if (reach := n * max(abs(grid.k_min), abs(grid.k_max))) >= 2**63:
+        raise SupportOverflow(f"sums for n={n} reach lattice coordinate {reach}, past the 64-bit integers that hold it")
 
 
 def _reachable_masks(grid: _Grid, n: int, keep: Iterable[int]) -> dict[int, np.ndarray]:
@@ -377,6 +390,7 @@ def _program(
     acc: np.ndarray,
     products: np.ndarray,
     sel: np.ndarray | None = None,
+    mix: np.ndarray | None = None,
 ) -> list[partial]:
     """The ufunc calls of one backward step from ``src`` into ``dst``, in order.
 
@@ -388,8 +402,11 @@ def _program(
     the products for every weight.  A member's value is the left-to-right sum of its terms' shifted
     product views (its shifted ``src`` view for a point mass), written to ``dst`` for member 0 and to
     ``acc`` for the others, and ``dst`` gets the running maximum over members in index order.
-    ``sel``, when given, receives the lowest maximizing member index.  The calls hold their views, so
-    a program runs again for every step for which its arrays hold the step's data.
+    ``sel``, when given, receives the lowest maximizing member index.  ``mix``, when given, holds the
+    member weights at ``dst``'s entries, state-major ``(members, width * rows)``: ``dst`` then gets
+    member 0's value times its weight and each later member's value times its weight added, in place
+    of the maximum, and a product is set to 0 wherever its weight is 0.  The calls hold their views,
+    so a program runs again for every step for which its arrays hold the step's data.
     """
     size = dst.size
 
@@ -397,7 +414,7 @@ def _program(
         return src[s * rows : s * rows + size] if i is None else products[i, s * rows : s * rows + size]
 
     calls = [] if sel is None else [partial(np.copyto, sel, 0)]
-    flag = None if sel is None else np.empty(sel.shape, dtype=bool)
+    flag = None if sel is None and mix is None else np.empty(size, dtype=bool)
     if weights.size:
         calls.append(partial(np.multiply, src[None, : products.shape[-1]], weights, products))
     for m, terms in enumerate(members):
@@ -407,7 +424,13 @@ def _program(
             calls.append(partial(np.add, value, view(*terms[1]), into))
             calls.extend(partial(np.add, into, view(*t), into) for t in terms[2:])
             value = into
-        if m:
+        if mix is not None:  # a member of weight 0 adds exactly 0, though its value be infinite or NaN
+            into, best = acc if m else dst, dst
+            calls += [partial(np.multiply, value, mix[m], into), partial(np.equal, mix[m], 0.0, flag)]
+            calls.append(partial(np.putmask, into, flag, 0.0))
+            if m:
+                calls.append(partial(np.add, dst, acc, dst))
+        elif m:
             if sel is not None:
                 calls += [partial(np.greater, value, best, flag), partial(np.copyto, sel, m, where=flag)]
             calls.append(partial(np.maximum, best, value, out=dst))
@@ -458,7 +481,8 @@ def _row_groups(rows: list, span: int, weights: int = 1) -> list[list]:
 
     A sweep of r rows of top horizon n holds ``3 + weights`` arrays of at most ``r * (n * span + 1)``
     states: the products of ``weights`` distinct atom weights, ``acc``, and ``cur`` and ``nxt``, which
-    hold ``most`` states, the largest count of joined rows times their window (``_sweep``).
+    hold ``most`` states, the largest count of joined rows times their window (``_sweep``).  A weighted
+    sweep counts its members' weights, an array each, in ``weights``.
     """
     groups: list[list] = []
     for row in rows:
@@ -474,6 +498,7 @@ def _sweep(
     masks,
     values: list | None = None,
     selections: list | None = None,
+    measure: "PathMeasure | None" = None,
 ) -> np.ndarray:
     """Root values of descending ``(horizon, phi)`` rows by one backward sweep from the first horizon.
 
@@ -487,17 +512,20 @@ def _sweep(
     or selections, and one whose joined rows' values are not all finite, computes the full windows.
     For one row of horizon n, ``values`` gets copies of each step's values from step n down to 0, and
     ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members are only
-    tracked when ``selections`` is given.
+    tracked when ``selections`` is given.  With a ``measure`` the sweep is weighted: before each step,
+    ``_mix`` writes the measure's member weights at that step's states, the step programs take them as
+    their ``mix``, and invalid operations, which only members of weight 0 meet, raise no float error.
     """
     weights, members = _products(grid)
     # the widest block: j joined rows of horizon n hold j * size(n) entries
     most = max((j + 1) * grid.size(n) for j, (n, _) in enumerate(rows))
     cur, nxt = _aligned(np.zeros, most), _aligned(np.zeros, most)
     product_space, acc_space = _aligned(np.empty, weights.size * most), _aligned(np.empty, most)
-    joined, k, caller = 0, rows[0][0], np.getbufsize()
+    joined, k, caller, err = 0, rows[0][0], np.getbufsize(), np.geterr()
+    mixed = None if measure is None else np.zeros((len(members), most))  # the member weights at a step's states
     # steps below ``first`` compute their full windows
     first, lo, hi = (k, None, None) if values is not None or selections is not None else _band(grid, k)
-    with np.errstate():
+    with np.errstate(invalid=err["invalid"] if measure is None else "ignore"):
         np.setbufsize(_BUFSIZE)
         while k:
             size, before = grid.size(k), joined
@@ -508,10 +536,10 @@ def _sweep(
                     nxt[: size * joined].reshape(size, joined)[:, :before] = cur[: size * before].reshape(size, before)
                     cur, nxt = nxt, cur
                 columns = cur[: size * joined].reshape(size, joined)
-                np.setbufsize(caller)
-                for r in range(before, joined):
-                    _terminal(grid, k, masks[k], rows[r][1], columns[:, r])
-                np.setbufsize(_BUFSIZE)
+                with np.errstate(**err):  # phi runs under the caller's error handling and buffer size
+                    np.setbufsize(caller)
+                    for r in range(before, joined):
+                        _terminal(grid, k, masks[k], rows[r][1], columns[:, r])
                 if first < k:
                     if np.isfinite(cur[: size * joined]).all():
                         nxt[: size * joined] = cur[: size * joined]
@@ -530,11 +558,14 @@ def _sweep(
             products = product_space[: weights.size * length].reshape(weights.size, length)
             acc = acc_space[: stop - start]
             sel = None if selections is None else np.empty(grid.size(k - 1), dtype=np.int32)
+            mix = None if measure is None else mixed[:, start:stop]
             programs = [
-                _program(weights, members, joined, src[start:], dst[start:stop], acc, products, sel)
+                _program(weights, members, joined, src[start:], dst[start:stop], acc, products, sel, mix)
                 for src, dst in ((cur, nxt), (nxt, cur))
             ]
             for i in range(k - end):
+                if measure is not None:
+                    _mix(grid, measure, k - 1, masks[k - 1], joined, mixed)
                 for call in programs[i % 2]:
                     call()
                 cur, nxt, k = nxt, cur, k - 1
@@ -543,6 +574,23 @@ def _sweep(
                 if selections is not None:
                     selections.append(sel[: grid.size(k)].copy())
     return cur[:joined]
+
+
+def _mix(grid: _Grid, measure: "PathMeasure", k: int, mask: np.ndarray, rows: int, mixed: np.ndarray) -> None:
+    """Write a weighted sweep's member weights at the states of step k into ``mixed`` (``_sweep``).
+
+    ``mixed`` gets ``_rule_weights`` at the reachable coordinates of step k, state-major: each state's
+    weights once per joined row, and 0 at unreachable states.  A ``"none"`` measure's one weight vector
+    is written by one broadcast product with the mask.  Entries past the window keep an earlier step's
+    weights, which only stale entries read.
+    """
+    states = mixed[:, : mask.size * rows].reshape(len(mixed), mask.size, rows)
+    if measure.depends_on == "none":  # w * True is w and w * False is 0.0 for the finite weights w >= 0
+        np.multiply(mask[:, None], measure.mixture_weights(k)[:, None, None], out=states)
+    else:
+        states[:] = 0.0
+        coords = k * grid.k_min + grid.gcd * np.flatnonzero(mask)
+        states[:, mask] = _rule_weights(measure, grid, k, coords, None).T[..., None]
 
 
 def _horizons(
@@ -858,26 +906,6 @@ def _rule_weights(measure: PathMeasure, lattice, k: int, coords: np.ndarray, his
     return np.array([measure.mixture_weights(k, history=tuple(h)) for h in histories])
 
 
-def _forward(support: SumSupport, measure: PathMeasure, ns: Iterable[int]) -> dict[int, np.ndarray]:
-    """Mass over the dense window of each step in ``ns`` under a non-history measure, by one pass."""
-    members, keep, masses, mass = len(support.terms), set(ns), {}, np.array([1.0])
-    scratch = np.empty(support.size(max(keep) - 1))
-    for k in range(max(keep)):
-        weights = np.zeros((members, mass.size))
-        coords = k * support.k_min + support.gcd * np.flatnonzero(support.masks[k])
-        weights[:, support.masks[k]] = _rule_weights(measure, support, k, coords, None).T
-        nxt = np.zeros(mass.size + support.span)
-        product = scratch[: mass.size]
-        for m in np.flatnonzero(weights.any(axis=1)):  # members of nonzero weight, in index order
-            for w, s in support.terms[m]:
-                np.multiply(weights[m] * w, mass, out=product)
-                nxt[s : s + mass.size] += product
-        mass = nxt
-        if k + 1 in keep:
-            masses[k + 1] = mass
-    return masses
-
-
 def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: int | None) -> tuple:
     """``(paths, coord_sums, probs, means)`` of n draws, by one level-by-level walk of the history tree.
 
@@ -918,7 +946,11 @@ def expectations_under_policy(
     policy: SelectionPolicy | PathMeasure,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[float, ...]:
-    """:func:`expectation_under_policy` for each n in ``ns`` by one pass; an overflow names the smallest n."""
+    """:func:`expectation_under_policy` for each n in ``ns``; an overflow names the smallest n.
+
+    A measure whose rule reads nothing or the running sum (a policy among them) is evaluated by one
+    weighted backward sweep over its horizons, a history rule by walking each horizon's tree.
+    """
     if isinstance(policy, SelectionPolicy):
         policy = PathMeasure.from_policy(policy, len(family.members))
     if not isinstance(policy, PathMeasure):
@@ -934,10 +966,12 @@ def expectations_under_policy(
             _, coord_sums, probs, _ = _walk_histories(family, policy, n, state_cap)
             # reversed rows add the paths in the order of a depth-first walk
             np.add.at(mass[n], ((coord_sums - n * support.k_min) // support.gcd)[::-1], probs[::-1])
+        xs = {n: support.reachable_values(n) / n for n in mass}
+        values = {n: pairwise_total(mass[n][support.masks[n]] * _eval_phi(phi, xs[n])) for n in mass}
     else:
-        mass = _forward(support, policy, distinct)
-    xs = {n: support.reachable_values(n) / n for n in mass}
-    values = {n: pairwise_total(mass[n][support.masks[n]] * _eval_phi(phi, xs[n])) for n in mass}
+        groups = _row_groups([(n, phi) for n in distinct[::-1]], grid.span, _products(grid)[0].size + len(grid.terms))
+        roots = [r for group in groups for r in _sweep(support, group, support.masks, measure=policy).tolist()]
+        values = dict(zip(distinct[::-1], roots))
     return tuple(values[n] for n in horizons)
 
 
@@ -953,8 +987,8 @@ def expectation_under_policy(
     ``policy`` is a :class:`PathMeasure` or a :class:`SelectionPolicy`, taken
     as ``PathMeasure.from_policy``; anything else raises ``TypeError``.  The
     family, n and the measure are admitted once by ``_horizons``.  The
-    probability mass is propagated exactly (over sum states, or over the
-    history tree when the rule is genuinely history-dependent) and the
-    terminal distribution is averaged against phi.
+    expectation is exact up to rounding: by the weighted backward recursion
+    over sum states, or, when the rule is genuinely history-dependent, by
+    averaging phi against the leaves of the history tree.
     """
     return expectations_under_policy(family, phi, [n], policy, state_cap)[0]

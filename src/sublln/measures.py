@@ -526,7 +526,7 @@ def lower_bound_checks(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
-    """:func:`lower_bound_reports` with the limit found once, one batched backward sweep and one P* forward pass."""
+    """:func:`lower_bound_reports` with the limit found once, one batched backward sweep and one weighted P* sweep."""
     state_cap = _check_state_cap(state_cap)
     moments = moment_summary(family, alphas)
     ns = [_check_n(n) for n in ns]

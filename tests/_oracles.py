@@ -75,6 +75,50 @@ def rational_backward(family, n, phi):
     return values[0]
 
 
+def measure_backward(family, n, phi, measure, number=float):
+    """``E_P[phi(S_n/n)]`` under a measure whose rule reads nothing or the running sum, backward.
+
+    ``v_k(c) = sum over members m of w_m * sum_j p_mj * v_{k+1}(c + a_mj)`` over the reachable
+    coordinates c of each step, a member of weight 0 at (k, c) skipped.  The weights are the
+    measure's ``mixture_weights``, or for a ``SelectionPolicy`` its ``member_at`` as one-hot, and the
+    atom weights the family's ``normalized_weights``, all read as ``number``; phi is evaluated once
+    per reachable sum at the engine's float points, as in :func:`rational_backward`.  With
+    ``Fraction`` every sum and product after that is exact.  With ``float``, plain Python floats
+    follow the weighted sweep's operations in its order: a member's atoms summed left to right,
+    member 0's value times its weight first (0 where that weight is 0), then each later member's.
+    """
+    from sublln.engine import SelectionPolicy
+
+    lat = family.lattice
+    members = [
+        [(lat.coord(v), number(w)) for (v, _), w in zip(m.atoms, m.normalized_weights)]
+        for m in family.members
+    ]
+    if isinstance(measure, SelectionPolicy):
+        weights = lambda k, c: [float(m == measure.member_at(k, sum_value(family, k, c))) for m in range(len(members))]
+    elif measure.depends_on == "none":
+        weights = lambda k, c: measure.mixture_weights(k).tolist()
+    else:
+        weights = lambda k, c: measure.mixture_weights(k, total=sum_value(family, k, c)).tolist()
+    levels = reachable_coords(family, n)
+    coords = sorted(levels[n])
+    xs = np.array([(n * lat.origin + c * lat.step) / n for c in coords])
+    values = dict(zip(coords, map(number, np.asarray(phi(xs), dtype=float).tolist())))
+    for k in range(n - 1, -1, -1):
+        step = {}
+        for c in levels[k]:
+            total = number(0)
+            for m, (member, wm) in enumerate(zip(members, map(number, weights(k, c)))):
+                if wm != 0:
+                    value = member[0][1] * values[c + member[0][0]]
+                    for a, w in member[1:]:
+                        value = value + w * values[c + a]
+                    total = value * wm if m == 0 else total + value * wm
+            step[c] = total
+        values = step
+    return values[0]
+
+
 def sum_policy_count(family, n):
     levels = reachable_coords(family, n)
     return len(family.members) ** sum(len(levels[k]) for k in range(n))
@@ -326,7 +370,12 @@ def window_expectation(family, n, phi, mass):
 
 
 def per_state_forward(family, n, measure):
-    """Mass over step n's unreduced dense window, by the three propagators the engine first had.
+    """Mass over step n's unreduced dense window (see :func:`per_state_forwards`)."""
+    return per_state_forwards(family, n, measure)[n]
+
+
+def per_state_forwards(family, n, measure):
+    """Masses over the unreduced dense windows of steps 0..n, by three per-state propagators.
 
     A ``SelectionPolicy`` masks the mass member by member (its member at each
     reachable sum is read through ``member_at``), a ``"none"`` measure scales
@@ -350,6 +399,7 @@ def per_state_forward(family, n, measure):
         return np.maximum(np.asarray(w, dtype=float), 0.0)
 
     mass = np.array([1.0])
+    masses = [mass]
     for k in range(n):
         nxt = np.zeros(mass.size + span)
         vals_k = window_values(family, k, mass.size)
@@ -381,7 +431,8 @@ def per_state_forward(family, n, measure):
                     for w, s in terms[m]:
                         nxt[i + s] += (wm * w) * mass[i]
         mass = nxt
-    return mass
+        masses.append(mass)
+    return masses
 
 
 def per_step_sampler(family, measure, n, count, seed):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,21 @@ def write_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture
+def int64_edge_config(tmp_path):
+    """fair_coin's config with fair atoms at lattice coordinates 2**52 and 2**52 + 1, n_schedule [1, 2048, 4096].
+
+    At n = 2048 the coordinate sums reach 2048 * (2**52 + 1) > 2**63, while the dense states (2,100,225)
+    stay under the default cap.
+    """
+    cfg = json.loads((CONFIGS / "fair_coin.json").read_text())
+    cfg["family"]["members"] = [[[2**52, 0.5], [2**52 + 1, 0.5]]]
+    cfg["n_schedule"] = [1, 2048, 4096]
+    path = tmp_path / "int64_edge.json"
     path.write_text(json.dumps(cfg))
     return path
 
@@ -114,7 +130,7 @@ class TestSubcommands:
                 {
                     "sample_mean": "0.25118060000000003",
                     "sample_std": "0.10217774995842228",
-                    "abs_error": "0.0005449591515939156",
+                    "abs_error": "0.0005449591515938601",
                     "tolerance": "0.0012924576642391573",
                 },
             ),
@@ -212,6 +228,52 @@ class TestExitCodes:
         assert not (tmp_path / "r").exists()
 
 
+    def test_mc_horizon_past_the_cap_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # the exact P* value is read first, so the state cap refuses the horizon by arithmetic alone
+        def no_draws(*args):
+            raise AssertionError("mc sampled before its horizon was admitted")
+
+        monkeypatch.setattr(cli, "sample_path_sums", no_draws)
+        n = 10**400
+        cfg = json.loads((CONFIGS / "fair_coin.json").read_text())
+        cfg["mc_horizon"] = n
+        path = tmp_path / "huge_mc.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "r"
+        assert main(["mc", "--config", str(path), "--out", str(out)]) == 1
+        states = (n + 1) + 2 * n * (n + 1) // 2  # fair_coin: coordinates -1 and 1
+        assert capsys.readouterr().err == (
+            f"error: check 'mc': {states} sum states for n={n} exceed the cap of 10000000; "
+            "the lattice is too fine for this horizon\n"
+        )
+        assert not out.exists()
+
+    def test_coordinate_sums_past_int64_are_refused(self, tmp_path, capsys, int64_edge_config):
+        out = tmp_path / "r"
+        assert main(["eval", "--config", str(int64_edge_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: check 'eval': sums for n=2048 reach lattice coordinate {2048 * (2**52 + 1)}, "
+            "past the 64-bit integers that hold it\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["variance", "chatterji"])
+    def test_arithmetic_overflow_in_a_check_exits_1(self, tmp_path, capsys, check):
+        # atoms at -1e308 and 1e308: the moments overflow the float range in Python's float powers
+        cfg = json.loads((CONFIGS / "fair_coin.json").read_text())
+        cfg["family"]["lattice"]["step"] = 1e307
+        cfg["family"]["members"] = [[[-1e308, 0.5], [1e308, 0.5]], [[0, 1]]]
+        path = tmp_path / "huge_atoms.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "r"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings, printed by a console run
+            assert main([check, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: check '{check}': ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 class TestVerifyAll:
     def test_shipped_corpus_config(self, tmp_path):
         out = tmp_path / "reports"
@@ -290,13 +352,23 @@ class TestRunPlan:
     def test_pstar_built_and_propagated_once_per_run(self, tmp_path, monkeypatch):
         config = parse_config((CONFIGS / "three_atom.json").read_bytes())
         builds = count_calls(monkeypatch, construct_pstar)
-        passes = count_calls(monkeypatch, engine._forward)
+        sweeps, sweep = [], engine._sweep
+
+        def counted(*args, **kwargs):
+            sweeps.append((args, kwargs))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_sweep", counted)
+
+        def weighted():
+            return [args for args, kwargs in sweeps if kwargs.get("measure") is not None]
+
         assert cli.run(config, tmp_path / "r") == 0
-        # one P* serves chatterji, prop2, pstar and mc; one forward pass covers the schedule and mc_horizon
-        assert (len(builds), len(passes)) == (1, 1)
-        assert sorted(passes[0][2]) == sorted({*config.n_schedule, config.mc_horizon})
+        # one P* serves chatterji, prop2, pstar and mc; one weighted sweep covers the schedule and mc_horizon
+        assert (len(builds), len(weighted())) == (1, 1)
+        assert sorted(n for n, _ in weighted()[0][1]) == sorted({*config.n_schedule, config.mc_horizon})
         assert cli.run(config, tmp_path / "r2") == 0
-        assert (len(builds), len(passes)) == (2, 2)
+        assert (len(builds), len(weighted())) == (2, 2)
 
     @pytest.mark.parametrize("check, n, states", [("pstar", 32, 2145), ("mc", 50, 5151)])
     def test_pstar_checks_past_the_state_cap(self, tmp_path, capsys, check, n, states):
@@ -376,7 +448,7 @@ GOLDEN_SHA256 = {
     ('corpus', 'csv'): {
         'report_chatterji.csv': 'bbea6d76a49493d9dfbaf18b727cd24890aa94b5adcaebaee46e665d68ff152b',
         'report_eval.csv': '69742583b5ffa5f49e52383838415bc1fac1671b6c9f1fd1e195eaf3d43ce5d2',
-        'report_mc.csv': 'd7425de49cbb13c833f49d5652df18966ab015039fbcd769010deab1a28fda7a',
+        'report_mc.csv': '17b59c24c40476fb29db5746b05677736bdc526309d807bbd5e77938a66a280f',
         'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
         'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
         'report_sweep.csv': 'd29a263da4ac885ed0b3393de9d6eb5b8a6c099be129b6fef0d14dfcaf0fc6c5',
@@ -386,7 +458,7 @@ GOLDEN_SHA256 = {
     ('corpus', 'json'): {
         'report_chatterji.json': '4374dd1ca450fe8a182da746756708751d39681b4b7f973f9dc9f201046c9a6b',
         'report_eval.json': 'd76d06b6291447bff94cd5bad1b2f146a4425c62285201a95460ceaa10ee9d4a',
-        'report_mc.json': '451fc76b055952c3ea2cbbd17dfb1497e78b0ad7c349551c899cd9ac1a09ef66',
+        'report_mc.json': '82e8de79ba96a3e9bedfe289576cb5776bb039b131ea42d84e5632ee16e8a351',
         'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
         'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
         'report_sweep.json': '16551a2fe5e99cc8e25fa0ebaa0b06265dca5773d4a8490cf0bb4b285fb98d0b',
@@ -418,7 +490,7 @@ GOLDEN_SHA256 = {
         'report_eval.csv': '6f03f10050a5bf7eaf04d92272ec4d9c917328530581d92b4e829416af5ce502',
         'report_mc.csv': 'afcdef7d428821cc8b4e174397419bbefbaa583888bcc15d3b4a3314f716470c',
         'report_prop2.csv': 'de3a74eab93a156ad35c1917203bccf3dcd543929515e4ca36c31186e8d3c878',
-        'report_pstar.csv': '89d9fa8737d7206c2985520ab8432cce01ff362210e4bc69845427f1e43a1d6c',
+        'report_pstar.csv': '55b4a8c83f78150014fb76ab273e84db59497fe265f82965923dbb659d030d1f',
         'report_sweep.csv': 'a72cb4584047f70b4c6c665686d354ea97252053d9a33f1cc0669f70fe4801f3',
         'report_variance.csv': '500e9edb9d03387035ab8f4a0d702c7943406dfbbab289988afd904528998ab8',
         'summary.json': '7b42cb6388b89cc666056d2f098dc231311372cbe283b49cfe741ea2f4b808c2',
@@ -428,7 +500,7 @@ GOLDEN_SHA256 = {
         'report_eval.json': '84a8463d476c25ab1aedfd8ae14c22701cb2a4425632d83110a9cf19684f8d9a',
         'report_mc.json': '73d55214e2a54e32f05769d178619cdaa25d259d6c15476ddb8a1aeb8de74423',
         'report_prop2.json': 'c5f70953042e49bf19fe7be98efa30a73aeeb27635183ebfe95d0def18c9106b',
-        'report_pstar.json': 'b7fe9385bae6afff8fd6deddd7a6ee15da506e2fc73ad3a23673ec655825662f',
+        'report_pstar.json': 'f27e10fa8bf7948862a2fd6bfe7e710076e3c793c2c2fbdec9dbea01292f36f8',
         'report_sweep.json': '2518ebf343ef422eaaea59d3d0df740628605d6fa468e25f420fca9544d423ca',
         'report_variance.json': 'a34f995e641f0ab1c5ee08c1b79170f33b15d867ab12a58c749df52749130b50',
         'summary.json': 'a96bb230990e932f8b77bbf5ae0b9b22f47b5de04e5981a963f002f665d34c07',
@@ -456,9 +528,9 @@ GOLDEN_SHA256 = {
     ('skewed_pair', 'csv'): {
         'report_chatterji.csv': '951185fa8ce45c26c1a850dc105ea7fbc8a94ac9bef38e469d8cdba2fdc2c595',
         'report_eval.csv': '7d67ef9c6f7591c742db511946da1ef699c3d0ee71fdf987bfe8b0f8250d2c4a',
-        'report_mc.csv': '02948364709c84dd74fe5cb06bbff555a4a40524f3dd369f720b58c672b40ce8',
+        'report_mc.csv': '08d4678698a10c9ec17390fb3ad1451dbea25b44f0ef0b7dc6bedf5bd4889513',
         'report_prop2.csv': 'aeb7eb3900b29856180ba1e91a69e561e03b4eb9a2e1255bfe0e079590d5c830',
-        'report_pstar.csv': '1562e15a5c7c4e928eb0b11a5156b29f845b7de49af25e85a48a065b2630b9c0',
+        'report_pstar.csv': 'b44c10d346adbc566f73b415aa999dfb5501ab329f6d3bf8acb5a522707a5c87',
         'report_sweep.csv': '27bcdd37f5341abe0d79cc3b9cfc4275b0cb4e0d95e919914301e2cb2711dd40',
         'report_variance.csv': '96a1af332ba75c9ccf76dfbf2d24452d5945ce6dcdd8adaa1d5aa7a81e4f27b3',
         'summary.json': 'bd33140cd8db5db641a167b9f724fbadbd5016694faaec76f90bff4528cc9e00',
@@ -466,9 +538,9 @@ GOLDEN_SHA256 = {
     ('skewed_pair', 'json'): {
         'report_chatterji.json': 'd19cbf5aa30d68efb35bfe8f9d66c569098cf2c742c6e9b566dd3aadd4b6be6c',
         'report_eval.json': '9e9af2b354ee421aa5cd9b9e894b26688fc377705422a20e933ab0049b419995',
-        'report_mc.json': '9747cf0bc2751eaa19d585a2438f2c23f6677d15ec3eda541195375b783135b8',
+        'report_mc.json': 'aaf806cfa84ed1487c7d8d93e6d415f596a6206af6c7c727a5803f77aab8cf12',
         'report_prop2.json': '69f4a059de22cc652ec2338c42bfc7658afbaa020720598cd196db498fc577fe',
-        'report_pstar.json': '92d1e522ca5e92fee00ef68cccc4277b51d158726484c501686008f405123833',
+        'report_pstar.json': 'cf85a91978dcb23b4879b6d2d5e5a220daa8ee16f704c575fb6ded27201300b4',
         'report_sweep.json': '12163efb51c76d8b106ff88f3939b10b91fd432df4e696933f6ee555122ea69f',
         'report_variance.json': '1888159769558f6a423f600bb9da053349977210606d68e8dc045725d8c605d6',
         'summary.json': 'bb7faaa8610677fd0c939235f2e8f2fd4b7c5d1e08710440282a07865ade7820',
@@ -476,7 +548,7 @@ GOLDEN_SHA256 = {
     ('three_atom', 'csv'): {
         'report_chatterji.csv': 'bbea6d76a49493d9dfbaf18b727cd24890aa94b5adcaebaee46e665d68ff152b',
         'report_eval.csv': '69742583b5ffa5f49e52383838415bc1fac1671b6c9f1fd1e195eaf3d43ce5d2',
-        'report_mc.csv': 'd7425de49cbb13c833f49d5652df18966ab015039fbcd769010deab1a28fda7a',
+        'report_mc.csv': '17b59c24c40476fb29db5746b05677736bdc526309d807bbd5e77938a66a280f',
         'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
         'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
         'report_sweep.csv': 'd29a263da4ac885ed0b3393de9d6eb5b8a6c099be129b6fef0d14dfcaf0fc6c5',
@@ -486,7 +558,7 @@ GOLDEN_SHA256 = {
     ('three_atom', 'json'): {
         'report_chatterji.json': '4374dd1ca450fe8a182da746756708751d39681b4b7f973f9dc9f201046c9a6b',
         'report_eval.json': 'd76d06b6291447bff94cd5bad1b2f146a4425c62285201a95460ceaa10ee9d4a',
-        'report_mc.json': '451fc76b055952c3ea2cbbd17dfb1497e78b0ad7c349551c899cd9ac1a09ef66',
+        'report_mc.json': '82e8de79ba96a3e9bedfe289576cb5776bb039b131ea42d84e5632ee16e8a351',
         'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
         'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
         'report_sweep.json': '16551a2fe5e99cc8e25fa0ebaa0b06265dca5773d4a8490cf0bb4b285fb98d0b',

@@ -31,13 +31,16 @@ from sublln.measures import PathMeasure, construct_pstar, history_parity_measure
 
 from _oracles import (
     history_tree_max,
+    measure_backward,
     per_horizon_backward,
     per_state_forward,
+    per_state_forwards,
     rational_backward,
     reachable_coords,
     sum_value,
     unreduced_window,
     window_expectation,
+    window_values,
 )
 
 DELTA_PAIR = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
@@ -103,6 +106,14 @@ class TestIidSumExpectation:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             iid_sum_expectation(TWO_POINT, 0, lambda x: x)
+
+    def test_coordinate_sums_past_int64(self):
+        # 2047 * 2**52 < 2**63 = 2048 * 2**52, one past the largest int64; the states stay far under the cap
+        family = AmbiguityFamily.build(0, 1, [[(2.0**52 - 1, 0.5), (2.0**52, 0.5)]])
+        assert build_support(family, 2047).reachable_values(2047)[-1] == 2047 * 2**52
+        message = f"sums for n=2048 reach lattice coordinate {2**63}, past the 64-bit integers that hold it"
+        with pytest.raises(SupportOverflow, match=f"^{re.escape(message)}$"):
+            iid_sum_expectations(family, lambda x: x, [4096, 1, 2048])
 
     def test_invalid_family(self):
         with pytest.raises(FamilyInvalid):
@@ -356,6 +367,24 @@ class TestStepBlocks:
         assert [len(g) for g in engine._row_groups(rows, 3)] == [2, 2]
         assert [len(g) for g in engine._row_groups(rows, 3, weights=5)] == [1, 1, 1, 1]
 
+    def test_row_groups_count_the_member_weights(self, monkeypatch):
+        # a weighted sweep also holds an array of weights per member.  three_atom has 6 product weights,
+        # 3 members and span 4: three rows of horizon 10 fit in 3 * 41 * (3 + 6) states, but not with
+        # the weights of its 3 members
+        family = corpus_families()["three_atom"]
+        monkeypatch.setattr(engine, "_ROW_BUDGET", 3 * 41 * (3 + 6))
+        sweeps, sweep = [], engine._sweep
+
+        def counting(grid, rows, *rest, **kwargs):
+            sweeps.append(len(rows))
+            return sweep(grid, rows, *rest, **kwargs)
+
+        monkeypatch.setattr(engine, "_sweep", counting)
+        lo, hi = mean_bounds(family)
+        iid_sum_expectations(family, abs, [8, 9, 10])
+        expectations_under_policy(family, abs, [7, 8, 9, 10], construct_pstar(family, 0.5 * (lo + hi), 10))
+        assert sweeps == [3, 2, 2]
+
     def test_stale_columns_raise_no_float_error(self, families):
         schedule = [2**k for k in range(11)]
         for family in families.values():
@@ -392,16 +421,16 @@ class TestProbabilityBand:
     @pytest.mark.parametrize("name", ["three_atom", "fair_coin", "fine_lattice"])
     def test_mass_outside_the_band_is_certified(self, families, name):
         family = FINE_LATTICE if name == "fine_lattice" else families[name]
+        # every step's mass from the oracle's forward propagators; reduced index i is unreduced index i * gcd
         n, cap = 320, 1 << 40  # the fine lattice passes the default cap at n = 320; its reduced arrays are small
-        support = build_support(family, n, cap)
-        lo, hi = engine._band(support, n)[1:]
+        grid = engine._grid(family)
+        lo, hi = engine._band(grid, n)[1:]
         lower, upper = mean_bounds(family)
         policy = extract_argmax_policy(family, n, catalog_for(family)[2], cap)
-        measures = [PathMeasure.from_policy(policy, len(family.members))]
-        measures += [construct_pstar(family, mu, n) for mu in (lower, 0.5 * (lower + upper), upper)]
+        measures = [policy] + [construct_pstar(family, mu, n) for mu in (lower, 0.5 * (lower + upper), upper)]
         for measure in measures:
-            masses = engine._forward(support, measure, range(1, n + 1))
-            for k, mass in masses.items():
+            for k, mass in enumerate(per_state_forwards(family, n, measure)[1:], start=1):
+                mass = mass[:: grid.gcd]
                 outside = mass[: lo[k]].sum() + mass[hi[k] + 1 :].sum()
                 assert outside <= 2.0**-100 / (k * (k + 1)), (measure, k, outside)
 
@@ -819,12 +848,6 @@ class TestExpectationUnderPolicy:
 FORWARD_NS = (1, 3, 7, 16, 40)
 
 
-def engine_mass(family, n, measure):
-    if isinstance(measure, SelectionPolicy):  # the kernel reads a policy through the measure that carries it
-        measure = PathMeasure.from_policy(measure, len(family.members))
-    return engine._forward(build_support(family, n), measure, [n])[n]
-
-
 def cosine_sum_rule(family, n):
     members = np.arange(1, len(family.members) + 1)
 
@@ -837,47 +860,101 @@ def cosine_sum_rule(family, n):
 
 @pytest.mark.parametrize("name", list(corpus_families()))
 class TestForwardKernel:
-    """The one forward kernel against the three per-state propagators it replaced."""
+    """Fixed measures and policies, evaluated by the weighted backward sweep, against the oracle's
+    per-state forward propagators and its float and exact weighted recursions (``measure_backward``)."""
 
     def test_product_measures_bit_for_bit(self, families, name):
+        # bit for bit as the float recursion; within rounding of forward propagation, also past the
+        # first trimmed step of every banded family (n = 256)
         family = families[name]
-        g = unreduced_window(family, 0)[2]
         lo, hi = mean_bounds(family)
-        for n in FORWARD_NS:
+        for n in FORWARD_NS + (256,):
             pstars = [construct_pstar(family, mu, n) for mu in (lo, 0.5 * (lo + hi), hi)]
             for measure in pstars + [uniform_mixture(family, n)]:
-                want = per_state_forward(family, n, measure)
-                assert_on_sublattice(engine_mass(family, n, measure), want, g, 0.0)
+                mass = per_state_forward(family, n, measure)
                 for i, phi in enumerate(catalog_for(family)):
                     got = expectation_under_policy(family, n, phi, measure)
-                    assert bits([got]) == bits([window_expectation(family, n, phi, want)]), (n, i)
+                    want = window_expectation(family, n, phi, mass)
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, i)
+                    if n in FORWARD_NS:
+                        assert bits([got]) == bits([measure_backward(family, n, phi, measure)]), (n, i)
 
     def test_argmax_policy_bit_for_bit(self, families, name):
         family = families[name]
-        g = unreduced_window(family, 0)[2]
         for n in FORWARD_NS:
             for i, phi in enumerate(catalog_for(family)):
                 policy = extract_argmax_policy(family, n, phi)
                 as_rule = PathMeasure.from_policy(policy, len(family.members))
-                want = per_state_forward(family, n, policy)
-                assert_on_sublattice(engine_mass(family, n, policy), want, g, 0.0)
-                assert_on_sublattice(engine_mass(family, n, as_rule), want, g, 0.0)
                 value = expectation_under_policy(family, n, phi, policy)
-                assert bits([value]) == bits([window_expectation(family, n, phi, want)]), (n, i)
                 assert bits([expectation_under_policy(family, n, phi, as_rule)]) == bits([value]), (n, i)
+                assert bits([value]) == bits([measure_backward(family, n, phi, policy)]), (n, i)
+                want = window_expectation(family, n, phi, per_state_forward(family, n, policy))
+                assert abs(value - want) <= 1e-14 * max(1.0, abs(want)), (n, i)
+                # the weighted sweep takes the selected member's value, which the max sweep takes too
+                assert value == iid_sum_expectation(family, n, phi), (n, i)
 
     def test_sum_rule_within_rounding(self, families, name):
-        # member-major accumulation reorders the additions into each state
         family = families[name]
-        g = unreduced_window(family, 0)[2]
         for n in FORWARD_NS:
             measure = cosine_sum_rule(family, n)
-            want = per_state_forward(family, n, measure)
-            assert np.max(np.abs(engine_mass(family, n, measure) - want[::g])) <= 1e-15, n
-            assert np.all(np.delete(want, np.s_[::g]) == 0.0), n
+            mass = per_state_forward(family, n, measure)
             for i, phi in enumerate(catalog_for(family)):
                 got = expectation_under_policy(family, n, phi, measure)
-                assert abs(got - window_expectation(family, n, phi, want)) <= 1e-15, (n, i)
+                assert bits([got]) == bits([measure_backward(family, n, phi, measure)]), (n, i)
+                want = window_expectation(family, n, phi, mass)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, i)
+
+    def test_matches_exact_rationals(self, families, name):
+        # every value after phi is exact in the oracle, so only the sweep's rounding differs
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        ns = (1, 2, 3, 5, 8, 12)
+        for i, phi in enumerate(catalog_for(family)):
+            measures = [construct_pstar(family, mu, 12) for mu in (lo, 0.5 * (lo + hi), hi)]
+            measures += [uniform_mixture(family, 12), cosine_sum_rule(family, 12)]
+            measures.append(extract_argmax_policy(family, 12, phi))
+            for measure in measures:
+                for n, got in zip(ns, expectations_under_policy(family, phi, ns, measure)):
+                    exact = measure_backward(family, n, phi, measure, Fraction)
+                    assert abs(Fraction(got) - exact) <= 1e-15 * max(1, abs(exact)), (i, measure, n)
+
+    def test_row_groups_do_not_change_values(self, families, name, monkeypatch):
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        measure, ns = construct_pstar(family, 0.5 * (lo + hi), 40), list(range(1, 41))
+        for phi in catalog_for(family):
+            whole = expectations_under_policy(family, phi, ns, measure)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_ROW_BUDGET", 400)
+                assert bits(expectations_under_policy(family, phi, ns, measure)) == bits(whole)
+
+    def test_horizons_below_the_first_trimmed_step_bit_for_bit(self, families, name):
+        # every window is full below step 162, so a row's root does not depend on the rows beside it
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        ns = [161, 3, 100, 161]
+        for phi in catalog_for(family)[2::3]:
+            measures = [construct_pstar(family, mu, 161) for mu in (lo, 0.5 * (lo + hi), hi)]
+            measures += [uniform_mixture(family, 161), extract_argmax_policy(family, 161, phi)]
+            for measure in measures:
+                single = {n: expectation_under_policy(family, n, phi, measure) for n in set(ns)}
+                assert bits(expectations_under_policy(family, phi, ns, measure)) == bits([single[n] for n in ns])
+
+    def test_bits_do_not_depend_on_the_callers_buffer_size(self, families, name):
+        # a weighted sweep's bits do not depend on the caller's buffer size, which it leaves as it found it
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        got = {}
+        for size in (16, 8192, 2**20):
+            with np.errstate():
+                np.setbufsize(size)
+                got[size] = [
+                    bits(expectations_under_policy(family, phi, [3, 40, 77], measure))
+                    for phi in catalog_for(family)
+                    for measure in (construct_pstar(family, 0.5 * (lo + hi), 77), extract_argmax_policy(family, 77, phi))
+                ]
+                assert np.getbufsize() == size
+        assert got[16] == got[8192] == got[2**20]
 
     def test_every_horizon_from_one_pass_bit_for_bit(self, families, name):
         # the mass at step k does not depend on the last step, so one pass serves unsorted, repeated horizons
@@ -899,6 +976,74 @@ class TestForwardKernel:
                 want = [expectation_under_policy(family, n, phi, measure) for n in ns]
                 assert bits(expectations_under_policy(family, phi, ns, measure)) == bits(want), (i, measure)
                 assert expectations_under_policy(family, phi, [], measure) == ()
+
+
+class TestInfinitePayoffs:
+    """An infinite payoff counts only where the measure puts mass: a member of weight 0 adds nothing."""
+
+    def test_infinity_off_the_paths_of_a_delta_pair_policy(self):
+        phi = lambda x: np.where(x < 0.5, np.inf, x)  # only S_3 = 3 is reached: phi(1) = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expectation_under_policy(DELTA_PAIR, 3, phi, SelectionPolicy.constant(DELTA_PAIR, 3, 1)) == 1.0
+            assert expectation_under_policy(DELTA_PAIR, 3, phi, PathMeasure.constant([0.0, 1.0], 3)) == 1.0
+            assert expectation_under_policy(DELTA_PAIR, 3, phi, PathMeasure.constant([0.5, 0.5], 3)) == np.inf
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_member_of_weight_0_may_reach_both_infinities(self, n):
+        # member 0's atoms 0 and 3 read +inf at S_n = 0 and -inf at S_n = 3 from S_{n-1} = 0, a state of
+        # the support, and compute inf - inf there; the one-hot measures take member 1 to S_n = n
+        family = AmbiguityFamily.build(0, 1, [[(0, 0.5), (3, 0.5)], [(1, 1.0)]])
+        phi = lambda x: np.where(x == 0.0, np.inf, np.where(x == 3.0 / n, -np.inf, x))
+        policy = SelectionPolicy.constant(family, n, 1)
+        measures = [policy, PathMeasure.from_policy(policy, 2), PathMeasure.constant([0.0, 1.0], n)]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert [expectation_under_policy(family, n, phi, m) for m in measures] == [1.0] * 3
+        assert math.isnan(expectation_under_policy(family, n, phi, PathMeasure.constant([0.5, 0.5], n)))
+
+    def test_phi_keeps_the_callers_error_handling(self, families):
+        # the weighted sweep ignores invalid operations in its own steps only: phi's reach the caller
+        family = families["fair_coin"]
+        phi = lambda x: np.sqrt(x - 0.5)
+        for measure in (construct_pstar(family, 0.0, 4), SelectionPolicy.constant(family, 4, 0)):
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                expectation_under_policy(family, 4, phi, measure)
+
+    @pytest.mark.parametrize("ends", ["lowest", "highest", "both"])
+    @pytest.mark.parametrize("name", list(corpus_families()))
+    def test_matches_the_sum_over_states_of_positive_mass(self, families, name, ends):
+        # +inf at the lowest or the highest reachable terminal sum, or +inf at the lowest and -inf at the highest
+        family, n = families[name], 5
+        lo, hi = mean_bounds(family)
+        xs = build_support(family, n).reachable_values(n) / n
+        base = catalog_for(family)[2]
+        marks = {"lowest": [(xs.min(), np.inf)], "highest": [(xs.max(), np.inf)]}
+        marks["both"] = [(xs.min(), np.inf), (xs.max(), -np.inf)]
+
+        def phi(x):
+            out = np.asarray(base(x), dtype=float).copy()
+            for at, value in marks[ends]:
+                out[x == at] = value
+            return out
+
+        mask = unreduced_window(family, n)[3][n]
+        window = window_values(family, n, mask.size)[mask] / n
+        with warnings.catch_warnings():
+            # inf - inf is the one invalid operation, and only where both ends can carry mass
+            warnings.simplefilter("ignore" if ends == "both" else "error")
+            measures = [extract_argmax_policy(family, n, phi), uniform_mixture(family, n)]
+            measures += [construct_pstar(family, mu, n) for mu in (lo, hi)]
+            for measure in measures:
+                mass = per_state_forward(family, n, measure)[mask]
+                positive = mass > 0.0
+                want = float(np.sum(mass[positive] * phi(window[positive])))
+                got = expectation_under_policy(family, n, phi, measure)
+                if math.isfinite(want):
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), measure
+                else:
+                    assert bits([got]) == bits([want]) or (math.isnan(got) and math.isnan(want)), measure
+                assert not math.isnan(got) or ends == "both", measure
 
 
 class TestEvalPhi:

@@ -129,7 +129,7 @@ def test_member_count_mismatch_raises_the_engine_message(families, entry, kind):
     assert issubclass(PolicyIncomplete, ValueError)  # callers catching numpy's ValueError still catch it
     with pytest.raises(PolicyIncomplete, match=f"^{re.escape(message)}$"):
         ENTRY_POINTS[entry](families["three_atom"], TWO_MEMBER_MEASURES[kind], 3)
-    # the engine's forward pass says the same for the same input
+    # the engine's exact evaluation says the same for the same input
     with pytest.raises(PolicyIncomplete, match=f"^{re.escape(message)}$"):
         expectation_under_policy(families["three_atom"], 3, lambda x: x, TWO_MEMBER_MEASURES[kind])
 

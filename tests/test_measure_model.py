@@ -2,7 +2,7 @@
 
 A sum rule reads the lattice value ``k*origin + coord*step`` of the running
 sum, the value ``SumSupport.values(k)`` holds, in every evaluator: exact
-forward propagation, path enumeration and Monte Carlo.  On a step-0.1
+exact evaluation, path enumeration and Monte Carlo.  On a step-0.1
 lattice that value differs in its last bits from a float sum of the
 realized atoms, so a threshold rule exposes any evaluator that sums the
 atoms itself.

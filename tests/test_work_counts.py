@@ -6,8 +6,8 @@ per (path, step).  The limit search hands phi at most one block of grid
 points at a time: every grid point of an opaque callable, and for each
 shipped catalog shape, a tree, only the one block that its enclosure
 leaves.  The backward driver runs once for the run plan, whose
-one sweep stacks every payoff the checks read, and once per argmax policy
-that prop2 extracts.
+one sweep stacks every payoff the checks read, once per argmax policy
+that prop2 extracts, and once weighted by P* for ``pstar`` and ``mc``.
 """
 
 import contextlib
@@ -48,7 +48,7 @@ def test_verify_all_sweeps_backward_once_per_plan_and_policy(path, tmp_path, mon
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs.get("measure"))
         return sweep(*args, **kwargs)
 
     sweep = engine._sweep
@@ -56,7 +56,9 @@ def test_verify_all_sweeps_backward_once_per_plan_and_policy(path, tmp_path, mon
     config = parse_config(path.read_bytes())
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(config, tmp_path) == 0
-    assert len(calls) == 1 + len(cli._enum_ns(config))
+    # max sweeps: the plan's and one per argmax policy; weighted sweeps: P*'s one, for pstar and mc
+    assert calls.count(None) == 1 + len(cli._enum_ns(config))
+    assert len(calls) - calls.count(None) == 1
 
 
 def limit_searches(families):
