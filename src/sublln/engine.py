@@ -131,7 +131,9 @@ grouping moves a root by no more than that share of its payoff's oscillation
   :class:`SupportOverflow` is raised for the same inputs as by a
   single-horizon, single-payoff pass; its message names the smallest horizon
   past the cap.  Coordinate sums are held in 64-bit integers, so a horizon n
-  with ``n * max(|k_min|, |k_max|) >= 2**63`` is refused the same way.
+  with ``n * max(|k_min|, |k_max|) >= 2**63`` is refused the same way, and
+  so is one whose lattice sums at the ends of its window leave the float
+  range.
 
 :func:`value_table` and :func:`extract_argmax_policy` are this sweep with one
 row on :class:`SumSupport`, the reduced lattice plus every step's reachable
@@ -142,18 +144,24 @@ i at step k standing for the coordinate ``k * k_min + i * gcd``.
 
 Fixed measures
 --------------
-:func:`expectations_under_policy` evaluates a policy (admitted as
+:func:`payoff_expectations` with a ``measure`` evaluates that law, admitted
+and grouped into rows as without one: a policy (taken as
 ``PathMeasure.from_policy``) and a measure whose rule reads nothing or the
-running sum by one weighted sweep over all its horizons.  Every evaluator,
+running sum by one weighted sweep over all its ``(horizon, phi)`` rows, on
+the reachable masks of every step.  :func:`expectations_under_policy` is its
+one-payoff case.  Every evaluator,
 here and in :mod:`sublln.measures`, admits its inputs once with ``_horizons``
 (``_admit`` for one n) and reads a rule or policy through ``_rule_weights``: a
 sum rule reads the lattice sum ``k*origin + coord*step`` (coord the integer
 coordinate sum of the atoms), a history rule the realized atoms as floats.
 A rule that reads the realized history has no sum-state weights to tabulate:
-it is evaluated on the tree of each horizon, walked by ``_walk_histories`` as
-``measures.conditional_means`` walks it, whose leaves are added into the
-window in the order of a depth-first walk and summed against phi by
-``pairwise_total``.
+it is evaluated on the tree of each horizon, walked once by
+``_walk_histories`` as ``measures.conditional_means`` walks it.  The leaves
+are added into the window in the order of a depth-first walk, and that mass
+serves every payoff: ``_terminal`` writes phi at the horizon's reachable
+sums, each sum adds its mass times phi, except that a sum of mass 0 adds
+exactly 0 where phi is not finite (so an infinite phi where the rule never
+goes gives no NaN), and ``pairwise_total`` adds the reachable entries.
 """
 
 from __future__ import annotations
@@ -314,8 +322,9 @@ def _grid(family: AmbiguityFamily) -> _Grid:
 
 
 def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
-    """Raise SupportOverflow when n steps exceed the cap in unreduced dense states, or when their
-    coordinate sums would leave the 64-bit integers that hold them."""
+    """Raise SupportOverflow when n steps exceed the cap in unreduced dense states, when their
+    coordinate sums would leave the 64-bit integers that hold them, or when their lattice sums
+    would leave the float range (the window's ends, by ``_lattice_sums``' arithmetic)."""
     total = (n + 1) + (grid.k_max - grid.k_min) * n * (n + 1) // 2
     if total > state_cap:
         raise SupportOverflow(
@@ -324,6 +333,8 @@ def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
         )
     if (reach := n * max(abs(grid.k_min), abs(grid.k_max))) >= 2**63:
         raise SupportOverflow(f"sums for n={n} reach lattice coordinate {reach}, past the 64-bit integers that hold it")
+    if not all(math.isfinite(c * grid.step + n * grid.origin) for c in (n * grid.k_min, n * grid.k_max)):
+        raise SupportOverflow(f"lattice sums for n={n} leave the float range")
 
 
 def _reachable_masks(grid: _Grid, n: int, keep: Iterable[int]) -> dict[int, np.ndarray]:
@@ -625,19 +636,46 @@ def payoff_expectations(
     payoffs: Sequence[Callable],
     ns: Iterable[int],
     state_cap: int = DEFAULT_STATE_CAP,
+    measure: "PathMeasure | SelectionPolicy | None" = None,
 ) -> tuple[tuple[float, ...], ...]:
-    """Worst-case expectations of ``phi(S_n / n)`` for every n in ``ns``, one tuple per phi in ``payoffs``.
+    """Expectations of ``phi(S_n / n)`` for every n in ``ns``, one tuple per phi in ``payoffs``: the one evaluator.
 
+    Without a ``measure`` they are worst-case expectations; with one, expectations under it (a
+    :class:`SelectionPolicy` taken as ``PathMeasure.from_policy``; anything else raises ``TypeError``).
     One backward sweep from the largest horizon serves them all, a ``(horizon, phi)`` row each (see
-    the module docstring); ``ns`` may be unsorted and repeat horizons.
+    the module docstring), weighted when the measure's rule reads nothing or the running sum; a history
+    rule's leaf mass, from one walk per horizon, serves every payoff.  ``ns`` may be unsorted and repeat
+    horizons.
     """
-    horizons, distinct, grid = _horizons(family, ns, _check_state_cap(state_cap))
+    if isinstance(measure, SelectionPolicy):
+        measure = PathMeasure.from_policy(measure, len(family.members))
+    if measure is not None and not isinstance(measure, PathMeasure):
+        raise TypeError(f"unsupported policy object: {measure!r}")
+    state_cap = _check_state_cap(state_cap)
+    horizons, distinct, grid = _horizons(family, ns, state_cap, measure)
     if not horizons:
         return tuple(() for _ in payoffs)
-    masks = _reachable_masks(grid, distinct[-1], distinct)
     keys = [(n, i) for n in reversed(distinct) for i in range(len(payoffs))]
-    groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span, _products(grid)[0].size)
-    roots = dict(zip(keys, (r for group in groups for r in _sweep(grid, group, masks).tolist())))
+    if measure is not None and measure.depends_on == "history":
+        masks = _reachable_masks(grid, distinct[-1], distinct)
+        mass = {n: np.zeros(grid.size(n)) for n in distinct}
+        for n in distinct:
+            _, coord_sums, probs, _ = _walk_histories(family, measure, n, state_cap)
+            # reversed rows add the paths in the order of a depth-first walk
+            np.add.at(mass[n], ((coord_sums - n * grid.k_min) // grid.gcd)[::-1], probs[::-1])
+        roots = {}
+        for n, i in keys:
+            terms = np.empty(grid.size(n))
+            _terminal(grid, n, masks[n], payoffs[i], terms)
+            # a sum of mass 0 adds 0 * phi where phi is finite, so a zero total keeps its sign, and exactly 0 elsewhere
+            live = (mass[n] > 0.0) | np.isfinite(terms)
+            weighted = np.multiply(mass[n], terms, out=np.zeros(grid.size(n)), where=live)
+            roots[n, i] = pairwise_total(weighted[masks[n]])
+    else:
+        masks = _reachable_masks(grid, distinct[-1], distinct if measure is None else range(distinct[-1] + 1))
+        budget = _products(grid)[0].size + (0 if measure is None else len(grid.terms))
+        groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span, budget)
+        roots = dict(zip(keys, (r for group in groups for r in _sweep(grid, group, masks, measure=measure).tolist())))
     return tuple(tuple(roots[n, i] for n in horizons) for i in range(len(payoffs)))
 
 
@@ -682,10 +720,6 @@ class SumSupport(_Grid):
 def build_support(family: AmbiguityFamily, n: int, state_cap: int = DEFAULT_STATE_CAP) -> SumSupport:
     """Reachable sums for n draws; raises SupportOverflow past the state cap."""
     (n,), _, grid = _horizons(family, [n], _check_state_cap(state_cap))
-    return _support(grid, n)
-
-
-def _support(grid: _Grid, n: int) -> SumSupport:
     masks = _reachable_masks(grid, n, range(n + 1))
     return SumSupport(**vars(grid), n=n, masks=tuple(masks[k] for k in range(n + 1)))
 
@@ -946,33 +980,8 @@ def expectations_under_policy(
     policy: SelectionPolicy | PathMeasure,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[float, ...]:
-    """:func:`expectation_under_policy` for each n in ``ns``; an overflow names the smallest n.
-
-    A measure whose rule reads nothing or the running sum (a policy among them) is evaluated by one
-    weighted backward sweep over its horizons, a history rule by walking each horizon's tree.
-    """
-    if isinstance(policy, SelectionPolicy):
-        policy = PathMeasure.from_policy(policy, len(family.members))
-    if not isinstance(policy, PathMeasure):
-        raise TypeError(f"unsupported policy object: {policy!r}")
-    state_cap = _check_state_cap(state_cap)
-    horizons, distinct, grid = _horizons(family, ns, state_cap, policy)
-    if not horizons:
-        return ()
-    support = _support(grid, distinct[-1])
-    if policy.depends_on == "history":
-        mass = {n: np.zeros(support.size(n)) for n in distinct}
-        for n in distinct:
-            _, coord_sums, probs, _ = _walk_histories(family, policy, n, state_cap)
-            # reversed rows add the paths in the order of a depth-first walk
-            np.add.at(mass[n], ((coord_sums - n * support.k_min) // support.gcd)[::-1], probs[::-1])
-        xs = {n: support.reachable_values(n) / n for n in mass}
-        values = {n: pairwise_total(mass[n][support.masks[n]] * _eval_phi(phi, xs[n])) for n in mass}
-    else:
-        groups = _row_groups([(n, phi) for n in distinct[::-1]], grid.span, _products(grid)[0].size + len(grid.terms))
-        roots = [r for group in groups for r in _sweep(support, group, support.masks, measure=policy).tolist()]
-        values = dict(zip(distinct[::-1], roots))
-    return tuple(values[n] for n in horizons)
+    """:func:`expectation_under_policy` for each n in ``ns``: :func:`payoff_expectations` of one payoff under the policy."""
+    return payoff_expectations(family, [phi], ns, state_cap, policy)[0]
 
 
 def expectation_under_policy(

@@ -70,6 +70,12 @@ class TestValidation:
         fam = AmbiguityFamily.build(0, 0.0, [[(0, 1.0)]])
         assert validate_family(fam).code == "NonPositiveStep"
 
+    @pytest.mark.parametrize("origin", [math.inf, -math.inf, math.nan])
+    def test_non_finite_origin(self, origin):
+        result = validate_family(AmbiguityFamily(LatticeSpec(origin, 1.0), (DiscreteDistribution(((0.0, 1.0),)),)))
+        assert (result.ok, result.code) == (False, "OffLattice")
+        assert result.message == f"lattice origin must be finite, got {origin}"
+
     def test_duplicate_atom(self):
         fam = AmbiguityFamily(
             LatticeSpec(0.0, 1.0),

@@ -257,9 +257,9 @@ class TestExitCodes:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("check", ["variance", "chatterji"])
+    @pytest.mark.parametrize("check", ["eval", "sweep", "variance", "chatterji", "prop2", "pstar", "mc"])
     def test_arithmetic_overflow_in_a_check_exits_1(self, tmp_path, capsys, check):
-        # atoms at -1e308 and 1e308: the moments overflow the float range in Python's float powers
+        # atoms at -1e308 and 1e308: the moments overflow the float range, and so do the lattice sums from n = 2
         cfg = json.loads((CONFIGS / "fair_coin.json").read_text())
         cfg["family"]["lattice"]["step"] = 1e307
         cfg["family"]["members"] = [[[-1e308, 0.5], [1e308, 0.5]], [[0, 1]]]
@@ -267,7 +267,7 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "r"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings, printed by a console run
+            warnings.simplefilter("error")  # a warning would reach a console run's stderr before the error line
             assert main([check, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: check '{check}': ") and err.count("\n") == 1, err
@@ -322,15 +322,24 @@ class TestRunPlan:
         sweeps = count_calls(monkeypatch, payoff_expectations)
         enumerations = count_calls(monkeypatch, conditional_means)
         assert cli.run(config, tmp_path / "r") == 0
-        # one limit search; one backward sweep stacks phi, -phi (eval) and the distance moment (variance)
+        # one limit search; one backward sweep stacks phi, -phi (eval) and the distance moment (variance),
+        # and one weighted sweep evaluates P* (pstar and mc)
         assert len(maxima) == 1
-        assert len(sweeps) == 1
+        assert len(sweeps) == 2
         # P*, parity and uniform once per enumerated n for chatterji and prop2, plus prop2's argmax
         assert cli._enum_ns(config) == [1, 2, 4]
         assert len(enumerations) == 3 * 3 + 3
         assert cli.run(config, tmp_path / "r2") == 0
         # nothing carries over to the next run
-        assert (len(maxima), len(sweeps), len(enumerations)) == (2, 2, 24)
+        assert (len(maxima), len(sweeps), len(enumerations)) == (2, 4, 24)
+
+    def test_unknown_check_name_exits_1(self, tmp_path, capsys):
+        # the subcommands name known checks only; a caller of run() may name any
+        config = parse_config((CONFIGS / "fair_coin.json").read_bytes())
+        out = tmp_path / "r"
+        assert cli.run(config, out, ["eval", "bogus"]) == 1
+        assert capsys.readouterr().err == "error: unknown check name 'bogus'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("check", ["eval", "variance"])
     def test_single_check_reads_the_same_plan(self, tmp_path, check):

@@ -624,6 +624,25 @@ class TestSumSupport:
         with pytest.raises(KeyError):
             support.dense_index(2, 1.0)  # odd sums unreachable for +-1 atoms
 
+    @pytest.mark.parametrize(
+        "lookup, k, total, error, message",
+        [
+            ("dense_index", 3, 0.0, KeyError, "step 3 outside 0..2"),
+            ("dense_index", -1, 0.0, KeyError, "step -1 outside 0..2"),
+            ("dense_index", 1, 0.5, KeyError, "0.5 is not a lattice sum at step 1"),
+            ("member_at", 2, 0.0, PolicyIncomplete, "policy has no step 2"),
+            ("member_at", 1, 0.0, PolicyIncomplete, "0.0 is not reachable at step 1"),
+            ("member_at", 0, 0.0, PolicyIncomplete, "no selection at step 0, sum 0.0"),
+        ],
+    )
+    def test_lookups_off_the_support(self, lookup, k, total, error, message):
+        # a policy of horizon 2 that selects nothing at the root and member 1 at step 1
+        support = build_support(TWO_POINT, 2)
+        root, step_1 = np.full(1, -1, dtype=np.int32), np.where(support.masks[1], 1, -1).astype(np.int32)
+        holed = SelectionPolicy(support, (root, step_1))
+        with pytest.raises(error, match=re.escape(message)):
+            getattr(support if lookup == "dense_index" else holed, lookup)(k, total)
+
 
 class TestValueTable:
     def test_terminal_and_recursion(self):
@@ -784,6 +803,12 @@ class TestExpectationUnderPolicy:
         with pytest.raises(PolicyIncomplete, match=f"^{re.escape(message)}$"):
             engine._check_weights(weights, 3)
 
+    def test_weight_check_shape(self):
+        # a rule that answers with fewer weights than the members it declares
+        measure = PathMeasure.from_sum_rule(lambda step, total: [1.0], 3, 2)
+        with pytest.raises(PolicyIncomplete, match=r"^mixture weights have shape \(1,\), expected \(2,\)$"):
+            expectation_under_policy(DELTA_PAIR, 3, lambda x: x, measure)
+
     def test_weight_check_tolerances(self):
         # -1e-12 and a sum 1e-12 away from one are accepted; negatives, -0.0 too, clamp to +0.0
         assert engine._check_weights([-1e-12, 0.5, 0.5], 3).tolist() == [0.0, 0.5, 0.5]
@@ -940,6 +965,29 @@ class TestForwardKernel:
                 single = {n: expectation_under_policy(family, n, phi, measure) for n in set(ns)}
                 assert bits(expectations_under_policy(family, phi, ns, measure)) == bits([single[n] for n in ns])
 
+    def test_stacked_payoffs_match_single_evaluations(self, families, name):
+        # every payoff is a row of one weighted sweep, or reads one history walk per horizon; every window
+        # is full below step 162, so a row's root does not depend on the rows beside it
+        family = families[name]
+        lo, hi = mean_bounds(family)
+        payoffs = catalog_for(family)
+        ns = [128, 3, 40, 128, 1]
+        point_masses = all(len(m.normalized_weights) == 1 for m in family.members)
+        history_ns = ns if point_masses else [6, 3, 1]  # the parity rule's walk keeps one path per step on point masses
+        cases = [
+            (construct_pstar(family, 0.5 * (lo + hi), 128), ns),
+            (uniform_mixture(family, 128), ns),
+            (cosine_sum_rule(family, 40), [40, 3, 1]),  # a sum rule is called at every state: 128 steps cost seconds
+            (extract_argmax_policy(family, 128, payoffs[1]), ns),
+            (history_parity_measure(family, max(history_ns)), history_ns),
+        ]
+        for measure, hs in cases:
+            singles = [bits(expectations_under_policy(family, phi, hs, measure)) for phi in payoffs]
+            assert [bits(row) for row in payoff_expectations(family, payoffs, hs, measure=measure)] == singles, measure
+            assert payoff_expectations(family, payoffs, [], measure=measure) == ((),) * len(payoffs)
+        with pytest.raises(TypeError, match="unsupported policy object"):
+            payoff_expectations(family, payoffs, ns, measure=lambda step: None)
+
     def test_bits_do_not_depend_on_the_callers_buffer_size(self, families, name):
         # a weighted sweep's bits do not depend on the caller's buffer size, which it leaves as it found it
         family = families[name]
@@ -988,6 +1036,18 @@ class TestInfinitePayoffs:
             assert expectation_under_policy(DELTA_PAIR, 3, phi, SelectionPolicy.constant(DELTA_PAIR, 3, 1)) == 1.0
             assert expectation_under_policy(DELTA_PAIR, 3, phi, PathMeasure.constant([0.0, 1.0], 3)) == 1.0
             assert expectation_under_policy(DELTA_PAIR, 3, phi, PathMeasure.constant([0.5, 0.5], 3)) == np.inf
+
+    def test_infinity_off_the_paths_of_a_history_rule(self):
+        # the parity rule draws member 0 at every step of the delta pair, so it reaches only S_3 = 0, where
+        # phi is 0: the sums of mass 0, where phi is infinite, add exactly 0
+        phi = lambda x: np.where(x > 0.5, np.inf, x)
+        parity = history_parity_measure(DELTA_PAIR, 3)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert expectation_under_policy(DELTA_PAIR, 3, phi, parity) == 0.0
+            assert expectation_under_policy(DELTA_PAIR, 3, lambda x: -phi(x), parity) == 0.0
+            # where phi is finite, a sum of mass 0 adds 0 * phi, so a total of -0.0 keeps its sign
+            assert bits([expectation_under_policy(DELTA_PAIR, 3, lambda x: -0.0 * x, parity)]) == bits([-0.0])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_member_of_weight_0_may_reach_both_infinities(self, n):

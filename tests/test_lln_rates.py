@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ class TestBoundFormulas:
         with pytest.raises(ValueError):
             corollary_bound(-1.0, 4)
 
+    @pytest.mark.parametrize(
+        "bound, args, message",
+        [
+            (theorem3_bound, (-1.0, 1.0, 1.0, 4), "L must be >= 0, got -1.0"),
+            (theorem3_bound, (math.nan, 1.0, 1.0, 4), "L must be >= 0, got nan"),
+            (theorem3_bound, (1.0, -0.5, 1.0, 4), "c_alpha must be >= 0, got -0.5"),
+            (fang_bound, (-1.0, 0.0, 4), "sigma_bar_sq must be >= 0, got -1.0"),
+            (fang_bound, (1.0, math.nan, 4), "mu_spread must be >= 0, got nan"),
+            (improved_distance_bound, (-0.25, 4), "sigma_bar_sq must be >= 0, got -0.25"),
+        ],
+        ids=["L", "L-nan", "c_alpha", "fang-sigma", "fang-spread", "improved-sigma"],
+    )
+    def test_argument_checks(self, bound, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bound(*args)
+
 
 class TestDistanceMoment:
     def test_classical_equality_case(self):
@@ -281,6 +298,20 @@ def test_improved_bound_never_exceeds_fang(families):
 def test_clip_requires_ordered_interval():
     with pytest.raises(InvalidInterval):
         clip_to(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: interval_dist_sq(0.5, 0.25, -1.0, 1.0), "target interval [0.5, 0.25] is empty"),
+        (lambda: interval_dist_sq(0.0, 0.5, 1.0, -1.0), "domain [1.0, -1.0] is empty"),
+        (lambda: spot_check_lipschitz(abs_dev(0.0), 2.0, 1.0), "[2.0, 1.0] is empty"),
+    ],
+    ids=["interval_dist_sq-target", "interval_dist_sq-domain", "spot_check_lipschitz"],
+)
+def test_empty_intervals_are_refused(build, message):
+    with pytest.raises(InvalidInterval, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("constant", [math.inf, -1.0, math.nan])
