@@ -76,6 +76,7 @@ from .measures import (
     prop2_check,
     sample_path_sums,
     sample_paths,
+    sample_sum_counts,
     uniform_mixture,
 )
 

@@ -176,8 +176,13 @@ class AmbiguityFamily:
 
         Atoms from different members that share a lattice coordinate are
         merged; the representative value is the first one encountered in
-        member order.
+        member order.  Built once per family instance, as read-only arrays.
         """
+        return self._union_atoms
+
+    @functools.cached_property
+    def _union_atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # frozen and built from tuples, so the pooled support is a pure function of the instance
         rep: dict[int, float] = {}
         for m in self.members:
             for v, _ in m.atoms:
@@ -189,6 +194,8 @@ class AmbiguityFamily:
         for j, m in enumerate(self.members):
             for (v, _), weight in zip(m.atoms, m.normalized_weights):
                 w[pos[self.lattice.coord(v)], j] += weight
+        for a in (coords, values, w):
+            a.flags.writeable = False
         return coords, values, w
 
     def support_bounds(self) -> tuple[float, float]:
@@ -315,7 +322,18 @@ def moment_c_alpha(family: AmbiguityFamily, alpha: float) -> float:
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange(f"alpha must be in (0, 1], got {alpha}")
     _require_valid(family)
-    return max(m.abs_moment(1.0 + alpha) for m in family.members)
+    return max(_abs_moments(family, 1.0 + alpha))
+
+
+def _abs_moments(family: AmbiguityFamily, power: float) -> list[float]:
+    """Each member's ``E_P[|x|^power]``; past the float range, an ``OverflowError`` naming the member and the order."""
+    moments = []
+    for i, member in enumerate(family.members):
+        try:
+            moments.append(member.abs_moment(power))
+        except OverflowError:
+            raise OverflowError(f"member {i}: the absolute moment of order {power:g} overflows the float range") from None
+    return moments
 
 
 def upper_variance(family: AmbiguityFamily) -> tuple[float, float]:
@@ -332,7 +350,7 @@ def upper_variance(family: AmbiguityFamily) -> tuple[float, float]:
     """
     _require_valid(family)
     m1 = np.array([m.mean for m in family.members])
-    m2 = np.array([m.abs_moment(2.0) for m in family.members])
+    m2 = np.array(_abs_moments(family, 2.0))
     i, j = np.nonzero(m1[:, None] > m1[None, :])
     kinks = (m2[i] - m2[j]) / (2.0 * (m1[i] - m1[j]))
     mus = np.sort(np.concatenate([m1, kinks[(m1.min() <= kinks) & (kinks <= m1.max())]]))

@@ -26,6 +26,7 @@ from .config import CHECKS, ConfigError, ExperimentConfig, parse_config
 from .engine import (
     PolicyIncomplete,
     SupportOverflow,
+    _lattice_sums,
     expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
     expectations_under_policy,
     extract_argmax_policy,
@@ -53,8 +54,8 @@ from .measures import (
     history_parity_measure,
     lower_bound_reports,
     prop2_check,
-    sample_path_sums,
     sample_paths,  # unused here; kept bound for perfbench's span tracer
+    sample_sum_counts,
     uniform_mixture,
 )
 
@@ -108,9 +109,9 @@ class _RunPlan:
     """Values the checks of one run share, each computed once, on first use.
 
     ``limit`` is the search for ``max phi``, whose maximizer pins ``pstar``, the run's one P* measure;
-    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and the squared distance to the mean interval
-    at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values of one weighted sweep (the
-    schedule for ``pstar``, ``mc_horizon`` for ``mc``); ``moments`` the moment summary,
+    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and, when ``variance`` is requested, the squared
+    distance to the mean interval at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values
+    of one weighted sweep (the schedule for ``pstar``, ``mc_horizon`` for ``mc``); ``moments`` the moment summary,
     and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and ``prop2`` both read.
     """
 
@@ -125,7 +126,9 @@ class _RunPlan:
     @functools.cached_property
     def expectations(self) -> tuple[tuple[float, ...], ...]:
         c = self._config
-        payoffs = (c.phi, lambda x: -c.phi(x), interval_distance_phi(c.family))
+        payoffs = [c.phi, lambda x: -c.phi(x)]
+        if "variance" in self._requested:  # only that check reads it, and building it can fail
+            payoffs.append(interval_distance_phi(c.family))
         return payoff_expectations(c.family, payoffs, c.n_schedule, c.state_cap)
 
     @functools.cached_property
@@ -153,7 +156,7 @@ class _RunPlan:
 
 
 def _check_eval(config: ExperimentConfig, plan: _RunPlan):
-    uppers, negated, _ = plan.expectations
+    uppers, negated = plan.expectations[:2]
     rows = []
     for n, upper, lower in zip(config.n_schedule, uppers, (-v for v in negated)):
         rows.append(
@@ -281,13 +284,22 @@ def _check_pstar(config: ExperimentConfig, plan: _RunPlan):
 
 
 def _check_mc(config: ExperimentConfig, plan: _RunPlan):
+    """Sample mean and std of phi(S_n/n) under P*, from the counts of each path sum.
+
+    phi is evaluated once per sum that a path reaches, at the points of the
+    exact value.  Each count is divided by the sample size first, so a
+    sample of one value has that value as its mean, exactly.
+    """
     n = config.mc_horizon
     count = config.mc_samples
     exact = plan.e_pstars[n]  # first: a horizon past the state cap fails before any draw
-    sums = sample_path_sums(config.family, plan.pstar, n, count, config.seed)
-    values = np.asarray(config.phi(sums / n), dtype=float)
-    sample_mean = float(values.mean())
-    sample_std = float(values.std(ddof=1))
+    counts = sample_sum_counts(config.family, plan.pstar, n, count, config.seed)
+    (reached,) = np.nonzero(counts)
+    k_min = int(config.family.union_atoms()[0][0])
+    values = np.asarray(config.phi(_lattice_sums(config.family.lattice, n, n * k_min + reached) / n), dtype=float)
+    counts = counts[reached]
+    sample_mean = math.fsum((counts / count * values).tolist())
+    sample_std = math.sqrt(math.fsum((counts * (values - sample_mean) ** 2).tolist()) / (count - 1))
     tolerance = 4.0 * sample_std / math.sqrt(count)
     abs_error = abs(sample_mean - exact)
     row = {

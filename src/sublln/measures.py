@@ -64,6 +64,7 @@ __all__ = [
     "chatterji_check",
     "sample_paths",
     "sample_path_sums",
+    "sample_sum_counts",
     "lower_bound_check",
     "lower_bound_checks",
     "lower_bound_reports",
@@ -302,15 +303,19 @@ def _exact_lattice_sums(family: AmbiguityFamily, n: int) -> bool:
 def _stepwise_blocks(
     family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int, coord_sums: bool = False
 ):
-    """Yield ``(first_path, block)`` for consecutive blocks of whole paths.
+    """Yield ``(first_path, block)`` for consecutive blocks of whole paths, step-major.
 
-    ``block`` holds the atom values ``(rows, n)``, or with ``coord_sums``
-    each path's integer coordinate sum ``(rows,)`` as int64.  The
-    inverse-CDF kernel of every measure.  Each block of about
-    ``_BLOCK_UNIFORMS`` uniforms draws its slice
-    ``[first_path*n, (first_path+rows)*n)`` of the stream, as 53-bit
-    mantissas m (``u = m * 2^-53``), through counter offsets built once per
-    call (see :mod:`sublln.rng`).  The atom index at step k is the count
+    ``block`` holds the atom values ``(n, rows)``, entry (k, p) the atom of
+    path ``first_path + p`` at step k, or with ``coord_sums`` each path's
+    integer coordinate sum ``(rows,)`` as int64.  The inverse-CDF kernel of
+    every measure.  Each block of about ``_BLOCK_UNIFORMS`` uniforms draws
+    its slice ``[first_path*n, (first_path+rows)*n)`` of the stream as
+    53-bit mantissas m (``u = m * 2^-53``), laid out step-major: the counter
+    offsets, built once per call (see :mod:`sublln.rng`), are permuted so
+    that entry (k, p) is stream index ``(first_path + p)*n + k``.  So a
+    threshold comparison is one contiguous pass over the block, a path's
+    count or coordinate sum is a vectorized sum over axis 0, and a rule
+    reads row k.  The atom index at step k is the count
     ``sum_{j<last} (m >= ceil(cum_k[j] * 2^53))``: scaling by 2^53 is exact,
     so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
     ``min(searchsorted(cum_k, u, side="right"), last)`` as every CDF
@@ -319,23 +324,24 @@ def _stepwise_blocks(
     A ``depends_on == "none"`` measure's thresholds are built once per call,
     atom-major, and each boundary j adds its increment wherever
     ``m >= t_j``: 1 for an atom index, which is then gathered, or the
-    coordinate gap ``coords[j+1] - coords[j]`` for a coordinate sum.  Since
-    ``0 <= m < 2^53``, a boundary whose threshold is ``2^53`` or above at
-    every step never fires and is dropped, and one whose threshold is 0 at
-    every step always fires and is folded into a base count that every
-    count starts from.  Boundaries with equal thresholds at every step
-    (adjacent, as every CDF is nondecreasing) are merged into one with the
-    summed increment.  When no boundary is left (P* on a single member),
-    every count is the base: all paths come as one read-only zero-stride
-    block, and nothing is drawn or looped over.  When every step's
-    remaining thresholds are equal (every :meth:`PathMeasure.constant`, so
-    P* and the uniform mixture), each is compared as a Python-int scalar;
-    otherwise each comparison broadcasts one contiguous row over the block.
-    Counts are kept in the smallest unsigned dtype that holds the total of
-    all increments (a unit increment is the bool mask viewed as uint8); a
-    coordinate sum sums each row in the smallest unsigned dtype that holds
-    n times that total, widened to int64 and offset by ``n * coords[0]``.
-    A rule or policy is read once per (path, step) through ``_rule_weights``.
+    coordinate gap ``coords[j+1] - coords[j]`` for a coordinate sum, whose
+    mask is summed over the steps first.  Since ``0 <= m < 2^53``, a
+    boundary whose threshold is ``2^53`` or above at every step never fires
+    and is dropped, and one whose threshold is 0 at every step always fires
+    and is folded into a base count that every count starts from.
+    Boundaries with equal thresholds at every step (adjacent, as every CDF
+    is nondecreasing) are merged into one with the summed increment.  When
+    no boundary is left (P* on a single member), every count is the base:
+    all paths come as one read-only zero-stride block, and nothing is drawn
+    or looped over.  When every step's remaining thresholds are equal
+    (every :meth:`PathMeasure.constant`, so P* and the uniform mixture),
+    each is compared as a Python-int scalar; otherwise each comparison
+    broadcasts one column of per-step thresholds over the block.  Counts
+    are kept in the smallest unsigned dtype that holds the total of all
+    increments, and coordinate sums in the smallest that holds n times it,
+    widened to int64 and offset by ``n * coords[0]``.  A rule or policy is
+    read once per (path, step) through ``_rule_weights``.  Memory is one
+    block and its mask, whatever ``count`` is.
     """
     coords, atoms, w_matrix = family.union_atoms()
     last = len(atoms) - 1
@@ -343,8 +349,8 @@ def _stepwise_blocks(
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
         table = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
         table_increments = np.diff(coords).tolist() if coord_sums else [1] * last
-        count_dtype = np.min_scalar_type(sum(table_increments))
-        sum_dtype = np.min_scalar_type(n * sum(table_increments))
+        steps_per_entry = n if coord_sums else 1  # an entry of a coordinate sum adds up the n steps of its path
+        acc_dtype = np.min_scalar_type(steps_per_entry * sum(table_increments))
         base, kept, increments = 0, [], []
         for row, inc in zip(table, table_increments):
             if row.min() >= 2**53:
@@ -360,28 +366,33 @@ def _stepwise_blocks(
             if coord_sums:
                 yield 0, np.broadcast_to(np.int64(n * (base + int(coords[0]))), (count,))
             else:
-                yield 0, np.broadcast_to(atoms[base], (count, n))
+                yield 0, np.broadcast_to(atoms[base], (n, count))
             return
-        thresholds = np.array(kept, dtype=np.int64)
+        thresholds = np.array(kept, dtype=np.int64)[:, :, None]  # one column of per-step thresholds each
         if (thresholds == thresholds[:, :1]).all():
-            thresholds = thresholds[:, 0].tolist()
+            thresholds = thresholds[:, 0, 0].tolist()
     rows = max(1, _BLOCK_UNIFORMS // n)
-    offsets = counter_offsets(rows * n)
+    step_offsets = counter_offsets(n)  # k * GAMMA
+    path_offsets = counter_offsets(rows) * np.uint64(n)  # p * n * GAMMA
+    offsets = np.add.outer(step_offsets, path_offsets).ravel()
     buffer = np.empty(rows * n, dtype=np.uint64)
+    mask = np.empty(rows * n, dtype=bool)
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
-        m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(r, n)
+        if r < rows:
+            offsets = np.add.outer(step_offsets, path_offsets[:r]).ravel()
+        m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(n, r)
         if measure.depends_on == "none":
-            acc = np.full((r, n), base, dtype=count_dtype)
-            mask = np.empty((r, n), dtype=bool)
+            hit = mask[: r * n].reshape(n, r)
+            acc = np.full(r if coord_sums else (n, r), steps_per_entry * base, dtype=acc_dtype)
             for t, inc in zip(thresholds, increments):
-                np.greater_equal(m, t, out=mask)
-                if inc == 1:
-                    acc += mask.view(np.uint8)
-                else:
-                    acc += mask.view(np.uint8) * count_dtype.type(inc)
+                np.greater_equal(m, t, out=hit)
+                hits = hit.view(np.uint8)
+                if coord_sums:
+                    hits = hits.sum(axis=0, dtype=acc_dtype)
+                acc += hits if inc == 1 else hits * acc_dtype.type(inc)
             if coord_sums:
-                yield p0, acc.sum(axis=1, dtype=sum_dtype).astype(np.int64) + n * int(coords[0])
+                yield p0, acc.astype(np.int64) + n * int(coords[0])
             else:
                 yield p0, atoms.take(acc.astype(np.intp))
         else:
@@ -390,21 +401,22 @@ def _stepwise_blocks(
 
 
 def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Atom values and integer coordinate sums of one block under a rule or a policy, via ``_rule_weights``.
+    """Step-major atom values and integer coordinate sums of one block under a rule or a policy, via ``_rule_weights``.
 
-    A history rule reads each row's history tuple, which grows by one atom per step.
+    Step k reads row k of the mantissas.  A history rule reads each path's
+    history tuple, which grows by one atom per step.
     """
     paths = np.empty(m.shape)
-    coord_sums = np.zeros(len(m), dtype=np.int64)
-    histories = [()] * len(m) if measure.depends_on == "history" else None
-    for k in range(m.shape[1]):
+    coord_sums = np.zeros(m.shape[1], dtype=np.int64)
+    histories = [()] * m.shape[1] if measure.depends_on == "history" else None
+    for k, row in enumerate(m):
         weights = _rule_weights(measure, lattice, k, coord_sums, histories)
         cum = np.cumsum([w_matrix @ w for w in weights], axis=1)[:, :-1]
-        idx = np.sum(m[:, k, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
+        idx = np.sum(row[:, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
         coord_sums += coords.take(idx)
-        paths[:, k] = atoms.take(idx)
+        paths[k] = atoms.take(idx)
         if histories is not None:
-            histories = [h + (a,) for h, a in zip(histories, paths[:, k].tolist())]
+            histories = [h + (a,) for h, a in zip(histories, paths[k].tolist())]
     return paths, coord_sums
 
 
@@ -427,7 +439,7 @@ def sample_paths(
     n, count, seed = _check_sampling(family, measure, n, count, seed)
     out = np.empty((count, n))
     for p0, block in _stepwise_blocks(family, measure, n, count, seed):
-        out[p0 : p0 + len(block)] = block
+        out[p0 : p0 + block.shape[1]] = block.T
     return out
 
 
@@ -444,9 +456,9 @@ def sample_path_sums(
     (every shipped config and corpus family), each path's sum is
     ``_lattice_sums(lattice, n, C)`` of its integer coordinate sum C and
     no atom is gathered.  Otherwise (a step such as 0.1) each block is
-    gathered and summed row by row as it is drawn (numpy's row reduction
-    depends only on the row).  Either way memory is one block plus the
-    ``count`` sums.
+    gathered, copied path-major and summed row by row as it is drawn
+    (numpy's reduction of a contiguous row depends only on the row).
+    Either way memory is one block plus the ``count`` sums.
     """
     n, count, seed = _check_sampling(family, measure, n, count, seed)
     exact = _exact_lattice_sums(family, n)
@@ -455,8 +467,37 @@ def sample_path_sums(
         if exact:
             _lattice_sums(family.lattice, n, block, out=out[p0 : p0 + len(block)])
         else:
-            out[p0 : p0 + len(block)] = block.sum(axis=1)
+            out[p0 : p0 + block.shape[1]] = np.ascontiguousarray(block.T).sum(axis=1)
     return out
+
+
+def sample_sum_counts(
+    family: AmbiguityFamily,
+    measure: PathMeasure,
+    n: int,
+    count: int,
+    seed: int,
+) -> np.ndarray:
+    """How many of the ``count`` paths of :func:`sample_paths` reach each coordinate sum.
+
+    Entry i counts the paths whose atoms' lattice coordinates add up to
+    ``n * k_min + i``, with ``k_min`` the smallest coordinate among the
+    family's atoms, so the path sum is ``_lattice_sums(lattice, n, n * k_min + i)``
+    and there are ``n * span + 1`` entries, ``span`` the coordinate range of
+    the atoms: ``np.bincount`` of the integer sums behind
+    :func:`sample_path_sums`, accumulated block by block.  Memory is one
+    block plus the counters, whatever ``count`` is.
+    """
+    n, count, seed = _check_sampling(family, measure, n, count, seed)
+    coords = family.union_atoms()[0]
+    offset = n * int(coords[0])
+    counts = np.zeros(n * int(coords[-1] - coords[0]) + 1, dtype=np.int64)
+    for _, sums in _stepwise_blocks(family, measure, n, count, seed, coord_sums=True):
+        if sums.strides == (0,):  # no boundary left: one sum for every path, and nothing drawn
+            np.add.at(counts, sums[:1] - offset, len(sums))
+        else:
+            np.add.at(counts, sums - offset, 1)
+    return counts
 
 
 @dataclass(frozen=True)

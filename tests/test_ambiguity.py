@@ -288,3 +288,20 @@ def test_union_atoms_normalizes_drifting_weights():
     for column in w.T:
         assert abs(math.fsum(column) - 1.0) <= math.ulp(1.0)
     assert w[:, 0].tolist() == list(fam.members[0].normalized_weights)
+
+
+def test_union_atoms_built_once_and_read_only():
+    fam = AmbiguityFamily.build(0, 0.5, [[(0.5, 1.0)], [(0.5, 0.25), (1.0, 0.75)]])
+    first = fam.union_atoms()
+    assert all(a is b for a, b in zip(first, fam.union_atoms()))
+    for array in first:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_moment_overflow_names_the_member_and_the_order():
+    fam = AmbiguityFamily.build(0, 1e307, [[(0.0, 1.0)], [(-1e308, 0.5), (1e308, 0.5)]])
+    with pytest.raises(OverflowError, match=r"^member 1: the absolute moment of order 1.5 overflows the float range$"):
+        moment_c_alpha(fam, 0.5)
+    with pytest.raises(OverflowError, match=r"^member 1: the absolute moment of order 2 overflows the float range$"):
+        upper_variance(fam)

@@ -233,7 +233,7 @@ class TestExitCodes:
         def no_draws(*args):
             raise AssertionError("mc sampled before its horizon was admitted")
 
-        monkeypatch.setattr(cli, "sample_path_sums", no_draws)
+        monkeypatch.setattr(cli, "sample_sum_counts", no_draws)
         n = 10**400
         cfg = json.loads((CONFIGS / "fair_coin.json").read_text())
         cfg["mc_horizon"] = n
@@ -273,6 +273,24 @@ class TestExitCodes:
         assert err.startswith(f"error: check '{check}': ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            # eval and sweep do not build the variance check's payoff, so they meet their own refusal
+            ("eval", "lattice sums for n=2 leave the float range"),
+            ("sweep", "lattice sums for n=2 leave the float range"),
+            ("variance", "member 0: the absolute moment of order 1.25 overflows the float range"),
+        ],
+    )
+    def test_huge_atoms_error_names_the_refusal(self, tmp_path, capsys, check, message):
+        cfg = json.loads((CONFIGS / "fair_coin.json").read_text())
+        cfg["family"]["lattice"]["step"] = 1e307
+        cfg["family"]["members"] = [[[-1e308, 0.5], [1e308, 0.5]], [[0, 1]]]
+        path = tmp_path / "huge_atoms.json"
+        path.write_text(json.dumps(cfg))
+        assert main([check, "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: check '{check}': {message}\n"
+
 
 class TestVerifyAll:
     def test_shipped_corpus_config(self, tmp_path):
@@ -292,6 +310,13 @@ class TestVerifyAll:
         assert (out / "report_eval.csv").exists()
         assert (out / "report_variance.csv").exists()
         assert not (out / "report_sweep.csv").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_eval_alone_writes_the_verify_all_report(self, tmp_path, path):
+        # eval alone sweeps without the variance payoff; its rows keep every bit
+        assert main(["eval", "--config", str(path), "--out", str(tmp_path / "eval")]) == 0
+        assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "all")]) == 0
+        assert (tmp_path / "eval" / "report_eval.csv").read_bytes() == (tmp_path / "all" / "report_eval.csv").read_bytes()
 
 
 def patch_bindings(monkeypatch, fn, replacement) -> None:
@@ -437,7 +462,7 @@ GOLDEN_SHA256 = {
     ('bernoulli_pair', 'csv'): {
         'report_chatterji.csv': 'e4a74374f144d836a149c2a0283c31355a5109692e0c3b80dd6c038564c213dc',
         'report_eval.csv': 'd97f24a6860896649ae34ad83e0424eeaf2ee629cbd68d0895f1061bf2858093',
-        'report_mc.csv': 'eb5563078f6ff4c22824f4093150a1bfd8be14cc39bbdf903f56c7eab29d5ddc',
+        'report_mc.csv': 'a1287f8bffb5bcae8a28ad8ba8b84c6923f3882bbe62ac7f7198e7b01e0ff337',
         'report_prop2.csv': 'dd582aef46c40aa8b91dcb859aa54bef45c047c19805538db6fcb995c41ccd24',
         'report_pstar.csv': '2e2fb46b29da536136f300249bff71fbf192848deb098b24fd18ed3c9a5816eb',
         'report_sweep.csv': '734d541d9a199e9a96634edf9eef12808cb42eb18c17ad801407798f657f45c3',
@@ -447,7 +472,7 @@ GOLDEN_SHA256 = {
     ('bernoulli_pair', 'json'): {
         'report_chatterji.json': '1e82e02c56e1de6e73331cded733676579e5482563dcf607e394bc6b0dd144df',
         'report_eval.json': '67469890dfb65ca7fbaa2bad1ccd59560889c8343be3df7414dfc9ad6bb313bc',
-        'report_mc.json': 'b9303576dca749156e26d27868903ff79939994560cc13980c25cbd84887da24',
+        'report_mc.json': 'da04c154373e4982b38f19fb248387983ed51efb07b234f16b436e61d2a0b58f',
         'report_prop2.json': '9781868e54cc8aa0630c78ae0bc28cb9cd5d4eb506c24fa6249ca450dc356bc7',
         'report_pstar.json': 'a237f2441c9038292ccc05541a0817cf1506801f1a742bdc2821f327477457d6',
         'report_sweep.json': 'c0870e1836341817d3eee583c2f0ab93e8aa29071ae17fda171d015be246aaf2',
@@ -537,7 +562,7 @@ GOLDEN_SHA256 = {
     ('skewed_pair', 'csv'): {
         'report_chatterji.csv': '951185fa8ce45c26c1a850dc105ea7fbc8a94ac9bef38e469d8cdba2fdc2c595',
         'report_eval.csv': '7d67ef9c6f7591c742db511946da1ef699c3d0ee71fdf987bfe8b0f8250d2c4a',
-        'report_mc.csv': '08d4678698a10c9ec17390fb3ad1451dbea25b44f0ef0b7dc6bedf5bd4889513',
+        'report_mc.csv': '97f1a5ad9d4566abbab599ac06d68a4e301d5be7c61b65c3780fc405c0d3ab8d',
         'report_prop2.csv': 'aeb7eb3900b29856180ba1e91a69e561e03b4eb9a2e1255bfe0e079590d5c830',
         'report_pstar.csv': 'b44c10d346adbc566f73b415aa999dfb5501ab329f6d3bf8acb5a522707a5c87',
         'report_sweep.csv': '27bcdd37f5341abe0d79cc3b9cfc4275b0cb4e0d95e919914301e2cb2711dd40',
@@ -547,7 +572,7 @@ GOLDEN_SHA256 = {
     ('skewed_pair', 'json'): {
         'report_chatterji.json': 'd19cbf5aa30d68efb35bfe8f9d66c569098cf2c742c6e9b566dd3aadd4b6be6c',
         'report_eval.json': '9e9af2b354ee421aa5cd9b9e894b26688fc377705422a20e933ab0049b419995',
-        'report_mc.json': 'aaf806cfa84ed1487c7d8d93e6d415f596a6206af6c7c727a5803f77aab8cf12',
+        'report_mc.json': '02f922a43b60fd3dd528c80e80451a258024b65fb39c7b33d17ef2804f8dbf30',
         'report_prop2.json': '69f4a059de22cc652ec2338c42bfc7658afbaa020720598cd196db498fc577fe',
         'report_pstar.json': 'cf85a91978dcb23b4879b6d2d5e5a220daa8ee16f704c575fb6ded27201300b4',
         'report_sweep.json': '12163efb51c76d8b106ff88f3939b10b91fd432df4e696933f6ee555122ea69f',
