@@ -84,29 +84,36 @@ grouping moves a root by no more than that share of its payoff's oscillation
   stale entries are finite whenever phi is, as every value the sweep writes
   is a maximum or a weighted sum of weighted sums of values written before
   (or a zero of the initial arrays).
-* **Probability band.**  With a and b the least and greatest member mean
-  shift ``sum(w * s)`` and ``eps_k = 2**-100 / (k (k + 1))``, the reduced
-  index of S_k leaves ``[k*a - t_k, k*b + t_k]``, for
-  ``t_k = span * sqrt(k ln(2 / eps_k) / 2)``, with probability at most
-  eps_k under every adapted choice of members (Azuma-Hoeffding: S_k is a
-  martingale plus k conditional means in [a, b], with increments in
-  [0, span]).  A fixed measure is such a choice.  ``_band`` widens this by
-  one index on each side and clips it to the window.  Every
-  ``payoff_expectations`` sweep (so ``iid_sum_expectations``, the lower
-  value and ``lln_rates.rate_sweep``) and every weighted sweep computes each
-  block only over its steps' bands; the entries outside keep
-  values of their own row, so every root stays within
-  ``2**-100 * (max - min of its row's terminal values)`` of the dense
-  recursion in exact arithmetic, as paths that ever leave the band carry at
-  most ``sum eps_k < 2**-100`` of the mass.  The band is the full window at
-  every step below 162 on the corpus and the fine lattice, so no horizon up
-  to 162 is trimmed.  The first trimmed step is 162 on the fine lattice, 169
-  on fair_coin and bernoulli_pair, 202 on three_atom and 307 on skewed_pair;
-  point_mass, two_point_masses and delta_pair (a = 0, b = span) are never
-  trimmed.  A sweep that records a table or selections, and one whose joined
-  rows' terminal values are not all finite, computes the full windows: an
-  infinite value outside the band would otherwise be lost, or read with a
-  weight the certificate does not cover.
+* **Probability band.**  With ``up(lam)`` the largest member log-mgf
+  ``ln sum(w exp(lam s))`` of the reduced shift s, and ``down(lam)`` that of
+  -s, ``exp(lam S_k - k up(lam))`` and ``exp(-lam S_k - k down(lam))`` are
+  supermartingales under every adapted choice of members (a step's
+  conditional mgf is a mixture of the members' own), and a fixed measure is
+  such a choice.  So for every ``lam > 0`` the reduced index of S_k passes
+  ``(k up(lam) + ln(2 / eps_k)) / lam``, or falls below ``-(k down(lam) +
+  ln(2 / eps_k)) / lam``, with probability at most ``eps_k / 2`` each
+  (Chernoff), for ``eps_k = 2**-100 / (k (k + 1))``.  ``_band`` takes each
+  edge at the best of a few ``lam`` that depend on k alone, among them
+  Hoeffding's optimizer, so no band is wider than the Azuma-Hoeffding band
+  ``[k*a - t_k, k*b + t_k]`` (a and b the least and greatest member mean
+  shift, ``t_k = span * sqrt(k ln(2 / eps_k) / 2)``).  The cumulants carry
+  an upward float margin, and the band is widened by one index on each
+  side and clipped to the window.  Bands and grids are memoized by value
+  (``functools.lru_cache``), so a band costs its arithmetic once per grid
+  and top horizon.  Every ``payoff_expectations`` sweep (so
+  ``iid_sum_expectations``, the lower value and ``lln_rates.rate_sweep``)
+  and every weighted sweep computes each block only over its steps' bands;
+  the entries outside keep values of their own row, so every root stays
+  within ``2**-100 * (max - min of its row's terminal values)`` of the
+  dense recursion in exact arithmetic, as paths that ever leave the band
+  carry at most ``sum eps_k < 2**-100`` of the mass.  The first trimmed
+  step is 52 on the fine lattice, 67 on three_atom, 138 on fair_coin and
+  bernoulli_pair and 139 on skewed_pair; point_mass, two_point_masses and
+  delta_pair (a = 0, b = span) are never trimmed.  A sweep that records a
+  table or selections, and one whose joined rows' terminal values are not
+  all finite, computes the full windows: an infinite value outside the
+  band would otherwise be lost, or read with a weight the certificate does
+  not cover.
 * **gcd reduction.**  Coordinates are taken relative to the smallest atom
   coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
   all atoms coincide).  Index i at step k stands for the sum
@@ -169,7 +176,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -308,6 +315,16 @@ def _lattice_sums(lattice, k: int, coords: np.ndarray, out: np.ndarray | None = 
 
 
 def _grid(family: AmbiguityFamily) -> _Grid:
+    """The family's grid, memoized by value: equal families share one read-only ``_Grid``.
+
+    A -0.0 weight equals 0.0 but keeps products of its own (``_products``), so the weights' signs are
+    part of the key.
+    """
+    return _grid_of(family, tuple(math.copysign(1.0, w) for m in family.members for _, w in m.atoms))
+
+
+@lru_cache(maxsize=64)
+def _grid_of(family: AmbiguityFamily, signs: tuple[float, ...]) -> _Grid:
     coords = [family.member_coords(i) for i in range(len(family.members))]
     k_min = min(int(c.min()) for c in coords)
     k_max = max(int(c.max()) for c in coords)
@@ -464,27 +481,68 @@ def _aligned(alloc: Callable, n: int) -> np.ndarray:
     return raw[start : start + n]
 
 
-def _band(grid: _Grid, n: int) -> tuple[int, list[int], list[int]]:
-    """The first step whose band is narrower than its window (n when no earlier one is), and the band's
-    lowest and highest reduced index at steps 0..n, clipped to each window.
+def _cumulants(grid: _Grid, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest member log-mgf of the reduced shift s and of -s at each ``lam`` in (0, 16 / span],
+    each raised by a float margin (``_band``).
 
-    With a and b the least and greatest member mean shift ``sum(w * s)``, the reduced index of S_k is,
-    under any adapted choice of members, a martingale plus k conditional means in [a, b] with increments
-    in [0, span].  By Azuma-Hoeffding it leaves ``[k*a - t_k, k*b + t_k]`` with probability at most
-    ``2 exp(-2 t_k^2 / (k span^2)) = eps_k`` for ``t_k = span * sqrt(k ln(2 / eps_k) / 2)``, and with
-    ``eps_k = _TAIL_BUDGET / (k (k + 1))`` these tails sum to less than ``_TAIL_BUDGET``.  One index of
-    slack on each side absorbs the rounding of the float arithmetic.
+    A member's ``ln sum(w exp(lam s))`` is taken as ``lam * top + ln sum(w exp(-lam (top - s)))``, top
+    its largest shift, and ``ln sum(w exp(-lam s))`` as ``-lam * bottom + ln sum(w exp(-lam (s -
+    bottom)))``, bottom its smallest, so no exponent is positive and no sum underflows: its largest
+    weight is at least 1 / atoms.  exp, log, the products and the sums err by a few units in the last
+    place of ``atoms + lam * span``, and the margin ``2**-40 * (atoms + lam * span)`` is over a
+    thousand times that.
     """
+    up = down = -np.inf
+    for terms in grid.terms:
+        w, s = np.array(terms).T
+        up = np.maximum(up, lam * s.max() + np.log(np.exp(np.multiply.outer(lam, s - s.max())) @ w))
+        down = np.maximum(down, np.log(np.exp(np.multiply.outer(lam, s.min() - s)) @ w) - lam * s.min())
+    margin = 2.0**-40 * (max(map(len, grid.terms)) + lam * grid.span)
+    return up + margin, down + margin
+
+
+@lru_cache(maxsize=32)
+def _band(grid: _Grid, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The first step whose band is narrower than its window (n when no earlier one is), and the band's
+    lowest and highest reduced index at steps 0..n, clipped to each window.  Memoized, as read-only tuples.
+
+    With ``up(lam)`` and ``down(lam)`` the largest member log-mgf of the reduced shift s and of -s
+    (``_cumulants``), ``exp(lam S_k - k up(lam))`` and ``exp(-lam S_k - k down(lam))`` are
+    supermartingales under any adapted choice of members, as a step's conditional mgf is a mixture of
+    the members' own.  By Markov's inequality, for every ``lam > 0``, the reduced index of S_k passes
+    ``(k up(lam) + ln(2 / eps_k)) / lam`` with probability at most ``eps_k / 2``, and falls below
+    ``-(k down(lam) + ln(2 / eps_k)) / lam`` likewise (Chernoff); with ``eps_k = _TAIL_BUDGET / (k (k +
+    1))`` these tails sum to less than ``_TAIL_BUDGET``.  Any ``lam`` gives a sound edge, so the
+    choice only sets how tight it is.  Each edge is the best of four that depend on k alone:
+    - the three points nearest the Gaussian optimum ``sqrt(2 ln(2 / eps_k) / (k var))``, var the
+      largest member variance of s (``span^2 / 4`` when every member is a point mass), on a grid of
+      three points per octave of ``lam * span`` from 2**-12 to 2**(11 / 3);
+    - Hoeffding's optimizer, where Hoeffding's lemma bounds ``up(lam)`` by ``lam b + lam^2 span^2 / 8``
+      (b the greatest member mean of s; ``down`` likewise with the least, a).  Its edges are the
+      Azuma-Hoeffding band ``[k a - t_k, k b + t_k]``, ``t_k = span sqrt(k ln(2 / eps_k) / 2)``, so
+      no band is wider than that one.
+    One index of slack on each side absorbs the rounding of the edges.
+    """
+    if not grid.span:  # one state at every step
+        return n, (0,) * (n + 1), (0,) * (n + 1)
     means = [sum(w * s for w, s in terms) for terms in grid.terms]
-    k = np.arange(n + 1, dtype=float)
-    t = np.zeros(n + 1)
-    t[1:] = grid.span * np.sqrt(k[1:] * np.log(2.0 * k[1:] * (k[1:] + 1.0) / _TAIL_BUDGET) / 2.0)
+    var = max(sum(w * s * s for w, s in terms) - m * m for terms, m in zip(grid.terms, means)) or grid.span**2 / 4
+    k = np.arange(1.0, n + 1.0)
+    logs = np.log(2.0 * k * (k + 1.0) / _TAIL_BUDGET)  # ln(2 / eps_k)
+    t = grid.span * np.sqrt(k * logs / 2.0)
+    lo, hi = k * min(means) - t, k * max(means) + t
+    points = np.exp2(np.arange(48) / 3.0 - 12.0) / grid.span
+    up, down = _cumulants(grid, points)
+    # the grid index 3 * (log2(lam * span) + 12) nearest the Gaussian optimum, inside the grid with both neighbours
+    near = np.clip(np.rint(1.5 * np.log2(2.0 * logs / (k * var) * grid.span**2) + 36.0), 1, 46).astype(np.intp)
+    for j in (near - 1, near, near + 1):
+        hi = np.minimum(hi, (k * up[j] + logs) / points[j])
+        lo = np.maximum(lo, -(k * down[j] + logs) / points[j])
     window = k * grid.span
-    lo = np.maximum(np.floor(k * min(means) - t) - 1.0, 0.0)
-    hi = np.minimum(np.ceil(k * max(means) + t) + 1.0, window)
+    lo, hi = np.maximum(np.floor(lo) - 1.0, 0.0), np.minimum(np.ceil(hi) + 1.0, window)
     trimmed = np.flatnonzero((lo > 0.0) | (hi < window))
-    first = int(trimmed[0]) if trimmed.size else n
-    return first, lo.astype(np.int64).tolist(), hi.astype(np.int64).tolist()
+    first = int(trimmed[0]) + 1 if trimmed.size else n
+    return first, (0, *lo.astype(np.int64).tolist()), (0, *hi.astype(np.int64).tolist())
 
 
 def _row_groups(rows: list, span: int, weights: int = 1) -> list[list]:
