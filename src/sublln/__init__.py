@@ -74,7 +74,6 @@ from .measures import (
     lower_bound_check,
     lower_bound_checks,
     prop2_check,
-    sample_path_sums,
     sample_paths,
     sample_sum_counts,
     uniform_mixture,

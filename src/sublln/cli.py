@@ -26,7 +26,7 @@ from .config import CHECKS, ConfigError, ExperimentConfig, parse_config
 from .engine import (
     PolicyIncomplete,
     SupportOverflow,
-    _lattice_sums,
+    _grid,
     expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
     expectations_under_policy,
     extract_argmax_policy,
@@ -38,6 +38,7 @@ from .lln_rates import (
     BOUND_TOL,
     ROUND_TOL,
     IntervalMaxResult,
+    LipschitzFunction,
     fang_bound,
     improved_distance_bound,
     interval_distance_phi,
@@ -109,8 +110,9 @@ class _RunPlan:
     """Values the checks of one run share, each computed once, on first use.
 
     ``limit`` is the search for ``max phi``, whose maximizer pins ``pstar``, the run's one P* measure;
-    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and, when ``variance`` is requested, the squared
-    distance to the mean interval at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values
+    ``distance`` is the squared distance to the mean interval, the payoff ``variance`` reads;
+    ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and, when ``variance`` is requested, ``distance``
+    at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values
     of one weighted sweep (the schedule for ``pstar``, ``mc_horizon`` for ``mc``); ``moments`` the moment summary,
     and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and ``prop2`` both read.
     """
@@ -124,11 +126,15 @@ class _RunPlan:
         return interval_max(self._config.phi, *mean_bounds(self._config.family))
 
     @functools.cached_property
+    def distance(self) -> LipschitzFunction:
+        return interval_distance_phi(self._config.family)
+
+    @functools.cached_property
     def expectations(self) -> tuple[tuple[float, ...], ...]:
         c = self._config
         payoffs = [c.phi, lambda x: -c.phi(x)]
         if "variance" in self._requested:  # only that check reads it, and building it can fail
-            payoffs.append(interval_distance_phi(c.family))
+            payoffs.append(self.distance)
         return payoff_expectations(c.family, payoffs, c.n_schedule, c.state_cap)
 
     @functools.cached_property
@@ -198,7 +204,7 @@ def _check_variance(config: ExperimentConfig, plan: _RunPlan):
                 "sigma_bar_sq": summary.sigma_bar_sq,
                 "sigma_bar_argmin": summary.sigma_bar_argmin,
                 "dist_sq_moment": dist,
-                "dist_lipschitz": interval_distance_phi(config.family).lipschitz_constant,
+                "dist_lipschitz": plan.distance.lipschitz_constant,
                 "improved_bound": improved,
                 "fang_bound": fang,
                 "holds_improved": verdict(dist, improved, BOUND_TOL),
@@ -295,8 +301,7 @@ def _check_mc(config: ExperimentConfig, plan: _RunPlan):
     exact = plan.e_pstars[n]  # first: a horizon past the state cap fails before any draw
     counts = sample_sum_counts(config.family, plan.pstar, n, count, config.seed)
     (reached,) = np.nonzero(counts)
-    k_min = int(config.family.union_atoms()[0][0])
-    values = np.asarray(config.phi(_lattice_sums(config.family.lattice, n, n * k_min + reached) / n), dtype=float)
+    values = np.asarray(config.phi(_grid(config.family).sums(n, reached) / n), dtype=float)
     counts = counts[reached]
     sample_mean = math.fsum((counts / count * values).tolist())
     sample_std = math.sqrt(math.fsum((counts * (values - sample_mean) ** 2).tolist()) / (count - 1))

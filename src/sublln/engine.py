@@ -118,7 +118,9 @@ grouping moves a root by no more than that share of its payoff's oscillation
   coordinate and divided by ``g``, the gcd of these shifts (``g = 1`` when
   all atoms coincide).  Index i at step k stands for the sum
   ``k * origin + (k * k_min + i * g) * step``; sums off this sublattice are
-  never reachable.
+  never reachable.  ``_Grid.index`` (coordinate sums to indices) and
+  ``_Grid.sums`` (indices to lattice sums) are the only conversions: every
+  evaluator and the sampler carry window indices.
 * **Unreachable, stale and out-of-band entries.**  The window at step k is
   dense, so some entries are not reachable sums.  Every union shift maps a
   reachable sum of step k to a reachable sum of step k+1, inside its window,
@@ -158,9 +160,9 @@ running sum by one weighted sweep over all its ``(horizon, phi)`` rows, on
 the reachable masks of every step.  :func:`expectations_under_policy` is its
 one-payoff case.  Every evaluator,
 here and in :mod:`sublln.measures`, admits its inputs once with ``_horizons``
-(``_admit`` for one n) and reads a rule or policy through ``_rule_weights``: a
-sum rule reads the lattice sum ``k*origin + coord*step`` (coord the integer
-coordinate sum of the atoms), a history rule the realized atoms as floats.
+(``_admit`` for one n) and reads a rule or policy through ``_rule_weights`` at
+window indices: a sum rule reads the lattice sum ``_Grid.sums``, a history
+rule the realized atoms as floats.
 A rule that reads the realized history has no sum-state weights to tabulate:
 it is evaluated on the tree of each horizon, walked once by
 ``_walk_histories`` as ``measures.conditional_means`` walks it.  The leaves
@@ -286,8 +288,8 @@ def _eval_phi(phi: Callable, xs: np.ndarray) -> np.ndarray:
 class _Grid:
     """The family's atoms as ``(weight, shift)`` terms on a lattice of ``gcd`` coordinates.
 
-    A shift is ``(coord - k_min) // gcd``; index i at step k stands for the
-    coordinate ``k * k_min + i * gcd``.
+    A shift is ``(coord - k_min) // gcd``; index i at step k stands for the coordinate sum
+    ``k * k_min + i * gcd``.  ``index`` and ``sums`` are the only conversions.
     """
 
     origin: float
@@ -301,17 +303,17 @@ class _Grid:
     def size(self, k: int) -> int:
         return k * self.span + 1
 
+    def index(self, k: int, coords: np.ndarray) -> np.ndarray:
+        """Window indices at step k of the integer coordinate sums ``coords`` of k atoms."""
+        return (coords - k * self.k_min) // self.gcd
+
+    def sums(self, k: int, index: np.ndarray) -> np.ndarray:
+        """Lattice sums ``k * origin + coord * step`` at the window indices ``index`` of step k."""
+        return (k * self.k_min + self.gcd * index) * self.step + k * self.origin
+
     def values(self, k: int) -> np.ndarray:
         """Dense window of sum values at step k (reachable and not)."""
-        return _lattice_sums(self, k, k * self.k_min + self.gcd * np.arange(self.size(k)))
-
-
-def _lattice_sums(lattice, k: int, coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sums of k atoms whose lattice coordinates add up to ``coords``: the value a sum rule reads.
-
-    ``coords * step + k * origin``, into ``out`` when given (float addition commutes bit for bit).
-    """
-    return np.add(np.multiply(coords, lattice.step, out=out), k * lattice.origin, out=out)
+        return self.sums(k, np.arange(self.size(k)))
 
 
 def _grid(family: AmbiguityFamily) -> _Grid:
@@ -341,7 +343,7 @@ def _grid_of(family: AmbiguityFamily, signs: tuple[float, ...]) -> _Grid:
 def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
     """Raise SupportOverflow when n steps exceed the cap in unreduced dense states, when their
     coordinate sums would leave the 64-bit integers that hold them, or when their lattice sums
-    would leave the float range (the window's ends, by ``_lattice_sums``' arithmetic)."""
+    would leave the float range (the window's ends, by ``_Grid.sums``' arithmetic)."""
     total = (n + 1) + (grid.k_max - grid.k_min) * n * (n + 1) // 2
     if total > state_cap:
         raise SupportOverflow(
@@ -350,7 +352,7 @@ def _check_cap(grid: _Grid, n: int, state_cap: int) -> None:
         )
     if (reach := n * max(abs(grid.k_min), abs(grid.k_max))) >= 2**63:
         raise SupportOverflow(f"sums for n={n} reach lattice coordinate {reach}, past the 64-bit integers that hold it")
-    if not all(math.isfinite(c * grid.step + n * grid.origin) for c in (n * grid.k_min, n * grid.k_max)):
+    if not all(math.isfinite(grid.sums(n, i)) for i in (0, grid.size(n) - 1)):
         raise SupportOverflow(f"lattice sums for n={n} leave the float range")
 
 
@@ -648,7 +650,7 @@ def _sweep(
 def _mix(grid: _Grid, measure: "PathMeasure", k: int, mask: np.ndarray, rows: int, mixed: np.ndarray) -> None:
     """Write a weighted sweep's member weights at the states of step k into ``mixed`` (``_sweep``).
 
-    ``mixed`` gets ``_rule_weights`` at the reachable coordinates of step k, state-major: each state's
+    ``mixed`` gets ``_rule_weights`` at the reachable indices of step k, state-major: each state's
     weights once per joined row, and 0 at unreachable states.  A ``"none"`` measure's one weight vector
     is written by one broadcast product with the mask.  Entries past the window keep an earlier step's
     weights, which only stale entries read.
@@ -658,8 +660,7 @@ def _mix(grid: _Grid, measure: "PathMeasure", k: int, mask: np.ndarray, rows: in
         np.multiply(mask[:, None], measure.mixture_weights(k)[:, None, None], out=states)
     else:
         states[:] = 0.0
-        coords = k * grid.k_min + grid.gcd * np.flatnonzero(mask)
-        states[:, mask] = _rule_weights(measure, grid, k, coords, None).T[..., None]
+        states[:, mask] = _rule_weights(measure, grid, k, np.flatnonzero(mask), None).T[..., None]
 
 
 def _horizons(
@@ -718,9 +719,9 @@ def payoff_expectations(
         masks = _reachable_masks(grid, distinct[-1], distinct)
         mass = {n: np.zeros(grid.size(n)) for n in distinct}
         for n in distinct:
-            _, coord_sums, probs, _ = _walk_histories(family, measure, n, state_cap)
+            _, index, probs, _ = _walk_histories(family, measure, n, state_cap)
             # reversed rows add the paths in the order of a depth-first walk
-            np.add.at(mass[n], ((coord_sums - n * grid.k_min) // grid.gcd)[::-1], probs[::-1])
+            np.add.at(mass[n], index[::-1], probs[::-1])
         roots = {}
         for n, i in keys:
             terms = np.empty(grid.size(n))
@@ -974,48 +975,51 @@ def _check_weights(w, member_count: int) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
-def _rule_weights(measure: PathMeasure, lattice, k: int, coords: np.ndarray, histories) -> np.ndarray:
-    """Step-k weights ``(rows, members)`` of the rows of ``coords``; the one place a rule is called.
+def _rule_weights(measure: PathMeasure, grid: _Grid, k: int, index: np.ndarray, histories) -> np.ndarray:
+    """Step-k weights ``(rows, members)`` at the window indices ``index``; the one place a rule is called.
 
-    A ``"none"`` vector is tiled, a policy's selections at each row's integer
-    coordinate sum become one-hot rows, a sum rule gets the lattice sum of
-    that coordinate sum, a history rule each row's realized atoms as a tuple of
-    floats, from ``histories`` (one sequence per row; None for the other rules).
+    A ``"none"`` vector is tiled, a policy's selections at each row's index
+    become one-hot rows (the policy's grid is the family's, see ``_horizons``),
+    a sum rule gets the lattice sum ``grid.sums(k, index)``, a history rule each
+    row's realized atoms as a tuple of floats, from ``histories`` (one sequence
+    per row; None for the other rules).
     """
     if measure.depends_on == "none":
-        return np.tile(measure.mixture_weights(k), (len(coords), 1))
+        return np.tile(measure.mixture_weights(k), (len(index), 1))
     if measure.policy is not None:
-        support = measure.policy.support
-        sel = measure.policy.selections[k][(coords - k * support.k_min) // support.gcd]
+        sel = measure.policy.selections[k][index]
         holes = np.flatnonzero(sel < 0)
         if holes.size:
-            total = float(_lattice_sums(lattice, k, coords[holes[0]]))
+            total = float(grid.sums(k, index[holes[0]]))
             raise PolicyIncomplete(f"no selection at step {k}, sum {total!r}")
         return (sel[:, None] == np.arange(measure.member_count)).astype(float)
     if measure.depends_on == "sum":
-        totals = _lattice_sums(lattice, k, coords).tolist()
+        totals = grid.sums(k, index).tolist()
         return np.array([measure.mixture_weights(k, total=t) for t in totals])
     return np.array([measure.mixture_weights(k, history=tuple(h)) for h in histories])
 
 
 def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: int | None) -> tuple:
-    """``(paths, coord_sums, probs, means)`` of n draws, by one level-by-level walk of the history tree.
+    """``(paths, index, probs, means)`` of n draws, by one level-by-level walk of the history tree.
 
-    Rows are in lexicographic order of the atom indices; a level's rows share one ``_rule_weights``
-    call, a child's probability is its parent's times ``q = omega @ w_matrix.T``, and ``means[k]``
-    is level k's ``q @ atoms``.  With ``cap`` None every child is kept; otherwise children of zero
-    ``q`` are dropped and ``SupportOverflow`` is raised before a level takes the live children of
-    all levels past ``cap``.  The walk holds one level of paths at a time.
+    Rows are in lexicographic order of the atom indices and ``index`` holds each path's window index
+    at step n; a level's rows share one ``_rule_weights`` call, a child's probability is its parent's
+    times ``q = omega @ w_matrix.T``, and ``means[k]`` is level k's ``q @ atoms``.  With ``cap`` None
+    every child is kept; otherwise children of zero ``q`` are dropped and ``SupportOverflow`` is raised
+    before a level takes the live children of all levels past ``cap``.  The walk holds one level of
+    paths at a time.
     """
     coords, atoms, w_matrix = family.union_atoms()
+    grid = _grid(family)
+    shifts = grid.index(1, coords)  # an atom's index at step 1; a path's index at step k is the sum of its atoms'
     paths = np.zeros((1, 0))
     means = []
     probs = np.array([1.0])
-    coord_sums = np.zeros(1, dtype=np.int64)
+    index = np.zeros(1, dtype=np.int64)
     visited = 0
     for k in range(n):
         histories = paths.tolist() if measure.depends_on == "history" else None
-        q = _rule_weights(measure, family.lattice, k, coord_sums, histories) @ w_matrix.T
+        q = _rule_weights(measure, grid, k, index, histories) @ w_matrix.T
         if cap is None:
             counts, atom, child_q = len(atoms), np.tile(np.arange(len(atoms)), len(q)), q.reshape(-1)
         else:
@@ -1027,8 +1031,8 @@ def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: 
         paths = np.hstack([np.repeat(paths, counts, axis=0), atoms[atom][:, None]])
         means.append(q @ atoms)
         probs = np.repeat(probs, counts) * child_q
-        coord_sums = np.repeat(coord_sums, counts) + coords[atom]
-    return paths, coord_sums, probs, tuple(means)
+        index = np.repeat(index, counts) + shifts[atom]
+    return paths, index, probs, tuple(means)
 
 
 def expectations_under_policy(

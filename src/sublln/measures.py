@@ -35,8 +35,8 @@ from .engine import (
     _admit,
     _check_n,
     _check_state_cap,
+    _grid,
     _is_int,
-    _lattice_sums,
     _rule_weights,
     _walk_histories,
     expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
@@ -63,7 +63,6 @@ __all__ = [
     "prop2_check",
     "chatterji_check",
     "sample_paths",
-    "sample_path_sums",
     "sample_sum_counts",
     "lower_bound_check",
     "lower_bound_checks",
@@ -271,50 +270,21 @@ def _check_sampling(
     return n, int(count), int(seed)
 
 
-def _exact_lattice_sums(family: AmbiguityFamily, n: int) -> bool:
-    """Whether every float sum of n union atoms, in any order, equals ``_lattice_sums`` of its coordinate sum.
-
-    ``origin``, ``step`` and the atoms are finite floats, so each is an
-    integer multiple of ``2^-e`` for the largest exponent e of their
-    denominators.  While n times the largest magnitude among the terms of
-    ``_lattice_sums(lattice, n, C)`` (``origin`` and ``c * step`` per
-    atom) and the atoms stays below ``2^(53-e)``, every partial sum of n
-    atoms, ``n * origin``, ``C * step`` and their sum are multiples of
-    ``2^-e`` below ``2^53 * 2^-e`` in magnitude, hence exact.  If every
-    atom also equals ``origin + c*step`` in floats, both sides are the
-    same exact number and the same bits.  That test rules out an atom 1
-    ulp off the lattice, and an atom ``-0.0``: whether a sum of ``-0.0``
-    keeps its sign depends on where the reduction starts, while
-    ``_lattice_sums`` gives ``+0.0``.  A step of 0.1 is a multiple of
-    ``2^-55`` only, so it passes only while n times the largest term stays
-    below 1/4.
-    """
-    coords, atoms, _ = family.union_atoms()
-    lattice = family.lattice
-    if not np.array_equal(atoms.view(np.uint64), _lattice_sums(lattice, 1, coords).view(np.uint64)):
-        return False
-    ratios = [x.as_integer_ratio() for x in (lattice.origin, lattice.step, *atoms.tolist())]
-    scale = max(den for _, den in ratios)  # 2^e
-    origin, step, *scaled = (num * (scale // den) for num, den in ratios)
-    largest = max(abs(origin), max(map(abs, coords.tolist())) * step, *map(abs, scaled))
-    return n * largest < 2**53
-
-
 def _stepwise_blocks(
-    family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int, coord_sums: bool = False
+    family: AmbiguityFamily, measure: PathMeasure, n: int, count: int, seed: int, indices: bool = False
 ):
     """Yield ``(first_path, block)`` for consecutive blocks of whole paths, step-major.
 
     ``block`` holds the atom values ``(n, rows)``, entry (k, p) the atom of
-    path ``first_path + p`` at step k, or with ``coord_sums`` each path's
-    integer coordinate sum ``(rows,)`` as int64.  The inverse-CDF kernel of
+    path ``first_path + p`` at step k, or with ``indices`` each path's
+    window index at step n ``(rows,)`` as int64.  The inverse-CDF kernel of
     every measure.  Each block of about ``_BLOCK_UNIFORMS`` uniforms draws
     its slice ``[first_path*n, (first_path+rows)*n)`` of the stream as
     53-bit mantissas m (``u = m * 2^-53``), laid out step-major: the counter
     offsets, built once per call (see :mod:`sublln.rng`), are permuted so
     that entry (k, p) is stream index ``(first_path + p)*n + k``.  So a
     threshold comparison is one contiguous pass over the block, a path's
-    count or coordinate sum is a vectorized sum over axis 0, and a rule
+    count or window index is a vectorized sum over axis 0, and a rule
     reads row k.  The atom index at step k is the count
     ``sum_{j<last} (m >= ceil(cum_k[j] * 2^53))``: scaling by 2^53 is exact,
     so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
@@ -324,7 +294,7 @@ def _stepwise_blocks(
     A ``depends_on == "none"`` measure's thresholds are built once per call,
     atom-major, and each boundary j adds its increment wherever
     ``m >= t_j``: 1 for an atom index, which is then gathered, or the
-    coordinate gap ``coords[j+1] - coords[j]`` for a coordinate sum, whose
+    index gap ``shifts[j+1] - shifts[j]`` for a window index, whose
     mask is summed over the steps first.  Since ``0 <= m < 2^53``, a
     boundary whose threshold is ``2^53`` or above at every step never fires
     and is dropped, and one whose threshold is 0 at every step always fires
@@ -338,18 +308,20 @@ def _stepwise_blocks(
     each is compared as a Python-int scalar; otherwise each comparison
     broadcasts one column of per-step thresholds over the block.  Counts
     are kept in the smallest unsigned dtype that holds the total of all
-    increments, and coordinate sums in the smallest that holds n times it,
-    widened to int64 and offset by ``n * coords[0]``.  A rule or policy is
-    read once per (path, step) through ``_rule_weights``.  Memory is one
-    block and its mask, whatever ``count`` is.
+    increments, and window indices in the smallest that holds n times it,
+    widened to int64.  A rule or policy is read once per (path, step)
+    through ``_rule_weights``.  Memory is one block and its mask, whatever
+    ``count`` is.
     """
     coords, atoms, w_matrix = family.union_atoms()
+    grid = _grid(family)
+    shifts = grid.index(1, coords)  # each atom's index at step 1; a path's index at step n adds its atoms'
     last = len(atoms) - 1
     if measure.depends_on == "none":
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
         table = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
-        table_increments = np.diff(coords).tolist() if coord_sums else [1] * last
-        steps_per_entry = n if coord_sums else 1  # an entry of a coordinate sum adds up the n steps of its path
+        table_increments = np.diff(shifts).tolist() if indices else [1] * last
+        steps_per_entry = n if indices else 1  # a path's index adds up the increments of its n steps
         acc_dtype = np.min_scalar_type(steps_per_entry * sum(table_increments))
         base, kept, increments = 0, [], []
         for row, inc in zip(table, table_increments):
@@ -363,8 +335,8 @@ def _stepwise_blocks(
                 kept.append(row)
                 increments.append(inc)
         if not kept:
-            if coord_sums:
-                yield 0, np.broadcast_to(np.int64(n * (base + int(coords[0]))), (count,))
+            if indices:
+                yield 0, np.broadcast_to(np.int64(n * base), (count,))
             else:
                 yield 0, np.broadcast_to(atoms[base], (n, count))
             return
@@ -384,40 +356,40 @@ def _stepwise_blocks(
         m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(n, r)
         if measure.depends_on == "none":
             hit = mask[: r * n].reshape(n, r)
-            acc = np.full(r if coord_sums else (n, r), steps_per_entry * base, dtype=acc_dtype)
+            acc = np.full(r if indices else (n, r), steps_per_entry * base, dtype=acc_dtype)
             for t, inc in zip(thresholds, increments):
                 np.greater_equal(m, t, out=hit)
                 hits = hit.view(np.uint8)
-                if coord_sums:
+                if indices:
                     hits = hits.sum(axis=0, dtype=acc_dtype)
                 acc += hits if inc == 1 else hits * acc_dtype.type(inc)
-            if coord_sums:
-                yield p0, acc.astype(np.int64) + n * int(coords[0])
+            if indices:
+                yield p0, acc.astype(np.int64)
             else:
                 yield p0, atoms.take(acc.astype(np.intp))
         else:
-            paths, sums = _rule_paths(family.lattice, measure, m, coords, atoms, w_matrix)
-            yield p0, sums if coord_sums else paths
+            paths, index = _rule_paths(grid, measure, m, shifts, atoms, w_matrix)
+            yield p0, index if indices else paths
 
 
-def _rule_paths(lattice, measure: PathMeasure, m: np.ndarray, coords, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Step-major atom values and integer coordinate sums of one block under a rule or a policy, via ``_rule_weights``.
+def _rule_paths(grid, measure: PathMeasure, m: np.ndarray, shifts, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Step-major atom values and window indices of one block under a rule or a policy, via ``_rule_weights``.
 
     Step k reads row k of the mantissas.  A history rule reads each path's
     history tuple, which grows by one atom per step.
     """
     paths = np.empty(m.shape)
-    coord_sums = np.zeros(m.shape[1], dtype=np.int64)
+    index = np.zeros(m.shape[1], dtype=np.int64)
     histories = [()] * m.shape[1] if measure.depends_on == "history" else None
     for k, row in enumerate(m):
-        weights = _rule_weights(measure, lattice, k, coord_sums, histories)
+        weights = _rule_weights(measure, grid, k, index, histories)
         cum = np.cumsum([w_matrix @ w for w in weights], axis=1)[:, :-1]
         idx = np.sum(row[:, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
-        coord_sums += coords.take(idx)
+        index += shifts.take(idx)
         paths[k] = atoms.take(idx)
         if histories is not None:
             histories = [h + (a,) for h, a in zip(histories, paths[k].tolist())]
-    return paths, coord_sums
+    return paths, index
 
 
 def sample_paths(
@@ -443,34 +415,6 @@ def sample_paths(
     return out
 
 
-def sample_path_sums(
-    family: AmbiguityFamily,
-    measure: PathMeasure,
-    n: int,
-    count: int,
-    seed: int,
-) -> np.ndarray:
-    """Per-path sums of :func:`sample_paths`, bit for bit ``sample_paths(...).sum(axis=1)``.
-
-    When ``_exact_lattice_sums`` proves every float sum of n atoms exact
-    (every shipped config and corpus family), each path's sum is
-    ``_lattice_sums(lattice, n, C)`` of its integer coordinate sum C and
-    no atom is gathered.  Otherwise (a step such as 0.1) each block is
-    gathered, copied path-major and summed row by row as it is drawn
-    (numpy's reduction of a contiguous row depends only on the row).
-    Either way memory is one block plus the ``count`` sums.
-    """
-    n, count, seed = _check_sampling(family, measure, n, count, seed)
-    exact = _exact_lattice_sums(family, n)
-    out = np.empty(count)
-    for p0, block in _stepwise_blocks(family, measure, n, count, seed, coord_sums=exact):
-        if exact:
-            _lattice_sums(family.lattice, n, block, out=out[p0 : p0 + len(block)])
-        else:
-            out[p0 : p0 + block.shape[1]] = np.ascontiguousarray(block.T).sum(axis=1)
-    return out
-
-
 def sample_sum_counts(
     family: AmbiguityFamily,
     measure: PathMeasure,
@@ -478,25 +422,22 @@ def sample_sum_counts(
     count: int,
     seed: int,
 ) -> np.ndarray:
-    """How many of the ``count`` paths of :func:`sample_paths` reach each coordinate sum.
+    """How many of the ``count`` paths of :func:`sample_paths` reach each sum of n atoms.
 
-    Entry i counts the paths whose atoms' lattice coordinates add up to
-    ``n * k_min + i``, with ``k_min`` the smallest coordinate among the
-    family's atoms, so the path sum is ``_lattice_sums(lattice, n, n * k_min + i)``
-    and there are ``n * span + 1`` entries, ``span`` the coordinate range of
-    the atoms: ``np.bincount`` of the integer sums behind
-    :func:`sample_path_sums`, accumulated block by block.  Memory is one
-    block plus the counters, whatever ``count`` is.
+    Entry i counts the paths whose sum is the lattice sum at window index i
+    of step n on the family's grid (``_Grid.sums``), the gcd-reduced window
+    of ``SumSupport.masks[n]`` with its ``n * span / gcd + 1`` entries.
+    Paths are counted block by block as they are drawn, so memory is one
+    block plus the counters, whatever ``count`` is.  The per-path sums are
+    ``sample_paths(...).sum(axis=1)``.
     """
     n, count, seed = _check_sampling(family, measure, n, count, seed)
-    coords = family.union_atoms()[0]
-    offset = n * int(coords[0])
-    counts = np.zeros(n * int(coords[-1] - coords[0]) + 1, dtype=np.int64)
-    for _, sums in _stepwise_blocks(family, measure, n, count, seed, coord_sums=True):
-        if sums.strides == (0,):  # no boundary left: one sum for every path, and nothing drawn
-            np.add.at(counts, sums[:1] - offset, len(sums))
+    counts = np.zeros(_grid(family).size(n), dtype=np.int64)
+    for _, index in _stepwise_blocks(family, measure, n, count, seed, indices=True):
+        if index.strides == (0,):  # no boundary left: one index for every path, and nothing drawn
+            np.add.at(counts, index[:1], len(index))
         else:
-            np.add.at(counts, sums - offset, 1)
+            np.add.at(counts, index, 1)
     return counts
 
 

@@ -471,6 +471,29 @@ def per_step_sampler(family, measure, n, count, seed):
     return out
 
 
+def reduced_sum_counts(family, paths):
+    """``(counts, sums)``: the ``np.bincount`` of the paths' sums on the gcd-reduced lattice, and its sums.
+
+    Each atom of a path gives its coordinate by ``lattice.coord``.  With
+    k_min the smallest pooled coordinate and g the gcd of the pooled
+    coordinates relative to it (1 when all coincide), a sum of n atoms with
+    coordinate sum C counts at index ``(C - n*k_min) / g`` of
+    ``n*span/g + 1``, and ``sums[i]`` is that index's lattice sum
+    ``n*origin + (n*k_min + i*g)*step``.
+    """
+    lat = family.lattice
+    coords = _pooled_coords(family)
+    k_min, span = coords[0], coords[-1] - coords[0]
+    g = math.gcd(*(c - k_min for c in coords)) or 1
+    n = paths.shape[1]
+    coord_of = {v: lat.coord(v) for v in set(paths.ravel().tolist())}
+    coord_sums = np.array([sum(coord_of[v] for v in row) for row in paths.tolist()], dtype=np.int64)
+    index, off = np.divmod(coord_sums - n * k_min, g)
+    assert not off.any()
+    size = n * span // g + 1
+    return np.bincount(index, minlength=size), n * lat.origin + (n * k_min + g * np.arange(size)) * lat.step
+
+
 def _unxorshift(y, shift):
     """Invert ``x -> x ^ (x >> shift)`` on 64-bit words."""
     x = y

@@ -1,7 +1,7 @@
 """Policies as selections, one history walker, and weights checked once.
 
 A ``PathMeasure.from_policy`` measure carries its policy: every evaluator
-reads the selections at each integer coordinate sum, never through
+reads the selections at each window index, never through
 ``member_at`` or ``dense_index``, and checks the policy's lattice on
 admission.  The history forward and ``conditional_means`` are the one
 level-by-level walk of the history tree; the forward drops zero-probability
@@ -31,8 +31,8 @@ from sublln.measures import (
     conditional_means,
     construct_pstar,
     history_parity_measure,
-    sample_path_sums,
     sample_paths,
+    sample_sum_counts,
 )
 
 from _oracles import eval_history_policy, history_nodes
@@ -65,7 +65,7 @@ def test_policy_measures_read_selections_without_lookups(families, monkeypatch, 
     want_value = expectation_under_policy(family, n, phi, policy)
     want_dec = conditional_means(family, rule, n)
     want_paths = sample_paths(family, rule, n, 40, 5)
-    want_sums = sample_path_sums(family, rule, n, 40, 5)
+    want_counts = sample_sum_counts(family, rule, n, 40, 5)
     monkeypatch.setattr(SumSupport, "dense_index", raise_if_called)
     monkeypatch.setattr(SelectionPolicy, "member_at", raise_if_called)
     assert expectation_under_policy(family, n, phi, measure) == want_value
@@ -73,7 +73,7 @@ def test_policy_measures_read_selections_without_lookups(families, monkeypatch, 
     for field in ("paths", "path_probs", "cond_means"):
         assert getattr(dec, field).tobytes() == getattr(want_dec, field).tobytes(), field
     assert sample_paths(family, measure, n, 40, 5).tobytes() == want_paths.tobytes()
-    assert sample_path_sums(family, measure, n, 40, 5).tobytes() == want_sums.tobytes()
+    assert sample_sum_counts(family, measure, n, 40, 5).tobytes() == want_counts.tobytes()
 
 
 def test_policy_from_another_grid_rejected_by_every_evaluator():
@@ -86,7 +86,7 @@ def test_policy_from_another_grid_rejected_by_every_evaluator():
     with pytest.raises(PolicyIncomplete, match=message):
         sample_paths(dense, measure, 3, 10, 1)
     with pytest.raises(PolicyIncomplete, match=message):
-        sample_path_sums(dense, measure, 3, 10, 1)
+        sample_sum_counts(dense, measure, 3, 10, 1)
     with pytest.raises(PolicyIncomplete, match=message):
         expectation_under_policy(dense, 3, lambda x: x, measure)
 
@@ -105,7 +105,7 @@ def test_holed_policy_raises_in_every_evaluator():
         lambda: expectation_under_policy(DELTA_PAIR, 3, lambda x: x, measure),
         lambda: conditional_means(DELTA_PAIR, measure, 3),
         lambda: sample_paths(DELTA_PAIR, measure, 3, 10, 1),
-        lambda: sample_path_sums(DELTA_PAIR, measure, 3, 10, 1),
+        lambda: sample_sum_counts(DELTA_PAIR, measure, 3, 10, 1),
     ):
         with pytest.raises(PolicyIncomplete, match=message):
             evaluate()
@@ -196,7 +196,7 @@ def test_constant_weights_checked_once_per_step(families, monkeypatch):
     for _ in range(2):
         expectation_under_policy(family, n, abs_dev(0.1), measure)
         conditional_means(family, measure, 4)
-        sample_path_sums(family, measure, n, 20, 3)
+        sample_sum_counts(family, measure, n, 20, 3)
     assert len(calls) == n
     w = measure.mixture_weights(0)
     assert not w.flags.writeable

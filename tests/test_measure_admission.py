@@ -41,8 +41,8 @@ from sublln.measures import (
     lower_bound_check,
     lower_bound_checks,
     prop2_check,
-    sample_path_sums,
     sample_paths,
+    sample_sum_counts,
     uniform_mixture,
 )
 
@@ -53,7 +53,7 @@ ENTRY_POINTS = {
     "prop2_check": lambda family, measure, n: prop2_check(family, measure, n),
     "chatterji_check": lambda family, measure, n: chatterji_check(family, measure, n, 1.5),
     "sample_paths": lambda family, measure, n: sample_paths(family, measure, n, 10, 3),
-    "sample_path_sums": lambda family, measure, n: sample_path_sums(family, measure, n, 10, 3),
+    "sample_sum_counts": lambda family, measure, n: sample_sum_counts(family, measure, n, 10, 3),
     "expectations_under_policy": lambda family, measure, n: expectations_under_policy(family, abs, [n], measure),
 }
 
@@ -179,7 +179,7 @@ def test_a_numpy_cap_gives_the_bits_of_the_int(families, entry):
     assert pickle.dumps(call(family, np.int64(10**7))) == pickle.dumps(call(family, 10**7))
 
 
-@pytest.mark.parametrize("sample", [sample_paths, sample_path_sums])
+@pytest.mark.parametrize("sample", [sample_paths, sample_sum_counts])
 def test_sample_count_and_seed_follow_the_integer_rule(families, sample):
     family, measure = families["three_atom"], PathMeasure.constant([0.2, 0.3, 0.5], 4)
     want = sample(family, measure, 4, 9, 2**64 - 1).tobytes()

@@ -1,10 +1,13 @@
-"""The integer ending of ``sample_path_sums`` and the gate that admits it.
+"""``sample_sum_counts`` on lattices where float sums and lattice sums part, against the ``searchsorted`` oracle.
 
-On a lattice where every float sum of n atoms is exact,
-``sample_path_sums`` counts each path's integer coordinate sum and returns
-its lattice value; anywhere else it gathers the atoms and sums them as
-floats.  Every case here records which ending was taken and checks that the
-sums are the bytes of ``sample_paths(...).sum(axis=1)``.
+The counts index each path's integer coordinate sum on the gcd-reduced
+window, whatever the float sum of its atoms rounds to.  An atom one ulp off
+the lattice, a step of 0.1, an origin far from the atoms, a point mass at
+-0.0 and atom gaps wider than one each give the oracle's paths and the
+``np.bincount`` of their reduced coordinate sums, worked out here from
+``lattice.coord`` (``reduced_sum_counts``).  On random dyadic lattices, where
+every float sum of a few atoms is exact, the lattice sums the counts index
+are the float sums of the paths.
 """
 
 import math
@@ -14,100 +17,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_step_sampler
+from _oracles import per_step_sampler, reduced_sum_counts
 from sublln import measures
 from sublln.ambiguity import AmbiguityFamily, mean_bounds
 from sublln.measures import (
     PathMeasure,
-    _exact_lattice_sums,
     construct_pstar,
     history_parity_measure,
-    sample_path_sums,
     sample_paths,
+    sample_sum_counts,
     uniform_mixture,
 )
 
 TENTH = AmbiguityFamily.build(0.0, 0.1, [[(0.0, 0.5), (0.1, 0.25), (0.3, 0.25)], [(0.1, 0.5), (0.2, 0.5)]])
 
 
-def sums_and_ending(family, measure, n, count, seed):
-    """``sample_path_sums`` and the ending it took: "lattice" for coordinate sums, else "float"."""
-    endings = []
-    kernel = measures._stepwise_blocks
-
-    def spy(*args, coord_sums=False):
-        endings.append("lattice" if coord_sums else "float")
-        return kernel(*args, coord_sums=coord_sums)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_stepwise_blocks", spy)
-        sums = sample_path_sums(family, measure, n, count, seed)
-    assert len(endings) == 1
-    return sums, endings[0]
-
-
-def assert_ending(family, measure, n, count, seed, ending):
-    sums, taken = sums_and_ending(family, measure, n, count, seed)
-    assert taken == ending
-    assert sums.tobytes() == sample_paths(family, measure, n, count, seed).sum(axis=1).tobytes()
-
-
-def forced_lattice_sums(family, measure, n, count, seed):
-    """The integer ending taken regardless of the gate."""
-    blocks = [b for _, b in measures._stepwise_blocks(family, measure, n, count, seed, coord_sums=True)]
-    return measures._lattice_sums(family.lattice, n, np.concatenate(blocks))
+def assert_counts_bin_the_oracle(family, measure, n, count, seed):
+    """``sample_paths`` gives the oracle's paths and ``sample_sum_counts`` their reduced bincount; returns both."""
+    want = per_step_sampler(family, measure, n, count, seed)
+    assert sample_paths(family, measure, n, count, seed).tobytes() == want.tobytes()
+    counts = sample_sum_counts(family, measure, n, count, seed)
+    assert counts.dtype == np.int64 and np.array_equal(counts, reduced_sum_counts(family, want)[0])
+    return want, counts
 
 
 def test_atom_one_ulp_off_the_lattice():
     off = math.nextafter(1.0, 2.0)
     family = AmbiguityFamily.build(0.0, 0.5, [[(0.0, 0.5), (off, 0.5)]])
-    measure = uniform_mixture(family, 3)
-    assert family.lattice.on_lattice(off) and not _exact_lattice_sums(family, 1)
-    assert_ending(family, measure, 3, 200, seed=1, ending="float")
-    # the gate matters here: the integer ending would round differently
-    forced = forced_lattice_sums(family, measure, 3, 200, seed=1)
-    assert forced.tobytes() != sample_path_sums(family, measure, 3, 200, seed=1).tobytes()
+    assert family.lattice.on_lattice(off)
+    paths, counts = assert_counts_bin_the_oracle(family, uniform_mixture(family, 3), 3, 200, seed=1)
+    # the counts index lattice sums, which the float sums of the paths miss
+    sums = reduced_sum_counts(family, paths)[1]
+    assert not np.array_equal(np.repeat(sums, counts), np.sort(paths.sum(axis=1)))
 
 
 @pytest.mark.parametrize("n", [1, 7, 50])
 def test_non_dyadic_step(n):
-    assert not _exact_lattice_sums(TENTH, n)
-    assert_ending(TENTH, construct_pstar(TENTH, 0.15, n), n, 500, seed=4, ending="float")
+    assert_counts_bin_the_oracle(TENTH, construct_pstar(TENTH, 0.15, n), n, 500, seed=4)
 
 
 def test_origin_far_from_the_atoms():
     # origin 2^60 on step 2^10: every coordinate lies near -2^50, so nine of them sum past 2^53
     far = AmbiguityFamily.build(2.0**60, 1024.0, [[(-1024.0, 0.5), (0.0, 0.25), (1024.0, 0.25)]])
-    measure = uniform_mixture(far, 9)
-    assert not _exact_lattice_sums(far, 1)
-    assert_ending(far, measure, 9, 300, seed=2, ending="float")
-    forced = forced_lattice_sums(far, measure, 9, 300, seed=2)
-    assert forced.tobytes() != sample_path_sums(far, measure, 9, 300, seed=2).tobytes()
-    # origin 2^40 on step 1/2: in units of 2^-1 the largest term |c * step| is 2^41 + 2
+    assert_counts_bin_the_oracle(far, uniform_mixture(far, 9), 9, 300, seed=2)
+    # origin 2^40 on step 1/2
     near = AmbiguityFamily.build(2.0**40, 0.5, [[(-1.0, 0.5), (0.0, 0.25), (1.0, 0.25)]])
-    assert _exact_lattice_sums(near, 2**12 - 1) and not _exact_lattice_sums(near, 2**12)
-    assert_ending(near, uniform_mixture(near, 9), 9, 300, seed=2, ending="lattice")
-
-
-@pytest.mark.parametrize(
-    "name, limit",
-    [
-        ("three_atom", 2**52),  # step 1/2 (e = 1), largest term 1: n * 2 < 2^53
-        ("skewed_pair", -(-(2**53) // 3)),  # step 1/2, largest term 1.5: n * 3 < 2^53
-        ("fair_coin", 2**53),  # step 1 (e = 0), largest term 1
-    ],
-)
-def test_horizon_on_each_side_of_the_limit(name, limit, families):
-    assert _exact_lattice_sums(families[name], limit - 1) and not _exact_lattice_sums(families[name], limit)
+    assert_counts_bin_the_oracle(near, uniform_mixture(near, 9), 9, 300, seed=2)
 
 
 def test_point_mass_at_negative_zero():
-    family = AmbiguityFamily.build(0.0, 1.0, [[(-0.0, 1.0)]])
-    assert math.copysign(1.0, family.union_atoms()[1][0]) < 0 and not _exact_lattice_sums(family, 4)
-    assert_ending(family, uniform_mixture(family, 4), 4, 50, seed=3, ending="float")
-    # a positive zero on the same lattice takes the integer ending
-    positive = AmbiguityFamily.build(0.0, 1.0, [[(0.0, 1.0)]])
-    assert_ending(positive, uniform_mixture(positive, 4), 4, 50, seed=3, ending="lattice")
+    for zero in (-0.0, 0.0):
+        family = AmbiguityFamily.build(0.0, 1.0, [[(zero, 1.0)]])
+        assert math.copysign(1.0, family.union_atoms()[1][0]) == math.copysign(1.0, zero)
+        _, counts = assert_counts_bin_the_oracle(family, uniform_mixture(family, 4), 4, 50, seed=3)
+        assert counts.tolist() == [50]
 
 
 @pytest.mark.parametrize("name, gaps", [("bernoulli_pair", [2]), ("skewed_pair", [1, 2])])
@@ -117,14 +80,9 @@ def test_non_unit_gaps(name, gaps, families):
     n = 50
     count = 2 * (measures._BLOCK_UNIFORMS // n) + 7  # three blocks, the last partial
     for measure in (construct_pstar(family, sum(mean_bounds(family)) / 2, n), uniform_mixture(family, n)):
-        assert_ending(family, measure, n, count, seed=5, ending="lattice")
-    assert_ending(family, history_parity_measure(family, 12), 12, 300, seed=5, ending="lattice")
-
-
-def test_every_corpus_family_takes_the_integer_ending(families):
-    for family in families.values():
-        assert _exact_lattice_sums(family, 50)
-        assert_ending(family, uniform_mixture(family, 50), 50, 700, seed=9, ending="lattice")
+        _, counts = assert_counts_bin_the_oracle(family, measure, n, count, seed=5)
+        assert len(counts) == n * sum(gaps) // math.gcd(*gaps) + 1  # the reduced window: 51 on bernoulli_pair
+    assert_counts_bin_the_oracle(family, history_parity_measure(family, 12), 12, 300, seed=5)
 
 
 # --- random dyadic lattices -------------------------------------------------
@@ -181,11 +139,10 @@ def test_random_dyadic_lattices_match_the_float_sums(family, kind, n, block, ext
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_UNIFORMS", block * n)  # ``block`` paths per block
         count = max(0, 2 * block + extra)  # crosses one or two block edges
-        sums, taken = sums_and_ending(family, measure, n, count, seed)
-        want = per_step_sampler(family, measure, n, count, seed)
-        assert taken == "lattice"
-        assert sample_paths(family, measure, n, count, seed).tobytes() == want.tobytes()
-        assert sums.tobytes() == want.sum(axis=1).tobytes()
+        paths, counts = assert_counts_bin_the_oracle(family, measure, n, count, seed)
+    # every float sum of these paths is exact, so it is the lattice sum its count stands for
+    sums = reduced_sum_counts(family, paths)[1]
+    assert np.array_equal(np.repeat(sums, counts), np.sort(paths.sum(axis=1)))
 
 
 # SHA-256 of P*'s path sums at the config's mc_horizon and mc_samples, as the blockwise sampler
@@ -210,9 +167,11 @@ def test_no_boundary_left_draws_nothing(name, seed, monkeypatch):
     pstar = cli._RunPlan(config, ["mc"]).pstar
     n, count = config.mc_horizon, config.mc_samples
     monkeypatch.setattr(measures, "mantissas", None)  # a draw would fail
-    blocks = list(measures._stepwise_blocks(config.family, pstar, n, count, seed, coord_sums=True))
+    blocks = list(measures._stepwise_blocks(config.family, pstar, n, count, seed, indices=True))
     assert len(blocks) == 1 and blocks[0][1].shape == (count,)
-    assert blocks[0][1].strides == (0,)  # one lattice sum for every path, nothing counted per path
-    sums = sample_path_sums(config.family, pstar, n, count, seed)
-    assert hashlib.sha256(sums.tobytes()).hexdigest() == NO_DRAW_SUMS[name]
-    assert sums.tobytes() == sample_paths(config.family, pstar, n, count, seed).sum(axis=1).tobytes()
+    assert blocks[0][1].strides == (0,)  # one window index for every path, nothing counted per path
+    paths = sample_paths(config.family, pstar, n, count, seed)
+    assert hashlib.sha256(paths.sum(axis=1).tobytes()).hexdigest() == NO_DRAW_SUMS[name]
+    # every path reaches the sum of the first one
+    counts = sample_sum_counts(config.family, pstar, n, count, seed)
+    assert np.array_equal(counts, count * reduced_sum_counts(config.family, paths[:1])[0])

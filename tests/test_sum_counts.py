@@ -1,8 +1,9 @@
 """Monte Carlo as counts of path sums: ``sample_sum_counts`` and the ``mc`` check that reads it.
 
 The counts are checked against the paths themselves (their coordinate sums,
-binned), pinned by hash at two shipped configs, and the ``mc`` check's memory
-is checked not to grow with the sample size.
+binned on the gcd-reduced window by ``reduced_sum_counts``), pinned by hash at
+two shipped configs, and the ``mc`` check's memory is checked not to grow with
+the sample size.
 """
 
 import dataclasses
@@ -13,17 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import reduced_sum_counts
 from sublln import cli, measures
 from sublln.ambiguity import mean_bounds
 from sublln.config import parse_config
 from sublln.corpus import catalog_for, corpus_families
-from sublln.engine import _lattice_sums, extract_argmax_policy
+from sublln.engine import extract_argmax_policy
 from sublln.measures import (
     PathMeasure,
-    _exact_lattice_sums,
     construct_pstar,
     history_parity_measure,
-    sample_path_sums,
     sample_paths,
     sample_sum_counts,
     uniform_mixture,
@@ -60,15 +60,6 @@ MEASURES = {
 }
 
 
-def binned_coordinate_sums(family, paths):
-    """``np.bincount`` of each path's coordinate sum, from the atoms of the path."""
-    coords, atoms, _ = family.union_atoms()
-    idx = np.searchsorted(atoms, paths)
-    assert np.array_equal(atoms[idx], paths)
-    n = paths.shape[1]
-    return np.bincount(coords[idx].sum(axis=1) - n * coords[0], minlength=n * (coords[-1] - coords[0]) + 1)
-
-
 @pytest.mark.parametrize("count", [0, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -79,13 +70,11 @@ def test_counts_bin_the_sampled_paths(name, kind, count, monkeypatch):
     seed = 11
     counts = sample_sum_counts(family, measure, N, count, seed)
     paths = sample_paths(family, measure, N, count, seed)
+    want, sums = reduced_sum_counts(family, paths)
     assert counts.dtype == np.int64 and counts.sum() == count
-    assert np.array_equal(counts, binned_coordinate_sums(family, paths))
-    # the sums of sample_path_sums, as a multiset, are the lattice sums the counts index
-    coords = family.union_atoms()[0]
-    assert _exact_lattice_sums(family, N)
-    points = _lattice_sums(family.lattice, N, N * coords[0] + np.arange(len(counts)))
-    assert np.array_equal(np.repeat(points, counts), np.sort(sample_path_sums(family, measure, N, count, seed)))
+    assert np.array_equal(counts, want)
+    # the float sums of the paths, as a multiset, are the lattice sums the counts index
+    assert np.array_equal(np.repeat(sums, counts), np.sort(paths.sum(axis=1)))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -95,7 +84,7 @@ def test_counts_at_the_real_block_size(offset):
     pstar = cli._RunPlan(config, ["mc"]).pstar
     count = measures._BLOCK_UNIFORMS // n + offset
     counts = sample_sum_counts(config.family, pstar, n, count, config.seed)
-    assert np.array_equal(counts, binned_coordinate_sums(config.family, sample_paths(config.family, pstar, n, count, config.seed)))
+    assert np.array_equal(counts, reduced_sum_counts(config.family, sample_paths(config.family, pstar, n, count, config.seed))[0])
 
 
 def test_no_boundary_left_counts_every_path_at_one_sum(monkeypatch):
@@ -107,11 +96,12 @@ def test_no_boundary_left_counts_every_path_at_one_sum(monkeypatch):
         assert counts.sum() == count and np.count_nonzero(counts) == (count > 0)
 
 
-# The histograms of two shipped configs at their own seeds, pinned to the bit:
+# The histograms of two shipped configs at their own seeds, on the gcd-reduced window (51 entries on
+# bernoulli_pair, whose atom coordinates are 2 apart), pinned to the bit:
 # a change to the stream, the inverse-CDF lookup or the sums shows up here.
 COUNT_SHA256 = {
     "three_atom": "50117f1501119cdeca228eac3b07ad1ebd2a1567d2b24142c803aa73ab9274ae",
-    "bernoulli_pair": "30345699c676d418a74bc7bb2d02a4f0630f56117ed10eed6edb7871eb017d8a",
+    "bernoulli_pair": "9765da932bef1a2047c60770a01b44518bedbe09d949b0b011ed71f53aef2714",
 }
 
 
