@@ -33,6 +33,7 @@ from .engine import (
     PathMeasure,
     SupportOverflow,
     _admit,
+    _aligned,
     _check_n,
     _check_state_cap,
     _grid,
@@ -45,7 +46,7 @@ from .engine import (
     iid_sum_expectations,
 )
 from .lln_rates import BOUND_TOL, ROUND_TOL, IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound, verdict
-from .rng import counter_offsets, mantissas
+from .rng import counter_offsets, outputs
 from .rng import unit_array  # unused here; kept bound for perfbench's span tracer
 
 __all__ = [
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_STEPS = 8  # longest horizon conditional_means enumerates
-_BLOCK_UNIFORMS = 1 << 15  # uniforms per sampling block (256 KiB of float64)
+_BLOCK_UNIFORMS = 1 << 15  # uniforms per sampling block: 32-bit words, two to each 64-bit output (128 KiB)
 
 
 class MuStarOutOfRange(ValueError):
@@ -278,25 +279,28 @@ def _stepwise_blocks(
     ``block`` holds the atom values ``(n, rows)``, entry (k, p) the atom of
     path ``first_path + p`` at step k, or with ``indices`` each path's
     window index at step n ``(rows,)`` as int64.  The inverse-CDF kernel of
-    every measure.  Each block of about ``_BLOCK_UNIFORMS`` uniforms draws
-    its slice ``[first_path*n, (first_path+rows)*n)`` of the stream as
-    53-bit mantissas m (``u = m * 2^-53``), laid out step-major: the counter
-    offsets, built once per call (see :mod:`sublln.rng`), are permuted so
-    that entry (k, p) is stream index ``(first_path + p)*n + k``.  So a
-    threshold comparison is one contiguous pass over the block, a path's
-    count or window index is a vectorized sum over axis 0, and a rule
-    reads row k.  The atom index at step k is the count
-    ``sum_{j<last} (m >= ceil(cum_k[j] * 2^53))``: scaling by 2^53 is exact,
-    so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
+    every measure.  A block holds an even number of paths, about
+    ``_BLOCK_UNIFORMS`` words, and draws its slice of the stream as raw
+    outputs (see :mod:`sublln.rng`): path p at step k reads the 32-bit word
+    w of output ``(p div 2)*n + k``, low for an even p and high for an odd
+    p, and its uniform is ``u = w * 2^-32``.  The counter offsets, built once
+    per call, are permuted so that output (k, j) of a block is stream index
+    ``(first_path/2 + j)*n + k``; the block's ``(n, rows/2)`` outputs, viewed
+    as little-endian 32-bit words, are then the step-major ``(n, rows)``
+    word block, with no copy.  So a threshold comparison is one contiguous
+    pass over the block, a path's count or window index is a vectorized sum
+    over axis 0, and a rule reads row k.  The atom index at step k is the
+    count ``sum_{j<last} (w >= ceil(cum_k[j] * 2^32))``: scaling by 2^32 is
+    exact, so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
     ``min(searchsorted(cum_k, u, side="right"), last)`` as every CDF
     ``cum_k`` is nondecreasing.
 
     A ``depends_on == "none"`` measure's thresholds are built once per call,
     atom-major, and each boundary j adds its increment wherever
-    ``m >= t_j``: 1 for an atom index, which is then gathered, or the
+    ``w >= t_j``: 1 for an atom index, which is then gathered, or the
     index gap ``shifts[j+1] - shifts[j]`` for a window index, whose
-    mask is summed over the steps first.  Since ``0 <= m < 2^53``, a
-    boundary whose threshold is ``2^53`` or above at every step never fires
+    mask is summed over the steps first.  Since ``0 <= w < 2^32``, a
+    boundary whose threshold is ``2^32`` or above at every step never fires
     and is dropped, and one whose threshold is 0 at every step always fires
     and is folded into a base count that every count starts from.
     Boundaries with equal thresholds at every step (adjacent, as every CDF
@@ -305,13 +309,14 @@ def _stepwise_blocks(
     all paths come as one read-only zero-stride block, and nothing is drawn
     or looped over.  When every step's remaining thresholds are equal
     (every :meth:`PathMeasure.constant`, so P* and the uniform mixture),
-    each is compared as a Python-int scalar; otherwise each comparison
+    each is compared as a uint32 scalar; otherwise each comparison
     broadcasts one column of per-step thresholds over the block.  Counts
     are kept in the smallest unsigned dtype that holds the total of all
     increments, and window indices in the smallest that holds n times it,
     widened to int64.  A rule or policy is read once per (path, step)
-    through ``_rule_weights``.  Memory is one block and its mask, whatever
-    ``count`` is.
+    through ``_rule_weights``.  The outputs, the mix's scratch, the mask and
+    the counter offsets are allocated once per call, each at most one
+    block, whatever ``count`` is.
     """
     coords, atoms, w_matrix = family.union_atoms()
     grid = _grid(family)
@@ -319,13 +324,13 @@ def _stepwise_blocks(
     last = len(atoms) - 1
     if measure.depends_on == "none":
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
-        table = np.ceil(cum[:last] * 2.0**53).astype(np.int64)
+        table = np.ceil(cum[:last] * 2.0**32).astype(np.int64)
         table_increments = np.diff(shifts).tolist() if indices else [1] * last
         steps_per_entry = n if indices else 1  # a path's index adds up the increments of its n steps
         acc_dtype = np.min_scalar_type(steps_per_entry * sum(table_increments))
         base, kept, increments = 0, [], []
         for row, inc in zip(table, table_increments):
-            if row.min() >= 2**53:
+            if row.min() >= 2**32:
                 continue
             if row.max() <= 0:
                 base += inc
@@ -342,23 +347,33 @@ def _stepwise_blocks(
             return
         thresholds = np.array(kept, dtype=np.int64)[:, :, None]  # one column of per-step thresholds each
         if (thresholds == thresholds[:, :1]).all():
-            thresholds = thresholds[:, 0, 0].tolist()
-    rows = max(1, _BLOCK_UNIFORMS // n)
+            thresholds = [np.uint32(t) for t in thresholds[:, 0, 0].tolist()]  # each in [1, 2^32)
+    pairs = max(1, _BLOCK_UNIFORMS // (2 * n))  # a block's paths come in pairs, the two words of n outputs
+    rows = 2 * pairs
     step_offsets = counter_offsets(n)  # k * GAMMA
-    path_offsets = counter_offsets(rows) * np.uint64(n)  # p * n * GAMMA
-    offsets = np.add.outer(step_offsets, path_offsets).ravel()
-    buffer = np.empty(rows * n, dtype=np.uint64)
+    pair_offsets = counter_offsets(pairs) * np.uint64(n)  # j * n * GAMMA
+    size = pairs * n
+    # three slices of one cache-aligned array, each start 2 KiB past a multiple of 4 KiB from the last: a mix
+    # pass whose input and output sit a few bytes apart within a page, or off a cache line, runs 20-45 % slower
+    stride = size + (256 - size) % 512
+    arena = _aligned(lambda k: np.empty(k, dtype=np.uint64), 3 * stride)
+    offsets, buffer, scratch = (arena[i * stride : i * stride + size] for i in range(3))
+    np.add.outer(step_offsets, pair_offsets, out=offsets.reshape(n, pairs))
     mask = np.empty(rows * n, dtype=bool)
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
-        if r < rows:
-            offsets = np.add.outer(step_offsets, path_offsets[:r]).ravel()
-        m = mantissas(seed, p0 * n, offsets, buffer[: r * n]).view(np.int64).reshape(n, r)
+        q = (r + 1) // 2  # an odd last block reads the low words of its last outputs only
+        if q < pairs:  # the last block: its offsets overwrite the first n * q
+            offsets = np.add.outer(step_offsets, pair_offsets[:q], out=offsets[: n * q].reshape(n, q)).ravel()
+        out = outputs(seed, p0 // 2 * n, offsets, buffer[: n * q], scratch)
+        if not np.little_endian:
+            out.byteswap(inplace=True)  # so that the low word of each output comes first
+        words = out.view("<u4").reshape(n, 2 * q)[:, :r]
         if measure.depends_on == "none":
             hit = mask[: r * n].reshape(n, r)
             acc = np.full(r if indices else (n, r), steps_per_entry * base, dtype=acc_dtype)
             for t, inc in zip(thresholds, increments):
-                np.greater_equal(m, t, out=hit)
+                np.greater_equal(words, t, out=hit)
                 hits = hit.view(np.uint8)
                 if indices:
                     hits = hits.sum(axis=0, dtype=acc_dtype)
@@ -368,23 +383,25 @@ def _stepwise_blocks(
             else:
                 yield p0, atoms.take(acc.astype(np.intp))
         else:
-            paths, index = _rule_paths(grid, measure, m, shifts, atoms, w_matrix)
+            paths, index = _rule_paths(grid, measure, words, shifts, atoms, w_matrix)
             yield p0, index if indices else paths
 
 
-def _rule_paths(grid, measure: PathMeasure, m: np.ndarray, shifts, atoms, w_matrix) -> tuple[np.ndarray, np.ndarray]:
+def _rule_paths(
+    grid, measure: PathMeasure, words: np.ndarray, shifts, atoms, w_matrix
+) -> tuple[np.ndarray, np.ndarray]:
     """Step-major atom values and window indices of one block under a rule or a policy, via ``_rule_weights``.
 
-    Step k reads row k of the mantissas.  A history rule reads each path's
+    Step k reads row k of the 32-bit words.  A history rule reads each path's
     history tuple, which grows by one atom per step.
     """
-    paths = np.empty(m.shape)
-    index = np.zeros(m.shape[1], dtype=np.int64)
-    histories = [()] * m.shape[1] if measure.depends_on == "history" else None
-    for k, row in enumerate(m):
+    paths = np.empty(words.shape)
+    index = np.zeros(words.shape[1], dtype=np.int64)
+    histories = [()] * words.shape[1] if measure.depends_on == "history" else None
+    for k, row in enumerate(words):
         weights = _rule_weights(measure, grid, k, index, histories)
         cum = np.cumsum([w_matrix @ w for w in weights], axis=1)[:, :-1]
-        idx = np.sum(row[:, None] >= np.ceil(cum * 2.0**53).astype(np.int64), axis=1)
+        idx = np.sum(row[:, None] >= np.ceil(cum * 2.0**32).astype(np.int64), axis=1)
         index += shifts.take(idx)
         paths[k] = atoms.take(idx)
         if histories is not None:
@@ -401,8 +418,9 @@ def sample_paths(
 ) -> np.ndarray:
     """Draw ``count`` atom paths of length n under the measure, reproducibly.
 
-    The uniform for (path p, step k) is the deterministic stream value at
-    index ``p*n + k`` (see :mod:`sublln.rng`); the realized atom is the
+    The uniform for (path p, step k) is ``w * 2^-32``, w the low (even p)
+    or high (odd p) 32-bit word of the deterministic stream output at index
+    ``(p div 2)*n + k`` (see :mod:`sublln.rng`); the realized atom is the
     first one, in increasing value order, whose cumulative mixture
     probability exceeds the uniform.  Identical (seed, inputs) give
     bit-identical samples.  Paths are drawn in blocks, each from its own
@@ -427,8 +445,9 @@ def sample_sum_counts(
     Entry i counts the paths whose sum is the lattice sum at window index i
     of step n on the family's grid (``_Grid.sums``), the gcd-reduced window
     of ``SumSupport.masks[n]`` with its ``n * span / gcd + 1`` entries.
-    Paths are counted block by block as they are drawn, so memory is one
-    block plus the counters, whatever ``count`` is.  The per-path sums are
+    Paths are counted block by block as they are drawn (``np.bincount`` of
+    each block's window indices), so memory is one block plus the counters,
+    whatever ``count`` is.  The per-path sums are
     ``sample_paths(...).sum(axis=1)``.
     """
     n, count, seed = _check_sampling(family, measure, n, count, seed)
@@ -437,7 +456,7 @@ def sample_sum_counts(
         if index.strides == (0,):  # no boundary left: one index for every path, and nothing drawn
             np.add.at(counts, index[:1], len(index))
         else:
-            np.add.at(counts, index, 1)
+            counts += np.bincount(index, minlength=counts.size)
     return counts
 
 

@@ -9,11 +9,26 @@ bit-for-bit by any implementation:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     out_i = z ^ (z >> 31)
 
-and the i-th uniform in [0, 1) is ``(out_i >> 11) * 2^-53``.  Outputs are
-pure functions of (seed, index), so any subsequence can be generated
-independently and in parallel.
+Outputs are pure functions of (seed, index), so any subsequence can be
+generated independently and in parallel.  The i-th uniform of
+:func:`unit_at` and :func:`unit_array` is ``(out_i >> 11) * 2^-53``, with
+53 bits.
 
-There is one vector implementation, :func:`mantissas`.  Since
+The Monte Carlo sampler (``sublln.measures``) reads each output as two
+32-bit words: for paths of n steps, path p at step k reads output
+``(p div 2)*n + k``, its low word ``out & 0xFFFFFFFF`` for an even p and its
+high word ``out >> 32`` for an odd p.  So paths 2j and 2j+1 share their
+outputs, and ``count`` paths draw ``ceil(count/2)*n`` outputs; an odd
+``count`` reads only the low words of its last n outputs.  The word w is
+the uniform ``w * 2^-32``, so the resolution is 2^-32 (about 2.3e-10).
+Atom j is drawn with probability ``(t_j - t_{j-1}) * 2^-32``, where
+``t_j = min(ceil(c_j * 2^32), 2^32)`` is the threshold of its upper CDF
+value c_j (``t_{-1} = 0``, and the last atom's is 2^32): each weight is
+rounded at its CDF ends to a multiple of 2^-32.  So an atom of weight below
+2^-32 is drawn with probability 0 or 2^-32; a first atom of weight in
+``(0, 2^-32]``, for one, is drawn exactly when the word is 0.
+
+There is one vector implementation, :func:`outputs`.  Since
 ``state_{start+i} = ((start + 1) * GAMMA + seed) + i * GAMMA``, a caller
 that draws many slices of one length builds the counter offsets
 ``i * GAMMA mod 2^64`` once (:func:`counter_offsets`), and each slice then
@@ -27,7 +42,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["MASK64", "mix64", "u64_at", "unit_at", "counter_offsets", "mantissas", "unit_array"]
+__all__ = ["MASK64", "mix64", "u64_at", "unit_at", "counter_offsets", "outputs", "unit_array"]
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -59,29 +74,31 @@ def counter_offsets(count: int) -> np.ndarray:
     return z
 
 
-def mantissas(seed: int, start: int, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the uint64 array ``out`` with ``u64_at(seed, start + i) >> 11`` and return it.
+def outputs(seed: int, start: int, offsets: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill the uint64 array ``out`` with ``u64_at(seed, start + i)`` and return it.
 
-    ``offsets`` holds :func:`counter_offsets` of at least ``len(out)``.  The
-    mantissas are below 2^53, so ``out.view(np.int64)`` holds the same
-    integers.  Works in place on ``out`` plus one scratch buffer; uint64
-    array arithmetic wraps mod 2^64 as the definition requires, and the
-    scalar seed and start are reduced as ``operator.index`` ints, so no counter overflows.
+    ``offsets`` holds :func:`counter_offsets` of at least ``len(out)``, and
+    ``scratch`` is a uint64 array of at least ``len(out)`` that the mix
+    overwrites; a caller that draws many slices allocates both once.  Works
+    in place on ``out``; uint64 array arithmetic wraps mod 2^64 as the
+    definition requires, and the scalar seed and start are reduced as
+    ``operator.index`` ints, so no counter overflows.
     """
     base = (operator.index(start) + 1) * _GAMMA + operator.index(seed)
     np.add(offsets[: out.size], np.uint64(base & MASK64), out=out)
-    t = np.empty_like(out)
+    t = scratch[: out.size]
     for shift, mult in ((30, _MULT1), (27, _MULT2)):
         np.right_shift(out, np.uint64(shift), out=t)
         out ^= t
         out *= np.uint64(mult)
     np.right_shift(out, np.uint64(31), out=t)
     out ^= t
-    out >>= np.uint64(11)
     return out
 
 
 def unit_array(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized ``[unit_at(seed, start + i) for i in range(count)]``."""
     z = counter_offsets(count)
-    return mantissas(seed, start, z, z).view(np.int64) * 2.0**-53
+    outputs(seed, start, z, z, np.empty_like(z))
+    z >>= np.uint64(11)
+    return z.view(np.int64) * 2.0**-53

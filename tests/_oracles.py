@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from sublln.rng import _GAMMA, _MULT1, _MULT2, MASK64, unit_array, unit_at
+from sublln.rng import _GAMMA, _MULT1, _MULT2, MASK64, u64_at
 
 
 def reachable_coords(family, n):
@@ -435,23 +435,37 @@ def per_state_forwards(family, n, measure):
     return masses
 
 
-def per_step_sampler(family, measure, n, count, seed):
-    """Monte Carlo paths by one ``searchsorted`` per step over the whole stream at once.
+def sampler_words(seed, n, count):
+    """The ``(count, n)`` 32-bit words that ``count`` paths of n steps read, from the stream's definition.
 
-    The sampler as it stood before paths were drawn in blocks: all
-    ``count * n`` uniforms in one array, and the atom of (path p, step k)
-    is ``min(searchsorted(cum_k, u[p, k], side="right"), last)``.  A sum
-    rule reads ``k*origin + coord*step``, coord the integer coordinate sum
-    of the first k atoms.
+    Path p at step k reads output ``(p div 2)*n + k`` (``u64_at``): its low
+    word ``out & 0xFFFFFFFF`` for an even p, its high word ``out >> 32`` for
+    an odd p.  One scalar output serves both paths of a pair.
+    """
+    rows = []
+    for j in range((count + 1) // 2):
+        outs = [u64_at(seed, j * n + k) for k in range(n)]
+        rows.append([out & 0xFFFFFFFF for out in outs])
+        rows.append([out >> 32 for out in outs])
+    return np.array(rows[:count], dtype=np.int64).reshape(count, n)
+
+
+def per_step_sampler(family, measure, n, count, seed):
+    """Monte Carlo paths by one ``searchsorted`` per step, on the words of ``sampler_words``.
+
+    The uniform of (path p, step k) is its word times 2^-32 (exact in a
+    float), and its atom is ``min(searchsorted(cum_k, u, side="right"),
+    last)``.  A ``"none"`` measure's step is looked up for every path at
+    once; a rule is read per (path, step), a sum rule at
+    ``k*origin + coord*step``, coord the integer coordinate sum of the first
+    k atoms.
     """
     coords, atoms, w_matrix = family.union_atoms()
     lat = family.lattice
     last = len(atoms) - 1
+    u = sampler_words(seed, n, count) * 2.0**-32
     out = np.empty((count, n))
-    if count == 0:
-        return out
     if measure.depends_on == "none":
-        u = unit_array(seed, 0, count * n).reshape(count, n)
         for k in range(n):
             cum = np.cumsum(w_matrix @ measure.mixture_weights(k))
             idx = np.minimum(np.searchsorted(cum, u[:, k], side="right"), last)
@@ -463,8 +477,7 @@ def per_step_sampler(family, measure, n, count, seed):
         for k in range(n):
             w = measure.mixture_weights(k, total=k * lat.origin + coord * lat.step, history=hist)
             cum = np.cumsum(w_matrix @ w)
-            u = unit_at(seed, pth * n + k)
-            a = min(int(np.searchsorted(cum, u, side="right")), last)
+            a = min(int(np.searchsorted(cum, u[pth, k], side="right")), last)
             out[pth, k] = atoms[a]
             hist = hist + (float(atoms[a]),)
             coord += int(coords[a])
@@ -502,22 +515,25 @@ def _unxorshift(y, shift):
     return x
 
 
-def seed_with_unit_at(index, u):
-    """A seed whose SplitMix64 stream has the uniform ``u`` at ``index``.
+def seed_with_unit_at(n, path, step, u, other=0):
+    """A seed whose stream gives path ``path`` of n-step paths the uniform ``u`` at step ``step``.
 
-    ``u`` must be a multiple of 2^-53 in [0, 1).  Every step of the output
-    mix is a bijection on 64-bit words, so the state that yields
-    ``u``'s top 53 bits (low 11 bits zero) is found by undoing the mix, and
-    the seed by subtracting the counter's contribution.
+    ``u`` must be a multiple of 2^-32 in [0, 1), and ``other`` is the other
+    32-bit word of the same output, the one the path's partner reads.  Every
+    step of the output mix is a bijection on 64-bit words, so the state
+    whose output holds ``u * 2^32`` as the path's word (low for an even
+    path, high for an odd one) is found by undoing the mix, and the seed by
+    subtracting the counter's contribution at output ``(path div 2)*n + step``.
     """
-    m = int(u * 2**53)
-    assert m * 2.0**-53 == u and 0 <= m < 2**53
-    z = _unxorshift(m << 11, 31)
+    word = int(u * 2**32)
+    assert word * 2.0**-32 == u and 0 <= word < 2**32 and 0 <= other < 2**32
+    out = (word << 32 | other) if path % 2 else (other << 32 | word)
+    z = _unxorshift(out, 31)
     z = (z * pow(_MULT2, -1, 2**64)) & MASK64
     z = _unxorshift(z, 27)
     z = (z * pow(_MULT1, -1, 2**64)) & MASK64
     z = _unxorshift(z, 30)
-    return (z - (index + 1) * _GAMMA) & MASK64
+    return (z - (path // 2 * n + step + 1) * _GAMMA) & MASK64
 
 
 # The catalog shapes as the lambdas they were before they became expression trees.

@@ -128,19 +128,19 @@ class TestSubcommands:
             (
                 "three_atom",
                 {
-                    "sample_mean": "0.25118060000000003",
-                    "sample_std": "0.10217774995842228",
-                    "abs_error": "0.0005449591515938601",
-                    "tolerance": "0.0012924576642391573",
+                    "sample_mean": "0.25074520000000006",
+                    "sample_std": "0.10211895494847956",
+                    "abs_error": "0.0001095591515938854",
+                    "tolerance": "0.001291713959653272",
                 },
             ),
             (
                 "bernoulli_pair",
                 {
-                    "sample_mean": "0.2552142",
-                    "sample_std": "0.13337739693688783",
-                    "abs_error": "0.0009168756829456837",
-                    "tolerance": "0.001687105450819723",
+                    "sample_mean": "0.2541554",
+                    "sample_std": "0.13315696736791352",
+                    "abs_error": "0.00014192431705434272",
+                    "tolerance": "0.0016843172128132911",
                 },
             ),
         ],
@@ -462,7 +462,7 @@ GOLDEN_SHA256 = {
     ('bernoulli_pair', 'csv'): {
         'report_chatterji.csv': 'e4a74374f144d836a149c2a0283c31355a5109692e0c3b80dd6c038564c213dc',
         'report_eval.csv': 'd97f24a6860896649ae34ad83e0424eeaf2ee629cbd68d0895f1061bf2858093',
-        'report_mc.csv': 'a1287f8bffb5bcae8a28ad8ba8b84c6923f3882bbe62ac7f7198e7b01e0ff337',
+        'report_mc.csv': '8196229647eede9e69d022027cdacc6ce960fcb0514d6cd6a66af3ddb67e63f5',
         'report_prop2.csv': 'dd582aef46c40aa8b91dcb859aa54bef45c047c19805538db6fcb995c41ccd24',
         'report_pstar.csv': '2e2fb46b29da536136f300249bff71fbf192848deb098b24fd18ed3c9a5816eb',
         'report_sweep.csv': '734d541d9a199e9a96634edf9eef12808cb42eb18c17ad801407798f657f45c3',
@@ -472,7 +472,7 @@ GOLDEN_SHA256 = {
     ('bernoulli_pair', 'json'): {
         'report_chatterji.json': '1e82e02c56e1de6e73331cded733676579e5482563dcf607e394bc6b0dd144df',
         'report_eval.json': '67469890dfb65ca7fbaa2bad1ccd59560889c8343be3df7414dfc9ad6bb313bc',
-        'report_mc.json': 'da04c154373e4982b38f19fb248387983ed51efb07b234f16b436e61d2a0b58f',
+        'report_mc.json': '6565100904aad90a487736f956f854585bfb26c6c23e1f7217644f58e481494c',
         'report_prop2.json': '9781868e54cc8aa0630c78ae0bc28cb9cd5d4eb506c24fa6249ca450dc356bc7',
         'report_pstar.json': 'a237f2441c9038292ccc05541a0817cf1506801f1a742bdc2821f327477457d6',
         'report_sweep.json': 'c0870e1836341817d3eee583c2f0ab93e8aa29071ae17fda171d015be246aaf2',
@@ -482,7 +482,7 @@ GOLDEN_SHA256 = {
     ('corpus', 'csv'): {
         'report_chatterji.csv': 'bbea6d76a49493d9dfbaf18b727cd24890aa94b5adcaebaee46e665d68ff152b',
         'report_eval.csv': '69742583b5ffa5f49e52383838415bc1fac1671b6c9f1fd1e195eaf3d43ce5d2',
-        'report_mc.csv': '17b59c24c40476fb29db5746b05677736bdc526309d807bbd5e77938a66a280f',
+        'report_mc.csv': 'c5cb44cd88361b121b5942b1bd4478f006879c4a1884824d1d2fcd55d7da3ff5',
         'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
         'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
         'report_sweep.csv': 'd29a263da4ac885ed0b3393de9d6eb5b8a6c099be129b6fef0d14dfcaf0fc6c5',
@@ -492,7 +492,7 @@ GOLDEN_SHA256 = {
     ('corpus', 'json'): {
         'report_chatterji.json': '4374dd1ca450fe8a182da746756708751d39681b4b7f973f9dc9f201046c9a6b',
         'report_eval.json': 'd76d06b6291447bff94cd5bad1b2f146a4425c62285201a95460ceaa10ee9d4a',
-        'report_mc.json': '82e8de79ba96a3e9bedfe289576cb5776bb039b131ea42d84e5632ee16e8a351',
+        'report_mc.json': '097ce09dbd8ee835ea2d1d01400c9188d7b6249f3a96d5bf419eb61c9738eefe',
         'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
         'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
         'report_sweep.json': '16551a2fe5e99cc8e25fa0ebaa0b06265dca5773d4a8490cf0bb4b285fb98d0b',
@@ -522,7 +522,7 @@ GOLDEN_SHA256 = {
     ('fair_coin', 'csv'): {
         'report_chatterji.csv': 'cb12f1c04d3ede4ee023f4fea5959b7ea956dd429827a0bb85775401b020002e',
         'report_eval.csv': '6f03f10050a5bf7eaf04d92272ec4d9c917328530581d92b4e829416af5ce502',
-        'report_mc.csv': 'afcdef7d428821cc8b4e174397419bbefbaa583888bcc15d3b4a3314f716470c',
+        'report_mc.csv': '0abbca7f196440bef351481dd6ec58497cec29897fba17ee1450c23bd6c8452f',
         'report_prop2.csv': 'de3a74eab93a156ad35c1917203bccf3dcd543929515e4ca36c31186e8d3c878',
         'report_pstar.csv': '55b4a8c83f78150014fb76ab273e84db59497fe265f82965923dbb659d030d1f',
         'report_sweep.csv': 'a72cb4584047f70b4c6c665686d354ea97252053d9a33f1cc0669f70fe4801f3',
@@ -532,7 +532,7 @@ GOLDEN_SHA256 = {
     ('fair_coin', 'json'): {
         'report_chatterji.json': '8a0f23acda538da55b13ffbd17496fc6498fd174d7474a57fbab907f44ec258d',
         'report_eval.json': '84a8463d476c25ab1aedfd8ae14c22701cb2a4425632d83110a9cf19684f8d9a',
-        'report_mc.json': '73d55214e2a54e32f05769d178619cdaa25d259d6c15476ddb8a1aeb8de74423',
+        'report_mc.json': 'b3a5ca971fd06da1c356d86bc1fabc5c9f74c62ee57382288f85ed2d28f672a3',
         'report_prop2.json': 'c5f70953042e49bf19fe7be98efa30a73aeeb27635183ebfe95d0def18c9106b',
         'report_pstar.json': 'f27e10fa8bf7948862a2fd6bfe7e710076e3c793c2c2fbdec9dbea01292f36f8',
         'report_sweep.json': '2518ebf343ef422eaaea59d3d0df740628605d6fa468e25f420fca9544d423ca',
@@ -562,7 +562,7 @@ GOLDEN_SHA256 = {
     ('skewed_pair', 'csv'): {
         'report_chatterji.csv': '951185fa8ce45c26c1a850dc105ea7fbc8a94ac9bef38e469d8cdba2fdc2c595',
         'report_eval.csv': '7d67ef9c6f7591c742db511946da1ef699c3d0ee71fdf987bfe8b0f8250d2c4a',
-        'report_mc.csv': '97f1a5ad9d4566abbab599ac06d68a4e301d5be7c61b65c3780fc405c0d3ab8d',
+        'report_mc.csv': 'e784af6f12b21e3a8b6c3ad4092611a566c9d2be51b852119a28bf876688268b',
         'report_prop2.csv': 'aeb7eb3900b29856180ba1e91a69e561e03b4eb9a2e1255bfe0e079590d5c830',
         'report_pstar.csv': 'b44c10d346adbc566f73b415aa999dfb5501ab329f6d3bf8acb5a522707a5c87',
         'report_sweep.csv': '27bcdd37f5341abe0d79cc3b9cfc4275b0cb4e0d95e919914301e2cb2711dd40',
@@ -572,7 +572,7 @@ GOLDEN_SHA256 = {
     ('skewed_pair', 'json'): {
         'report_chatterji.json': 'd19cbf5aa30d68efb35bfe8f9d66c569098cf2c742c6e9b566dd3aadd4b6be6c',
         'report_eval.json': '9e9af2b354ee421aa5cd9b9e894b26688fc377705422a20e933ab0049b419995',
-        'report_mc.json': '02f922a43b60fd3dd528c80e80451a258024b65fb39c7b33d17ef2804f8dbf30',
+        'report_mc.json': '700a3ae6250ce0591f7de254c2faf00140c5cf388f2d08fd0986e7943af5114f',
         'report_prop2.json': '69f4a059de22cc652ec2338c42bfc7658afbaa020720598cd196db498fc577fe',
         'report_pstar.json': 'cf85a91978dcb23b4879b6d2d5e5a220daa8ee16f704c575fb6ded27201300b4',
         'report_sweep.json': '12163efb51c76d8b106ff88f3939b10b91fd432df4e696933f6ee555122ea69f',
@@ -582,7 +582,7 @@ GOLDEN_SHA256 = {
     ('three_atom', 'csv'): {
         'report_chatterji.csv': 'bbea6d76a49493d9dfbaf18b727cd24890aa94b5adcaebaee46e665d68ff152b',
         'report_eval.csv': '69742583b5ffa5f49e52383838415bc1fac1671b6c9f1fd1e195eaf3d43ce5d2',
-        'report_mc.csv': '17b59c24c40476fb29db5746b05677736bdc526309d807bbd5e77938a66a280f',
+        'report_mc.csv': 'c5cb44cd88361b121b5942b1bd4478f006879c4a1884824d1d2fcd55d7da3ff5',
         'report_prop2.csv': 'c095dfc1e1698a312af67fccdb48f89f8a373b4cef9b3d7a0d67683e1241227d',
         'report_pstar.csv': 'd9f7998555c3e2b48e64b6ba5e55f1008f96bc0e8a792f5125e82eb7160aaf9e',
         'report_sweep.csv': 'd29a263da4ac885ed0b3393de9d6eb5b8a6c099be129b6fef0d14dfcaf0fc6c5',
@@ -592,7 +592,7 @@ GOLDEN_SHA256 = {
     ('three_atom', 'json'): {
         'report_chatterji.json': '4374dd1ca450fe8a182da746756708751d39681b4b7f973f9dc9f201046c9a6b',
         'report_eval.json': 'd76d06b6291447bff94cd5bad1b2f146a4425c62285201a95460ceaa10ee9d4a',
-        'report_mc.json': '82e8de79ba96a3e9bedfe289576cb5776bb039b131ea42d84e5632ee16e8a351',
+        'report_mc.json': '097ce09dbd8ee835ea2d1d01400c9188d7b6249f3a96d5bf419eb61c9738eefe',
         'report_prop2.json': '78b3a7dfb0dd8ac3f7400392b1e0ce18c053079bd673012d82d73576fc564008',
         'report_pstar.json': 'da969e3632bdd917097cb5592f2a8fe54545de552a1a9fe17544c19a9bfc14e2',
         'report_sweep.json': '16551a2fe5e99cc8e25fa0ebaa0b06265dca5773d4a8490cf0bb4b285fb98d0b',

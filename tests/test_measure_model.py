@@ -100,7 +100,7 @@ def test_rule_sampling_over_several_blocks(make, block):
     want = per_step_sampler(family, measure, n, count, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_UNIFORMS", block)
-        assert -(-count // max(1, block // n)) > 1  # more than one block
+        assert -(-count // (2 * max(1, block // (2 * n)))) > 1  # more than one block
         paths = sample_paths(family, measure, n, count, seed)
         counts = sample_sum_counts(family, measure, n, count, seed)
     assert np.array_equal(bits(paths), bits(want))

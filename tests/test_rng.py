@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sublln.rng import MASK64, counter_offsets, mantissas, u64_at, unit_array, unit_at
+from sublln.rng import MASK64, counter_offsets, outputs, u64_at, unit_array, unit_at
 
 
 def test_reference_vector_seed_zero():
@@ -61,13 +61,16 @@ def test_vector_matches_scalar_across_the_counter_wrap(seed, start):
 
 
 @pytest.mark.parametrize("seed", [0, 12345, MASK64])
-def test_mantissas_reuse_one_offset_array(seed):
-    # one offset array serves slices of any length at any start, across the counter wrap too
+def test_outputs_reuse_one_offset_and_scratch_array(seed):
+    # one offset array and one scratch serve slices of any length at any start, across the counter wrap too
     offsets = counter_offsets(64)
     before = offsets.copy()
+    scratch = np.empty(64, dtype=np.uint64)
     for start, count in ((0, 64), (1000, 17), (2**64 - 5, 64), (MASK64, 1), (7, 0)):
-        got = mantissas(seed, start, offsets, np.empty(count, dtype=np.uint64))
-        assert got.tolist() == [u64_at(seed, start + i) >> 11 for i in range(count)]
+        out = np.empty(count, dtype=np.uint64)
+        got = outputs(seed, start, offsets, out, scratch)
+        assert got is out
+        assert got.tolist() == [u64_at(seed, start + i) for i in range(count)]
     assert np.array_equal(offsets, before)
 
 
@@ -79,9 +82,9 @@ def test_numpy_integers_give_the_bits_of_python_ints(seed, start):
         assert unit_array(np_seed, np_start, 4).tobytes() == unit_array(seed, start, 4).tobytes()
         assert u64_at(np_seed, np_start) == u64_at(seed, start)
         assert unit_at(np_seed, np_start) == unit_at(seed, start)
-        out = np.empty(4, dtype=np.uint64)
-        want = [u64_at(seed, start + i) >> 11 for i in range(4)]
-        assert mantissas(np_seed, np_start, counter_offsets(4), out).tolist() == want
+        out, scratch = np.empty(4, dtype=np.uint64), np.empty(4, dtype=np.uint64)
+        want = [u64_at(seed, start + i) for i in range(4)]
+        assert outputs(np_seed, np_start, counter_offsets(4), out, scratch).tolist() == want
     if seed < 2**63 and start < 2**63:
         assert unit_array(np.int64(seed), np.int64(start), 4).tobytes() == unit_array(seed, start, 4).tobytes()
         assert u64_at(np.int64(seed), np.int64(start)) == u64_at(seed, start)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import per_step_sampler, reduced_sum_counts, seed_with_unit_at
+from _oracles import per_step_sampler, reduced_sum_counts, sampler_words, seed_with_unit_at
 from sublln import measures
 from sublln.ambiguity import AmbiguityFamily, mean_bounds
 from sublln.config import parse_config
@@ -23,7 +23,6 @@ from sublln.measures import (
     sample_sum_counts,
     uniform_mixture,
 )
-from sublln.rng import unit_at
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THREE_ATOM = AmbiguityFamily.build(
@@ -44,7 +43,7 @@ def assert_matches_oracle(family, measure, n, count, seed):
 
 
 def block_rows(n):
-    return max(1, measures._BLOCK_UNIFORMS // n)
+    return 2 * max(1, measures._BLOCK_UNIFORMS // (2 * n))
 
 
 def shipped_measures():
@@ -92,20 +91,21 @@ def test_uniform_equal_to_a_cdf_value(path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_UNIFORMS", 2 * n)  # two paths per block
         for u, atom in ((0.25, 1.0), (0.75, 2.0), (0.0, 0.0)):
-            seed = seed_with_unit_at(path * n + step, u)
-            assert unit_at(seed, path * n + step) == u
+            seed = seed_with_unit_at(n, path, step, u)
+            assert sampler_words(seed, n, count)[path, step] * 2.0**-32 == u
             assert per_step_sampler(family, measure, n, count, seed)[path, step] == atom
             assert sample_paths(family, measure, n, count, seed)[path, step] == atom
             assert_matches_oracle(family, measure, n, count, seed)
 
 
 def test_top_uniform_is_clamped_to_the_last_atom():
-    # the mixture weight is 1 - 4e-13, so the largest uniform lies past the CDF's end
+    # the mixture weight is 1 - 4e-13, so the CDF ends just below 1 but above the largest uniform, 1 - 2^-32
+    # (admitted weights end every CDF within about 1e-12 of 1); that uniform picks the last atom
     family = AmbiguityFamily.build(0, 1, [[(0, 0.5), (1, 0.5)]])
     measure = PathMeasure.constant([1.0 - 4e-13], 3)
-    top = 1.0 - 2.0**-53
-    assert np.cumsum(family.union_atoms()[2] @ measure.mixture_weights(0))[-1] < top
-    seed = seed_with_unit_at(4, top)
+    top = 1.0 - 2.0**-32
+    assert top < np.cumsum(family.union_atoms()[2] @ measure.mixture_weights(0))[-1] < 1.0
+    seed = seed_with_unit_at(3, 1, 1, top)
     paths = sample_paths(family, measure, 3, 2, seed)
     assert paths[1, 1] == 1.0
     assert_matches_oracle(family, measure, 3, 2, seed)
@@ -127,7 +127,7 @@ def test_counts_around_the_block_size(offset):
 
 @pytest.mark.parametrize("block", [1, 5, 21, 22])
 def test_small_blocks(block):
-    # a block shorter than one path still holds one whole path
+    # a block shorter than two paths still holds one whole pair of paths
     measure = construct_pstar(THREE_ATOM, 0.4, 11)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_UNIFORMS", block)

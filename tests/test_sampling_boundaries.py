@@ -1,6 +1,6 @@
 """CDF boundaries the sampler drops, folds or merges, against the ``searchsorted`` oracle bit for bit.
 
-A ``"none"`` measure's boundary whose threshold is ``2^53`` or above at every
+A ``"none"`` measure's boundary whose threshold is ``2^32`` or above at every
 step never fires and is dropped; one whose threshold is 0 at every step
 always fires and is folded into a base count; boundaries with equal
 thresholds are merged.  When none is left, no uniform is drawn.  Each case
@@ -38,7 +38,7 @@ def cdf(family, measure, k=0):
 
 
 def block_rows(n):
-    return max(1, measures._BLOCK_UNIFORMS // n)
+    return 2 * max(1, measures._BLOCK_UNIFORMS // (2 * n))
 
 
 def pstar(config, n):
@@ -120,7 +120,7 @@ def test_single_member_pstar_draws_no_uniform(name, monkeypatch):
     def no_draws(*args):
         raise AssertionError("a uniform was drawn")
 
-    monkeypatch.setattr(measures, "mantissas", no_draws)
+    monkeypatch.setattr(measures, "outputs", no_draws)
     config = parse_config((CONFIGS / f"{name}.json").read_bytes())
     n = config.mc_horizon
     measure = pstar(config, n)

@@ -78,7 +78,7 @@ def test_non_unit_gaps(name, gaps, families):
     family = families[name]
     assert np.diff(family.union_atoms()[0]).tolist() == gaps
     n = 50
-    count = 2 * (measures._BLOCK_UNIFORMS // n) + 7  # three blocks, the last partial
+    count = 4 * (measures._BLOCK_UNIFORMS // (2 * n)) + 7  # three blocks, the last partial
     for measure in (construct_pstar(family, sum(mean_bounds(family)) / 2, n), uniform_mixture(family, n)):
         _, counts = assert_counts_bin_the_oracle(family, measure, n, count, seed=5)
         assert len(counts) == n * sum(gaps) // math.gcd(*gaps) + 1  # the reduced window: 51 on bernoulli_pair
@@ -137,7 +137,7 @@ MEASURES = {
 def test_random_dyadic_lattices_match_the_float_sums(family, kind, n, block, extra, seed):
     measure = MEASURES[kind](n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_BLOCK_UNIFORMS", block * n)  # ``block`` paths per block
+        mp.setattr(measures, "_BLOCK_UNIFORMS", block * n)  # ``block`` paths per block, in whole pairs
         count = max(0, 2 * block + extra)  # crosses one or two block edges
         paths, counts = assert_counts_bin_the_oracle(family, measure, n, count, seed)
     # every float sum of these paths is exact, so it is the lattice sum its count stands for
@@ -166,7 +166,7 @@ def test_no_boundary_left_draws_nothing(name, seed, monkeypatch):
     config = parse_config((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").read_bytes())
     pstar = cli._RunPlan(config, ["mc"]).pstar
     n, count = config.mc_horizon, config.mc_samples
-    monkeypatch.setattr(measures, "mantissas", None)  # a draw would fail
+    monkeypatch.setattr(measures, "outputs", None)  # a draw would fail
     blocks = list(measures._stepwise_blocks(config.family, pstar, n, count, seed, indices=True))
     assert len(blocks) == 1 and blocks[0][1].shape == (count,)
     assert blocks[0][1].strides == (0,)  # one window index for every path, nothing counted per path

@@ -82,7 +82,7 @@ def test_counts_at_the_real_block_size(offset):
     config = parse_config((CONFIGS / "three_atom.json").read_bytes())
     n = config.mc_horizon
     pstar = cli._RunPlan(config, ["mc"]).pstar
-    count = measures._BLOCK_UNIFORMS // n + offset
+    count = 2 * (measures._BLOCK_UNIFORMS // (2 * n)) + offset  # around one block of paths
     counts = sample_sum_counts(config.family, pstar, n, count, config.seed)
     assert np.array_equal(counts, reduced_sum_counts(config.family, sample_paths(config.family, pstar, n, count, config.seed))[0])
 
@@ -90,7 +90,7 @@ def test_counts_at_the_real_block_size(offset):
 def test_no_boundary_left_counts_every_path_at_one_sum(monkeypatch):
     config = parse_config((CONFIGS / "two_point_masses.json").read_bytes())
     pstar = cli._RunPlan(config, ["mc"]).pstar
-    monkeypatch.setattr(measures, "mantissas", None)  # a draw would fail
+    monkeypatch.setattr(measures, "outputs", None)  # a draw would fail
     for count in (0, 10**9):
         counts = sample_sum_counts(config.family, pstar, config.mc_horizon, count, config.seed)
         assert counts.sum() == count and np.count_nonzero(counts) == (count > 0)
@@ -100,8 +100,8 @@ def test_no_boundary_left_counts_every_path_at_one_sum(monkeypatch):
 # bernoulli_pair, whose atom coordinates are 2 apart), pinned to the bit:
 # a change to the stream, the inverse-CDF lookup or the sums shows up here.
 COUNT_SHA256 = {
-    "three_atom": "50117f1501119cdeca228eac3b07ad1ebd2a1567d2b24142c803aa73ab9274ae",
-    "bernoulli_pair": "9765da932bef1a2047c60770a01b44518bedbe09d949b0b011ed71f53aef2714",
+    "three_atom": "3e610ee1f58308d55e59a51ab085a246e441224a967992d8f9c446f335f718be",
+    "bernoulli_pair": "2deef8f787fb1dd217c90cf0502fa79c85f19ccaa94a7b932e85fbe2ced868f7",
 }
 
 

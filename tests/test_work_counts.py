@@ -1,8 +1,9 @@
 """Work that ``verify-all`` does, counted instead of timed, so a change that adds dead work fails here.
 
 The sampler draws uniforms only for CDF boundaries that can fire: P* on a
-single member draws none, and every other shipped config draws one uniform
-per (path, step).  The limit search hands phi at most one block of grid
+single member draws none, and every other shipped config draws one 64-bit
+output per pair of paths and step, whose two 32-bit words are the two
+paths' uniforms.  The limit search hands phi at most one block of grid
 points at a time: every grid point of an opaque callable, and for each
 shipped catalog shape, a tree, only the one block that its enclosure
 leaves.  The backward driver runs once for the run plan, whose
@@ -30,16 +31,16 @@ NO_DRAWS = {"point_mass", "delta_pair", "two_point_masses"}
 def test_verify_all_draws_only_live_uniforms(path, tmp_path, monkeypatch):
     draws = []
 
-    def counting(seed, start, offsets, out):
+    def counting(seed, start, offsets, out, scratch):
         draws.append(out.size)
-        return mantissas(seed, start, offsets, out)
+        return outputs(seed, start, offsets, out, scratch)
 
-    mantissas = measures.mantissas
-    monkeypatch.setattr(measures, "mantissas", counting)
+    outputs = measures.outputs
+    monkeypatch.setattr(measures, "outputs", counting)
     config = parse_config(path.read_bytes())
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(config, tmp_path) == 0
-    want = 0 if path.stem in NO_DRAWS else config.mc_samples * config.mc_horizon
+    want = 0 if path.stem in NO_DRAWS else (config.mc_samples + 1) // 2 * config.mc_horizon
     assert sum(draws) == want
 
 
