@@ -28,11 +28,10 @@ from .engine import (
     SupportOverflow,
     ValueTable,
     expectation_under_policy,
-    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
-    iid_sum_expectations,
     lower_iid_sum_expectation,
+    payoff_expectations,
     value_table,
 )
 from .lln_rates import (

@@ -96,10 +96,6 @@ class DiscreteDistribution:
         """Build from (value, weight) pairs, sorted by value."""
         return cls(tuple(sorted((float(v), float(w)) for v, w in pairs)))
 
-    @classmethod
-    def point_mass(cls, value: float) -> "DiscreteDistribution":
-        return cls(((float(value), 1.0),))
-
     @property
     def values(self) -> np.ndarray:
         return np.array([v for v, _ in self.atoms], dtype=float)

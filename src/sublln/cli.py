@@ -28,7 +28,6 @@ from .engine import (
     SupportOverflow,
     _grid,
     expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
-    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
     lower_iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
@@ -146,7 +145,7 @@ class _RunPlan:
     def e_pstars(self) -> dict[int, float]:
         c, asked = self._config, self._requested
         ns = [*(c.n_schedule if "pstar" in asked else ()), *((c.mc_horizon,) if "mc" in asked else ())]
-        return dict(zip(ns, expectations_under_policy(c.family, c.phi, ns, self.pstar, c.state_cap)))
+        return dict(zip(ns, payoff_expectations(c.family, [c.phi], ns, c.state_cap, self.pstar)[0]))
 
     @functools.cached_property
     def moments(self) -> MomentSummary:
@@ -337,7 +336,9 @@ _CHECK_TABLE = {
 def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = None) -> int:
     """Execute the requested checks, then write reports and a summary; return the exit code.
 
-    Every check runs before the first file is written, so a run that exits 1 writes nothing.
+    Every check runs before the first file is written, so a run whose checks fail to run exits 1 and
+    writes nothing.  A report directory that cannot be created or written also exits 1, with one
+    ``error: cannot write reports`` line on stderr.
     """
     requested = tuple(checks) if checks is not None else config.checks
     unknown = [c for c in requested if c not in CHECKS]
@@ -353,7 +354,6 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
             print(f"error: check '{name}': {exc}", file=sys.stderr)
             return 1
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, Any] = {
         "tool": "sublln",
         "version": __version__,
@@ -363,16 +363,21 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "checks": {},
     }
     overall = True
-    for name, rows in results.items():
-        report = _write_report(out_dir / f"report_{name}", rows, config.format)
-        passed = _passed(rows)
-        overall = overall and passed
-        summary["checks"][name] = {"passed": passed, "rows": len(rows), "report": report.name}
-        print(f"{name}: {'PASS' if passed else 'FAIL'} ({report.name})")
-    summary["overall_passed"] = overall
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, rows in results.items():
+            report = _write_report(out_dir / f"report_{name}", rows, config.format)
+            passed = _passed(rows)
+            overall = overall and passed
+            summary["checks"][name] = {"passed": passed, "rows": len(rows), "report": report.name}
+            print(f"{name}: {'PASS' if passed else 'FAIL'} ({report.name})")
+        summary["overall_passed"] = overall
+        with (out_dir / "summary.json").open("w") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write reports: {exc}", file=sys.stderr)
+        return 1
     return 0 if overall else 2
 
 

@@ -101,7 +101,7 @@ grouping moves a root by no more than that share of its payoff's oscillation
   side and clipped to the window.  Bands and grids are memoized by value
   (``functools.lru_cache``), so a band costs its arithmetic once per grid
   and top horizon.  Every ``payoff_expectations`` sweep (so
-  ``iid_sum_expectations``, the lower value and ``lln_rates.rate_sweep``)
+  ``iid_sum_expectation``, the lower value and ``lln_rates.rate_sweep``)
   and every weighted sweep computes each block only over its steps' bands;
   the entries outside keep values of their own row, so every root stays
   within ``2**-100 * (max - min of its row's terminal values)`` of the
@@ -157,8 +157,8 @@ Fixed measures
 and grouped into rows as without one: a policy (taken as
 ``PathMeasure.from_policy``) and a measure whose rule reads nothing or the
 running sum by one weighted sweep over all its ``(horizon, phi)`` rows, on
-the reachable masks of every step.  :func:`expectations_under_policy` is its
-one-payoff case.  Every evaluator,
+the reachable masks of every step.  :func:`expectation_under_policy` is its
+one-payoff, one-horizon case.  Every evaluator,
 here and in :mod:`sublln.measures`, admits its inputs once with ``_horizons``
 (``_admit`` for one n) and reads a rule or policy through ``_rule_weights`` at
 window indices: a sum rule reads the lattice sum ``_Grid.sums``, a history
@@ -196,13 +196,11 @@ __all__ = [
     "PathMeasure",
     "build_support",
     "value_table",
-    "iid_sum_expectations",
     "payoff_expectations",
     "iid_sum_expectation",
     "lower_iid_sum_expectation",
     "extract_argmax_policy",
     "expectation_under_policy",
-    "expectations_under_policy",
 ]
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -738,16 +736,6 @@ def payoff_expectations(
     return tuple(tuple(roots[n, i] for n in horizons) for i in range(len(payoffs)))
 
 
-def iid_sum_expectations(
-    family: AmbiguityFamily,
-    phi: Callable,
-    ns: Iterable[int],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[float, ...]:
-    """Worst-case expectations of ``phi(S_n / n)`` for every n in ``ns``, in that order (one payoff)."""
-    return payoff_expectations(family, [phi], ns, state_cap)[0]
-
-
 @dataclass(frozen=True)
 class SumSupport(_Grid):
     """Reachable partial-sum lattice of n steps, one boolean mask per step.
@@ -921,7 +909,7 @@ def iid_sum_expectation(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Worst-case expectation of ``phi(S_n / n)`` by exact backward recursion."""
-    return iid_sum_expectations(family, phi, [n], state_cap)[0]
+    return payoff_expectations(family, [phi], [n], state_cap)[0][0]
 
 
 def lower_iid_sum_expectation(
@@ -931,7 +919,7 @@ def lower_iid_sum_expectation(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Best-case (lower) expectation of ``phi(S_n / n)``: -upper of -phi."""
-    return -iid_sum_expectations(family, lambda x: -phi(x), [n], state_cap)[0]
+    return -payoff_expectations(family, [lambda x: -phi(x)], [n], state_cap)[0][0]
 
 
 def value_table(
@@ -1035,17 +1023,6 @@ def _walk_histories(family: AmbiguityFamily, measure: PathMeasure, n: int, cap: 
     return paths, index, probs, tuple(means)
 
 
-def expectations_under_policy(
-    family: AmbiguityFamily,
-    phi: Callable,
-    ns: Iterable[int],
-    policy: SelectionPolicy | PathMeasure,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[float, ...]:
-    """:func:`expectation_under_policy` for each n in ``ns``: :func:`payoff_expectations` of one payoff under the policy."""
-    return payoff_expectations(family, [phi], ns, state_cap, policy)[0]
-
-
 def expectation_under_policy(
     family: AmbiguityFamily,
     n: int,
@@ -1062,4 +1039,4 @@ def expectation_under_policy(
     over sum states, or, when the rule is genuinely history-dependent, by
     averaging phi against the leaves of the history tree.
     """
-    return expectations_under_policy(family, phi, [n], policy, state_cap)[0]
+    return payoff_expectations(family, [phi], [n], state_cap, policy)[0][0]

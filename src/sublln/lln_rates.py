@@ -37,7 +37,7 @@ from .engine import (
     _check_state_cap,
     _eval_phi,
     iid_sum_expectation,
-    iid_sum_expectations,
+    payoff_expectations,
 )
 from .phi_expr import Abs, Add, Clip, Max, Mul, Neg, Num, PhiExpression, Sub, Var
 from .rng import unit_array
@@ -367,13 +367,13 @@ def rate_reports(
 ) -> tuple[RateReport, ...]:
     """Per-n rate reports from the worst cases ``expectations`` of ``ns``, the limit and the moments.
 
-    The corollary bound applies to 1-Lipschitz shape functions and is
-    reported only when ``phi.lipschitz_constant <= 1``.
+    ``ns`` and ``expectations`` must have equal lengths (else ValueError).  The corollary bound
+    applies to 1-Lipschitz shape functions and is reported only when ``phi.lipschitz_constant <= 1``.
     """
     L = phi.lipschitz_constant
     use_corollary = L <= 1.0
     reports = []
-    for n, e in zip(ns, expectations):
+    for n, e in zip(ns, expectations, strict=True):
         gap = abs(e - limit)
         b3 = {a: theorem3_bound(L, c, a, n) for a, c in moments.c_alpha.items()}
         h3 = {a: verdict(gap, b, BOUND_TOL) for a, b in b3.items()}
@@ -398,4 +398,4 @@ def rate_sweep(
         raise ValueError(f"n_schedule must be strictly ascending, got {schedule}")
     moments = moment_summary(family, alphas)
     limit = interval_max(phi, moments.mu_lower, moments.mu_upper).max_value
-    return rate_reports(phi, schedule, iid_sum_expectations(family, phi, schedule, state_cap), limit, moments)
+    return rate_reports(phi, schedule, payoff_expectations(family, [phi], schedule, state_cap)[0], limit, moments)

@@ -22,11 +22,11 @@ import numpy as np
 from .ambiguity import (
     DEFAULT_ALPHAS,
     AmbiguityFamily,
+    _abs_moments,
     _require_valid,
     mean_bounds,
     moment_c_alpha,  # unused here; kept bound for perfbench's span tracer
     moment_summary,
-    one_step_expectation,
 )
 from .engine import (
     DEFAULT_STATE_CAP,
@@ -41,9 +41,8 @@ from .engine import (
     _rule_weights,
     _walk_histories,
     expectation_under_policy,  # unused here; kept bound for perfbench's span tracer
-    expectations_under_policy,
     iid_sum_expectation,  # unused here; kept bound for perfbench's span tracer
-    iid_sum_expectations,
+    payoff_expectations,
 )
 from .lln_rates import BOUND_TOL, ROUND_TOL, IntervalMaxResult, LipschitzFunction, interval_max, theorem3_bound, verdict
 from .rng import counter_offsets, outputs
@@ -192,6 +191,12 @@ class Prop2Report:
     measure_name: str
 
 
+def _check_decomposition(dec: MartingaleDecomposition, measure: PathMeasure, n: int) -> None:
+    """ValueError unless ``dec`` is of n draws (n passing ``_check_n``) under a measure named as ``measure``."""
+    if (dec.n, dec.measure_name) != (_check_n(n), measure.name):
+        raise ValueError(f"decomposition is of n={dec.n} under {dec.measure_name!r}, not n={n} under {measure.name!r}")
+
+
 def prop2_check(
     family: AmbiguityFamily,
     measure: PathMeasure,
@@ -199,9 +204,13 @@ def prop2_check(
     state_cap: int = DEFAULT_STATE_CAP,
     decomposition: MartingaleDecomposition | None = None,
 ) -> Prop2Report:
-    """Check that every enumerated conditional mean lies in the mean interval."""
+    """Check that every enumerated conditional mean lies in the mean interval.
+
+    A given ``decomposition`` must be of n draws under ``measure`` (see ``_check_decomposition``).
+    """
     _check_state_cap(state_cap)
     dec = decomposition or conditional_means(family, measure, n, state_cap)
+    _check_decomposition(dec, measure, n)
     lo, hi = mean_bounds(family)
     excess = np.maximum(dec.cond_means - hi, lo - dec.cond_means)
     p, s = np.unravel_index(int(np.argmax(excess)), excess.shape)
@@ -234,19 +243,21 @@ def chatterji_check(
     """Verify ``E|sum D_i|^p <= 2^(2-p) * sum E|D_i|^p`` by exact enumeration.
 
     Also verifies the moment chain ``E|sum D_i|^p <= 4 n max_P E_P[|x|^p]``
-    that feeds the rate bound with p = 1 + alpha.
+    that feeds the rate bound with p = 1 + alpha.  A given ``decomposition`` must be of n
+    draws under ``measure`` (see ``_check_decomposition``).
     """
     if not 1.0 <= p <= 2.0:
         raise POutOfRange(f"p must be in [1, 2], got {p}")
     _check_state_cap(state_cap)
     dec = decomposition or conditional_means(family, measure, n, state_cap)
+    _check_decomposition(dec, measure, n)
     d = dec.diffs
     probs = dec.path_probs
     with np.errstate(over="raise"):  # a moment past the float range raises FloatingPointError, not a warning
         lhs = float(probs @ np.abs(d.sum(axis=1)) ** p)
         rhs = 2.0 ** (2.0 - p) * float((probs[:, None] * np.abs(d) ** p).sum())
-    c_moment = one_step_expectation(family, lambda x: abs(x) ** p)
-    chain_bound = 4.0 * dec.n * c_moment
+    _require_valid(family)
+    chain_bound = 4.0 * dec.n * max(_abs_moments(family, p))
     return ChatterjiReport(
         dec.measure_name,
         dec.n,
@@ -495,12 +506,13 @@ def lower_bound_reports(
 
     The measure ``pstar`` pinning every step's mean at ``mu_star = limit.argmax_r`` must be
     dominated by the worst case, its per-step mean must equal ``mu_star``, and
-    ``phi(mu_star) - E[phi(S_n/n)]`` must stay within the rate bound for each alpha.
+    ``phi(mu_star) - E[phi(S_n/n)]`` must stay within the rate bound for each alpha.  ``ns``,
+    ``e_pstars`` and ``e_uppers`` must have equal lengths (else ValueError).
     """
     mu_star = limit.argmax_r
     step_mean = float(pstar.mixture_weights(0) @ family.member_means())
     reports = []
-    for n, e_pstar, e_upper in zip(ns, e_pstars, e_uppers):
+    for n, e_pstar, e_upper in zip(ns, e_pstars, e_uppers, strict=True):
         lower_gap = limit.max_value - e_pstar
         bounds = {a: theorem3_bound(phi.lipschitz_constant, c, a, n) for a, c in c_alpha.items()}
         reports.append(
@@ -533,9 +545,9 @@ def lower_bound_checks(
     moments = moment_summary(family, alphas)
     ns = [_check_n(n) for n in ns]
     limit = interval_max(phi, moments.mu_lower, moments.mu_upper)
-    e_uppers = iid_sum_expectations(family, phi, ns, state_cap)
+    e_uppers = payoff_expectations(family, [phi], ns, state_cap)[0]
     pstar = construct_pstar(family, limit.argmax_r, max(ns, default=1))
-    e_pstars = expectations_under_policy(family, phi, ns, pstar, state_cap)
+    e_pstars = payoff_expectations(family, [phi], ns, state_cap, pstar)[0]
     return lower_bound_reports(family, phi, ns, limit, pstar, e_pstars, e_uppers, moments.c_alpha)
 
 

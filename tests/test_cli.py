@@ -166,6 +166,16 @@ class TestExitCodes:
         path.write_text(json.dumps({"family": {}, "phi": {}, "n_schedule": [1], "checks": ["nope"]}))
         assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
 
+    def test_unwritable_out_exits_1_without_a_traceback(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            assert main(["eval", "--config", str(CONFIGS / "fair_coin.json"), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write reports: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+        assert taken.read_text() == "" and sorted(tmp_path.iterdir()) == [taken]
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep"])  # --config is required

@@ -19,10 +19,8 @@ from sublln.engine import (
     SupportOverflow,
     build_support,
     expectation_under_policy,
-    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
-    iid_sum_expectations,
     lower_iid_sum_expectation,
     pairwise_total,
     payoff_expectations,
@@ -114,7 +112,7 @@ class TestIidSumExpectation:
         assert build_support(family, 2047).reachable_values(2047)[-1] == 2047 * 2**52
         message = f"sums for n=2048 reach lattice coordinate {2**63}, past the 64-bit integers that hold it"
         with pytest.raises(SupportOverflow, match=f"^{re.escape(message)}$"):
-            iid_sum_expectations(family, lambda x: x, [4096, 1, 2048])
+            payoff_expectations(family, [lambda x: x], [4096, 1, 2048])
 
     def test_invalid_family(self):
         with pytest.raises(FamilyInvalid):
@@ -125,7 +123,7 @@ class TestIidSumExpectation:
         ns = list(range(1, 13))
         for name, family in families.items():
             for phi in catalog_for(family):
-                for n, value in zip(ns, iid_sum_expectations(family, phi, ns)):
+                for n, value in zip(ns, payoff_expectations(family, [phi], ns)[0]):
                     exact = rational_backward(family, n, phi)
                     assert abs(Fraction(value) - exact) <= 1e-12 * max(1, abs(exact)), (name, phi.name, n)
 
@@ -141,19 +139,19 @@ class TestIidSumExpectation:
 
 
 class TestBatchedKernel:
-    """iid_sum_expectations against the per-horizon oracle, bit for bit."""
+    """payoff_expectations of one payoff against the per-horizon oracle, bit for bit."""
 
     def test_corpus_every_n_to_64(self, families):
         ns = range(1, 65)
         for family in families.values():
             for i, phi in enumerate(catalog_for(family)):
-                got = iid_sum_expectations(family, phi, ns)
+                got = payoff_expectations(family, [phi], ns)[0]
                 assert bits(got) == bits(oracle_values(family, phi, ns)), (family.name, i)
 
     def test_fine_lattice_to_32(self):
         ns = range(1, 33)
         for i, phi in enumerate(catalog_for(FINE_LATTICE)):
-            got = iid_sum_expectations(FINE_LATTICE, phi, ns)
+            got = payoff_expectations(FINE_LATTICE, [phi], ns)[0]
             assert bits(got) == bits(oracle_values(FINE_LATTICE, phi, ns)), i
 
     def test_single_horizon_wrappers(self, families):
@@ -181,25 +179,25 @@ class TestBatchedKernel:
             phi = lambda x, low=low: np.where(x == 0.0, low, -low)
             for n in (1, 2, 3):
                 want = per_horizon_backward(DELTA_PAIR, n, phi)[0]
-                assert bits(iid_sum_expectations(DELTA_PAIR, phi, [n, 1])[:1]) == bits([want])
+                assert bits(payoff_expectations(DELTA_PAIR, [phi], [n, 1])[0][:1]) == bits([want])
 
     def test_unsorted_and_duplicate_ns(self, families):
         family = families["three_atom"]
         phi = catalog_for(family)[2]
         ns = [8, 3, 8, 1, 17, 3]
-        got = iid_sum_expectations(family, phi, ns)
+        got = payoff_expectations(family, [phi], ns)[0]
         assert len(got) == len(ns)
         assert bits(got) == bits(oracle_values(family, phi, ns))
-        assert iid_sum_expectations(family, phi, []) == ()
+        assert payoff_expectations(family, [phi], [])[0] == ()
 
     def test_row_groups_do_not_change_values(self, families, monkeypatch):
         family = families["skewed_pair"]
         phi = catalog_for(family)[4]
         ns = list(range(1, 41))
-        whole = iid_sum_expectations(family, phi, ns)
+        whole = payoff_expectations(family, [phi], ns)[0]
         monkeypatch.setattr(engine, "_ROW_BUDGET", 200)
         assert len(engine._row_groups([(n, phi) for n in ns[::-1]], 3)) > 1
-        assert bits(iid_sum_expectations(family, phi, ns)) == bits(whole)
+        assert bits(payoff_expectations(family, [phi], ns)[0]) == bits(whole)
 
     @pytest.mark.parametrize("split", [False, True])
     def test_stacked_payoffs_match_single_sweeps(self, families, monkeypatch, split):
@@ -207,7 +205,7 @@ class TestBatchedKernel:
         for name, family in families.items():
             shapes = catalog_for(family)
             payoffs = [*shapes, *(lambda x, p=p: -p(x) for p in shapes)]
-            singles = [bits(iid_sum_expectations(family, phi, ns)) for phi in payoffs]
+            singles = [bits(payoff_expectations(family, [phi], ns)[0]) for phi in payoffs]
             with monkeypatch.context() as patch:
                 if split:
                     # five rows of the largest horizon per group: the twelve rows of a horizon split
@@ -225,7 +223,7 @@ class TestBatchedKernel:
         )
         phi = lambda x: np.sin(x) + 0.3 * x
         ns = range(1, 40)
-        got = iid_sum_expectations(family, phi, ns)
+        got = payoff_expectations(family, [phi], ns)[0]
         for g, want in zip(got, oracle_values(family, phi, ns)):
             assert g == pytest.approx(want, abs=1e-13)
 
@@ -242,7 +240,7 @@ class TestBatchedKernel:
                     want = str(exc)
                 for ns in ([n], [n, 1], [1, n, n]):
                     try:
-                        iid_sum_expectations(family, phi, ns, state_cap=cap)
+                        payoff_expectations(family, [phi], ns, state_cap=cap)
                         got = None
                     except SupportOverflow as exc:
                         got = str(exc)
@@ -254,24 +252,24 @@ class TestBatchedKernel:
     def test_overflow_names_smallest_horizon(self):
         # 3 states at n=1 and 6 at n=2 on the +-1 lattice
         with pytest.raises(SupportOverflow, match="n=2 exceed the cap of 5"):
-            iid_sum_expectations(TWO_POINT, lambda x: x, [3, 1, 2], state_cap=5)
+            payoff_expectations(TWO_POINT, [lambda x: x], [3, 1, 2], state_cap=5)
 
     def test_invalid_horizon(self):
         measure = PathMeasure.constant([0.5, 0.5], 3)
         for n in (0, 2.5, True):
             message = f"^n must be a positive integer, got {n}$"
             with pytest.raises(NonPositiveN, match=message):
-                iid_sum_expectations(TWO_POINT, lambda x: x, [3, n])
+                payoff_expectations(TWO_POINT, [lambda x: x], [3, n])
             with pytest.raises(NonPositiveN, match=message):
                 payoff_expectations(TWO_POINT, [abs], [n])
             with pytest.raises(NonPositiveN, match=message):
-                expectations_under_policy(TWO_POINT, lambda x: x, [2, n], measure)
+                payoff_expectations(TWO_POINT, [lambda x: x], [2, n], measure=measure)
         # a numpy horizon is the Python int of its value: same roots, same bits
         ns = [np.int64(3), np.uint8(1), np.int32(3)]
-        want = iid_sum_expectations(TWO_POINT, np.cos, [3, 1, 3])
-        assert bits(iid_sum_expectations(TWO_POINT, np.cos, ns)) == bits(want)
-        got = expectations_under_policy(TWO_POINT, np.cos, ns, measure)
-        assert bits(got) == bits(expectations_under_policy(TWO_POINT, np.cos, [3, 1, 3], measure))
+        want = payoff_expectations(TWO_POINT, [np.cos], [3, 1, 3])[0]
+        assert bits(payoff_expectations(TWO_POINT, [np.cos], ns)[0]) == bits(want)
+        got = payoff_expectations(TWO_POINT, [np.cos], ns, measure=measure)[0]
+        assert bits(got) == bits(payoff_expectations(TWO_POINT, [np.cos], [3, 1, 3], measure=measure)[0])
 
     @pytest.mark.parametrize("name", ["bernoulli_pair", "skewed_pair", "three_atom", "fine_lattice"])
     def test_phi_called_only_at_reachable_sums(self, families, name):
@@ -284,7 +282,7 @@ class TestBatchedKernel:
             calls.append(sorted(np.asarray(xs).tolist()))
             return np.cos(xs)
 
-        iid_sum_expectations(family, phi, ns)
+        payoff_expectations(family, [phi], ns)
         want = [sorted(sum_value(family, n, c) / n for c in levels[n]) for n in sorted(set(ns))]
         assert sorted(calls) == sorted(want)
         for single in (value_table, extract_argmax_policy):
@@ -308,7 +306,7 @@ class TestStepBlocks:
             assert bits([iid_sum_expectation(family, n, phi) for n in singles]) == bits(want), (name, i)
             # rows join mid-block, and at or next to a block's end
             for ns in ([3, 40, 77], [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 100]):
-                got = iid_sum_expectations(family, phi, ns)
+                got = payoff_expectations(family, [phi], ns)[0]
                 assert bits(got) == bits(oracle_values(family, phi, ns)), (name, i, ns)
 
     @pytest.mark.parametrize("name", [*corpus_families(), "fine_lattice"])
@@ -331,7 +329,7 @@ class TestStepBlocks:
             phi = lambda x, low=low: np.where(x == 0.0, low, -low)
             for n in (BLOCK + 1, 2 * BLOCK + 1):
                 want = per_horizon_backward(DELTA_PAIR, n, phi)[0]
-                assert bits(iid_sum_expectations(DELTA_PAIR, phi, [n, 1])[:1]) == bits([want])
+                assert bits(payoff_expectations(DELTA_PAIR, [phi], [n, 1])[0][:1]) == bits([want])
 
     def test_a_program_per_block_and_direction(self, families, monkeypatch):
         # 66 -> 40 (a row joins) -> 8 -> 3 (a row joins) -> 0, below three_atom's first trimmed step
@@ -344,7 +342,7 @@ class TestStepBlocks:
         program = engine._program
         monkeypatch.setattr(engine, "_program", recording)
         family = families["three_atom"]
-        iid_sum_expectations(family, catalog_for(family)[2], [3, 40, 66])
+        payoff_expectations(family, [catalog_for(family)[2]], [3, 40, 66])
         blocks = [(66, 1), (40, 2), (8, 2), (3, 3)]  # (first step, joined rows); span 4
         assert built == [(rows, (rows * (4 * (k - 1) + 1),)) for k, rows in blocks for _ in range(2)]
 
@@ -358,7 +356,7 @@ class TestStepBlocks:
         program = engine._program
         monkeypatch.setattr(engine, "_program", recording)
         for family in families.values():
-            iid_sum_expectations(family, catalog_for(family)[2], [3, 40, 77])
+            payoff_expectations(family, [catalog_for(family)[2]], [3, 40, 77])
             extract_argmax_policy(family, 9, catalog_for(family)[2])
         assert starts and set(starts) == {0}
 
@@ -382,8 +380,8 @@ class TestStepBlocks:
 
         monkeypatch.setattr(engine, "_sweep", counting)
         lo, hi = mean_bounds(family)
-        iid_sum_expectations(family, abs, [8, 9, 10])
-        expectations_under_policy(family, abs, [7, 8, 9, 10], construct_pstar(family, 0.5 * (lo + hi), 10))
+        payoff_expectations(family, [abs], [8, 9, 10])
+        payoff_expectations(family, [abs], [7, 8, 9, 10], measure=construct_pstar(family, 0.5 * (lo + hi), 10))
         assert sweeps == [3, 2, 2]
 
     def test_stale_columns_raise_no_float_error(self, families):
@@ -391,7 +389,7 @@ class TestStepBlocks:
         for family in families.values():
             for phi in catalog_for(family):
                 with np.errstate(all="raise"):
-                    roots = iid_sum_expectations(family, phi, schedule)
+                    roots = payoff_expectations(family, [phi], schedule)[0]
                 assert all(math.isfinite(r) for r in roots)
         # a deep banded sweep, whose entries outside each block's views are its rows' own values, on the
         # benchmark's shape and the interval distance.  Underflow is let through: the interval distance's
@@ -590,7 +588,7 @@ class TestBufferSize:
         out = []
         for phi in catalog_for(family):
             for ns in ([3, 40, 77], [2**k for k in range(11)]):
-                out.append(bits(iid_sum_expectations(family, phi, ns, state_cap=cap)))
+                out.append(bits(payoff_expectations(family, [phi], ns, state_cap=cap)[0]))
             out.append([bits(v) for v in value_table(family, n, phi).values])
             out.append([s.tolist() for s in extract_argmax_policy(family, n, phi).selections])
         return out
@@ -620,11 +618,11 @@ class TestBufferSize:
         with np.errstate(over="ignore", divide="raise", invalid="warn", under="print"):
             np.setbufsize(4096)
             state = np.geterr()
-            iid_sum_expectations(family, np.cos, [3, 40, 77])
+            payoff_expectations(family, [np.cos], [3, 40, 77])
             value_table(family, 40, np.cos)
             assert (np.getbufsize(), np.geterr()) == (4096, state)
             with pytest.raises(RuntimeError, match="phi failed"):
-                iid_sum_expectations(family, failing, [3, 40, 77])
+                payoff_expectations(family, [failing], [3, 40, 77])
             assert len(calls) == 2
             assert (np.getbufsize(), np.geterr()) == (4096, state)
 
@@ -1012,7 +1010,7 @@ class TestForwardKernel:
             measures += [uniform_mixture(family, 12), cosine_sum_rule(family, 12)]
             measures.append(extract_argmax_policy(family, 12, phi))
             for measure in measures:
-                for n, got in zip(ns, expectations_under_policy(family, phi, ns, measure)):
+                for n, got in zip(ns, payoff_expectations(family, [phi], ns, measure=measure)[0]):
                     exact = measure_backward(family, n, phi, measure, Fraction)
                     assert abs(Fraction(got) - exact) <= 1e-15 * max(1, abs(exact)), (i, measure, n)
 
@@ -1021,10 +1019,10 @@ class TestForwardKernel:
         lo, hi = mean_bounds(family)
         measure, ns = construct_pstar(family, 0.5 * (lo + hi), 40), list(range(1, 41))
         for phi in catalog_for(family):
-            whole = expectations_under_policy(family, phi, ns, measure)
+            whole = payoff_expectations(family, [phi], ns, measure=measure)[0]
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "_ROW_BUDGET", 400)
-                assert bits(expectations_under_policy(family, phi, ns, measure)) == bits(whole)
+                assert bits(payoff_expectations(family, [phi], ns, measure=measure)[0]) == bits(whole)
 
     def test_horizons_below_the_first_trimmed_step_bit_for_bit(self, families, name):
         # every window is full below step 162, so a row's root does not depend on the rows beside it
@@ -1036,7 +1034,7 @@ class TestForwardKernel:
             measures += [uniform_mixture(family, 161), extract_argmax_policy(family, 161, phi)]
             for measure in measures:
                 single = {n: expectation_under_policy(family, n, phi, measure) for n in set(ns)}
-                assert bits(expectations_under_policy(family, phi, ns, measure)) == bits([single[n] for n in ns])
+                assert bits(payoff_expectations(family, [phi], ns, measure=measure)[0]) == bits([single[n] for n in ns])
 
     def test_stacked_payoffs_match_single_evaluations(self, families, name):
         # every payoff is a row of one weighted sweep, or reads one history walk per horizon; every window
@@ -1055,7 +1053,7 @@ class TestForwardKernel:
             (history_parity_measure(family, max(history_ns)), history_ns),
         ]
         for measure, hs in cases:
-            singles = [bits(expectations_under_policy(family, phi, hs, measure)) for phi in payoffs]
+            singles = [bits(payoff_expectations(family, [phi], hs, measure=measure)[0]) for phi in payoffs]
             assert [bits(row) for row in payoff_expectations(family, payoffs, hs, measure=measure)] == singles, measure
             assert payoff_expectations(family, payoffs, [], measure=measure) == ((),) * len(payoffs)
         with pytest.raises(TypeError, match="unsupported policy object"):
@@ -1070,7 +1068,7 @@ class TestForwardKernel:
             with np.errstate():
                 np.setbufsize(size)
                 got[size] = [
-                    bits(expectations_under_policy(family, phi, [3, 40, 77], measure))
+                    bits(payoff_expectations(family, [phi], [3, 40, 77], measure=measure)[0])
                     for phi in catalog_for(family)
                     for measure in (construct_pstar(family, 0.5 * (lo + hi), 77), extract_argmax_policy(family, 77, phi))
                 ]
@@ -1095,8 +1093,8 @@ class TestForwardKernel:
             ]
             for measure in measures:
                 want = [expectation_under_policy(family, n, phi, measure) for n in ns]
-                assert bits(expectations_under_policy(family, phi, ns, measure)) == bits(want), (i, measure)
-                assert expectations_under_policy(family, phi, [], measure) == ()
+                assert bits(payoff_expectations(family, [phi], ns, measure=measure)[0]) == bits(want), (i, measure)
+                assert payoff_expectations(family, [phi], [], measure=measure)[0] == ()
 
 
 class TestInfinitePayoffs:

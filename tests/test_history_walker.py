@@ -22,8 +22,8 @@ from sublln.engine import (
     build_support,
     expectation_under_policy,
     extract_argmax_policy,
-    iid_sum_expectations,
     pairwise_total,
+    payoff_expectations,
 )
 from sublln.lln_rates import abs_dev
 from sublln.measures import (
@@ -221,5 +221,5 @@ def test_member_weights_drift_is_not_compounded():
     # validation accepts the first member although its weights sum to 1 + 9e-13
     family = AmbiguityFamily.build(0, 1, [[(0, 0.5 + 9e-13), (1, 0.5)], [(0, 0.25), (1, 0.75)]])
     ns = (1024, 4096)
-    for n, value in zip(ns, iid_sum_expectations(family, lambda x: np.ones_like(x), ns)):
+    for n, value in zip(ns, payoff_expectations(family, [lambda x: np.ones_like(x)], ns)[0]):
         assert abs(value - 1.0) <= n * 2.0**-53, n

@@ -23,6 +23,7 @@ from sublln.lln_rates import (
     interval_max,
     linear,
     neg_abs_dev,
+    rate_reports,
     rate_sweep,
     spot_check_lipschitz,
     theorem3_bound,
@@ -232,6 +233,14 @@ class TestRateSweep:
             rate_sweep(TWO_POINT, abs_dev(0.0), [True, 2])
         with pytest.raises(NonPositiveN, match="got True"):
             corollary_bound(1.0, True)
+
+    def test_unequal_lengths_raise(self):
+        # a short sequence of expectations must not drop the horizons it has no value for
+        moments = moment_summary(TWO_POINT, (0.5, 1.0))
+        with pytest.raises(ValueError, match="zip"):
+            rate_reports(abs_dev(0.0), [1, 2, 4], [0.5, 0.25], 0.0, moments)
+        with pytest.raises(ValueError, match="zip"):
+            rate_reports(abs_dev(0.0), [1, 2], [0.5, 0.25, 0.125], 0.0, moments)
 
     def test_empty_alphas_rejected(self, families):
         # no alpha would leave no theorem-3 bound, and all_hold would pass vacuously

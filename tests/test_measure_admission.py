@@ -23,10 +23,8 @@ from sublln.engine import (
     SelectionPolicy,
     build_support,
     expectation_under_policy,
-    expectations_under_policy,
     extract_argmax_policy,
     iid_sum_expectation,
-    iid_sum_expectations,
     lower_iid_sum_expectation,
     payoff_expectations,
     value_table,
@@ -48,13 +46,15 @@ from sublln.measures import (
 
 INVALID = AmbiguityFamily.build(0, 1, [[(0.5, 1.0)]])
 
+# Each key is its case's test id.  The cases keyed "expectations_under_policy" and "iid_sum_expectations"
+# are payoff_expectations with and without a measure; their keys keep these cases' existing test ids.
 ENTRY_POINTS = {
     "conditional_means": lambda family, measure, n: conditional_means(family, measure, n),
     "prop2_check": lambda family, measure, n: prop2_check(family, measure, n),
     "chatterji_check": lambda family, measure, n: chatterji_check(family, measure, n, 1.5),
     "sample_paths": lambda family, measure, n: sample_paths(family, measure, n, 10, 3),
     "sample_sum_counts": lambda family, measure, n: sample_sum_counts(family, measure, n, 10, 3),
-    "expectations_under_policy": lambda family, measure, n: expectations_under_policy(family, abs, [n], measure),
+    "expectations_under_policy": lambda family, measure, n: payoff_expectations(family, [abs], [n], measure=measure),
 }
 
 
@@ -69,7 +69,7 @@ HORIZON_ENTRY_POINTS = {
     "value_table": lambda family, n: value_table(family, n, abs),
     "extract_argmax_policy": lambda family, n: extract_argmax_policy(family, n, abs),
     "SelectionPolicy.constant": lambda family, n: SelectionPolicy.constant(family, n, 1),
-    "iid_sum_expectations": lambda family, n: iid_sum_expectations(family, abs, [n, 1]),
+    "iid_sum_expectations": lambda family, n: payoff_expectations(family, [abs], [n, 1]),
     "rate_sweep": lambda family, n: rate_sweep(family, abs_dev(0.25), [n]),
     "lower_bound_checks": lambda family, n: lower_bound_checks(family, abs_dev(0.25), [1, n]),
 }
@@ -87,15 +87,15 @@ MEASURE_CONSTRUCTORS = {
 # Every public entry point that takes a state cap, called on (family, state_cap).
 CAP_ENTRY_POINTS = {
     "payoff_expectations": lambda family, cap: payoff_expectations(family, [abs, abs_dev(0.5)], [4, 2], cap),
-    "iid_sum_expectations": lambda family, cap: iid_sum_expectations(family, abs, [4, 2], cap),
+    "iid_sum_expectations": lambda family, cap: payoff_expectations(family, [abs], [4, 2], cap),
     "iid_sum_expectation": lambda family, cap: iid_sum_expectation(family, 4, abs_dev(0.0), cap),
     "lower_iid_sum_expectation": lambda family, cap: lower_iid_sum_expectation(family, 4, abs_dev(0.0), cap),
     "build_support": lambda family, cap: build_support(family, 4, cap),
     "value_table": lambda family, cap: value_table(family, 4, abs, cap),
     "extract_argmax_policy": lambda family, cap: extract_argmax_policy(family, 4, abs, cap),
     "SelectionPolicy.constant": lambda family, cap: SelectionPolicy.constant(family, 4, 1, cap),
-    "expectations_under_policy": lambda family, cap: expectations_under_policy(
-        family, abs, [4, 2], uniform_mixture(family, 4), cap
+    "expectations_under_policy": lambda family, cap: payoff_expectations(
+        family, [abs], [4, 2], cap, uniform_mixture(family, 4)
     ),
     "expectation_under_policy": lambda family, cap: expectation_under_policy(
         family, 4, abs, history_parity_measure(family, 4), cap

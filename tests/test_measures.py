@@ -1,12 +1,14 @@
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from sublln import measures
-from sublln.ambiguity import AmbiguityFamily, mean_bounds, upper_variance
+from sublln.ambiguity import AmbiguityFamily, mean_bounds, moment_summary, upper_variance
 from sublln.engine import (
+    NonPositiveN,
     PolicyIncomplete,
     SupportOverflow,
     expectation_under_policy,
@@ -24,6 +26,7 @@ from sublln.measures import (
     history_parity_measure,
     lower_bound_check,
     lower_bound_checks,
+    lower_bound_reports,
     prop2_check,
     sample_paths,
     uniform_mixture,
@@ -283,6 +286,41 @@ class TestLowerBoundCheck:
                 assert rep.e_upper == iid_sum_expectation(family, n, phi)
                 pstar = construct_pstar(family, rep.mu_star, n)
                 assert rep.e_pstar == expectation_under_policy(family, n, phi, pstar)
+
+
+DECOMPOSITION_CHECKS = {
+    "prop2_check": prop2_check,
+    "chatterji_check": lambda family, measure, n, **kw: chatterji_check(family, measure, n, 1.5, **kw),
+}
+
+
+@pytest.mark.parametrize("name", DECOMPOSITION_CHECKS)
+def test_a_decomposition_of_another_horizon_or_measure_raises(families, name):
+    check, family = DECOMPOSITION_CHECKS[name], families["three_atom"]
+    lo, hi = mean_bounds(family)
+    pstar, mixture = construct_pstar(family, 0.5 * (lo + hi), 4), uniform_mixture(family, 4)
+    dec = conditional_means(family, mixture, 4)
+    message = "decomposition is of n=4 under 'uniform-mixture', not n=2 under 'uniform-mixture'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(family, mixture, 2, decomposition=dec)
+    message = f"decomposition is of n=4 under 'uniform-mixture', not n=4 under {pstar.name!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(family, pstar, 4, decomposition=dec)
+    with pytest.raises(NonPositiveN, match="^n must be a positive integer, got True$"):
+        check(family, mixture, True, decomposition=conditional_means(family, mixture, 1))
+    # a second measure of the same name is accepted, and reads the given decomposition
+    assert check(family, uniform_mixture(family, 4), 4, decomposition=dec) == check(family, mixture, 4)
+
+
+def test_lower_bound_reports_refuse_unequal_lengths(families):
+    family, phi, ns = families["three_atom"], abs_dev(0.0), [1, 2, 4]
+    moments = moment_summary(family, (0.5, 1.0))
+    limit = interval_max(phi, moments.mu_lower, moments.mu_upper)
+    pstar = construct_pstar(family, limit.argmax_r, 4)
+    values = [0.5, 0.25, 0.125]
+    for e_pstars, e_uppers in ((values[:2], values), (values, values[:1])):
+        with pytest.raises(ValueError, match="zip"):
+            lower_bound_reports(family, phi, ns, limit, pstar, e_pstars, e_uppers, moments.c_alpha)
 
 
 def test_measures_dominated_by_upper_expectation(families):
