@@ -10,6 +10,7 @@ every boolean cell of its report is true; an empty cell is no verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -78,20 +79,22 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _write_report(path: Path, rows: list[dict], fmt: str) -> Path:
-    """Write rows under the columns of the first row, in its key order."""
-    if fmt == "json":
-        out = path.with_suffix(".json")
-        with out.open("w") as fh:
+def _write_report(path: Path, rows: Any, fmt: str, written: list[Path]) -> Path:
+    """Write ``path`` with the suffix of ``fmt``, adding the file to ``written`` once it is open.
+
+    CSV rows go under the columns of the first row, in its key order; JSON takes any value.
+    """
+    out = path.with_suffix(f".{fmt}")
+    with out.open("w", newline="" if fmt == "csv" else None) as fh:
+        written.append(out)
+        if fmt == "json":
             json.dump(rows, fh, indent=2)
             fh.write("\n")
-        return out
-    out = path.with_suffix(".csv")
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([_cell(v) for v in row.values()])
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            for row in rows:
+                writer.writerow([_cell(v) for v in row.values()])
     return out
 
 
@@ -113,12 +116,12 @@ class _RunPlan:
     ``expectations`` are ``E_up`` of ``phi``, ``-phi`` and, when ``variance`` is requested, ``distance``
     at ``S_n/n`` over the schedule, by one sweep; ``e_pstars`` the P* values
     of one weighted sweep (the schedule for ``pstar``, ``mc_horizon`` for ``mc``); ``moments`` the moment summary,
-    and ``diagnostics(n)`` the enumerated measures that ``chatterji`` and ``prop2`` both read.
+    and ``diagnostics(n)`` the exact decompositions at horizon n that ``chatterji`` and ``prop2`` both read.
     """
 
     def __init__(self, config: ExperimentConfig, requested: Sequence[str]):
         self._config, self._requested = config, requested
-        self._diagnostics: dict[int, list[tuple[PathMeasure, MartingaleDecomposition]]] = {}
+        self._diagnostics: dict[int, list[MartingaleDecomposition]] = {}
 
     @functools.cached_property
     def limit(self) -> IntervalMaxResult:
@@ -151,12 +154,12 @@ class _RunPlan:
     def moments(self) -> MomentSummary:
         return moment_summary(self._config.family, self._config.alphas)
 
-    def diagnostics(self, n: int) -> list[tuple[PathMeasure, MartingaleDecomposition]]:
-        """P*, the parity rule and the uniform mixture at horizon n, each with its exact decomposition."""
+    def diagnostics(self, n: int) -> list[MartingaleDecomposition]:
+        """The exact decompositions of P*, the parity rule and the uniform mixture at horizon n."""
         if n not in self._diagnostics:
             c = self._config
             measures = [self.pstar, history_parity_measure(c.family, n), uniform_mixture(c.family, n)]
-            self._diagnostics[n] = [(m, conditional_means(c.family, m, n, c.state_cap)) for m in measures]
+            self._diagnostics[n] = [conditional_means(c.family, m, n, c.state_cap) for m in measures]
         return self._diagnostics[n]
 
 
@@ -214,19 +217,18 @@ def _check_variance(config: ExperimentConfig, plan: _RunPlan):
     return rows
 
 
-def _argmax_measure(config: ExperimentConfig, n: int) -> PathMeasure:
+def _argmax_decomposition(config: ExperimentConfig, n: int) -> MartingaleDecomposition:
     policy = extract_argmax_policy(config.family, n, config.phi, config.state_cap)
-    return PathMeasure.from_policy(policy, len(config.family.members), name="argmax-policy")
+    measure = PathMeasure.from_policy(policy, len(config.family.members), name="argmax-policy")
+    return conditional_means(config.family, measure, n, config.state_cap)
 
 
 def _check_chatterji(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     for n in _enum_ns(config):
-        for measure, dec in plan.diagnostics(n):
+        for dec in plan.diagnostics(n):
             for p in _CHATTERJI_PS:
-                rep = chatterji_check(
-                    config.family, measure, n, p, config.state_cap, decomposition=dec
-                )
+                rep = chatterji_check(dec, p)
                 rows.append(
                     {
                         "measure": rep.measure_name,
@@ -245,11 +247,11 @@ def _check_chatterji(config: ExperimentConfig, plan: _RunPlan):
 def _check_prop2(config: ExperimentConfig, plan: _RunPlan):
     rows = []
     for n in _enum_ns(config):
-        # the argmax measure is enumerated here only (chatterji does not read it), but
-        # built first, so a state-cap failure names the backward pass as it always has
-        argmax = _argmax_measure(config, n)
-        for measure, dec in [*plan.diagnostics(n), (argmax, None)]:
-            rep = prop2_check(config.family, measure, n, config.state_cap, decomposition=dec)
+        # the argmax measure is enumerated here only (chatterji does not read it), but before the
+        # shared diagnostics, so a state-cap failure names the backward pass, not an enumeration
+        argmax = _argmax_decomposition(config, n)
+        for dec in [*plan.diagnostics(n), argmax]:
+            rep = prop2_check(dec)
             rows.append(
                 {
                     "measure": rep.measure_name,
@@ -338,7 +340,9 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
 
     Every check runs before the first file is written, so a run whose checks fail to run exits 1 and
     writes nothing.  A report directory that cannot be created or written also exits 1, with one
-    ``error: cannot write reports`` line on stderr.
+    ``error: cannot write reports`` line on stderr; the files this run wrote are removed first, so a
+    write that fails partway leaves none of them in ``out_dir``.  The ``PASS``/``FAIL`` lines are
+    printed only once every file is written.
     """
     requested = tuple(checks) if checks is not None else config.checks
     unknown = [c for c in requested if c not in CHECKS]
@@ -362,23 +366,23 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "seed": config.seed,
         "checks": {},
     }
-    overall = True
+    written: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, rows in results.items():
-            report = _write_report(out_dir / f"report_{name}", rows, config.format)
-            passed = _passed(rows)
-            overall = overall and passed
-            summary["checks"][name] = {"passed": passed, "rows": len(rows), "report": report.name}
-            print(f"{name}: {'PASS' if passed else 'FAIL'} ({report.name})")
-        summary["overall_passed"] = overall
-        with (out_dir / "summary.json").open("w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+            report = _write_report(out_dir / f"report_{name}", rows, config.format, written)
+            summary["checks"][name] = {"passed": _passed(rows), "rows": len(rows), "report": report.name}
+        summary["overall_passed"] = all(c["passed"] for c in summary["checks"].values())
+        _write_report(out_dir / "summary", summary, "json", written)
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
         print(f"error: cannot write reports: {exc}", file=sys.stderr)
         return 1
-    return 0 if overall else 2
+    for name, check in summary["checks"].items():
+        print(f"{name}: {'PASS' if check['passed'] else 'FAIL'} ({check['report']})")
+    return 0 if summary["overall_passed"] else 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -4,9 +4,12 @@ Every history-dependent mixture of family members induces a genuine
 probability measure dominated by the worst-case expectation.  This module
 builds such measures explicitly (notably the product measure that pins
 every step's mean at the limit maximizer), enumerates their exact
-martingale decompositions for horizons up to ``DEFAULT_ENUM_STEPS``,
-verifies the conditional mean containment and Chatterji's moment
-inequality, and draws reproducible Monte Carlo paths for larger horizons.
+martingale decompositions for horizons up to ``DEFAULT_ENUM_STEPS``, and
+draws reproducible Monte Carlo paths for larger horizons.  A
+:class:`MartingaleDecomposition` carries its family, measure name and
+horizon, so :func:`prop2_check` (conditional mean containment) and
+:func:`chatterji_check` (Chatterji's moment inequality) are pure functions
+of one decomposition and enumerate nothing themselves.
 :class:`PathMeasure` is the engine's own class, re-exported here; every
 entry point admits its measure through the engine's ``_admit``, reads every
 rule and policy through its ``_rule_weights`` and enumerates with its walker.
@@ -131,7 +134,7 @@ def history_parity_measure(family: AmbiguityFamily, n: int) -> PathMeasure:
 
 @dataclass(frozen=True)
 class MartingaleDecomposition:
-    """Exact per-path decomposition of n draws under a constructed measure.
+    """Exact per-path decomposition of n draws of ``family`` under a constructed measure.
 
     ``paths[p, i]`` is the atom realized at step i+1 on path p,
     ``cond_means[p, i]`` the conditional mean of that step given the path's
@@ -141,7 +144,7 @@ class MartingaleDecomposition:
     """
 
     measure_name: str
-    atom_values: np.ndarray
+    family: AmbiguityFamily
     paths: np.ndarray
     path_probs: np.ndarray
     cond_means: np.ndarray
@@ -174,7 +177,7 @@ def conditional_means(
         raise SupportOverflow(f"{len(atoms)}^{n} paths exceed the cap of {state_cap}")
     paths, _, probs, means = _walk_histories(family, measure, n, None)
     cmeans = np.column_stack([np.repeat(m, len(atoms) ** (n - k)) for k, m in enumerate(means)])
-    return MartingaleDecomposition(measure.name, atoms, paths, probs, cmeans)
+    return MartingaleDecomposition(measure.name, family, paths, probs, cmeans)
 
 
 @dataclass(frozen=True)
@@ -183,39 +186,18 @@ class Prop2Report:
 
     ok: bool
     worst_excess: float
-    worst_step: int
-    worst_path: int
     mu_lower: float
     mu_upper: float
     n: int
     measure_name: str
 
 
-def _check_decomposition(dec: MartingaleDecomposition, measure: PathMeasure, n: int) -> None:
-    """ValueError unless ``dec`` is of n draws (n passing ``_check_n``) under a measure named as ``measure``."""
-    if (dec.n, dec.measure_name) != (_check_n(n), measure.name):
-        raise ValueError(f"decomposition is of n={dec.n} under {dec.measure_name!r}, not n={n} under {measure.name!r}")
-
-
-def prop2_check(
-    family: AmbiguityFamily,
-    measure: PathMeasure,
-    n: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-    decomposition: MartingaleDecomposition | None = None,
-) -> Prop2Report:
-    """Check that every enumerated conditional mean lies in the mean interval.
-
-    A given ``decomposition`` must be of n draws under ``measure`` (see ``_check_decomposition``).
-    """
-    _check_state_cap(state_cap)
-    dec = decomposition or conditional_means(family, measure, n, state_cap)
-    _check_decomposition(dec, measure, n)
-    lo, hi = mean_bounds(family)
-    excess = np.maximum(dec.cond_means - hi, lo - dec.cond_means)
-    p, s = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    worst = float(excess[p, s])
-    return Prop2Report(verdict(worst, 0.0, ROUND_TOL), worst, int(s) + 1, int(p), lo, hi, dec.n, dec.measure_name)
+def prop2_check(decomposition: MartingaleDecomposition) -> Prop2Report:
+    """Check that every enumerated conditional mean lies in the mean interval."""
+    dec = decomposition
+    lo, hi = mean_bounds(dec.family)
+    worst = float(np.maximum(dec.cond_means - hi, lo - dec.cond_means).max())
+    return Prop2Report(verdict(worst, 0.0, ROUND_TOL), worst, lo, hi, dec.n, dec.measure_name)
 
 
 @dataclass(frozen=True)
@@ -232,32 +214,22 @@ class ChatterjiReport:
     chain_holds: bool
 
 
-def chatterji_check(
-    family: AmbiguityFamily,
-    measure: PathMeasure,
-    n: int,
-    p: float,
-    state_cap: int = DEFAULT_STATE_CAP,
-    decomposition: MartingaleDecomposition | None = None,
-) -> ChatterjiReport:
-    """Verify ``E|sum D_i|^p <= 2^(2-p) * sum E|D_i|^p`` by exact enumeration.
+def chatterji_check(decomposition: MartingaleDecomposition, p: float) -> ChatterjiReport:
+    """Verify ``E|sum D_i|^p <= 2^(2-p) * sum E|D_i|^p`` on an exact decomposition.
 
     Also verifies the moment chain ``E|sum D_i|^p <= 4 n max_P E_P[|x|^p]``
-    that feeds the rate bound with p = 1 + alpha.  A given ``decomposition`` must be of n
-    draws under ``measure`` (see ``_check_decomposition``).
+    that feeds the rate bound with p = 1 + alpha.
     """
     if not 1.0 <= p <= 2.0:
         raise POutOfRange(f"p must be in [1, 2], got {p}")
-    _check_state_cap(state_cap)
-    dec = decomposition or conditional_means(family, measure, n, state_cap)
-    _check_decomposition(dec, measure, n)
+    dec = decomposition
     d = dec.diffs
     probs = dec.path_probs
     with np.errstate(over="raise"):  # a moment past the float range raises FloatingPointError, not a warning
         lhs = float(probs @ np.abs(d.sum(axis=1)) ** p)
         rhs = 2.0 ** (2.0 - p) * float((probs[:, None] * np.abs(d) ** p).sum())
-    _require_valid(family)
-    chain_bound = 4.0 * dec.n * max(_abs_moments(family, p))
+    _require_valid(dec.family)
+    chain_bound = 4.0 * dec.n * max(_abs_moments(dec.family, p))
     return ChatterjiReport(
         dec.measure_name,
         dec.n,

@@ -222,7 +222,7 @@ def test_criterion_6_chatterji(acceptance_log, families):
                 dec = conditional_means(family, measure, n)
                 for p in (1.0, 1.25, 1.5, 1.75, 2.0):
                     checked += 1
-                    rep = chatterji_check(family, measure, n, p, decomposition=dec)
+                    rep = chatterji_check(dec, p)
                     if rep.lhs > rep.rhs + 1e-12 or not rep.chain_holds:
                         violations.append((name, measure.name, n, p))
     elapsed = perf_counter() - t0
@@ -248,7 +248,7 @@ def test_criterion_7_conditional_mean_containment(acceptance_log, families):
             measures.append(PathMeasure.from_policy(policy, len(family.members), name="argmax"))
             for measure in measures:
                 checked += 1
-                rep = prop2_check(family, measure, n)
+                rep = prop2_check(conditional_means(family, measure, n))
                 if not rep.ok:
                     violations.append((name, measure.name, n, rep.worst_excess))
     ok = not violations

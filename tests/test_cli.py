@@ -14,7 +14,7 @@ from sublln.config import parse_config
 from sublln import engine
 from sublln.engine import payoff_expectations
 from sublln.lln_rates import interval_max, verdict
-from sublln.measures import conditional_means, construct_pstar
+from sublln.measures import chatterji_check, conditional_means, construct_pstar, prop2_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -175,6 +175,20 @@ class TestExitCodes:
             assert err.startswith("error: cannot write reports: ") and err.count("\n") == 1, err
             assert "Traceback" not in err
         assert taken.read_text() == "" and sorted(tmp_path.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("blocker", ["report_sweep.csv", "summary.json"])
+    def test_a_write_failing_partway_leaves_no_file_of_the_run(self, tmp_path, capsys, blocker):
+        # a directory where a report goes: the files written before it are removed, and no verdict is printed
+        out = tmp_path / "r"
+        (out / blocker).mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        assert main(["verify-all", "--config", str(CONFIGS / "fair_coin.json"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write reports: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in out.iterdir()) == sorted(["notes.txt", blocker])
+        assert (out / blocker).is_dir() and (out / "notes.txt").read_text() == "kept"
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -367,6 +381,37 @@ class TestRunPlan:
         assert cli.run(config, tmp_path / "r2") == 0
         # nothing carries over to the next run
         assert (len(maxima), len(sweeps), len(enumerations)) == (2, 4, 24)
+
+    def test_each_measure_is_walked_once_per_enumerated_horizon(self, tmp_path, monkeypatch):
+        config = parse_config((CONFIGS / "three_atom.json").read_bytes())
+        walks, walk, inside = [], engine._walk_histories, []
+
+        def counted(family, measure, n, cap):
+            assert not inside, f"{inside[0]} walked {measure.name} at n={n}"
+            walks.append((measure.name, n))
+            return walk(family, measure, n, cap)
+
+        def guarded(check):
+            def call(*args):
+                inside.append(check.__name__)
+                try:
+                    return check(*args)
+                finally:
+                    inside.pop()
+
+            return call
+
+        patch_bindings(monkeypatch, walk, counted)
+        for check in (prop2_check, chatterji_check):
+            patch_bindings(monkeypatch, check, guarded(check))
+        assert cli.run(config, tmp_path / "r") == 0
+        # P*, the parity rule, the uniform mixture and the argmax policy, each walked once per enumerated n;
+        # prop2_check and chatterji_check only read the decompositions
+        ns = cli._enum_ns(config)
+        pstar = cli._RunPlan(config, config.checks).pstar.name
+        names = [pstar, "parity-rule", "uniform-mixture", "argmax-policy"]
+        assert len(walks) == 4 * len(ns)
+        assert sorted(walks) == sorted((name, n) for name in names for n in ns)
 
     def test_unknown_check_name_exits_1(self, tmp_path, capsys):
         # the subcommands name known checks only; a caller of run() may name any

@@ -50,8 +50,8 @@ INVALID = AmbiguityFamily.build(0, 1, [[(0.5, 1.0)]])
 # are payoff_expectations with and without a measure; their keys keep these cases' existing test ids.
 ENTRY_POINTS = {
     "conditional_means": lambda family, measure, n: conditional_means(family, measure, n),
-    "prop2_check": lambda family, measure, n: prop2_check(family, measure, n),
-    "chatterji_check": lambda family, measure, n: chatterji_check(family, measure, n, 1.5),
+    "prop2_check": lambda family, measure, n: prop2_check(conditional_means(family, measure, n)),
+    "chatterji_check": lambda family, measure, n: chatterji_check(conditional_means(family, measure, n), 1.5),
     "sample_paths": lambda family, measure, n: sample_paths(family, measure, n, 10, 3),
     "sample_sum_counts": lambda family, measure, n: sample_sum_counts(family, measure, n, 10, 3),
     "expectations_under_policy": lambda family, measure, n: payoff_expectations(family, [abs], [n], measure=measure),
@@ -101,13 +101,9 @@ CAP_ENTRY_POINTS = {
         family, 4, abs, history_parity_measure(family, 4), cap
     ),
     "conditional_means": lambda family, cap: conditional_means(family, uniform_mixture(family, 4), 4, cap),
-    "prop2_check": lambda family, cap: prop2_check(family, uniform_mixture(family, 4), 4, cap),
-    "prop2_check(decomposition)": lambda family, cap: prop2_check(
-        family, uniform_mixture(family, 4), 4, cap, conditional_means(family, uniform_mixture(family, 4), 4)
-    ),
-    "chatterji_check": lambda family, cap: chatterji_check(family, uniform_mixture(family, 4), 4, 1.5, cap),
-    "chatterji_check(decomposition)": lambda family, cap: chatterji_check(
-        family, uniform_mixture(family, 4), 4, 1.5, cap, conditional_means(family, uniform_mixture(family, 4), 4)
+    "prop2_check": lambda family, cap: prop2_check(conditional_means(family, uniform_mixture(family, 4), 4, cap)),
+    "chatterji_check": lambda family, cap: chatterji_check(
+        conditional_means(family, uniform_mixture(family, 4), 4, cap), 1.5
     ),
     "lower_bound_checks": lambda family, cap: lower_bound_checks(family, abs_dev(0.0), [2, 4], state_cap=cap),
     "lower_bound_check": lambda family, cap: lower_bound_check(family, abs_dev(0.0), 4, state_cap=cap),
@@ -253,8 +249,8 @@ def _sum_rule_measures(family, n):
 
 
 def assert_same_decomposition(a, b):
-    assert a.measure_name == b.measure_name
-    for field in ("atom_values", "paths", "path_probs", "cond_means"):
+    assert a.measure_name == b.measure_name and a.family == b.family
+    for field in ("paths", "path_probs", "cond_means"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
 

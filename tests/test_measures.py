@@ -1,5 +1,4 @@
 import math
-import re
 from collections import defaultdict
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from sublln import measures
 from sublln.ambiguity import AmbiguityFamily, mean_bounds, moment_summary, upper_variance
 from sublln.engine import (
-    NonPositiveN,
     PolicyIncomplete,
     SupportOverflow,
     expectation_under_policy,
@@ -138,11 +136,11 @@ class TestProp2:
     def test_containment_for_constructed_measures(self, families):
         for family in families.values():
             for measure in diagnostic_measures(family, 3):
-                report = prop2_check(family, measure, 3)
+                report = prop2_check(conditional_means(family, measure, 3))
                 assert report.ok, (family.name, measure.name, report)
 
     def test_point_mass_exact(self):
-        report = prop2_check(POINT_MASS, uniform_mixture(POINT_MASS, 2), 2)
+        report = prop2_check(conditional_means(POINT_MASS, uniform_mixture(POINT_MASS, 2), 2))
         assert report.ok
         assert report.mu_lower == report.mu_upper == 0.5
 
@@ -152,30 +150,30 @@ class TestProp2:
             phi = neg_abs_dev(0.5 * (lo + hi))
             policy = extract_argmax_policy(family, 3, phi)
             measure = PathMeasure.from_policy(policy, len(family.members))
-            assert prop2_check(family, measure, 3).ok
+            assert prop2_check(conditional_means(family, measure, 3)).ok
 
 
 class TestChatterji:
     def test_orthogonal_increments_equality(self):
-        rep = chatterji_check(FAIR_COIN, uniform_mixture(FAIR_COIN, 2), 2, 2.0)
+        rep = chatterji_check(conditional_means(FAIR_COIN, uniform_mixture(FAIR_COIN, 2), 2), 2.0)
         assert rep.lhs == pytest.approx(2.0, abs=1e-14)
         assert rep.rhs == pytest.approx(2.0, abs=1e-14)
         assert rep.holds
 
     def test_p_one_enumeration(self):
-        rep = chatterji_check(FAIR_COIN, uniform_mixture(FAIR_COIN, 2), 2, 1.0)
+        rep = chatterji_check(conditional_means(FAIR_COIN, uniform_mixture(FAIR_COIN, 2), 2), 1.0)
         assert rep.lhs == pytest.approx(1.0, abs=1e-14)
         assert rep.rhs == pytest.approx(4.0, abs=1e-14)
         assert rep.holds and rep.chain_holds
 
     def test_pstar_mixture(self):
         measure = construct_pstar(DELTA_PAIR, 0.4, 3)
-        rep = chatterji_check(DELTA_PAIR, measure, 3, 1.5)
+        rep = chatterji_check(conditional_means(DELTA_PAIR, measure, 3), 1.5)
         assert rep.holds and rep.chain_holds
 
     def test_p_out_of_range(self):
         with pytest.raises(POutOfRange):
-            chatterji_check(FAIR_COIN, uniform_mixture(FAIR_COIN, 2), 2, 2.5)
+            chatterji_check(conditional_means(FAIR_COIN, uniform_mixture(FAIR_COIN, 2), 2), 2.5)
 
     def test_all_measures_all_p(self, families):
         ps = (1.0, 1.25, 1.5, 1.75, 2.0)
@@ -183,7 +181,7 @@ class TestChatterji:
             for measure in diagnostic_measures(family, 4):
                 dec = conditional_means(family, measure, 4)
                 for p in ps:
-                    rep = chatterji_check(family, measure, 4, p, decomposition=dec)
+                    rep = chatterji_check(dec, p)
                     assert rep.lhs <= rep.rhs + 1e-12, (family.name, measure.name, p)
                     assert rep.chain_holds
 
@@ -286,30 +284,6 @@ class TestLowerBoundCheck:
                 assert rep.e_upper == iid_sum_expectation(family, n, phi)
                 pstar = construct_pstar(family, rep.mu_star, n)
                 assert rep.e_pstar == expectation_under_policy(family, n, phi, pstar)
-
-
-DECOMPOSITION_CHECKS = {
-    "prop2_check": prop2_check,
-    "chatterji_check": lambda family, measure, n, **kw: chatterji_check(family, measure, n, 1.5, **kw),
-}
-
-
-@pytest.mark.parametrize("name", DECOMPOSITION_CHECKS)
-def test_a_decomposition_of_another_horizon_or_measure_raises(families, name):
-    check, family = DECOMPOSITION_CHECKS[name], families["three_atom"]
-    lo, hi = mean_bounds(family)
-    pstar, mixture = construct_pstar(family, 0.5 * (lo + hi), 4), uniform_mixture(family, 4)
-    dec = conditional_means(family, mixture, 4)
-    message = "decomposition is of n=4 under 'uniform-mixture', not n=2 under 'uniform-mixture'"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        check(family, mixture, 2, decomposition=dec)
-    message = f"decomposition is of n=4 under 'uniform-mixture', not n=4 under {pstar.name!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        check(family, pstar, 4, decomposition=dec)
-    with pytest.raises(NonPositiveN, match="^n must be a positive integer, got True$"):
-        check(family, mixture, True, decomposition=conditional_means(family, mixture, 1))
-    # a second measure of the same name is accepted, and reads the given decomposition
-    assert check(family, uniform_mixture(family, 4), 4, decomposition=dec) == check(family, mixture, 4)
 
 
 def test_lower_bound_reports_refuse_unequal_lengths(families):
