@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -79,14 +81,16 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _write_report(path: Path, rows: Any, fmt: str, written: list[Path]) -> Path:
-    """Write ``path`` with the suffix of ``fmt``, adding the file to ``written`` once it is open.
+def _write_report(path: Path, rows: Any, fmt: str, staged: list[tuple[Path, Path]]) -> Path:
+    """Write ``path`` with the suffix of ``fmt`` under a temporary name beside it, and return the final name.
 
-    CSV rows go under the columns of the first row, in its key order; JSON takes any value.
+    ``staged`` gets the ``(temporary, final)`` pair once the temporary file is created (never over an
+    existing file).  CSV rows go under the columns of the first row, in its key order; JSON takes any value.
     """
     out = path.with_suffix(f".{fmt}")
-    with out.open("w", newline="" if fmt == "csv" else None) as fh:
-        written.append(out)
+    temporary = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    with temporary.open("x", newline="" if fmt == "csv" else None) as fh:
+        staged.append((temporary, out))
         if fmt == "json":
             json.dump(rows, fh, indent=2)
             fh.write("\n")
@@ -339,10 +343,12 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
     """Execute the requested checks, then write reports and a summary; return the exit code.
 
     Every check runs before the first file is written, so a run whose checks fail to run exits 1 and
-    writes nothing.  A report directory that cannot be created or written also exits 1, with one
-    ``error: cannot write reports`` line on stderr; the files this run wrote are removed first, so a
-    write that fails partway leaves none of them in ``out_dir``.  The ``PASS``/``FAIL`` lines are
-    printed only once every file is written.
+    writes nothing.  Every file is written under a temporary name in ``out_dir``; once all are written,
+    and none of their final names is a directory, each is renamed to its final name.  A report
+    directory that cannot be created or written also exits 1, with one ``error: cannot write reports``
+    line on stderr; the run removes its own temporary files first, so a write that fails before the
+    renames leaves the files of an earlier run in ``out_dir`` as they were.  The ``PASS``/``FAIL`` lines
+    are printed only once every file is in place.
     """
     requested = tuple(checks) if checks is not None else config.checks
     unknown = [c for c in requested if c not in CHECKS]
@@ -366,18 +372,23 @@ def run(config: ExperimentConfig, out_dir: Path, checks: Sequence[str] | None = 
         "seed": config.seed,
         "checks": {},
     }
-    written: list[Path] = []
+    staged: list[tuple[Path, Path]] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, rows in results.items():
-            report = _write_report(out_dir / f"report_{name}", rows, config.format, written)
+            report = _write_report(out_dir / f"report_{name}", rows, config.format, staged)
             summary["checks"][name] = {"passed": _passed(rows), "rows": len(rows), "report": report.name}
         summary["overall_passed"] = all(c["passed"] for c in summary["checks"].values())
-        _write_report(out_dir / "summary", summary, "json", written)
+        _write_report(out_dir / "summary", summary, "json", staged)
+        for _, final in staged:  # a directory at a final name would fail its rename after earlier ones
+            if final.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+        for temporary, final in staged:
+            temporary.replace(final)
     except OSError as exc:
-        for path in written:
+        for temporary, _ in staged:
             with contextlib.suppress(OSError):
-                path.unlink()
+                temporary.unlink()
         print(f"error: cannot write reports: {exc}", file=sys.stderr)
         return 1
     for name, check in summary["checks"].items():

@@ -84,6 +84,25 @@ grouping moves a root by no more than that share of its payoff's oscillation
   stale entries are finite whenever phi is, as every value the sweep writes
   is a maximum or a weighted sum of weighted sums of values written before
   (or a zero of the initial arrays).
+* **Plans.**  A plain sweep, one in max mode that records no table or
+  selections, keeps its plan (``_Plan``) in a one-plan slot (``_held``) when
+  it finishes: the reachable masks at its row horizons, each horizon's
+  terminal points ``sums(n, mask) / n``, the ``cur``, ``nxt``, product and
+  ``acc`` arrays, and the two step programs of every block.  The key is the
+  grid object and the sweep's row horizons.  The next plain sweep with that
+  key zero-fills ``cur`` and ``nxt`` and runs the held programs, so only phi,
+  the row re-lays and the step calls run again: a family's catalog shapes
+  swept one by one on one schedule (``lln_rates.rate_sweep``) build their
+  blocks once.  A sweep takes the plan out of the slot while it runs, so a
+  phi that sweeps again builds its own; a sweep that cannot use it (another
+  key, a measure, a table or selections) drops it before it allocates, so
+  at most one plan outlives its sweep; and a sweep that meets a non-finite
+  value at a trimmed join computes full windows from there on, as without
+  a plan, and keeps nothing.  No bit moves: a warm sweep starts from the
+  same zeros and runs the same ufunc calls over the same entries in the
+  same order as a cold one, so the band certificate below holds as it is.
+  phi gets a fresh copy of the terminal points, and the roots are copied
+  out of ``cur``.
 * **Probability band.**  With ``up(lam)`` the largest member log-mgf
   ``ln sum(w exp(lam s))`` of the reduced shift s, and ``down(lam)`` that of
   -s, ``exp(lam S_k - k up(lam))`` and ``exp(-lam S_k - k down(lam))`` are
@@ -132,8 +151,9 @@ grouping moves a root by no more than that share of its payoff's oscillation
   at every later join), a value between the smallest and largest terminal
   value of that row (its zeros at unreachable sums included).  Reachable
   entries read such values only along paths that leave the band.
-  Reachability comes from one forward OR pass; only the masks of requested
-  horizons are kept, and phi is called only at reachable sums.
+  Reachability comes from one forward OR pass per plan (a weighted call's
+  sweeps share one); only the masks of requested horizons are kept, and phi
+  is called only at reachable sums.
 * **State cap.**  The cap counts the dense states of the unreduced lattice,
   ``(n + 1) + (k_max - k_min) * n * (n + 1) / 2`` for the largest horizon, and is
   checked by arithmetic before anything is allocated, so
@@ -384,11 +404,15 @@ def _reachable_masks(grid: _Grid, n: int, keep: Iterable[int]) -> dict[int, np.n
     return masks
 
 
-def _terminal(grid: _Grid, n: int, mask: np.ndarray, phi: Callable, out: np.ndarray) -> None:
-    """Write phi(sum / n) at the reachable sums of step n into ``out``, zeros elsewhere."""
-    xs = grid.values(n)[mask] / n
+def _points(grid: _Grid, n: int, mask: np.ndarray) -> np.ndarray:
+    """The terminal points ``sum / n`` at the reachable sums of step n."""
+    return grid.sums(n, np.flatnonzero(mask)) / n
+
+
+def _terminal(points: np.ndarray, mask: np.ndarray, phi: Callable, out: np.ndarray) -> None:
+    """Write phi at a copy of the terminal ``points`` into the reachable entries of ``out``, zeros elsewhere."""
     out[:] = 0.0
-    out[mask] = _eval_phi(phi, xs)
+    out[mask] = _eval_phi(phi, points.copy())
 
 
 def _products(grid: _Grid) -> tuple[np.ndarray, tuple]:
@@ -561,10 +585,36 @@ def _row_groups(rows: list, span: int, weights: int = 1) -> list[list]:
     return groups
 
 
+class _Plan:
+    """What a sweep builds before its first step (``_sweep``): kept by a plain sweep for the next one.
+
+    The plan of a grid and its descending row horizons holds the reachable masks at those horizons,
+    each horizon's terminal points, the ``cur``, ``nxt``, product and ``acc`` arrays, and the two step
+    programs of every block in sweep order (``blocks``, filled as the sweep builds them).
+    """
+
+    __slots__ = ("grid", "horizons", "masks", "points", "weights", "members", "cur", "nxt", "products", "acc", "blocks")
+
+    def __init__(self, grid: _Grid, horizons: tuple[int, ...], masks):
+        self.grid, self.horizons = grid, horizons
+        self.masks = _reachable_masks(grid, horizons[0], horizons) if masks is None else masks
+        self.points = {n: _points(grid, n, self.masks[n]) for n in set(horizons)}
+        self.weights, self.members = _products(grid)
+        # the widest block: j joined rows of horizon n hold j * size(n) entries
+        most = max((j + 1) * grid.size(n) for j, n in enumerate(horizons))
+        self.cur, self.nxt = _aligned(np.zeros, most), _aligned(np.zeros, most)
+        self.products, self.acc = _aligned(np.empty, self.weights.size * most), _aligned(np.empty, most)
+        self.blocks: list[list] = []
+
+
+# The plan of the most recent sweep if it was plain and kept it, else None; empty while a sweep runs (``_sweep``).
+_held: _Plan | None = None
+
+
 def _sweep(
     grid: _Grid,
     rows: list,
-    masks,
+    masks=None,
     values: list | None = None,
     selections: list | None = None,
     measure: "PathMeasure | None" = None,
@@ -582,16 +632,30 @@ def _sweep(
     For one row of horizon n, ``values`` gets copies of each step's values from step n down to 0, and
     ``selections`` each step's lowest maximizing member from step n-1 down to 0; the members are only
     tracked when ``selections`` is given.  With a ``measure`` the sweep is weighted: before each step,
-    ``_mix`` writes the measure's member weights at that step's states, the step programs take them as
-    their ``mix``, and invalid operations, which only members of weight 0 meet, raise no float error.
+    ``_mix`` writes the measure's member weights at that step's states (``masks`` holds every step's),
+    the step programs take them as their ``mix``, and invalid operations, which only members of weight 0
+    meet, raise no float error.  ``masks`` None takes the masks of the row horizons (``_Plan``).
+
+    A plain sweep (max mode, nothing recorded) keeps its ``_Plan`` in ``_held`` when every join's
+    values were finite; the next plain sweep of the same grid object and row horizons zero-fills
+    ``cur`` and ``nxt`` and runs the held programs.  Every sweep takes the held plan out first, and
+    one that cannot use it drops it before allocating its own.  The roots are a copy.
     """
-    weights, members = _products(grid)
-    # the widest block: j joined rows of horizon n hold j * size(n) entries
-    most = max((j + 1) * grid.size(n) for j, (n, _) in enumerate(rows))
-    cur, nxt = _aligned(np.zeros, most), _aligned(np.zeros, most)
-    product_space, acc_space = _aligned(np.empty, weights.size * most), _aligned(np.empty, most)
+    global _held
+    horizons = tuple(n for n, _ in rows)
+    plain = values is None and selections is None and measure is None
+    plan, _held = _held, None  # out of the slot while in use: a phi that sweeps again builds its own
+    if plain and plan is not None and plan.grid is grid and plan.horizons == horizons:
+        blocks = iter(plan.blocks)
+        plan.cur.fill(0.0)
+        plan.nxt.fill(0.0)
+    else:
+        del plan  # the held arrays go before the new ones are allocated
+        plan, blocks = _Plan(grid, horizons, masks), None
+    keep = plain
+    weights, members, cur, nxt = plan.weights, plan.members, plan.cur, plan.nxt
     joined, k, caller, err = 0, rows[0][0], np.getbufsize(), np.geterr()
-    mixed = None if measure is None else np.zeros((len(members), most))  # the member weights at a step's states
+    mixed = None if measure is None else np.zeros((len(members), cur.size))  # the member weights at a step's states
     # steps below ``first`` compute their full windows
     first, lo, hi = (k, None, None) if values is not None or selections is not None else _band(grid, k)
     with np.errstate(invalid=err["invalid"] if measure is None else "ignore"):
@@ -608,30 +672,35 @@ def _sweep(
                 with np.errstate(**err):  # phi runs under the caller's error handling and buffer size
                     np.setbufsize(caller)
                     for r in range(before, joined):
-                        _terminal(grid, k, masks[k], rows[r][1], columns[:, r])
+                        _terminal(plan.points[k], plan.masks[k], rows[r][1], columns[:, r])
                 if first < k:
                     if np.isfinite(cur[: size * joined]).all():
                         nxt[: size * joined] = cur[: size * joined]
-                    else:
-                        first = k
+                    else:  # full windows from here on, so the held blocks no longer apply
+                        first, blocks, keep = k, None, False
                 if values is not None:
                     values.append(cur[:size].copy())
             end = max(k - _BLOCK_STEPS, rows[joined][0] if joined < len(rows) else 0)
-            if k - 1 < first:
-                start, stop = 0, grid.size(k - 1) * joined
-            else:  # the union of the block's bands, from a cache line on
-                start = min(lo[end:k]) * joined
-                start -= start % (_ALIGN // 8)
-                stop = (max(hi[end:k]) + 1) * joined
-            length = stop - start + grid.span * joined
-            products = product_space[: weights.size * length].reshape(weights.size, length)
-            acc = acc_space[: stop - start]
-            sel = None if selections is None else np.empty(grid.size(k - 1), dtype=np.int32)
-            mix = None if measure is None else mixed[:, start:stop]
-            programs = [
-                _program(weights, members, joined, src[start:], dst[start:stop], acc, products, sel, mix)
-                for src, dst in ((cur, nxt), (nxt, cur))
-            ]
+            if blocks is not None:
+                programs = next(blocks)
+            else:
+                if k - 1 < first:
+                    start, stop = 0, grid.size(k - 1) * joined
+                else:  # the union of the block's bands, from a cache line on
+                    start = min(lo[end:k]) * joined
+                    start -= start % (_ALIGN // 8)
+                    stop = (max(hi[end:k]) + 1) * joined
+                length = stop - start + grid.span * joined
+                products = plan.products[: weights.size * length].reshape(weights.size, length)
+                acc = plan.acc[: stop - start]
+                sel = None if selections is None else np.empty(grid.size(k - 1), dtype=np.int32)
+                mix = None if measure is None else mixed[:, start:stop]
+                programs = [
+                    _program(weights, members, joined, src[start:], dst[start:stop], acc, products, sel, mix)
+                    for src, dst in ((cur, nxt), (nxt, cur))
+                ]
+                if keep:
+                    plan.blocks.append(programs)
             for i in range(k - end):
                 if measure is not None:
                     _mix(grid, measure, k - 1, masks[k - 1], joined, mixed)
@@ -642,7 +711,9 @@ def _sweep(
                     values.append(cur[: grid.size(k)].copy())
                 if selections is not None:
                     selections.append(sel[: grid.size(k)].copy())
-    return cur[:joined]
+    if keep:
+        _held = plan
+    return cur[:joined].copy()
 
 
 def _mix(grid: _Grid, measure: "PathMeasure", k: int, mask: np.ndarray, rows: int, mixed: np.ndarray) -> None:
@@ -723,13 +794,14 @@ def payoff_expectations(
         roots = {}
         for n, i in keys:
             terms = np.empty(grid.size(n))
-            _terminal(grid, n, masks[n], payoffs[i], terms)
+            _terminal(_points(grid, n, masks[n]), masks[n], payoffs[i], terms)
             # a sum of mass 0 adds 0 * phi where phi is finite, so a zero total keeps its sign, and exactly 0 elsewhere
             live = (mass[n] > 0.0) | np.isfinite(terms)
             weighted = np.multiply(mass[n], terms, out=np.zeros(grid.size(n)), where=live)
             roots[n, i] = pairwise_total(weighted[masks[n]])
     else:
-        masks = _reachable_masks(grid, distinct[-1], distinct if measure is None else range(distinct[-1] + 1))
+        # a weighted sweep reads every step's masks; a plain one finds those of its rows (``_Plan``)
+        masks = None if measure is None else _reachable_masks(grid, distinct[-1], range(distinct[-1] + 1))
         budget = _products(grid)[0].size + (0 if measure is None else len(grid.terms))
         groups = _row_groups([(n, payoffs[i]) for n, i in keys], grid.span, budget)
         roots = dict(zip(keys, (r for group in groups for r in _sweep(grid, group, masks, measure=measure).tolist())))

@@ -190,6 +190,22 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == sorted(["notes.txt", blocker])
         assert (out / blocker).is_dir() and (out / "notes.txt").read_text() == "kept"
 
+    def test_a_failed_write_keeps_an_earlier_report_set_whole(self, tmp_path, capsys):
+        # an earlier run's reports and summary stay as they were, and the summary names only files that exist
+        out = tmp_path / "r"
+        assert main(["eval", "--config", str(CONFIGS / "fair_coin.json"), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["report_eval.csv", "summary.json"]
+        (out / "report_sweep.csv").mkdir()
+        capsys.readouterr()
+        assert main(["verify-all", "--config", str(CONFIGS / "fair_coin.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write reports: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["report_eval.csv", "report_sweep.csv", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert all((out / check["report"]).is_file() for check in summary["checks"].values())
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep"])  # --config is required

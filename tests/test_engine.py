@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -576,6 +577,116 @@ class TestBandCache:
         extract_argmax_policy(family, 100, abs)
         after = engine._band.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+CORPUS_SCHEDULE = [2**k for k in range(11)]
+# a point mass after a mixed member: -inf at the top sums is reached only by a member the maximum avoids
+MIXED_AND_POINT = AmbiguityFamily.build(0, 1, [[(-1, 0.5), (1, 0.5)], [(0, 1.0)]])
+
+
+class TestPlans:
+    """A plain sweep keeps its plan; the next one of the same grid and row horizons runs the held programs."""
+
+    @staticmethod
+    def cold(family, payoffs, ns, monkeypatch):
+        monkeypatch.setattr(engine, "_held", None)
+        return [bits(row) for row in payoff_expectations(family, payoffs, ns)]
+
+    def test_warm_roots_are_the_cold_bits(self, families, monkeypatch):
+        for name, family in families.items():
+            catalog = catalog_for(family)
+            cold = [self.cold(family, [phi], CORPUS_SCHEDULE, monkeypatch)[0] for phi in catalog]
+            for order in (list(range(len(catalog))), list(reversed(range(len(catalog))))):
+                monkeypatch.setattr(engine, "_held", None)
+                for step, i in enumerate(order):
+                    held = engine._held
+                    assert bits(payoff_expectations(family, [catalog[i]], CORPUS_SCHEDULE)[0]) == cold[i], (name, i)
+                    assert (engine._held is held) == (step > 0), (name, i)  # every shape after the first reuses the plan
+
+    def test_a_phi_that_sweeps_the_same_geometry_gets_the_bits_of_separate_calls(self, families, monkeypatch):
+        family = families["three_atom"]
+        inner_phi, outer_phi = catalog_for(family)[0], catalog_for(family)[2]
+        want_inner = self.cold(family, [inner_phi], CORPUS_SCHEDULE, monkeypatch)[0]
+        want_outer = self.cold(family, [outer_phi], CORPUS_SCHEDULE, monkeypatch)[0]
+        inner = []
+
+        def reentrant(xs):
+            inner.append(bits(payoff_expectations(family, [inner_phi], CORPUS_SCHEDULE)[0]))
+            return outer_phi(xs)
+
+        payoff_expectations(family, [inner_phi], CORPUS_SCHEDULE)  # the geometry's plan is held
+        assert bits(payoff_expectations(family, [reentrant], CORPUS_SCHEDULE)[0]) == want_outer
+        assert inner == [want_inner] * len(CORPUS_SCHEDULE)
+        assert bits(payoff_expectations(family, [inner_phi], CORPUS_SCHEDULE)[0]) == want_inner
+
+    def test_an_infinite_payoff_after_a_finite_one_gives_its_cold_bits(self, monkeypatch):
+        edge = lambda x: np.where(x >= 1.0, -np.inf, np.abs(x))
+        want = self.cold(MIXED_AND_POINT, [edge], CORPUS_SCHEDULE, monkeypatch)[0]
+        assert engine._held is None  # the sweep met the infinity and kept nothing
+        assert all(math.isfinite(r) for r in payoff_expectations(MIXED_AND_POINT, [edge], CORPUS_SCHEDULE)[0])
+        payoff_expectations(MIXED_AND_POINT, [np.abs], CORPUS_SCHEDULE)
+        assert engine._held is not None
+        assert bits(payoff_expectations(MIXED_AND_POINT, [edge], CORPUS_SCHEDULE)[0]) == want
+        assert engine._held is None
+        assert bits(payoff_expectations(MIXED_AND_POINT, [np.abs], CORPUS_SCHEDULE)[0]) == self.cold(
+            MIXED_AND_POINT, [np.abs], CORPUS_SCHEDULE, monkeypatch
+        )[0]
+
+    def test_a_call_split_into_row_groups_gives_its_cold_bits(self, families, monkeypatch):
+        # two rows of horizon 300 per group: the three groups share one geometry, so the later two run the first's plan
+        program = engine._program
+        for name, family in families.items():
+            catalog, grid = catalog_for(family), engine._grid(family)
+            weights = engine._products(grid)[0].size
+            cold = [row for i in range(0, 6, 2) for row in self.cold(family, catalog[i : i + 2], [300], monkeypatch)]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_ROW_BUDGET", 2 * grid.size(300) * (3 + weights))
+                groups = engine._row_groups([(300, phi) for phi in catalog], grid.span, weights)
+                assert [len(g) for g in groups] == [2, 2, 2], name
+                built = []
+                patch.setattr(engine, "_program", lambda *args: built.append(1) or program(*args))
+                patch.setattr(engine, "_held", None)
+                assert [bits(row) for row in payoff_expectations(family, catalog, [300])] == cold, name
+                assert len(built) == 2 * math.ceil(300 / BLOCK), name  # the first group's programs only
+
+    def test_another_geometry_releases_the_held_arrays(self, families, monkeypatch):
+        family = families["three_atom"]
+        phi = catalog_for(family)[2]
+        payoff_expectations(family, [phi], CORPUS_SCHEDULE)
+        plan = engine._held
+        refs = [weakref.ref(a.base) for a in (plan.cur, plan.nxt, plan.products, plan.acc)]
+        del plan
+        released = []
+        aligned = engine._aligned
+
+        def recording(alloc, n):
+            released.append([ref() is None for ref in refs])
+            return aligned(alloc, n)
+
+        monkeypatch.setattr(engine, "_aligned", recording)
+        payoff_expectations(family, [phi], CORPUS_SCHEDULE[:-1])
+        assert released == [[True] * 4] * 4  # dropped before the first of the new plan's four arrays
+
+    def test_roots_and_phi_arguments_are_never_views_of_the_plan(self, families, monkeypatch):
+        family = families["fair_coin"]
+        want = self.cold(family, [np.abs], CORPUS_SCHEDULE, monkeypatch)[0]
+
+        def scribbling(xs):
+            out = np.abs(xs)
+            xs[:] = np.nan
+            return out
+
+        for phi in (scribbling, scribbling, np.abs):
+            assert bits(payoff_expectations(family, [phi], CORPUS_SCHEDULE)[0]) == want
+        grid, seen = engine._grid(family), []
+        rows = [(n, lambda xs: seen.append(xs) or np.abs(xs)) for n in reversed(CORPUS_SCHEDULE)]
+        for _ in range(2):
+            roots = engine._sweep(grid, rows)
+            plan = engine._held
+            held = [plan.cur, plan.nxt, plan.products, plan.acc, *plan.points.values(), *plan.masks.values()]
+            assert not any(np.shares_memory(roots, a) for a in held)
+            assert all(xs.flags.writeable and not any(np.shares_memory(xs, a) for a in held) for xs in seen)
+            assert bits(roots.tolist()) == want[::-1]
 
 
 class TestBufferSize:

@@ -9,6 +9,8 @@ shipped catalog shape, a tree, only the one block that its enclosure
 leaves.  The backward driver runs once for the run plan, whose
 one sweep stacks every payoff the checks read, once per argmax policy
 that prop2 extracts, and once weighted by P* for ``pstar`` and ``mc``.
+The catalog rate sweeps of one family on one schedule build each block's
+two step programs once, for the first shape.
 """
 
 import contextlib
@@ -60,6 +62,37 @@ def test_verify_all_sweeps_backward_once_per_plan_and_policy(path, tmp_path, mon
     # max sweeps: the plan's and one per argmax policy; weighted sweeps: P*'s one, for pstar and mc
     assert calls.count(None) == 1 + len(cli._enum_ns(config))
     assert len(calls) - calls.count(None) == 1
+
+
+def test_catalog_sweeps_of_a_family_build_each_block_once(families, monkeypatch):
+    # a rate_sweep at the corpus schedule runs 37 blocks (16 + 8 + 4 + 2 + 1 down to n = 32, and one per
+    # horizon below), two programs each; the family's later shapes run the first one's held programs
+    built = []
+    program = engine._program
+    monkeypatch.setattr(engine, "_program", lambda *args: built.append(1) or program(*args))
+    monkeypatch.setattr(engine, "_held", None)
+    schedule = [2**k for k in range(11)]
+    for name, family in families.items():
+        counts = []
+        for phi in catalog_for(family):
+            built.clear()
+            lln_rates.rate_sweep(family, phi, schedule)
+            counts.append(len(built))
+        assert counts == [74, 0, 0, 0, 0, 0], name
+    # a sweep with a measure, selections or values keeps no plan: its blocks (7 to n = 64 on the schedule,
+    # 2 for one row of 64) build their two programs on every call
+    family = families["three_atom"]
+    phi = catalog_for(family)[2]
+    pstar = measures.construct_pstar(family, sum(mean_bounds(family)) / 2, 64)
+    for sweep, blocks in (
+        (lambda: engine.payoff_expectations(family, [phi], schedule[:7], measure=pstar), 7),
+        (lambda: engine.extract_argmax_policy(family, 64, phi), 2),
+        (lambda: engine.value_table(family, 64, phi), 2),
+    ):
+        for _ in range(2):
+            built.clear()
+            sweep()
+            assert len(built) == 2 * blocks
 
 
 def limit_searches(families):
