@@ -18,6 +18,7 @@ rule and policy through its ``_rule_weights`` and enumerates with its walker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,7 +74,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_STEPS = 8  # longest horizon conditional_means enumerates
-_BLOCK_UNIFORMS = 1 << 15  # uniforms per sampling block: 32-bit words, two to each 64-bit output (128 KiB)
+# fields per sampling block, each of the fewest of 8, 16 and 32 bits that hold every threshold of the law: eight,
+# four or two to each 64-bit output, so a block draws 2^12, 2^13 or 2^14 outputs (32, 64 or 128 KiB)
+_BLOCK_UNIFORMS = 1 << 15
 
 
 class MuStarOutOfRange(ValueError):
@@ -262,49 +265,60 @@ def _stepwise_blocks(
     ``block`` holds the atom values ``(n, rows)``, entry (k, p) the atom of
     path ``first_path + p`` at step k, or with ``indices`` each path's
     window index at step n ``(rows,)`` as int64.  The inverse-CDF kernel of
-    every measure.  A block holds an even number of paths, about
-    ``_BLOCK_UNIFORMS`` words, and draws its slice of the stream as raw
-    outputs (see :mod:`sublln.rng`): path p at step k reads the 32-bit word
-    w of output ``(p div 2)*n + k``, low for an even p and high for an odd
-    p, and its uniform is ``u = w * 2^-32``.  The counter offsets, built once
+    every measure.  A block holds a multiple of 8 paths, about
+    ``_BLOCK_UNIFORMS`` fields, and draws its slice of the stream as raw
+    outputs (see :mod:`sublln.rng`).  Each output is read as F = 64/b
+    fields of b bits: path p at step k reads field ``p mod F``, bits
+    ``[b*(p mod F), b*(p mod F) + b)``, of output ``(p div F)*n + k``.  The
+    width b is the fewest of 8, 16 and 32 bits for which every kept
+    threshold ``t`` in ``(0, 2^32)`` (below) is a multiple of ``2^(32-b)``;
+    a rule or a policy, whose thresholds arrive per path, keeps 32-bit
+    fields.  A field f then stands for the 32-bit words ``w`` with
+    ``w >> (32-b) == f``, all of which draw the same atom, since
+    ``w >= t`` exactly when ``f >= t >> (32-b)``; so each atom keeps its
+    probability ``(t_j - t_{j-1}) * 2^-32``, and a 32-bit field is the word
+    itself, its uniform ``u = w * 2^-32``.  The counter offsets, built once
     per call, are permuted so that output (k, j) of a block is stream index
-    ``(first_path/2 + j)*n + k``; the block's ``(n, rows/2)`` outputs, viewed
-    as little-endian 32-bit words, are then the step-major ``(n, rows)``
-    word block, with no copy.  So a threshold comparison is one contiguous
-    pass over the block, a path's count or window index is a vectorized sum
-    over axis 0, and a rule reads row k.  The atom index at step k is the
-    count ``sum_{j<last} (w >= ceil(cum_k[j] * 2^32))``: scaling by 2^32 is
-    exact, so this is ``sum_{j<last} (u >= cum_k[j])``, which equals
-    ``min(searchsorted(cum_k, u, side="right"), last)`` as every CDF
-    ``cum_k`` is nondecreasing.
+    ``(first_path/F + j)*n + k``; the block's ``(n, rows/F)`` outputs,
+    viewed as little-endian b-bit fields, are then the step-major
+    ``(n, rows)`` field block, with no copy.  So a threshold comparison is
+    one contiguous pass over the block, and a rule reads row k.  The atom
+    index at step k is the count ``sum_{j<last} (w >= ceil(cum_k[j] * 2^32))``:
+    scaling by 2^32 is exact, so this is ``sum_{j<last} (u >= cum_k[j])``,
+    which equals ``min(searchsorted(cum_k, u, side="right"), last)`` as
+    every CDF ``cum_k`` is nondecreasing.
 
     A ``depends_on == "none"`` measure's thresholds are built once per call,
     atom-major, and each boundary j adds its increment wherever
     ``w >= t_j``: 1 for an atom index, which is then gathered, or the
-    index gap ``shifts[j+1] - shifts[j]`` for a window index, whose
-    mask is summed over the steps first.  Since ``0 <= w < 2^32``, a
-    boundary whose threshold is ``2^32`` or above at every step never fires
-    and is dropped, and one whose threshold is 0 at every step always fires
-    and is folded into a base count that every count starts from.
-    Boundaries with equal thresholds at every step (adjacent, as every CDF
-    is nondecreasing) are merged into one with the summed increment.  When
-    no boundary is left (P* on a single member), every count is the base:
-    all paths come as one read-only zero-stride block, and nothing is drawn
-    or looped over.  When every step's remaining thresholds are equal
-    (every :meth:`PathMeasure.constant`, so P* and the uniform mixture),
-    each is compared as a uint32 scalar; otherwise each comparison
-    broadcasts one column of per-step thresholds over the block.  Counts
-    are kept in the smallest unsigned dtype that holds the total of all
-    increments, and window indices in the smallest that holds n times it,
-    widened to int64.  A rule or policy is read once per (path, step)
-    through ``_rule_weights``.  The outputs, the mix's scratch, the mask and
-    the counter offsets are allocated once per call, each at most one
-    block, whatever ``count`` is.
+    index gap ``shifts[j+1] - shifts[j]`` for a window index.  A window
+    index sums each boundary's ``(n, rows)`` hit mask over the steps as
+    uint64 lanes, eight paths to an add; a byte lane holds at most 255 hits
+    without a carry, so the steps are summed in chunks of 255.  Since
+    ``0 <= w < 2^32``, a boundary whose threshold is ``2^32`` or above at
+    every step never fires and is dropped, and one whose threshold is 0 at
+    every step always fires and is folded into a base count that every
+    count starts from.  Boundaries with equal thresholds at every step
+    (adjacent, as every CDF is nondecreasing) are merged into one with the
+    summed increment.  When no boundary is left (P* on a single member),
+    every count is the base: all paths come as one read-only zero-stride
+    block, and nothing is drawn or looped over.  When every step's
+    remaining thresholds are equal (every :meth:`PathMeasure.constant`, so
+    P* and the uniform mixture), each is compared as a field-width
+    unsigned scalar; otherwise each comparison broadcasts one column of
+    per-step thresholds over the block.  Counts are kept in the smallest
+    unsigned dtype that holds the total of all increments, and window
+    indices in the smallest that holds n times it, widened to int64.  A
+    rule or policy is read once per (path, step) through ``_rule_weights``.
+    The outputs, the mix's scratch, the mask, the counts and the counter
+    offsets are allocated once per call, each at most one block (a ragged
+    last block takes views and counts of its own), whatever ``count`` is.
     """
     coords, atoms, w_matrix = family.union_atoms()
     grid = _grid(family)
     shifts = grid.index(1, coords)  # each atom's index at step 1; a path's index at step n adds its atoms'
     last = len(atoms) - 1
+    bits = 32  # a rule or a policy reads 32-bit fields
     if measure.depends_on == "none":
         cum = np.array([np.cumsum(w_matrix @ measure.mixture_weights(k)) for k in range(n)]).T.copy()
         table = np.ceil(cum[:last] * 2.0**32).astype(np.int64)
@@ -328,39 +342,55 @@ def _stepwise_blocks(
             else:
                 yield 0, np.broadcast_to(atoms[base], (n, count))
             return
-        thresholds = np.array(kept, dtype=np.int64)[:, :, None]  # one column of per-step thresholds each
+        thresholds = np.array(kept, dtype=np.int64)
+        live = thresholds[(thresholds > 0) & (thresholds < 2**32)]
+        bits = next(b for b in (8, 16, 32) if not (live % (1 << (32 - b))).any())
+        thresholds = thresholds[:, :, None] >> (32 - bits)  # one column of per-step field thresholds each
         if (thresholds == thresholds[:, :1]).all():
-            thresholds = [np.uint32(t) for t in thresholds[:, 0, 0].tolist()]  # each in [1, 2^32)
-    pairs = max(1, _BLOCK_UNIFORMS // (2 * n))  # a block's paths come in pairs, the two words of n outputs
-    rows = 2 * pairs
+            field = np.dtype(f"u{bits // 8}")
+            thresholds = [field.type(t) for t in thresholds[:, 0, 0].tolist()]  # each in [1, 2^bits)
+    per_output = 64 // bits  # paths that share each output, one field each
+    rows = 8 * max(1, _BLOCK_UNIFORMS // (8 * n))  # whole uint64 lanes of the hit mask
+    groups = rows // per_output  # outputs per step of a block
     step_offsets = counter_offsets(n)  # k * GAMMA
-    pair_offsets = counter_offsets(pairs) * np.uint64(n)  # j * n * GAMMA
-    size = pairs * n
+    group_offsets = counter_offsets(groups) * np.uint64(n)  # j * n * GAMMA
+    size = groups * n
     # three slices of one cache-aligned array, each start 2 KiB past a multiple of 4 KiB from the last: a mix
     # pass whose input and output sit a few bytes apart within a page, or off a cache line, runs 20-45 % slower
     stride = size + (256 - size) % 512
     arena = _aligned(lambda k: np.empty(k, dtype=np.uint64), 3 * stride)
     offsets, buffer, scratch = (arena[i * stride : i * stride + size] for i in range(3))
-    np.add.outer(step_offsets, pair_offsets, out=offsets.reshape(n, pairs))
-    mask = np.empty(rows * n, dtype=bool)
+    np.add.outer(step_offsets, group_offsets, out=offsets.reshape(n, groups))
+    mask = np.zeros(rows * n, dtype=bool)  # a ragged block's padding lanes hold 0 or 1, so they never carry
+
+    def counters(r):
+        """For r paths: their hit mask, the calls that sum it over the steps, the hits added after each, the counts."""
+        hit = mask[: n * -(-r // 8) * 8].reshape(n, -1)
+        if not indices:
+            return hit[:, :r], [lambda: None], hit[:, :r].view(np.uint8), np.empty((n, r), dtype=acc_dtype)
+        lanes = hit.view(np.uint64)  # an add covers eight paths; a byte lane holds 255 hits without a carry
+        sums = np.empty(lanes.shape[1], dtype=np.uint64)
+        chunks = [partial(np.add.reduce, lanes[k : k + 255], axis=0, out=sums) for k in range(0, n, 255)]
+        return hit[:, :r], chunks, sums.view(np.uint8)[:r], np.empty(r, dtype=acc_dtype)
+
+    full = counters(rows) if measure.depends_on == "none" else None  # the views of every block but a ragged last
     for p0 in range(0, count, rows):
         r = min(rows, count - p0)
-        q = (r + 1) // 2  # an odd last block reads the low words of its last outputs only
-        if q < pairs:  # the last block: its offsets overwrite the first n * q
-            offsets = np.add.outer(step_offsets, pair_offsets[:q], out=offsets[: n * q].reshape(n, q)).ravel()
-        out = outputs(seed, p0 // 2 * n, offsets, buffer[: n * q], scratch)
+        q = -(-r // per_output)  # a ragged last block leaves the high fields of its last outputs unread
+        if q < groups:  # the last block: its offsets overwrite the first n * q
+            offsets = np.add.outer(step_offsets, group_offsets[:q], out=offsets[: n * q].reshape(n, q)).ravel()
+        out = outputs(seed, p0 // per_output * n, offsets, buffer[: n * q], scratch)
         if not np.little_endian:
-            out.byteswap(inplace=True)  # so that the low word of each output comes first
-        words = out.view("<u4").reshape(n, 2 * q)[:, :r]
+            out.byteswap(inplace=True)  # so that field 0 of each output comes first
+        words = out.view(f"<u{bits // 8}").reshape(n, per_output * q)[:, :r]
         if measure.depends_on == "none":
-            hit = mask[: r * n].reshape(n, r)
-            acc = np.full(r if indices else (n, r), steps_per_entry * base, dtype=acc_dtype)
+            hit, chunks, hits, acc = full if r == rows else counters(r)
+            acc.fill(steps_per_entry * base)
             for t, inc in zip(thresholds, increments):
                 np.greater_equal(words, t, out=hit)
-                hits = hit.view(np.uint8)
-                if indices:
-                    hits = hits.sum(axis=0, dtype=acc_dtype)
-                acc += hits if inc == 1 else hits * acc_dtype.type(inc)
+                for sum_steps in chunks:
+                    sum_steps()
+                    acc += hits if inc == 1 else hits * acc_dtype.type(inc)
             if indices:
                 yield p0, acc.astype(np.int64)
             else:
@@ -401,13 +431,16 @@ def sample_paths(
 ) -> np.ndarray:
     """Draw ``count`` atom paths of length n under the measure, reproducibly.
 
-    The uniform for (path p, step k) is ``w * 2^-32``, w the low (even p)
-    or high (odd p) 32-bit word of the deterministic stream output at index
-    ``(p div 2)*n + k`` (see :mod:`sublln.rng`); the realized atom is the
-    first one, in increasing value order, whose cumulative mixture
-    probability exceeds the uniform.  Identical (seed, inputs) give
-    bit-identical samples.  Paths are drawn in blocks, each from its own
-    slice of the same stream, so the block size never changes a sample.
+    Path p at step k reads field ``p mod F`` of the deterministic stream
+    output at index ``(p div F)*n + k``, F = 64/b fields of b bits to an
+    output, with b the fewest of 8, 16 and 32 bits that hold every CDF
+    threshold of a law that depends only on the step, and 32 for a rule or
+    a policy (see :mod:`sublln.rng`).  The field f is the uniform
+    ``f * 2^-b``; the realized atom is the first one, in increasing value
+    order, whose cumulative mixture probability exceeds the uniform.
+    Identical (seed, inputs) give bit-identical samples.  Paths are drawn
+    in blocks, each from its own slice of the same stream, so the block
+    size never changes a sample.
     """
     n, count, seed = _check_sampling(family, measure, n, count, seed)
     out = np.empty((count, n))
@@ -428,9 +461,10 @@ def sample_sum_counts(
     Entry i counts the paths whose sum is the lattice sum at window index i
     of step n on the family's grid (``_Grid.sums``), the gcd-reduced window
     of ``SumSupport.masks[n]`` with its ``n * span / gcd + 1`` entries.
-    Paths are counted block by block as they are drawn (``np.bincount`` of
-    each block's window indices), so memory is one block plus the counters,
-    whatever ``count`` is.  The per-path sums are
+    Paths are drawn with the field layout of :func:`sample_paths` and
+    counted block by block (``np.bincount`` of each block's window indices,
+    each a sum of uint64 lanes of hits over the steps), so memory is one
+    block plus the counters, whatever ``count`` is.  The per-path sums are
     ``sample_paths(...).sum(axis=1)``.
     """
     n, count, seed = _check_sampling(family, measure, n, count, seed)

@@ -14,19 +14,25 @@ generated independently and in parallel.  The i-th uniform of
 :func:`unit_at` and :func:`unit_array` is ``(out_i >> 11) * 2^-53``, with
 53 bits.
 
-The Monte Carlo sampler (``sublln.measures``) reads each output as two
-32-bit words: for paths of n steps, path p at step k reads output
-``(p div 2)*n + k``, its low word ``out & 0xFFFFFFFF`` for an even p and its
-high word ``out >> 32`` for an odd p.  So paths 2j and 2j+1 share their
-outputs, and ``count`` paths draw ``ceil(count/2)*n`` outputs; an odd
-``count`` reads only the low words of its last n outputs.  The word w is
-the uniform ``w * 2^-32``, so the resolution is 2^-32 (about 2.3e-10).
-Atom j is drawn with probability ``(t_j - t_{j-1}) * 2^-32``, where
-``t_j = min(ceil(c_j * 2^32), 2^32)`` is the threshold of its upper CDF
-value c_j (``t_{-1} = 0``, and the last atom's is 2^32): each weight is
-rounded at its CDF ends to a multiple of 2^-32.  So an atom of weight below
-2^-32 is drawn with probability 0 or 2^-32; a first atom of weight in
-``(0, 2^-32]``, for one, is drawn exactly when the word is 0.
+The Monte Carlo sampler (``sublln.measures``) reads each output as F = 64/b
+fields of b bits, b one of 8, 16 and 32: for paths of n steps, path p at
+step k reads field ``p mod F``, ``(out >> (b*(p mod F))) & (2^b - 1)``, of
+output ``(p div F)*n + k``.  So F consecutive paths share their outputs, and
+``count`` paths draw ``ceil(count/F)*n`` outputs; a ``count`` that is not a
+multiple of F leaves the high fields of its last n outputs unread.  A law
+whose mixture depends only on the step reads the fewest bits of 8, 16 and
+32 for which every threshold ``t_j`` below in ``(0, 2^32)`` is a multiple
+of ``2^(32-b)``; a fair coin, whose one threshold is 2^31, reads bytes.
+Every rule or policy reads 32-bit fields.  The field f stands for the
+32-bit word ``w = f * 2^(32-b)``, the uniform ``w * 2^-32``, and all words
+with the same top b bits draw the same atom, so the resolution is 2^-32
+(about 2.3e-10) at every width.  Atom j is drawn with probability
+``(t_j - t_{j-1}) * 2^-32``, where ``t_j = min(ceil(c_j * 2^32), 2^32)`` is
+the threshold of its upper CDF value c_j (``t_{-1} = 0``, and the last
+atom's is 2^32): each weight is rounded at its CDF ends to a multiple of
+2^-32.  So an atom of weight below 2^-32 is drawn with probability 0 or
+2^-32; a first atom of weight in ``(0, 2^-32]``, for one, is drawn exactly
+when the word is 0.
 
 There is one vector implementation, :func:`outputs`.  Since
 ``state_{start+i} = ((start + 1) * GAMMA + seed) + i * GAMMA``, a caller

@@ -435,35 +435,55 @@ def per_state_forwards(family, n, measure):
     return masses
 
 
-def sampler_words(seed, n, count):
-    """The ``(count, n)`` 32-bit words that ``count`` paths of n steps read, from the stream's definition.
+def field_bits(family, measure, n):
+    """The field width, 8, 16 or 32 bits, that the sampler reads for this law, from its CDF values.
 
-    Path p at step k reads output ``(p div 2)*n + k`` (``u64_at``): its low
-    word ``out & 0xFFFFFFFF`` for an even p, its high word ``out >> 32`` for
-    an odd p.  One scalar output serves both paths of a pair.
+    A rule or a policy reads 32-bit fields.  A ``"none"`` measure reads the
+    fewest bits b of 8, 16 and 32 for which every threshold
+    ``ceil(c * 2^32)`` in ``(0, 2^32)``, of every step's CDF values c below
+    the last atom, is a multiple of ``2^(32-b)`` (computed in rationals).
     """
-    rows = []
-    for j in range((count + 1) // 2):
-        outs = [u64_at(seed, j * n + k) for k in range(n)]
-        rows.append([out & 0xFFFFFFFF for out in outs])
-        rows.append([out >> 32 for out in outs])
-    return np.array(rows[:count], dtype=np.int64).reshape(count, n)
+    if measure.depends_on != "none":
+        return 32
+    w_matrix = family.union_atoms()[2]
+    thresholds = {
+        math.ceil(Fraction(c) * 2**32)
+        for k in range(n)
+        for c in np.cumsum(w_matrix @ measure.mixture_weights(k))[:-1].tolist()
+    }
+    live = [t for t in thresholds if 0 < t < 2**32]
+    return next(b for b in (8, 16, 32) if all(t % 2 ** (32 - b) == 0 for t in live))
 
 
-def per_step_sampler(family, measure, n, count, seed):
-    """Monte Carlo paths by one ``searchsorted`` per step, on the words of ``sampler_words``.
+def sampler_words(seed, n, count, bits=32):
+    """The ``(count, n)`` b-bit fields that ``count`` paths of n steps read, from the stream's definition.
 
-    The uniform of (path p, step k) is its word times 2^-32 (exact in a
-    float), and its atom is ``min(searchsorted(cum_k, u, side="right"),
-    last)``.  A ``"none"`` measure's step is looked up for every path at
-    once; a rule is read per (path, step), a sum rule at
-    ``k*origin + coord*step``, coord the integer coordinate sum of the first
-    k atoms.
+    Each output (``u64_at``) holds F = 64/b fields: path p at step k reads
+    field ``p mod F``, ``(out >> (b*(p mod F))) & (2^b - 1)``, of output
+    ``(p div F)*n + k``.  One scalar output serves F consecutive paths.
+    """
+    per_output = 64 // bits
+    outs = [[u64_at(seed, j * n + k) for k in range(n)] for j in range(-(-count // per_output))]
+    mask = (1 << bits) - 1
+    fields = [[out >> (bits * (p % per_output)) & mask for out in outs[p // per_output]] for p in range(count)]
+    return np.array(fields, dtype=np.int64).reshape(count, n)
+
+
+def per_step_sampler(family, measure, n, count, seed, bits=None):
+    """Monte Carlo paths by one ``searchsorted`` per step, on the b-bit fields of ``sampler_words``.
+
+    ``bits`` defaults to the width the law selects (``field_bits``).  The
+    uniform of (path p, step k) is its field times 2^-b (exact in a float),
+    and its atom is ``min(searchsorted(cum_k, u, side="right"), last)``.  A
+    ``"none"`` measure's step is looked up for every path at once; a rule
+    is read per (path, step), a sum rule at ``k*origin + coord*step``,
+    coord the integer coordinate sum of the first k atoms.
     """
     coords, atoms, w_matrix = family.union_atoms()
     lat = family.lattice
     last = len(atoms) - 1
-    u = sampler_words(seed, n, count) * 2.0**-32
+    bits = field_bits(family, measure, n) if bits is None else bits
+    u = sampler_words(seed, n, count, bits) * 2.0**-bits
     out = np.empty((count, n))
     if measure.depends_on == "none":
         for k in range(n):
@@ -515,25 +535,28 @@ def _unxorshift(y, shift):
     return x
 
 
-def seed_with_unit_at(n, path, step, u, other=0):
+def seed_with_unit_at(n, path, step, u, other=0, bits=32):
     """A seed whose stream gives path ``path`` of n-step paths the uniform ``u`` at step ``step``.
 
-    ``u`` must be a multiple of 2^-32 in [0, 1), and ``other`` is the other
-    32-bit word of the same output, the one the path's partner reads.  Every
+    The path reads b-bit fields (``sampler_words``): ``u`` must be a
+    multiple of 2^-b in [0, 1), and ``other`` is a 64-bit word that gives
+    the output's other bits, the fields the path's neighbours read.  Every
     step of the output mix is a bijection on 64-bit words, so the state
-    whose output holds ``u * 2^32`` as the path's word (low for an even
-    path, high for an odd one) is found by undoing the mix, and the seed by
-    subtracting the counter's contribution at output ``(path div 2)*n + step``.
+    whose output holds ``u * 2^b`` in the path's field is found by undoing
+    the mix, and the seed by subtracting the counter's contribution at
+    output ``(path div F)*n + step``, F = 64/b.
     """
-    word = int(u * 2**32)
-    assert word * 2.0**-32 == u and 0 <= word < 2**32 and 0 <= other < 2**32
-    out = (word << 32 | other) if path % 2 else (other << 32 | word)
+    field = int(u * 2**bits)
+    assert field * 2.0**-bits == u and 0 <= field < 2**bits and 0 <= other < 2**64
+    per_output = 64 // bits
+    shift = bits * (path % per_output)
+    out = other & ~(((1 << bits) - 1) << shift) & MASK64 | field << shift
     z = _unxorshift(out, 31)
     z = (z * pow(_MULT2, -1, 2**64)) & MASK64
     z = _unxorshift(z, 27)
     z = (z * pow(_MULT1, -1, 2**64)) & MASK64
     z = _unxorshift(z, 30)
-    return (z - (path // 2 * n + step + 1) * _GAMMA) & MASK64
+    return (z - (path // per_output * n + step + 1) * _GAMMA) & MASK64
 
 
 # The catalog shapes as the lambdas they were before they became expression trees.

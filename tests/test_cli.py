@@ -137,10 +137,10 @@ class TestSubcommands:
             (
                 "bernoulli_pair",
                 {
-                    "sample_mean": "0.2541554",
-                    "sample_std": "0.13315696736791352",
-                    "abs_error": "0.00014192431705434272",
-                    "tolerance": "0.0016843172128132911",
+                    "sample_mean": "0.254336",
+                    "sample_std": "0.1333063569746323",
+                    "abs_error": "3.867568294568802e-05",
+                    "tolerance": "0.0016862068584772437",
                 },
             ),
         ],
@@ -533,7 +533,7 @@ GOLDEN_SHA256 = {
     ('bernoulli_pair', 'csv'): {
         'report_chatterji.csv': 'e4a74374f144d836a149c2a0283c31355a5109692e0c3b80dd6c038564c213dc',
         'report_eval.csv': 'd97f24a6860896649ae34ad83e0424eeaf2ee629cbd68d0895f1061bf2858093',
-        'report_mc.csv': '8196229647eede9e69d022027cdacc6ce960fcb0514d6cd6a66af3ddb67e63f5',
+        'report_mc.csv': 'e58af9798d32cbdf78cbbca2edbe168ae753025c23998c23ebc61995c2c50e00',
         'report_prop2.csv': 'dd582aef46c40aa8b91dcb859aa54bef45c047c19805538db6fcb995c41ccd24',
         'report_pstar.csv': '2e2fb46b29da536136f300249bff71fbf192848deb098b24fd18ed3c9a5816eb',
         'report_sweep.csv': '734d541d9a199e9a96634edf9eef12808cb42eb18c17ad801407798f657f45c3',
@@ -543,7 +543,7 @@ GOLDEN_SHA256 = {
     ('bernoulli_pair', 'json'): {
         'report_chatterji.json': '1e82e02c56e1de6e73331cded733676579e5482563dcf607e394bc6b0dd144df',
         'report_eval.json': '67469890dfb65ca7fbaa2bad1ccd59560889c8343be3df7414dfc9ad6bb313bc',
-        'report_mc.json': '6565100904aad90a487736f956f854585bfb26c6c23e1f7217644f58e481494c',
+        'report_mc.json': '1b6caaeb48fcfb2cf98c2b5059b35a699687b89e8400719863999799f2fdadde',
         'report_prop2.json': '9781868e54cc8aa0630c78ae0bc28cb9cd5d4eb506c24fa6249ca450dc356bc7',
         'report_pstar.json': 'a237f2441c9038292ccc05541a0817cf1506801f1a742bdc2821f327477457d6',
         'report_sweep.json': 'c0870e1836341817d3eee583c2f0ab93e8aa29071ae17fda171d015be246aaf2',
@@ -593,7 +593,7 @@ GOLDEN_SHA256 = {
     ('fair_coin', 'csv'): {
         'report_chatterji.csv': 'cb12f1c04d3ede4ee023f4fea5959b7ea956dd429827a0bb85775401b020002e',
         'report_eval.csv': '6f03f10050a5bf7eaf04d92272ec4d9c917328530581d92b4e829416af5ce502',
-        'report_mc.csv': '0abbca7f196440bef351481dd6ec58497cec29897fba17ee1450c23bd6c8452f',
+        'report_mc.csv': 'e9d2688f57d9acf8a707a610263e2a4dc479db821ecbae82ba03d353a6cf4bfe',
         'report_prop2.csv': 'de3a74eab93a156ad35c1917203bccf3dcd543929515e4ca36c31186e8d3c878',
         'report_pstar.csv': '55b4a8c83f78150014fb76ab273e84db59497fe265f82965923dbb659d030d1f',
         'report_sweep.csv': 'a72cb4584047f70b4c6c665686d354ea97252053d9a33f1cc0669f70fe4801f3',
@@ -603,7 +603,7 @@ GOLDEN_SHA256 = {
     ('fair_coin', 'json'): {
         'report_chatterji.json': '8a0f23acda538da55b13ffbd17496fc6498fd174d7474a57fbab907f44ec258d',
         'report_eval.json': '84a8463d476c25ab1aedfd8ae14c22701cb2a4425632d83110a9cf19684f8d9a',
-        'report_mc.json': 'b3a5ca971fd06da1c356d86bc1fabc5c9f74c62ee57382288f85ed2d28f672a3',
+        'report_mc.json': '911877ae5c7013fadaddbe8dacd95832154a3364a961e7845aff8d97e5044366',
         'report_prop2.json': 'c5f70953042e49bf19fe7be98efa30a73aeeb27635183ebfe95d0def18c9106b',
         'report_pstar.json': 'f27e10fa8bf7948862a2fd6bfe7e710076e3c793c2c2fbdec9dbea01292f36f8',
         'report_sweep.json': '2518ebf343ef422eaaea59d3d0df740628605d6fa468e25f420fca9544d423ca',

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import per_step_sampler, reduced_sum_counts, sampler_words, seed_with_unit_at
+from _oracles import field_bits, per_step_sampler, reduced_sum_counts, sampler_words, seed_with_unit_at
 from sublln import measures
 from sublln.ambiguity import AmbiguityFamily, mean_bounds
 from sublln.config import parse_config
@@ -43,7 +43,7 @@ def assert_matches_oracle(family, measure, n, count, seed):
 
 
 def block_rows(n):
-    return 2 * max(1, measures._BLOCK_UNIFORMS // (2 * n))
+    return 8 * max(1, measures._BLOCK_UNIFORMS // (8 * n))
 
 
 def shipped_measures():
@@ -83,16 +83,18 @@ def test_zero_weight_atoms_tie_the_cdf():
 
 @pytest.mark.parametrize("path", [0, 1, 3])
 def test_uniform_equal_to_a_cdf_value(path):
-    # cum = [0.25, 0.75, 1.0]: a uniform exactly on a CDF value picks the next atom
+    # cum = [0.25, 0.75, 1.0]: a uniform exactly on a CDF value picks the next atom; the law reads 8-bit fields
     family = AmbiguityFamily.build(0, 1, [[(0, 0.25), (1, 0.5), (2, 0.25)]])
     measure = uniform_mixture(family, 4)
     n, step = 4, 2
     count = path + 2
+    bits = field_bits(family, measure, n)
+    assert bits == 8
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_BLOCK_UNIFORMS", 2 * n)  # two paths per block
+        mp.setattr(measures, "_BLOCK_UNIFORMS", 2 * n)  # the fewest paths per block, eight
         for u, atom in ((0.25, 1.0), (0.75, 2.0), (0.0, 0.0)):
-            seed = seed_with_unit_at(n, path, step, u)
-            assert sampler_words(seed, n, count)[path, step] * 2.0**-32 == u
+            seed = seed_with_unit_at(n, path, step, u, bits=bits)
+            assert sampler_words(seed, n, count, bits)[path, step] * 2.0**-bits == u
             assert per_step_sampler(family, measure, n, count, seed)[path, step] == atom
             assert sample_paths(family, measure, n, count, seed)[path, step] == atom
             assert_matches_oracle(family, measure, n, count, seed)
@@ -100,12 +102,16 @@ def test_uniform_equal_to_a_cdf_value(path):
 
 def test_top_uniform_is_clamped_to_the_last_atom():
     # the mixture weight is 1 - 4e-13, so the CDF ends just below 1 but above the largest uniform, 1 - 2^-32
-    # (admitted weights end every CDF within about 1e-12 of 1); that uniform picks the last atom
+    # (admitted weights end every CDF within about 1e-12 of 1); that uniform picks the last atom.  The first
+    # CDF value rounds up to the threshold 2^31, so the law reads 8-bit fields, and the largest field 255
+    # stands for the words 0xFF000000 to 0xFFFFFFFF
     family = AmbiguityFamily.build(0, 1, [[(0, 0.5), (1, 0.5)]])
     measure = PathMeasure.constant([1.0 - 4e-13], 3)
-    top = 1.0 - 2.0**-32
-    assert top < np.cumsum(family.union_atoms()[2] @ measure.mixture_weights(0))[-1] < 1.0
-    seed = seed_with_unit_at(3, 1, 1, top)
+    bits = field_bits(family, measure, 3)
+    assert bits == 8
+    top = 1.0 - 2.0**-bits
+    assert 1.0 - 2.0**-32 < np.cumsum(family.union_atoms()[2] @ measure.mixture_weights(0))[-1] < 1.0
+    seed = seed_with_unit_at(3, 1, 1, top, bits=bits)
     paths = sample_paths(family, measure, 3, 2, seed)
     assert paths[1, 1] == 1.0
     assert_matches_oracle(family, measure, 3, 2, seed)
@@ -127,7 +133,7 @@ def test_counts_around_the_block_size(offset):
 
 @pytest.mark.parametrize("block", [1, 5, 21, 22])
 def test_small_blocks(block):
-    # a block shorter than two paths still holds one whole pair of paths
+    # a block shorter than eight paths still holds eight, one uint64 lane of its hit mask
     measure = construct_pstar(THREE_ATOM, 0.4, 11)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_BLOCK_UNIFORMS", block)

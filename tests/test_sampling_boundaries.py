@@ -38,7 +38,7 @@ def cdf(family, measure, k=0):
 
 
 def block_rows(n):
-    return 2 * max(1, measures._BLOCK_UNIFORMS // (2 * n))
+    return 8 * max(1, measures._BLOCK_UNIFORMS // (8 * n))
 
 
 def pstar(config, n):

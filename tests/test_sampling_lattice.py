@@ -78,7 +78,7 @@ def test_non_unit_gaps(name, gaps, families):
     family = families[name]
     assert np.diff(family.union_atoms()[0]).tolist() == gaps
     n = 50
-    count = 4 * (measures._BLOCK_UNIFORMS // (2 * n)) + 7  # three blocks, the last partial
+    count = 2 * 8 * (measures._BLOCK_UNIFORMS // (8 * n)) + 7  # three blocks, the last partial
     for measure in (construct_pstar(family, sum(mean_bounds(family)) / 2, n), uniform_mixture(family, n)):
         _, counts = assert_counts_bin_the_oracle(family, measure, n, count, seed=5)
         assert len(counts) == n * sum(gaps) // math.gcd(*gaps) + 1  # the reduced window: 51 on bernoulli_pair
@@ -137,7 +137,7 @@ MEASURES = {
 def test_random_dyadic_lattices_match_the_float_sums(family, kind, n, block, extra, seed):
     measure = MEASURES[kind](n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_BLOCK_UNIFORMS", block * n)  # ``block`` paths per block, in whole pairs
+        mp.setattr(measures, "_BLOCK_UNIFORMS", block * n)  # ``block`` paths per block, rounded down to 8s
         count = max(0, 2 * block + extra)  # crosses one or two block edges
         paths, counts = assert_counts_bin_the_oracle(family, measure, n, count, seed)
     # every float sum of these paths is exact, so it is the lattice sum its count stands for

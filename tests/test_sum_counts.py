@@ -16,7 +16,7 @@ import pytest
 
 from _oracles import reduced_sum_counts
 from sublln import cli, measures
-from sublln.ambiguity import mean_bounds
+from sublln.ambiguity import AmbiguityFamily, mean_bounds
 from sublln.config import parse_config
 from sublln.corpus import catalog_for, corpus_families
 from sublln.engine import extract_argmax_policy
@@ -82,9 +82,26 @@ def test_counts_at_the_real_block_size(offset):
     config = parse_config((CONFIGS / "three_atom.json").read_bytes())
     n = config.mc_horizon
     pstar = cli._RunPlan(config, ["mc"]).pstar
-    count = 2 * (measures._BLOCK_UNIFORMS // (2 * n)) + offset  # around one block of paths
+    count = 8 * (measures._BLOCK_UNIFORMS // (8 * n)) + offset  # around one block of paths
     counts = sample_sum_counts(config.family, pstar, n, count, config.seed)
     assert np.array_equal(counts, reduced_sum_counts(config.family, sample_paths(config.family, pstar, n, count, config.seed))[0])
+
+
+TWO_POINTS = AmbiguityFamily.build(0, 1, [[(0, 1.0)], [(1, 1.0)]])
+
+
+@pytest.mark.parametrize("count", [5, 2 * 104 + 5])
+@pytest.mark.parametrize("c", [0.5, 2.0**-8, 1 / 3], ids=["half", "byte", "third"])
+def test_counts_past_255_steps(c, count):
+    # a window index sums each boundary's hits over the steps as uint64 lanes, eight paths to an add, in
+    # chunks of 255 steps so that no byte lane carries: at n = 300 a boundary of c = 2^-8 fires about 299
+    # times per path.  A block holds 104 paths, and a count of 5 or 213 pads the lanes of its last block.
+    # c = 1/2 and 2^-8 read 8-bit fields, and 1/3 32-bit words.
+    n, seed = 300, 41
+    measure = PathMeasure.constant([c, 1.0 - c], n)
+    counts = sample_sum_counts(TWO_POINTS, measure, n, count, seed)
+    assert np.array_equal(counts, reduced_sum_counts(TWO_POINTS, sample_paths(TWO_POINTS, measure, n, count, seed))[0])
+    assert counts[256:].any() == (c == 2.0**-8)  # a path's index passes 255 under c = 2^-8 only
 
 
 def test_no_boundary_left_counts_every_path_at_one_sum(monkeypatch):
@@ -101,7 +118,7 @@ def test_no_boundary_left_counts_every_path_at_one_sum(monkeypatch):
 # a change to the stream, the inverse-CDF lookup or the sums shows up here.
 COUNT_SHA256 = {
     "three_atom": "3e610ee1f58308d55e59a51ab085a246e441224a967992d8f9c446f335f718be",
-    "bernoulli_pair": "2deef8f787fb1dd217c90cf0502fa79c85f19ccaa94a7b932e85fbe2ced868f7",
+    "bernoulli_pair": "9ad504b0fb37437d0267b8b631679c439c51b8faad756ece156378489728715b",
 }
 
 

@@ -1,14 +1,16 @@
 """Work that ``verify-all`` does, counted instead of timed, so a change that adds dead work fails here.
 
-The sampler draws uniforms only for CDF boundaries that can fire: P* on a
-single member draws none, and every other shipped config draws one 64-bit
-output per pair of paths and step, whose two 32-bit words are the two
-paths' uniforms.  The limit search hands phi at most one block of grid
-points at a time: every grid point of an opaque callable, and for each
-shipped catalog shape, a tree, only the one block that its enclosure
-leaves.  The backward driver runs once for the run plan, whose
-one sweep stacks every payoff the checks read, once per argmax policy
-that prop2 extracts, and once weighted by P* for ``pstar`` and ``mc``.
+The sampler draws uniforms only for CDF boundaries that can fire, and only
+the bits its law needs: P* on a single member draws none, P* of fair_coin
+and bernoulli_pair (a fair coin, one threshold at 2^31) draws one 64-bit
+output per eight paths and step, one byte to a path, and every other shipped
+config one output per two paths and step, one 32-bit word to a path.  The
+limit search hands phi at most one block of grid points at a time: every
+grid point of an opaque callable, and for each shipped catalog shape, a
+tree, only the one block that its enclosure leaves.  The backward driver
+runs once for the run plan, whose one sweep stacks every payoff the checks
+read, once per argmax policy that prop2 extracts, and once weighted by P*
+for ``pstar`` and ``mc``.
 The catalog rate sweeps of one family on one schedule build each block's
 two step programs once, for the first shape.
 """
@@ -27,6 +29,7 @@ from sublln.corpus import catalog_for
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NO_DRAWS = {"point_mass", "delta_pair", "two_point_masses"}
+BYTE_FIELDS = {"fair_coin", "bernoulli_pair"}  # P* reads 8-bit fields, eight to an output
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
@@ -42,8 +45,10 @@ def test_verify_all_draws_only_live_uniforms(path, tmp_path, monkeypatch):
     config = parse_config(path.read_bytes())
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(config, tmp_path) == 0
-    want = 0 if path.stem in NO_DRAWS else (config.mc_samples + 1) // 2 * config.mc_horizon
+    per_output = 8 if path.stem in BYTE_FIELDS else 2
+    want = 0 if path.stem in NO_DRAWS else -(-config.mc_samples // per_output) * config.mc_horizon
     assert sum(draws) == want
+    assert want == {"fair_coin": 625_000, "three_atom": 2_500_000}.get(path.stem, want)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
